@@ -45,7 +45,7 @@ func run() error {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation workers")
 	seed := flag.String("seed", "winter0910", "campaign master seed (replicate i uses <seed>/rep/<i>)")
 	days := flag.Int("days", 0, "override the normal-phase length in days (0 = paper horizon)")
-	climates := flag.String("climates", "", "comma-separated climate presets to sweep (empty = reference winter)")
+	climates := flag.String("climates", "", "comma-separated internal/climate families to sweep (\"reference\" or empty = calibrated reference winter)")
 	fleets := flag.String("fleets", "", "comma-separated fleet sizes (tent/basement pairs) to sweep")
 	monitors := flag.String("monitors", "", "comma-separated monitoring cadences to sweep (e.g. 0,20m,2h)")
 	mods := flag.String("mods", "", "sweep the R/I/B/F modification ladder: on,off")

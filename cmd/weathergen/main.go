@@ -1,10 +1,10 @@
 // weathergen generates synthetic Helsinki-winter weather traces (the SMEAR
-// III stand-in) as CSV, for replay with weather.ReadTraceCSV or external
-// analysis.
+// III stand-in), or any internal/climate family with -climate, as CSV, for
+// replay with weather.ReadTraceCSV or external analysis.
 //
 // Usage:
 //
-//	weathergen [-seed SEED] [-from 2010-02-12] [-days 42] [-step 10m] [-o trace.csv]
+//	weathergen [-seed SEED] [-climate NAME] [-from 2010-02-12] [-days 42] [-step 10m] [-o trace.csv]
 package main
 
 import (
@@ -13,6 +13,7 @@ import (
 	"os"
 	"time"
 
+	"frostlab/internal/climate"
 	"frostlab/internal/weather"
 )
 
@@ -25,7 +26,7 @@ func main() {
 
 func run() error {
 	seed := flag.String("seed", "winter0910", "weather RNG seed")
-	climate := flag.String("climate", "", fmt.Sprintf("climate preset %v instead of the calibrated reference winter", weather.ClimateNames()))
+	family := flag.String("climate", "", fmt.Sprintf("climate family %v instead of the calibrated reference winter", climate.Names()))
 	fromStr := flag.String("from", "2010-02-12", "trace start date (YYYY-MM-DD)")
 	days := flag.Int("days", 42, "trace length in days")
 	step := flag.Duration("step", 10*time.Minute, "sample interval")
@@ -40,12 +41,12 @@ func run() error {
 		return fmt.Errorf("-days must be positive")
 	}
 	var m weather.Model = weather.ReferenceWinter0910(*seed)
-	if *climate != "" {
-		c, err := weather.LookupClimate(*climate)
+	if *family != "" {
+		f, err := climate.Lookup(*family)
 		if err != nil {
 			return err
 		}
-		if m, err = c.Model(from.UTC(), *seed); err != nil {
+		if m, err = f.Model(from.UTC(), *seed); err != nil {
 			return err
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"log"
 	"time"
 
+	"frostlab/internal/climate"
 	"frostlab/internal/power"
 	"frostlab/internal/report"
 	"frostlab/internal/weather"
@@ -23,21 +24,17 @@ func main() {
 	}
 	fmt.Println(pue)
 
-	// Climate sweep across the library's presets: how far south does the
+	// Climate sweep across the catalogue: how far south does the
 	// free-cooling argument carry? (§1–2: the paper's Helsinki site, HP's
-	// Wynyard, Intel's New Mexico, plus the extremes.)
+	// Wynyard, Intel's New Mexico, plus the extremes and stress families.)
 	eco := power.DefaultEconomizer()
 	from := weather.ExperimentEpoch
 	to := from.AddDate(0, 0, 42)
 
 	header := []string{"climate", "free-cooling hours", "savings", "economizer PUE"}
 	var rows [][]string
-	for _, name := range weather.ClimateNames() {
-		climate, err := weather.LookupClimate(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		wx, err := climate.Model(from, "puestudy")
+	for _, f := range climate.Families() {
+		wx, err := f.Model(from, "puestudy")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -46,7 +43,7 @@ func main() {
 			log.Fatal(err)
 		}
 		rows = append(rows, []string{
-			name,
+			f.Name,
 			fmt.Sprintf("%.0f%%", cmp.FreeCoolingFraction*100),
 			fmt.Sprintf("%.0f%%", cmp.Savings*100),
 			fmt.Sprintf("%.3f", cmp.EconomizerPUE),

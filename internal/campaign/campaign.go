@@ -12,7 +12,7 @@
 // take to separate the tent from the control at 95 %.
 //
 // On top of pure replication, a campaign can sweep declarative axes —
-// climate preset, fleet size, monitoring cadence, the R/I/B/F modification
+// climate family, fleet size, monitoring cadence, the R/I/B/F modification
 // ladder — forming the cross product of every axis value. Every replicate
 // shares the same `<seed>/rep/<i>` derivation across sweep points (common
 // random numbers), so differences between points are never RNG artefacts.
@@ -27,11 +27,11 @@ import (
 	"strings"
 	"time"
 
+	"frostlab/internal/climate"
 	"frostlab/internal/control"
 	"frostlab/internal/core"
 	"frostlab/internal/hardware"
 	"frostlab/internal/units"
-	"frostlab/internal/weather"
 )
 
 // DefaultEnvelopeGrid is the resampling bucket used for cross-run
@@ -98,8 +98,8 @@ type Spec struct {
 // the reference value; non-empty axes multiply into the cross product of
 // sweep points.
 type Sweep struct {
-	// Climates are weather presets from internal/weather's climate
-	// library ("" = the calibrated winter-0910 reference model).
+	// Climates are internal/climate family names ("" = the calibrated
+	// winter-0910 reference model).
 	Climates []string
 	// FleetPairs are fleet sizes in tent/basement host pairs
 	// (0 = the paper's reference fleet with its Fig. 2 timeline).
@@ -263,7 +263,7 @@ func (s *Spec) config(pt point, rep int) (core.Config, error) {
 		cfg.Modifications = nil
 	}
 	if pt.climate != "" {
-		cl, err := weather.LookupClimate(pt.climate)
+		cl, err := climate.Lookup(pt.climate)
 		if err != nil {
 			return cfg, err
 		}

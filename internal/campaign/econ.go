@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 
 	"frostlab/internal/climate"
 	"frostlab/internal/control"
@@ -284,9 +283,4 @@ func RunEcon(spec EconSpec) (*EconSummary, error) {
 		}
 	}
 	return sum, nil
-}
-
-// EconCellSeconds estimates one cell's simulated span, for progress UIs.
-func (s *EconSpec) EconCellSeconds() float64 {
-	return float64(time.Duration(s.withDefaults().Days) * 24 * time.Hour / time.Second)
 }

@@ -6,19 +6,20 @@
 // and monsoons, each as deterministic and replayable as the calibrated
 // winter-0910 model.
 //
-// Every family is a generator over internal/weather's Synthetic model plus
-// an optional family-specific overlay (fog banks, monsoon bursts, tropical
-// night saturation), built from seeded harmonic mixtures so that conditions
-// are a pure function of time: any site is climate.New(family, params,
-// epoch, seed) and byte-identically replayable at any GOMAXPROCS. The
-// existing Helsinki and CSV-trace paths remain first-class citizens:
-// "helsinki" is a family here, and ReadCSV imports a recorded trace through
-// the same weather.Model interface.
+// It is the repo's one climate catalogue: the paper's comparison sites
+// (§1–2: Helsinki, HP's Wynyard, Intel's New Mexico, Sodankylä and a
+// tropical contrast) sit beside the stress archetypes, and a new site is one
+// more row of data. Every family is a generator over internal/weather's
+// Synthetic model plus an optional family-specific overlay (fog banks,
+// monsoon bursts, tropical night saturation), built from seeded harmonic
+// mixtures so that conditions are a pure function of time: any site is
+// climate.New(family, params, epoch, seed) and byte-identically replayable
+// at any GOMAXPROCS. Recorded station data enters through
+// weather.ReadTraceCSV, which yields the same weather.Model interface.
 package climate
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"time"
@@ -93,9 +94,9 @@ type Family struct {
 	kind overlayKind
 }
 
-// The scenario library. Parameter sets describe the experiment season at
-// each archetype site, not annual averages, matching the style of the
-// paper-comparison presets in internal/weather.
+// The scenario library. Parameter sets describe the experiment season
+// (late winter) at each site, not annual averages. The paper-comparison
+// sites other than helsinki carry no overlay (Stress 0).
 var families = []Family{
 	{
 		Name:        "helsinki",
@@ -132,6 +133,30 @@ var families = []Family{
 			DiurnalAmplitude: 4.5, SynopticAmplitude: 2, MeanRH: 70, MeanWind: 3, Stress: 1},
 		kind: overlayMonsoon,
 	},
+	{
+		Name:        "wynyard",
+		Description: "HP's North-East England data centre site: maritime, mild and windy",
+		Defaults: Params{Latitude: 54.6, MeanTemp: 4, WarmingPerDay: 0.08,
+			DiurnalAmplitude: 3, SynopticAmplitude: 3.5, MeanRH: 82, MeanWind: 5.5},
+	},
+	{
+		Name:        "new-mexico",
+		Description: "Intel's air-economizer proof of concept: dry air, wide day-night swing",
+		Defaults: Params{Latitude: 35.1, MeanTemp: 6, WarmingPerDay: 0.15,
+			DiurnalAmplitude: 9, SynopticAmplitude: 3, MeanRH: 45, MeanWind: 3.5},
+	},
+	{
+		Name:        "sodankyla",
+		Description: "Northern Finland: the paper's \"much more extreme conditions\" (§1)",
+		Defaults: Params{Latitude: 67.4, MeanTemp: -15, WarmingPerDay: 0.2,
+			DiurnalAmplitude: 3, SynopticAmplitude: 6, MeanRH: 86, MeanWind: 3},
+	},
+	{
+		Name:        "singapore",
+		Description: "tropical contrast case: no winter to cool with",
+		Defaults: Params{Latitude: 1.35, MeanTemp: 27, WarmingPerDay: 0,
+			DiurnalAmplitude: 3.5, SynopticAmplitude: 1, MeanRH: 80, MeanWind: 2.5},
+	},
 }
 
 // Families returns the library sorted by name.
@@ -158,7 +183,7 @@ func Lookup(name string) (Family, error) {
 			return f, nil
 		}
 	}
-	return Family{}, fmt.Errorf("climate: unknown family %q (have %v)", name, Names())
+	return Family{}, fmt.Errorf("climate: unknown climate %q (have %v)", name, Names())
 }
 
 // Model builds the family at its default parameters.
@@ -340,17 +365,6 @@ func (o *overlay) CloneModel() weather.Model {
 	c := *o
 	c.base = o.base.CloneModel().(weather.Cloner)
 	return &c
-}
-
-// ReadCSV imports a recorded weather trace (the cmd/weathergen /
-// weather.WriteTraceCSV format) as a climate source, so real station data
-// drops into any site slot of a multi-site fleet.
-func ReadCSV(r io.Reader) (*weather.Trace, error) {
-	tr, err := weather.ReadTraceCSV(r)
-	if err != nil {
-		return nil, fmt.Errorf("climate: %w", err)
-	}
-	return tr, nil
 }
 
 func clamp01(v float64) float64 {

@@ -1,8 +1,9 @@
 package climate
 
 import (
-	"bytes"
-	"strings"
+	"crypto/md5"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -15,7 +16,8 @@ var testEpoch = weather.ExperimentEpoch
 // TestLibraryComplete pins the catalogue: every family resolves, validates
 // its own defaults, and is reachable through both Lookup and Families.
 func TestLibraryComplete(t *testing.T) {
-	want := []string{"coastal-fog", "desert", "helsinki", "monsoon", "tropical"}
+	want := []string{"coastal-fog", "desert", "helsinki", "monsoon", "new-mexico",
+		"singapore", "sodankyla", "tropical", "wynyard"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
@@ -282,29 +284,78 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
-// TestReadCSV round-trips a generated trace through the climate CSV import
-// and rejects malformed input.
-func TestReadCSV(t *testing.T) {
-	f, _ := Lookup("desert")
-	m, err := f.Model(testEpoch, "csv-seed")
-	if err != nil {
-		t.Fatal(err)
+// TestPaperSites checks the sites the paper's feasibility argument walks
+// (§1–2): 14-day mean temperatures order Sodankylä < Helsinki < Wynyard <
+// New Mexico < Singapore, Singapore has no winter, and New Mexico's dry air
+// swings wider between day and night than maritime Wynyard.
+func TestPaperSites(t *testing.T) {
+	type stats struct{ mean, min, swing float64 }
+	order := []string{"sodankyla", "helsinki", "wynyard", "new-mexico", "singapore"}
+	got := make(map[string]stats, len(order))
+	for _, name := range order {
+		f, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := f.Model(testEpoch, "sites")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := stats{min: math.Inf(1)}
+		dayLo, dayHi := math.Inf(1), math.Inf(-1)
+		day := testEpoch.AddDate(0, 0, 3)
+		n := 0
+		for at := testEpoch; at.Before(testEpoch.AddDate(0, 0, 14)); at = at.Add(30 * time.Minute) {
+			v := float64(m.At(at).Temp)
+			st.mean += v
+			st.min = math.Min(st.min, v)
+			if !at.Before(day) && at.Before(day.Add(24*time.Hour)) {
+				dayLo, dayHi = math.Min(dayLo, v), math.Max(dayHi, v)
+			}
+			n++
+		}
+		st.mean /= float64(n)
+		st.swing = dayHi - dayLo
+		got[name] = st
 	}
-	var buf bytes.Buffer
-	end := testEpoch.Add(48 * time.Hour)
-	if err := weather.WriteTraceCSV(&buf, m, testEpoch, end, time.Hour); err != nil {
-		t.Fatal(err)
+	for i := 1; i < len(order); i++ {
+		if lo, hi := got[order[i-1]].mean, got[order[i]].mean; hi <= lo {
+			t.Errorf("%s mean %.1f °C not warmer than %s %.1f °C", order[i], hi, order[i-1], lo)
+		}
 	}
-	tr, err := ReadCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	if lo := got["singapore"].min; lo < 15 {
+		t.Errorf("singapore dips to %.1f °C, want no winter (≥ 15 °C)", lo)
 	}
-	at := testEpoch.Add(7 * time.Hour)
-	got, want := tr.At(at), m.At(at)
-	if d := float64(got.Temp - want.Temp); d > 0.02 || d < -0.02 {
-		t.Fatalf("round-trip temp at %v: got %v, want %v", at, got.Temp, want.Temp)
+	if nm, wy := got["new-mexico"].swing, got["wynyard"].swing; nm <= wy {
+		t.Errorf("new-mexico swing %.1f °C not above wynyard %.1f °C", nm, wy)
 	}
-	if _, err := ReadCSV(strings.NewReader("not,a,trace\n")); err == nil {
-		t.Fatal("malformed CSV accepted")
+}
+
+// TestPaperSitesPinned pins the overlay-free paper sites byte for byte: the
+// md5 of a 42-day, 10-minute trace export at seed "pin", captured when
+// these sites were presets of internal/weather.
+func TestPaperSitesPinned(t *testing.T) {
+	golden := map[string]string{
+		"new-mexico": "d999a8c0322a858f342651c59ee20dee",
+		"singapore":  "3eb916c6317575bdd3b99fafcf664dcc",
+		"sodankyla":  "246e82b181cee5931e7f102ad043cbf7",
+		"wynyard":    "7e83d584bac7dbd47cc3a1d4615092e7",
+	}
+	for name, want := range golden {
+		f, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := f.Model(testEpoch, "pin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := md5.New()
+		if err := weather.WriteTraceCSV(h, m, testEpoch, testEpoch.AddDate(0, 0, 42), 10*time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+			t.Errorf("%s trace md5 %s, want %s", name, got, want)
+		}
 	}
 }

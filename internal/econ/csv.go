@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -128,8 +129,8 @@ func ReadTraceCSV(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("econ: trace line %d carbon: %w", line, err)
 		}
-		if price != price || carbon != carbon { // NaN guards
-			return nil, fmt.Errorf("econ: trace line %d: NaN rate", line)
+		if math.IsNaN(price) || math.IsInf(price, 0) || math.IsNaN(carbon) || math.IsInf(carbon, 0) {
+			return nil, fmt.Errorf("econ: trace line %d: non-finite rate", line)
 		}
 		if price < 0 {
 			price = 0

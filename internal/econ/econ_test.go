@@ -251,6 +251,8 @@ func TestTraceCSV(t *testing.T) {
 		"timestamp,price_usd_kwh,carbon_g_kwh\nnot-a-time,1,2\n",
 		"timestamp,price_usd_kwh,carbon_g_kwh\n2010-02-12 00:00:00,x,2\n",
 		"timestamp,price_usd_kwh,carbon_g_kwh\n2010-02-12 00:00:00,1,NaN\n",
+		"timestamp,price_usd_kwh,carbon_g_kwh\n2010-02-12 00:00:00,Inf,2\n",
+		"timestamp,price_usd_kwh,carbon_g_kwh\n2010-02-12 00:00:00,1,-Inf\n",
 		"timestamp,price_usd_kwh,carbon_g_kwh\n", // no samples
 	} {
 		if _, err := ReadTraceCSV(strings.NewReader(bad)); err == nil {

@@ -3,6 +3,7 @@ package weather
 import (
 	"bytes"
 	"testing"
+	"time"
 )
 
 // FuzzReadTraceCSV hardens the real-data import path: arbitrary CSV input
@@ -17,6 +18,9 @@ func FuzzReadTraceCSV(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("timestamp,temp_c,rh_pct,wind_ms,irr_wm2,snow_mmh\n"))
 	f.Add([]byte("a,b,c\n1,2,3\n"))
+	f.Add([]byte("a,b\n1,2\n"))
+	f.Add([]byte("timestamp,temp_c,rh_pct,wind_ms,irr_wm2,snow_mmh\n" +
+		"2010-02-12 00:00:00,45.00,250.0,-3.00,1e309,NaN\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadTraceCSV(bytes.NewReader(data))
 		if err != nil {
@@ -25,8 +29,10 @@ func FuzzReadTraceCSV(f *testing.F) {
 		// A parsed trace must answer queries with physical humidity.
 		first, last := tr.Span()
 		mid := first.Add(last.Sub(first) / 2)
-		if c := tr.At(mid); !c.RH.Valid() {
-			t.Fatalf("parsed trace yields invalid RH %v", c.RH)
+		for _, at := range []time.Time{first, mid, last} {
+			if c := tr.At(at); !c.RH.Valid() {
+				t.Fatalf("parsed trace yields invalid RH %v at %v", c.RH, at)
+			}
 		}
 	})
 }

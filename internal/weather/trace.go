@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -134,6 +135,9 @@ func ReadTraceCSV(r io.Reader) (*Trace, error) {
 			f[i], err = strconv.ParseFloat(rec[i+1], 64)
 			if err != nil {
 				return nil, fmt.Errorf("weather: trace line %d column %d: %w", line, i+2, err)
+			}
+			if math.IsNaN(f[i]) || math.IsInf(f[i], 0) {
+				return nil, fmt.Errorf("weather: trace line %d column %d: non-finite value %v", line, i+2, f[i])
 			}
 		}
 		times = append(times, at.UTC())

@@ -308,6 +308,11 @@ func TestReadTraceCSVBadInput(t *testing.T) {
 		"a,b\n",
 		"timestamp,temp_c,rh_pct,wind_ms,irr_wm2,snow_mmh\nnot-a-time,1,2,3,4,5\n",
 		"timestamp,temp_c,rh_pct,wind_ms,irr_wm2,snow_mmh\n2010-02-12 00:00:00,x,2,3,4,5\n",
+		"timestamp,temp_c,rh_pct,wind_ms,irr_wm2,snow_mmh\n2010-02-12 00:00:00,1,NaN,1,1,1\n",
+		"timestamp,temp_c,rh_pct,wind_ms,irr_wm2,snow_mmh\n2010-02-12 00:00:00,Inf,1,1,1,1\n",
+		"timestamp,temp_c,rh_pct,wind_ms,irr_wm2,snow_mmh\n2010-02-12 00:00:00,1,1,-Inf,1,1\n",
+		"timestamp,temp_c,rh_pct,wind_ms,irr_wm2,snow_mmh\n2010-02-12 00:00:00,1,1,1,+Inf,1\n",
+		"timestamp,temp_c,rh_pct,wind_ms,irr_wm2,snow_mmh\n2010-02-12 00:00:00,1,1,1,1,nan\n",
 	}
 	for _, in := range bad {
 		if _, err := ReadTraceCSV(bytes.NewReader([]byte(in))); err == nil {
