@@ -3,7 +3,6 @@ package climate
 import (
 	"crypto/md5"
 	"fmt"
-	"math"
 	"testing"
 	"time"
 
@@ -281,53 +280,6 @@ func TestParamsValidate(t *testing.T) {
 	}
 	if _, err := New("desert", base, time.Time{}, "s"); err == nil {
 		t.Error("zero epoch accepted")
-	}
-}
-
-// TestPaperSites checks the sites the paper's feasibility argument walks
-// (§1–2): 14-day mean temperatures order Sodankylä < Helsinki < Wynyard <
-// New Mexico < Singapore, Singapore has no winter, and New Mexico's dry air
-// swings wider between day and night than maritime Wynyard.
-func TestPaperSites(t *testing.T) {
-	type stats struct{ mean, min, swing float64 }
-	order := []string{"sodankyla", "helsinki", "wynyard", "new-mexico", "singapore"}
-	got := make(map[string]stats, len(order))
-	for _, name := range order {
-		f, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := f.Model(testEpoch, "sites")
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := stats{min: math.Inf(1)}
-		dayLo, dayHi := math.Inf(1), math.Inf(-1)
-		day := testEpoch.AddDate(0, 0, 3)
-		n := 0
-		for at := testEpoch; at.Before(testEpoch.AddDate(0, 0, 14)); at = at.Add(30 * time.Minute) {
-			v := float64(m.At(at).Temp)
-			st.mean += v
-			st.min = math.Min(st.min, v)
-			if !at.Before(day) && at.Before(day.Add(24*time.Hour)) {
-				dayLo, dayHi = math.Min(dayLo, v), math.Max(dayHi, v)
-			}
-			n++
-		}
-		st.mean /= float64(n)
-		st.swing = dayHi - dayLo
-		got[name] = st
-	}
-	for i := 1; i < len(order); i++ {
-		if lo, hi := got[order[i-1]].mean, got[order[i]].mean; hi <= lo {
-			t.Errorf("%s mean %.1f °C not warmer than %s %.1f °C", order[i], hi, order[i-1], lo)
-		}
-	}
-	if lo := got["singapore"].min; lo < 15 {
-		t.Errorf("singapore dips to %.1f °C, want no winter (≥ 15 °C)", lo)
-	}
-	if nm, wy := got["new-mexico"].swing, got["wynyard"].swing; nm <= wy {
-		t.Errorf("new-mexico swing %.1f °C not above wynyard %.1f °C", nm, wy)
 	}
 }
 

@@ -5,11 +5,13 @@ import (
 	"testing"
 
 	"frostlab/internal/units"
+	"frostlab/internal/weather"
 )
 
-// FuzzReadCSV drives the climate CSV import with arbitrary byte soup. The
-// invariant is the same as the weather fuzzer's: never panic, and any trace
-// that parses must yield physically clamped conditions.
+// FuzzReadCSV drives recorded-trace import, the path by which station data
+// takes a site slot in place of a catalogue family, with arbitrary byte
+// soup. The invariant: never panic, and any trace that parses must yield
+// physically clamped conditions across its whole span.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("timestamp,temp_c,rh_pct,wind_ms,irr_wm2,snow_mmh\n" +
 		"2010-02-12 00:00:00,-9.20,84.0,3.80,0.0,0.00\n" +
@@ -20,7 +22,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("a,b\n1,2\n")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, data string) {
-		tr, err := ReadCSV(strings.NewReader(data))
+		tr, err := weather.ReadTraceCSV(strings.NewReader(data))
 		if err != nil {
 			return
 		}
