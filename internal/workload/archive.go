@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"sync"
 	"time"
 )
 
@@ -71,22 +73,40 @@ func WriteTar(w io.Writer, tree *SourceTree) error {
 	return tw.Close()
 }
 
+// fbzWriters pools DEFLATE compressors at BestCompression. A
+// flate.Writer carries about 0.7 MB of hash chains and window, so building
+// one per block dominated packing's allocations. Reset leaves a writer
+// equivalent to a fresh NewWriter at the same level, so pooled output is
+// byte-identical.
+var fbzWriters = sync.Pool{New: func() any {
+	fw, err := flate.NewWriter(nil, flate.BestCompression)
+	if err != nil {
+		panic(err) // unreachable: BestCompression is a valid level
+	}
+	return fw
+}}
+
 // CompressFBZ compresses a stream into the FBZ block format: a file magic
 // followed by independently DEFLATE-compressed blocks of blockSize
 // uncompressed bytes, each carrying the block magic, both lengths, and a
 // CRC-32 of its uncompressed content.
 func CompressFBZ(w io.Writer, r io.Reader, blockSize int) (blocks int, err error) {
-	if blockSize <= 0 {
-		return 0, fmt.Errorf("workload: non-positive block size %d", blockSize)
+	// Block headers store lengths as uint32; reject sizes they cannot hold
+	// before allocating the block buffer.
+	if blockSize <= 0 || int64(blockSize) > math.MaxUint32 {
+		return 0, fmt.Errorf("workload: block size %d outside 1..%d", blockSize, uint32(math.MaxUint32))
 	}
 	if _, err := w.Write(fbzFileMagic); err != nil {
 		return 0, err
 	}
+	fw := fbzWriters.Get().(*flate.Writer)
+	defer fbzWriters.Put(fw)
+	var comp bytes.Buffer
 	buf := make([]byte, blockSize)
 	for {
 		n, rerr := io.ReadFull(r, buf)
 		if n > 0 {
-			if err := writeFBZBlock(w, buf[:n]); err != nil {
+			if err := writeFBZBlock(w, fw, &comp, buf[:n]); err != nil {
 				return blocks, err
 			}
 			blocks++
@@ -100,12 +120,11 @@ func CompressFBZ(w io.Writer, r io.Reader, blockSize int) (blocks int, err error
 	}
 }
 
-func writeFBZBlock(w io.Writer, chunk []byte) error {
-	var comp bytes.Buffer
-	fw, err := flate.NewWriter(&comp, flate.BestCompression)
-	if err != nil {
-		return err
-	}
+// writeFBZBlock compresses chunk through fw into comp, both reset first,
+// and writes the framed block to w.
+func writeFBZBlock(w io.Writer, fw *flate.Writer, comp *bytes.Buffer, chunk []byte) error {
+	comp.Reset()
+	fw.Reset(comp)
 	if _, err := fw.Write(chunk); err != nil {
 		return err
 	}
@@ -120,7 +139,7 @@ func writeFBZBlock(w io.Writer, chunk []byte) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err = w.Write(comp.Bytes())
+	_, err := w.Write(comp.Bytes())
 	return err
 }
 
@@ -166,7 +185,15 @@ func ScanFBZ(r io.Reader) ([]BlockInfo, error) {
 	if !bytes.Equal(magic, fbzFileMagic) {
 		return nil, ErrNotFBZ
 	}
-	var out []BlockInfo
+	// One decompressor, payload buffer and length-limited reader serve
+	// every block of the scan.
+	var (
+		out     []BlockInfo
+		payload bytes.Buffer
+		comp    bytes.Reader
+		lr      = &io.LimitedReader{R: br}
+		zr      = flate.NewReader(&comp)
+	)
 	for i := 0; ; i++ {
 		var hdr [18]byte
 		_, err := io.ReadFull(br, hdr[:])
@@ -186,13 +213,21 @@ func ScanFBZ(r io.Reader) ([]BlockInfo, error) {
 		rawLen := binary.BigEndian.Uint32(hdr[6:10])
 		compLen := binary.BigEndian.Uint32(hdr[10:14])
 		wantCRC := binary.BigEndian.Uint32(hdr[14:18])
-		comp := make([]byte, compLen)
-		if _, err := io.ReadFull(br, comp); err != nil {
+		// The payload buffer grows with the bytes that actually arrive,
+		// so a forged compLen cannot force a large allocation.
+		lr.N = int64(compLen)
+		payload.Reset()
+		payload.Grow(int(min(lr.N, DefaultBlockSize)) + bytes.MinRead)
+		if _, err := payload.ReadFrom(lr); err != nil || payload.Len() < int(compLen) {
+			if err == nil {
+				err = io.ErrUnexpectedEOF
+			}
 			info.Err = fmt.Sprintf("truncated block payload: %v", err)
 			out = append(out, info)
 			return out, nil
 		}
-		data, err := io.ReadAll(flate.NewReader(bytes.NewReader(comp)))
+		comp.Reset(payload.Bytes())
+		data, err := inflateBlock(zr, &comp, rawLen)
 		switch {
 		case err != nil:
 			info.Err = fmt.Sprintf("deflate: %v", err)
@@ -208,12 +243,45 @@ func ScanFBZ(r io.Reader) ([]BlockInfo, error) {
 	}
 }
 
+// maxDeflateRatio bounds DEFLATE's expansion: a 258-byte match costs at
+// least two bits, so no payload inflates by more than about 1032x.
+const maxDeflateRatio = 1032
+
+// inflateBlock resets zr onto comp and decodes the whole stream into a
+// fresh slice. The slice is pre-sized from the header's rawLen, capped by
+// what the payload could possibly inflate to and by DefaultBlockSize, so
+// the untrusted header never drives the allocation; longer output grows
+// the slice as it arrives. The spare byte lets an exactly sized block
+// read its end of stream without growing.
+func inflateBlock(zr io.Reader, comp *bytes.Reader, rawLen uint32) ([]byte, error) {
+	if err := zr.(flate.Resetter).Reset(comp, nil); err != nil {
+		return nil, err
+	}
+	data := make([]byte, 0, min(int64(rawLen), comp.Size()*maxDeflateRatio, DefaultBlockSize)+1)
+	for {
+		n, err := zr.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return data, err
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+	}
+}
+
 // Pack runs the full §3.5 pipeline: tar the tree, compress to FBZ, and
 // return the md5 of the compressed archive. The archive bytes are returned
 // so callers can store the tarball when verification fails ("If the
 // results differ, the packed tarball is stored").
 func Pack(tree *SourceTree, blockSize int) ([]byte, ArchiveResult, error) {
+	// Each USTAR member is a 512-byte header plus its data padded to 512
+	// bytes, and two zero blocks end the stream: size the buffer once.
 	var tarBuf bytes.Buffer
+	tarBuf.Grow(int(tree.TotalBytes()) + 1024*(tree.NumFiles()+1))
 	if err := WriteTar(&tarBuf, tree); err != nil {
 		return nil, ArchiveResult{}, err
 	}

@@ -87,34 +87,53 @@ func GenerateTree(seed string, files int, totalBytes int64) (*SourceTree, error)
 	return tree, nil
 }
 
-// generateCLike emits pseudo-C text of roughly n bytes.
+// generateCLike emits pseudo-C text of roughly n bytes. Lines are appended
+// straight into the result; the RNG draw order (the word-count test is
+// redrawn on every iteration, the line kind after the words) is what keeps
+// trees, and so every reference digest, stable.
 func generateCLike(rng *rand.Rand, n int) []byte {
-	var b strings.Builder
-	b.Grow(n + 64)
+	b := make([]byte, 0, n+64)
+	var words [8]string // 3+Intn(6) never admits a ninth word
 	indent := 0
-	for b.Len() < n {
-		line := make([]string, 0, 8)
-		for w := 0; w < 3+rng.Intn(6); w++ {
-			line = append(line, sourceWords[rng.Intn(len(sourceWords))])
+	for len(b) < n {
+		w := 0
+		for ; w < 3+rng.Intn(6); w++ {
+			words[w] = sourceWords[rng.Intn(len(sourceWords))]
 		}
+		line := words[:w]
 		switch rng.Intn(10) {
 		case 0:
-			b.WriteString(strings.Repeat("\t", indent) + "/* " + strings.Join(line, " ") + " */\n")
+			b = appendLine(b, indent, "/* ", line, ' ', " */\n")
 		case 1:
 			if indent < 4 {
-				b.WriteString(strings.Repeat("\t", indent) + strings.Join(line, " ") + " {\n")
+				b = appendLine(b, indent, "", line, ' ', " {\n")
 				indent++
 			}
 		case 2:
 			if indent > 0 {
 				indent--
 			}
-			b.WriteString(strings.Repeat("\t", indent) + "}\n")
+			b = appendLine(b, indent, "", nil, 0, "}\n")
 		default:
-			b.WriteString(strings.Repeat("\t", indent) + strings.Join(line, "_") + ";\n")
+			b = appendLine(b, indent, "", line, '_', ";\n")
 		}
 	}
-	return []byte(b.String())
+	return b
+}
+
+// appendLine appends indent tabs, prefix, words joined by sep, and suffix.
+func appendLine(b []byte, indent int, prefix string, words []string, sep byte, suffix string) []byte {
+	for i := 0; i < indent; i++ {
+		b = append(b, '\t')
+	}
+	b = append(b, prefix...)
+	for i, w := range words {
+		if i > 0 {
+			b = append(b, sep)
+		}
+		b = append(b, w...)
+	}
+	return append(b, suffix...)
 }
 
 // Files returns the tree's files, sorted by path.

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"crypto/md5"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -133,6 +134,16 @@ func TestCompressFBZValidation(t *testing.T) {
 	var out bytes.Buffer
 	if _, err := CompressFBZ(&out, bytes.NewReader([]byte("x")), 0); err == nil {
 		t.Error("zero block size accepted")
+	}
+	// Headers store lengths as uint32; a larger block size must fail
+	// before anything is allocated or written.
+	big := uint64(math.MaxUint32)
+	big++ // wraps to 0 where int is 32 bits, which is rejected too
+	if _, err := CompressFBZ(&out, bytes.NewReader([]byte("x")), int(big)); err == nil {
+		t.Error("block size beyond uint32 accepted")
+	}
+	if out.Len() != 0 {
+		t.Error("rejected block size still wrote output")
 	}
 }
 
@@ -334,6 +345,7 @@ func TestRunnerValidation(t *testing.T) {
 
 func BenchmarkPack(b *testing.B) {
 	tree := smallTree(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Pack(tree, DefaultBlockSize); err != nil {
@@ -348,6 +360,7 @@ func BenchmarkScanFBZ(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ScanFBZ(bytes.NewReader(archive)); err != nil {
@@ -362,6 +375,7 @@ func BenchmarkRunCycle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.RunCycle(t0.Add(time.Duration(i)*CyclePeriod), false); err != nil {
