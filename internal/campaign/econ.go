@@ -4,6 +4,7 @@ import (
 	"crypto/md5"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -11,7 +12,6 @@ import (
 	"frostlab/internal/control"
 	"frostlab/internal/core"
 	"frostlab/internal/econ"
-	"frostlab/internal/units"
 )
 
 // Econ sweep: the E17 study's engine. A sweep cell is one multi-site run
@@ -66,10 +66,6 @@ type EconSpec struct {
 	// "paired" keeps each climate's geographic tariff; any econ tariff
 	// name applies that tariff fleet-wide.
 	Tariffs []string
-	// DemandPerHost and MigrationCost pass through to every cell's
-	// MultiSiteConfig (zero values select its defaults).
-	DemandPerHost float64
-	MigrationCost units.KilowattHours
 	// Progress, when non-nil, is called after each completed cell.
 	Progress func(done, total int, cell *EconCell)
 }
@@ -119,6 +115,9 @@ func (s *EconSpec) Validate() error {
 			return fmt.Errorf("campaign: %w", err)
 		}
 	}
+	// Only the paired regime looks climates up in the pairing table; a
+	// sweep over uniform tariffs accepts any climate family.
+	paired := slices.Contains(d.Tariffs, pairedTariff)
 	seen := map[string]bool{}
 	for _, set := range d.Sets {
 		if set.Name == "" {
@@ -135,7 +134,7 @@ func (s *EconSpec) Validate() error {
 			if _, err := climate.Lookup(c); err != nil {
 				return fmt.Errorf("campaign: set %q: %w", set.Name, err)
 			}
-			if pairing[c] == "" {
+			if paired && pairing[c] == "" {
 				return fmt.Errorf("campaign: set %q: climate %q has no paired tariff", set.Name, c)
 			}
 		}
@@ -226,10 +225,6 @@ func (s *EconSpec) econConfig(set SiteSet, tariff, policy string) core.MultiSite
 	cfg := core.DefaultMultiSiteConfig(fmt.Sprintf("%s/econ/%s/%s", d.Seed, set.Name, tariff))
 	cfg.End = cfg.Start.AddDate(0, 0, d.Days)
 	cfg.Policy = policy
-	cfg.DemandPerHost = d.DemandPerHost
-	if d.MigrationCost != 0 {
-		cfg.MigrationCost = d.MigrationCost
-	}
 	cfg.Sites = cfg.Sites[:0]
 	for _, c := range set.Climates {
 		tf := tariff

@@ -126,9 +126,14 @@ func TestEconFollowColdAdvantage(t *testing.T) {
 }
 
 func TestEconSpecValidate(t *testing.T) {
-	good := smallEconSpec("v")
-	if err := good.Validate(); err != nil {
-		t.Fatalf("default spec invalid: %v", err)
+	good := []EconSpec{
+		smallEconSpec("v"),
+		{Seed: "x", Sets: []SiteSet{{Name: "a", Climates: []string{"wynyard", "helsinki"}}}, Tariffs: []string{"flat"}},
+	}
+	for i := range good {
+		if err := good[i].Validate(); err != nil {
+			t.Errorf("good spec %d rejected: %v", i, err)
+		}
 	}
 	bad := []EconSpec{
 		{Seed: ""},
@@ -139,6 +144,7 @@ func TestEconSpecValidate(t *testing.T) {
 		{Seed: "x", Sets: []SiteSet{{Name: "a"}}},
 		{Seed: "x", Sets: []SiteSet{{Name: "a", Climates: []string{"atlantis"}}}},
 		{Seed: "x", Tariffs: []string{"barter"}},
+		{Seed: "x", Sets: []SiteSet{{Name: "a", Climates: []string{"wynyard", "helsinki"}}}, Tariffs: []string{"paired"}},
 	}
 	for i := range bad {
 		if err := bad[i].Validate(); err == nil {

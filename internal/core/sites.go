@@ -8,7 +8,6 @@ import (
 	"frostlab/internal/control"
 	"frostlab/internal/econ"
 	"frostlab/internal/hardware"
-	"frostlab/internal/telemetry"
 	"frostlab/internal/thermal"
 	"frostlab/internal/units"
 	"frostlab/internal/weather"
@@ -36,27 +35,38 @@ import (
 
 // SiteConfig describes one site of a multi-site fleet.
 type SiteConfig struct {
-	// Name labels the site in results, telemetry, and figures.
+	// Name labels the site in results and figures.
 	Name string
-	// Climate names a scenario-library family (climate.Names).
+	// Climate names a scenario-library family (climate.Names), run at
+	// the family's default parameters.
 	Climate string
-	// ClimateParams overrides the family defaults; nil uses them.
-	ClimateParams *climate.Params
 	// Tariff names an econ tariff preset (econ.TariffNames).
 	Tariff string
 	// Hosts is the number of machines installed at the site.
 	Hosts int
-	// MaxFanPower is the site's ventilation budget at damper 1 (cube-law
-	// below); 0 selects a default of 25 W per host.
-	MaxFanPower units.Watts
-	// Control tunes the site's thermal controller; nil uses
-	// control.DefaultConfig.
-	Control *control.Config
-	// Tent overrides the enclosure envelope; zero value uses
-	// thermal.DefaultTentConfig scaled is NOT applied — sites share the
-	// reference tent envelope unless configured.
-	Tent *thermal.TentConfig
 }
+
+// Every site shares the reference tent envelope (thermal.DefaultTentConfig)
+// and the default thermal controller (control.DefaultConfig); these
+// constants fix the rest of the multi-site model.
+const (
+	// siteStep is the dispatch tick: the cadence at which work-cycles
+	// complete.
+	siteStep = workload.CyclePeriod
+	// demandPerHost is the fleet's work demand in cycles per host per
+	// dispatch tick: just under half the fleet busy, the E14
+	// duty-cycling regime.
+	demandPerHost = 0.45
+	// capacityFactor derates a site's per-tick cycle capacity from its
+	// host count.
+	capacityFactor = 0.9
+	// migrationCost is the energy surcharge per migrated work-cycle
+	// (state transfer, cache warmup), charged to the receiving site.
+	migrationCost units.KilowattHours = 0.02
+	// fanWattsPerHost sizes a site's ventilation budget at damper 1
+	// (cube-law below).
+	fanWattsPerHost = 25
+)
 
 // MultiSiteConfig parameterises a multi-site run.
 type MultiSiteConfig struct {
@@ -65,26 +75,10 @@ type MultiSiteConfig struct {
 	Seed string
 	// Start and End bound the run.
 	Start, End time.Time
-	// Step is the dispatch tick; 0 selects workload.CyclePeriod (10 min),
-	// the cadence at which work-cycles complete.
-	Step time.Duration
 	// Sites is the fleet, stepped and reported in this order.
 	Sites []SiteConfig
 	// Policy names the placement policy (control.Policies).
 	Policy string
-	// DemandPerHost is the fleet's work demand in cycles per host per
-	// dispatch tick; 0 selects 0.45 (just under half the fleet busy, the
-	// E14 duty-cycling regime).
-	DemandPerHost float64
-	// MigrationCost is the energy surcharge per migrated work-cycle
-	// (state transfer, cache warmup), charged to the receiving site.
-	MigrationCost units.KilowattHours
-	// CapacityFactor derates a site's per-tick cycle capacity from its
-	// host count; 0 selects 0.9.
-	CapacityFactor float64
-	// Telemetry, when non-nil, receives frostlab_site_* and
-	// frostlab_econ_* gauges updated every tick.
-	Telemetry *telemetry.Registry
 }
 
 // DefaultMultiSiteConfig returns a three-site reference fleet — the
@@ -100,8 +94,7 @@ func DefaultMultiSiteConfig(seed string) MultiSiteConfig {
 			{Name: "desert", Climate: "desert", Tariff: "solar-duck", Hosts: 9},
 			{Name: "tropical", Climate: "tropical", Tariff: "coal-peaker", Hosts: 9},
 		},
-		Policy:        "follow-cold",
-		MigrationCost: 0.02,
+		Policy: "follow-cold",
 	}
 }
 
@@ -112,12 +105,6 @@ func (c MultiSiteConfig) Validate() error {
 	}
 	if !c.End.After(c.Start) {
 		return fmt.Errorf("core: end %v not after start %v", c.End, c.Start)
-	}
-	if c.Step < 0 || c.DemandPerHost < 0 || c.MigrationCost < 0 {
-		return fmt.Errorf("core: negative step/demand/migration cost")
-	}
-	if c.CapacityFactor < 0 || c.CapacityFactor > 1 {
-		return fmt.Errorf("core: capacity factor %v out of [0, 1]", c.CapacityFactor)
 	}
 	if len(c.Sites) == 0 {
 		return fmt.Errorf("core: multi-site config needs at least one site")
@@ -139,19 +126,6 @@ func (c MultiSiteConfig) Validate() error {
 		}
 		if _, err := econ.LookupTariff(s.Tariff); err != nil {
 			return fmt.Errorf("core: site %s: %w", s.Name, err)
-		}
-		if s.MaxFanPower < 0 {
-			return fmt.Errorf("core: site %s: negative fan power", s.Name)
-		}
-		if s.ClimateParams != nil {
-			if err := s.ClimateParams.Validate(); err != nil {
-				return fmt.Errorf("core: site %s: %w", s.Name, err)
-			}
-		}
-		if s.Control != nil {
-			if err := s.Control.Validate(); err != nil {
-				return fmt.Errorf("core: site %s: %w", s.Name, err)
-			}
 		}
 	}
 	if _, err := control.NewSitePolicy(c.Policy, len(c.Sites)); err != nil {
@@ -178,25 +152,19 @@ type siteState struct {
 	damper   []float64
 	assigned []float64
 	price    []float64
-
-	// Cached telemetry gauges (nil without a registry).
-	gIntake, gDamper, gAssigned, gSafe  *telemetry.Gauge
-	gPrice, gCarbon, gCost, gCarbonTot  *telemetry.Gauge
 }
 
 // MultiSite is the multi-site fleet engine. Build with NewMultiSite, then
 // call Run (or Step for tick-level control). Not safe for concurrent use.
 type MultiSite struct {
 	cfg    MultiSiteConfig
-	step   time.Duration
 	sites  []siteState
 	policy control.SitePolicy
 
-	now       time.Time
-	tick      int
-	ticks     int
-	demand    float64 // cycles per tick, fleet-wide
-	capFactor float64
+	now    time.Time
+	tick   int
+	ticks  int
+	demand float64 // cycles per tick, fleet-wide
 
 	states     []control.SiteState
 	prevAssign []float64
@@ -211,25 +179,11 @@ func NewMultiSite(cfg MultiSiteConfig) (*MultiSite, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	step := cfg.Step
-	if step == 0 {
-		step = workload.CyclePeriod
-	}
-	demandPerHost := cfg.DemandPerHost
-	if demandPerHost == 0 {
-		demandPerHost = 0.45
-	}
-	capFactor := cfg.CapacityFactor
-	if capFactor == 0 {
-		capFactor = 0.9
-	}
-	ticks := int(cfg.End.Sub(cfg.Start) / step)
+	ticks := int(cfg.End.Sub(cfg.Start) / siteStep)
 	e := &MultiSite{
 		cfg:        cfg,
-		step:       step,
 		now:        cfg.Start,
 		ticks:      ticks,
-		capFactor:  capFactor,
 		sites:      make([]siteState, len(cfg.Sites)),
 		states:     make([]control.SiteState, len(cfg.Sites)),
 		prevAssign: make([]float64, len(cfg.Sites)),
@@ -241,19 +195,6 @@ func NewMultiSite(cfg MultiSiteConfig) (*MultiSite, error) {
 	}
 	e.policy = policy
 
-	var vIntake, vDamper, vAssigned, vSafe, vPrice, vCarbon, vCost, vCarbonTot *telemetry.GaugeVec
-	if cfg.Telemetry != nil {
-		reg := cfg.Telemetry
-		vIntake = reg.NewGaugeVec("frostlab_site_intake_celsius", "site enclosure intake temperature", "site")
-		vDamper = reg.NewGaugeVec("frostlab_site_damper_position", "site ventilation damper position", "site")
-		vAssigned = reg.NewGaugeVec("frostlab_site_assigned_cycles", "work-cycles assigned to the site this tick", "site")
-		vSafe = reg.NewGaugeVec("frostlab_site_safe", "1 when the site is inside its allowable envelope with no guard latched", "site")
-		vPrice = reg.NewGaugeVec("frostlab_econ_price", "site electricity price, $/kWh", "site")
-		vCarbon = reg.NewGaugeVec("frostlab_econ_carbon_intensity", "site grid carbon intensity, gCO2/kWh", "site")
-		vCost = reg.NewGaugeVec("frostlab_econ_cost_usd_total", "cumulative site electricity spend, $", "site")
-		vCarbonTot = reg.NewGaugeVec("frostlab_econ_carbon_g_total", "cumulative site carbon, gCO2", "site")
-	}
-
 	var totalHosts int
 	for i, sc := range cfg.Sites {
 		s := &e.sites[i]
@@ -264,11 +205,7 @@ func NewMultiSite(cfg MultiSiteConfig) (*MultiSite, error) {
 		if err != nil {
 			return nil, err
 		}
-		params := fam.Defaults
-		if sc.ClimateParams != nil {
-			params = *sc.ClimateParams
-		}
-		s.model, err = climate.New(sc.Climate, params, cfg.Start, cfg.Seed+"/site/"+sc.Name)
+		s.model, err = climate.New(sc.Climate, fam.Defaults, cfg.Start, cfg.Seed+"/site/"+sc.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -280,19 +217,12 @@ func NewMultiSite(cfg MultiSiteConfig) (*MultiSite, error) {
 		if err != nil {
 			return nil, err
 		}
-		tentCfg := thermal.DefaultTentConfig()
-		if sc.Tent != nil {
-			tentCfg = *sc.Tent
-		}
-		s.tent, err = thermal.NewTent(tentCfg)
+		s.tent, err = thermal.NewTent(thermal.DefaultTentConfig())
 		if err != nil {
 			return nil, err
 		}
 		ctlCfg := control.DefaultConfig()
-		if sc.Control != nil {
-			ctlCfg = *sc.Control
-		}
-		ctlCfg.Every = step
+		ctlCfg.Every = siteStep
 		s.ctl, err = control.New(ctlCfg)
 		if err != nil {
 			return nil, err
@@ -306,28 +236,12 @@ func NewMultiSite(cfg MultiSiteConfig) (*MultiSite, error) {
 		hosts := fleet.All()
 		s.idleW = hardware.TotalPower(hosts, 0)
 		s.spanW = hardware.TotalPower(hosts, 1) - s.idleW
-		s.maxFan = sc.MaxFanPower
-		if s.maxFan == 0 {
-			s.maxFan = units.Watts(25 * sc.Hosts)
-		}
+		s.maxFan = units.Watts(fanWattsPerHost * sc.Hosts)
 
 		s.intake = make([]float64, 0, ticks)
 		s.damper = make([]float64, 0, ticks)
 		s.assigned = make([]float64, 0, ticks)
 		s.price = make([]float64, 0, ticks)
-
-		if cfg.Telemetry != nil {
-			// Resolve each site's labelled gauges once; Set on the cached
-			// pointers is what keeps the tick path allocation-free.
-			s.gIntake = vIntake.With(sc.Name)
-			s.gDamper = vDamper.With(sc.Name)
-			s.gAssigned = vAssigned.With(sc.Name)
-			s.gSafe = vSafe.With(sc.Name)
-			s.gPrice = vPrice.With(sc.Name)
-			s.gCarbon = vCarbon.With(sc.Name)
-			s.gCost = vCost.With(sc.Name)
-			s.gCarbonTot = vCarbonTot.With(sc.Name)
-		}
 	}
 	e.demand = demandPerHost * float64(totalHosts)
 	return e, nil
@@ -358,9 +272,9 @@ func (e *MultiSite) Step() bool {
 			load = 1
 		}
 		itW := s.idleW + units.Watts(load*float64(s.spanW))
-		if err := s.tent.Step(e.step, cond, itW); err != nil {
-			// Step only fails on non-positive dt, which NewMultiSite rules
-			// out; fail loudly rather than silently drifting.
+		if err := s.tent.Step(siteStep, cond, itW); err != nil {
+			// Step only fails on non-positive dt, and siteStep is
+			// positive; fail loudly rather than silently drifting.
 			panic("core: multi-site tent step: " + err.Error())
 		}
 		inside, insideRH := s.tent.Air()
@@ -385,7 +299,7 @@ func (e *MultiSite) Step() bool {
 		// Marginal economics of one work-cycle here, now: one host at
 		// full load for the tick, plus the cube-law vent overhead
 		// amortised over the site's capacity.
-		capacity := float64(s.cfg.Hosts) * e.capFactor
+		capacity := float64(s.cfg.Hosts) * capacityFactor
 		switch out.Duty {
 		case control.DutyThrottle:
 			capacity *= 0.5
@@ -393,7 +307,7 @@ func (e *MultiSite) Step() bool {
 			capacity *= 0.1
 		}
 		ventW := econ.VentPower(out.Damper, s.maxFan)
-		h := e.step.Hours()
+		h := siteStep.Hours()
 		cycleKWh := float64(s.spanW) / float64(s.cfg.Hosts) * h / 1000
 		if capacity > 0 {
 			cycleKWh += float64(ventW) * h / 1000 / capacity
@@ -409,21 +323,7 @@ func (e *MultiSite) Step() bool {
 
 		// Meter this tick's energy at this tick's rates (load lags, rates
 		// don't — the bill is settled on the spot price).
-		s.meter.Accumulate(e.step, itW, ventW, rates)
-
-		if s.gIntake != nil {
-			s.gIntake.Set(float64(inside))
-			s.gDamper.Set(out.Damper)
-			s.gPrice.Set(rates.Price)
-			s.gCarbon.Set(rates.Carbon)
-			s.gCost.Set(s.meter.CostUSD)
-			s.gCarbonTot.Set(s.meter.CarbonG)
-			if safe {
-				s.gSafe.Set(1)
-			} else {
-				s.gSafe.Set(0)
-			}
-		}
+		s.meter.Accumulate(siteStep, itW, ventW, rates)
 	}
 
 	// Phase 2 — placement.
@@ -463,7 +363,7 @@ func (e *MultiSite) Step() bool {
 			if d > 0 {
 				in := d * paired / flowIn
 				s.meter.CyclesIn += in
-				s.meter.ChargeMigration(in, e.cfg.MigrationCost, rates)
+				s.meter.ChargeMigration(in, migrationCost, rates)
 			} else if d < 0 {
 				s.meter.CyclesOut += -d * paired / flowOut
 			}
@@ -472,14 +372,11 @@ func (e *MultiSite) Step() bool {
 		s.damper = append(s.damper, e.ctlDamper(i))
 		s.assigned = append(s.assigned, e.nextAssign[i])
 		s.price = append(s.price, s.tariff.At(at).Price)
-		if s.gAssigned != nil {
-			s.gAssigned.Set(e.nextAssign[i])
-		}
 	}
 	copy(e.prevAssign, e.nextAssign)
 
 	e.tick++
-	e.now = e.now.Add(e.step)
+	e.now = e.now.Add(siteStep)
 	return true
 }
 
@@ -500,7 +397,7 @@ func (e *MultiSite) Results() (*FleetResult, error) {
 		Seed:     e.cfg.Seed,
 		Start:    e.cfg.Start,
 		End:      e.cfg.End,
-		Step:     e.step,
+		Step:     siteStep,
 		Ticks:    e.tick,
 		Demanded: e.demanded,
 		Shed:     e.shed,

@@ -87,15 +87,15 @@ func ffmts(vs []float64) []string {
 }
 
 type meterDTO struct {
-	ITEnergyKWh     string `json:"it_energy_kwh"`
-	VentEnergyKWh   string `json:"vent_energy_kwh"`
-	MigrationKWh    string `json:"migration_energy_kwh"`
-	CostUSD         string `json:"cost_usd"`
-	CarbonG         string `json:"carbon_g"`
-	CyclesDone      string `json:"cycles_done"`
-	CyclesShed      string `json:"cycles_shed"`
-	CyclesIn        string `json:"cycles_in"`
-	CyclesOut       string `json:"cycles_out"`
+	ITEnergyKWh   string `json:"it_energy_kwh"`
+	VentEnergyKWh string `json:"vent_energy_kwh"`
+	MigrationKWh  string `json:"migration_energy_kwh"`
+	CostUSD       string `json:"cost_usd"`
+	CarbonG       string `json:"carbon_g"`
+	CyclesDone    string `json:"cycles_done"`
+	CyclesShed    string `json:"cycles_shed"`
+	CyclesIn      string `json:"cycles_in"`
+	CyclesOut     string `json:"cycles_out"`
 }
 
 func meterToDTO(m econ.Meter) meterDTO {

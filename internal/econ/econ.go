@@ -10,8 +10,8 @@
 // a desert afternoon on a coal peaker. Tariff sources mirror the weather
 // plane's design — synthetic diurnal/seasonal models built from seeded
 // harmonic mixtures (pure functions of time, byte-identically replayable)
-// plus CSV trace import — so a site is (climate, tariff, controller) and
-// every leg of that tuple replays exactly.
+// — so a site is (climate, tariff, controller) and every leg of that tuple
+// replays exactly.
 package econ
 
 import (

@@ -1,9 +1,7 @@
 package econ
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -119,10 +117,10 @@ func TestTariffConfigValidate(t *testing.T) {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	bad := []TariffConfig{
-		{BasePrice: 0.1, BaseCarbon: 400, PeakHour: 18},                               // zero epoch
-		{Epoch: testEpoch, BasePrice: -1, BaseCarbon: 400},                            // negative price
-		{Epoch: testEpoch, BasePrice: 0.1, BaseCarbon: 400, PeakHour: 25},             // bad hour
-		{Epoch: testEpoch, BasePrice: 0.1, BaseCarbon: 400, DiurnalAmp: -0.1},         // negative amp
+		{BasePrice: 0.1, BaseCarbon: 400, PeakHour: 18},                                  // zero epoch
+		{Epoch: testEpoch, BasePrice: -1, BaseCarbon: 400},                               // negative price
+		{Epoch: testEpoch, BasePrice: 0.1, BaseCarbon: 400, PeakHour: 25},                // bad hour
+		{Epoch: testEpoch, BasePrice: 0.1, BaseCarbon: 400, DiurnalAmp: -0.1},            // negative amp
 		{Epoch: testEpoch, BasePrice: 0.1, BaseCarbon: 400, PeakHour: 1, Volatility: -1}, // negative vol
 	}
 	for i, cfg := range bad {
@@ -211,62 +209,5 @@ func TestCheckConservation(t *testing.T) {
 	sites[1].CyclesIn = 3
 	if err := CheckConservation(sites, 10, 1e-9); err == nil {
 		t.Fatal("migration imbalance not detected")
-	}
-}
-
-// TestTraceCSV round-trips a synthetic tariff through CSV and checks the
-// interpolating replay plus malformed-input rejection.
-func TestTraceCSV(t *testing.T) {
-	tf, _ := LookupTariff("diurnal-peak")
-	src, err := tf.Source(testEpoch, "csv-seed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	end := testEpoch.Add(72 * time.Hour)
-	if err := WriteTraceCSV(&buf, src, testEpoch, end, 30*time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := ReadTraceCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := tr.Span()
-	if !lo.Equal(testEpoch) || !hi.Equal(end) {
-		t.Fatalf("span [%v, %v], want [%v, %v]", lo, hi, testEpoch, end)
-	}
-	at := testEpoch.Add(7*time.Hour + 15*time.Minute) // between samples
-	got, want := tr.At(at), src.At(at)
-	if math.Abs(got.Price-want.Price) > 0.002 {
-		t.Fatalf("replayed price %v, want ≈ %v", got.Price, want.Price)
-	}
-	// Held endpoints.
-	if tr.At(testEpoch.Add(-time.Hour)) != tr.At(testEpoch) {
-		t.Fatal("trace not held before first sample")
-	}
-
-	for _, bad := range []string{
-		"",
-		"a,b\n",
-		"timestamp,price_usd_kwh,carbon_g_kwh\nnot-a-time,1,2\n",
-		"timestamp,price_usd_kwh,carbon_g_kwh\n2010-02-12 00:00:00,x,2\n",
-		"timestamp,price_usd_kwh,carbon_g_kwh\n2010-02-12 00:00:00,1,NaN\n",
-		"timestamp,price_usd_kwh,carbon_g_kwh\n2010-02-12 00:00:00,Inf,2\n",
-		"timestamp,price_usd_kwh,carbon_g_kwh\n2010-02-12 00:00:00,1,-Inf\n",
-		"timestamp,price_usd_kwh,carbon_g_kwh\n", // no samples
-	} {
-		if _, err := ReadTraceCSV(strings.NewReader(bad)); err == nil {
-			t.Errorf("malformed trace accepted: %q", bad)
-		}
-	}
-
-	// Negative rates clamp to zero on import.
-	neg := "timestamp,price_usd_kwh,carbon_g_kwh\n2010-02-12 00:00:00,-5,-10\n"
-	ntr, err := ReadTraceCSV(strings.NewReader(neg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := ntr.At(testEpoch); r.Price != 0 || r.Carbon != 0 {
-		t.Fatalf("negative rates not clamped: %+v", r)
 	}
 }

@@ -79,19 +79,19 @@ type GoroutinesReport struct {
 
 // Report is the full run result, serialised as BENCH_SERVE.json.
 type Report struct {
-	Seed        string            `json:"seed"`
-	Agents      int               `json:"agents"`
-	Scrapers    int               `json:"scrapers"`
-	SustainRate float64           `json:"sustain_rate_rps"`
-	SpikeRate   float64           `json:"spike_rate_rps"`
-	Phases      []PhaseReport     `json:"phases"`
-	RoundsPlane RoundsReport      `json:"rounds"`
-	Pool        PoolReport        `json:"pool"`
-	Ingest      IngestReport      `json:"ingest"`
-	Healthz     HealthzReport     `json:"healthz"`
-	Goroutines  GoroutinesReport  `json:"goroutines"`
-	MirrorBytes int               `json:"mirror_bytes"`
-	TotalMs     float64           `json:"total_ms"`
+	Seed        string           `json:"seed"`
+	Agents      int              `json:"agents"`
+	Scrapers    int              `json:"scrapers"`
+	SustainRate float64          `json:"sustain_rate_rps"`
+	SpikeRate   float64          `json:"spike_rate_rps"`
+	Phases      []PhaseReport    `json:"phases"`
+	RoundsPlane RoundsReport     `json:"rounds"`
+	Pool        PoolReport       `json:"pool"`
+	Ingest      IngestReport     `json:"ingest"`
+	Healthz     HealthzReport    `json:"healthz"`
+	Goroutines  GoroutinesReport `json:"goroutines"`
+	MirrorBytes int              `json:"mirror_bytes"`
+	TotalMs     float64          `json:"total_ms"`
 }
 
 // Unaccounted returns the sum of per-phase unaccounted requests.

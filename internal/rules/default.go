@@ -4,11 +4,9 @@ package rules
 // default). It covers the failure classes the E13/E14/E15 studies
 // exercise: quiet sensors, collection-coverage loss, ingest shedding,
 // breaker trips, pool churn, and the paper's environmental safety
-// envelope, plus the E17 economics plane: spot-price exposure and
-// per-site envelope residency. Rules over live gauges that a given
-// embedding does not register (e.g. $tent_temp under collectord,
-// $breakers_open inside the simulator, $econ_price outside the
-// multi-site engine) simply stay inactive.
+// envelope. Rules over live gauges that a given embedding does not
+// register (e.g. $tent_temp under collectord, $breakers_open inside the
+// simulator) simply stay inactive.
 const DefaultRuleSet = `# frostlab default alert & SLO rules
 # Grammar: DESIGN.md § alerting model.
 envelope low=2 high=30 dew=17 rhmax=85
@@ -34,16 +32,6 @@ alert dewpoint_margin_low dewpoint_margin($tent_temp,$tent_rh,$outside_temp) < 1
 
 # The closed-loop controller dropped to its fallback policy.
 alert control_fallback value($control_fallback) > 0 for 10m severity warn
-
-# Spot electricity price stuck past 25 c/kWh: follow-the-cold placement
-# should have drained this site; sustained exposure is paying peak rates
-# for work a cheaper site could take.
-alert econ_price_high value($econ_price) > 0.25 for 30m severity warn
-
-# A site spending under 80% of its dispatch ticks inside the allowable
-# envelope is mis-sited or mis-controlled — its capacity is being derated
-# and its share shed or migrated away.
-alert site_envelope_low value($site_envelope_residency) < 0.8 for 60m severity warn
 `
 
 // Default parses DefaultRuleSet.

@@ -648,7 +648,7 @@ func (e *Engine) Restore() error {
 				e.incidentsTotal++
 				e.open[key] = &Incident{
 					ID: e.seq, Rule: ev.rule, Instance: ev.inst,
-					Severity: e.severityOf(ev.rule),
+					Severity:  e.severityOf(ev.rule),
 					PendingAt: at, FiredAt: at,
 				}
 			}
