@@ -28,10 +28,8 @@ import (
 	"time"
 
 	"frostlab/internal/climate"
-	"frostlab/internal/control"
 	"frostlab/internal/core"
 	"frostlab/internal/hardware"
-	"frostlab/internal/units"
 )
 
 // DefaultEnvelopeGrid is the resampling bucket used for cross-run
@@ -47,29 +45,10 @@ type Spec struct {
 	Seed string
 	// Reps is the number of replicates per sweep point.
 	Reps int
-	// Workers is the worker-pool width; <= 0 selects GOMAXPROCS. With
-	// Tents set, Workers instead becomes the per-run shard count — the
-	// shard, not the replicate, is then the unit of parallel work.
+	// Workers is the worker-pool width; <= 0 selects GOMAXPROCS.
 	Workers int
 	// Days overrides the normal-phase length (0 = the paper horizon).
 	Days int
-	// Tents switches the campaign to the sharded scale engine
-	// (core.NewSharded): each replicate simulates a synthetic fleet of
-	// Tents × HostsPerTent hosts instead of the paired reference fleet.
-	// Scale campaigns run replicates sequentially with Workers shards
-	// inside each run, and are incompatible with the monitoring, fleet
-	// and control sweep axes.
-	Tents int
-	// HostsPerTent sizes each synthetic tent; <= 0 selects the paper's
-	// nine-host mix.
-	HostsPerTent int
-	// shards is the resolved per-run shard count of a scale campaign.
-	shards int
-	// MonitorEvery is the collection cadence for runs; campaigns default
-	// to 0 (monitoring disabled) because the rsync plane costs far more
-	// than the physics and contributes nothing to pooled reliability
-	// statistics. Sweep.MonitorEvery overrides per point.
-	MonitorEvery time.Duration
 	// EnvelopeGrid is the resampling bucket for cross-run envelopes;
 	// <= 0 selects DefaultEnvelopeGrid.
 	EnvelopeGrid time.Duration
@@ -84,7 +63,9 @@ type Spec struct {
 	Sweep Sweep
 	// Mutate, when set, adjusts each replicate's configuration after the
 	// sweep point has been applied (test hook and escape hatch for
-	// bespoke studies).
+	// bespoke studies). It also runs for a replicate found in the
+	// checkpoint directory, whose file is reused only when its seed and
+	// window match the mutated configuration.
 	Mutate func(rep int, cfg *core.Config)
 	// Progress, when set, is called after every finished run (including
 	// runs restored from checkpoints) from the collection goroutine.
@@ -104,24 +85,12 @@ type Sweep struct {
 	// FleetPairs are fleet sizes in tent/basement host pairs
 	// (0 = the paper's reference fleet with its Fig. 2 timeline).
 	FleetPairs []int
-	// MonitorEvery are collection cadences (0 = monitoring disabled).
+	// MonitorEvery are collection cadences. Empty leaves monitoring
+	// disabled: the rsync plane costs far more than the physics and
+	// contributes nothing to pooled reliability statistics.
 	MonitorEvery []time.Duration
 	// Mods toggles the R/I/B/F modification ladder.
 	Mods []bool
-	// ControlSetpoints enables the closed-loop control plane
-	// (internal/control) and sweeps its ventilation setpoint in °C.
-	// Empty leaves the paper's open-loop calendar in force, unless
-	// ControlGains is swept (the default setpoint is then pinned).
-	ControlSetpoints []float64
-	// ControlGains sweeps PID gain triples for the closed loop; empty
-	// pins the default gains. Sweeping either control axis turns the
-	// controller on for every point of that axis.
-	ControlGains []PIDGains
-}
-
-// PIDGains is one gain triple of the ControlGains sweep axis.
-type PIDGains struct {
-	Kp, Ki, Kd float64
 }
 
 // point is one cell of the sweep cross product.
@@ -130,9 +99,6 @@ type point struct {
 	fleetPairs int
 	monitor    time.Duration
 	mods       bool
-	ctlOn      bool
-	ctlSet     float64
-	ctlGains   PIDGains
 	label      string
 }
 
@@ -156,82 +122,45 @@ func (s *Spec) points() []point {
 	}
 	monitors := s.Sweep.MonitorEvery
 	if len(monitors) == 0 {
-		monitors = []time.Duration{s.MonitorEvery}
+		monitors = []time.Duration{0}
 	}
 	mods := s.Sweep.Mods
 	if len(mods) == 0 {
 		mods = []bool{true}
-	}
-	// Sweeping either control axis switches the closed loop on for every
-	// point of that expansion; the other axis is pinned at its default.
-	type ctlCell struct {
-		on       bool
-		setpoint float64
-		gains    PIDGains
-	}
-	ctls := []ctlCell{{}}
-	if len(s.Sweep.ControlSetpoints) > 0 || len(s.Sweep.ControlGains) > 0 {
-		def := control.DefaultConfig()
-		setpoints := s.Sweep.ControlSetpoints
-		if len(setpoints) == 0 {
-			setpoints = []float64{float64(def.Setpoint)}
-		}
-		gains := s.Sweep.ControlGains
-		if len(gains) == 0 {
-			gains = []PIDGains{{Kp: def.Kp, Ki: def.Ki, Kd: def.Kd}}
-		}
-		ctls = ctls[:0]
-		for _, sp := range setpoints {
-			for _, g := range gains {
-				ctls = append(ctls, ctlCell{on: true, setpoint: sp, gains: g})
-			}
-		}
 	}
 	var pts []point
 	for _, cl := range climates {
 		for _, fp := range fleets {
 			for _, mon := range monitors {
 				for _, md := range mods {
-					for _, ctl := range ctls {
-						pt := point{
-							climate: cl, fleetPairs: fp, monitor: mon, mods: md,
-							ctlOn: ctl.on, ctlSet: ctl.setpoint, ctlGains: ctl.gains,
+					pt := point{climate: cl, fleetPairs: fp, monitor: mon, mods: md}
+					var parts []string
+					if len(s.Sweep.Climates) > 0 {
+						name := cl
+						if name == "" {
+							name = "reference"
 						}
-						var parts []string
-						if len(s.Sweep.Climates) > 0 {
-							name := cl
-							if name == "" {
-								name = "reference"
-							}
-							parts = append(parts, "climate="+name)
-						}
-						if len(s.Sweep.FleetPairs) > 0 {
-							parts = append(parts, fmt.Sprintf("fleet=%dx2", fp))
-						}
-						if len(s.Sweep.MonitorEvery) > 0 {
-							parts = append(parts, "monitor="+mon.String())
-						}
-						if len(s.Sweep.Mods) > 0 {
-							if md {
-								parts = append(parts, "mods=on")
-							} else {
-								parts = append(parts, "mods=off")
-							}
-						}
-						if len(s.Sweep.ControlSetpoints) > 0 {
-							parts = append(parts, fmt.Sprintf("setpoint=%g°C", ctl.setpoint))
-						}
-						if len(s.Sweep.ControlGains) > 0 {
-							parts = append(parts, fmt.Sprintf("gains=%g/%g/%g",
-								ctl.gains.Kp, ctl.gains.Ki, ctl.gains.Kd))
-						}
-						if len(parts) == 0 {
-							pt.label = "base"
-						} else {
-							pt.label = strings.Join(parts, " ")
-						}
-						pts = append(pts, pt)
+						parts = append(parts, "climate="+name)
 					}
+					if len(s.Sweep.FleetPairs) > 0 {
+						parts = append(parts, fmt.Sprintf("fleet=%dx2", fp))
+					}
+					if len(s.Sweep.MonitorEvery) > 0 {
+						parts = append(parts, "monitor="+mon.String())
+					}
+					if len(s.Sweep.Mods) > 0 {
+						if md {
+							parts = append(parts, "mods=on")
+						} else {
+							parts = append(parts, "mods=off")
+						}
+					}
+					if len(parts) == 0 {
+						pt.label = "base"
+					} else {
+						pt.label = strings.Join(parts, " ")
+					}
+					pts = append(pts, pt)
 				}
 			}
 		}
@@ -246,18 +175,6 @@ func (s *Spec) config(pt point, rep int) (core.Config, error) {
 	cfg.MonitorEvery = pt.monitor
 	if s.Days > 0 {
 		cfg.End = cfg.Start.AddDate(0, 0, s.Days)
-	}
-	if s.Tents > 0 {
-		hpt := s.HostsPerTent
-		if hpt <= 0 {
-			hpt = 9
-		}
-		fleet, err := hardware.SyntheticFleet(s.Tents, hpt, seed)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Fleet = fleet
-		cfg.MonitorEvery = 0
 	}
 	if !pt.mods {
 		cfg.Modifications = nil
@@ -279,12 +196,6 @@ func (s *Spec) config(pt point, rep int) (core.Config, error) {
 			return cfg, err
 		}
 		cfg.Fleet = fleet
-	}
-	if pt.ctlOn {
-		cc := control.DefaultConfig()
-		cc.Setpoint = units.Celsius(pt.ctlSet)
-		cc.Kp, cc.Ki, cc.Kd = pt.ctlGains.Kp, pt.ctlGains.Ki, pt.ctlGains.Kd
-		cfg.Control = &cc
 	}
 	if s.Mutate != nil {
 		s.Mutate(rep, &cfg)

@@ -2,6 +2,8 @@ package campaign_test
 
 import (
 	"context"
+	"crypto/md5"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,6 +46,36 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 	if renders[0] != renders[1] {
 		t.Errorf("pooled aggregates differ between -workers 1 and -workers 8:\n--- workers=1\n%s\n--- workers=8\n%s",
 			renders[0], renders[1])
+	}
+}
+
+// TestCampaignReportGolden pins the rendered report of a small
+// multi-point sweep (climate x fleet x modifications), so every pooled
+// statistic, envelope and label stays byte-identical across refactors
+// of the aggregation path.
+func TestCampaignReportGolden(t *testing.T) {
+	const want = "1835cc5a1d6758545b8e72846580e5f4"
+	spec := campaign.Spec{
+		Seed:    "golden",
+		Reps:    3,
+		Workers: 2,
+		Days:    2,
+		Sweep: campaign.Sweep{
+			Climates:   []string{"", "sodankyla"},
+			FleetPairs: []int{1, 2},
+			Mods:       []bool{true, false},
+		},
+	}
+	sum, err := campaign.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Completed != 24 || sum.Failed != 0 {
+		t.Fatalf("completed %d failed %d, want 24/0", sum.Completed, sum.Failed)
+	}
+	digest := md5.Sum([]byte(report.Campaign(sum)))
+	if got := hex.EncodeToString(digest[:]); got != want {
+		t.Fatalf("campaign report md5 %s, want %s", got, want)
 	}
 }
 
@@ -119,6 +151,37 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	if sum.Completed != 4 || sum.Checkpoint != 3 {
 		t.Errorf("after corruption: completed %d checkpoint %d, want 4/3", sum.Completed, sum.Checkpoint)
+	}
+}
+
+// TestCheckpointRejectsOtherRun shares one checkpoint directory between
+// campaigns that differ in seed, then in horizon: a checkpoint written by
+// a different run must be re-run, never relabelled and pooled.
+func TestCheckpointRejectsOtherRun(t *testing.T) {
+	dir := t.TempDir()
+	run := func(spec campaign.Spec) *campaign.Summary {
+		t.Helper()
+		spec.CheckpointDir = dir
+		sum, err := campaign.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Completed != 2 {
+			t.Fatalf("seed %s days %d: completed %d, want 2", spec.Seed, spec.Days, sum.Completed)
+		}
+		return sum
+	}
+	run(fastSpec("seed-a", 2, 2))
+	if n := run(fastSpec("seed-b", 2, 2)).Checkpoint; n != 0 {
+		t.Errorf("seed-b restored %d replicates written by seed-a, want 0", n)
+	}
+	longer := fastSpec("seed-b", 2, 2)
+	longer.Days = 3
+	if n := run(longer).Checkpoint; n != 0 {
+		t.Errorf("3-day rerun restored %d 2-day replicates, want 0", n)
+	}
+	if n := run(longer).Checkpoint; n != 2 {
+		t.Errorf("identical rerun restored %d replicates, want 2", n)
 	}
 }
 
@@ -202,62 +265,6 @@ func TestSweepCrossProduct(t *testing.T) {
 	}
 	if pt.Tent.Trials != 4 {
 		t.Errorf("fleet=2x2 pooled tent trials %d, want 4", pt.Tent.Trials)
-	}
-}
-
-// TestControlSweepAxes expands the closed-loop axes, labels the points,
-// and pools envelope residency over controlled replicates only.
-func TestControlSweepAxes(t *testing.T) {
-	spec := campaign.Spec{
-		Seed:    "control-sweep",
-		Reps:    2,
-		Workers: 4,
-		Days:    2,
-		Sweep: campaign.Sweep{
-			FleetPairs:       []int{1},
-			ControlSetpoints: []float64{8, 14},
-			ControlGains:     []campaign.PIDGains{{Kp: 0.12, Ki: 0.004, Kd: 0.02}},
-		},
-	}
-	sum, err := campaign.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sum.Points) != 2 {
-		t.Fatalf("sweep points %d, want 2 (setpoints x one gain triple)", len(sum.Points))
-	}
-	if sum.Completed != 4 || sum.Failed != 0 {
-		t.Fatalf("completed %d failed %d, want 4/0", sum.Completed, sum.Failed)
-	}
-	labels := make(map[string]*campaign.PointAggregate)
-	for _, pt := range sum.Points {
-		labels[pt.Label] = pt
-	}
-	pt, ok := labels["fleet=1x2 setpoint=8°C gains=0.12/0.004/0.02"]
-	if !ok {
-		keys := make([]string, 0, len(labels))
-		for k := range labels {
-			keys = append(keys, k)
-		}
-		t.Fatalf("missing control point label, have %v", keys)
-	}
-	for _, p := range sum.Points {
-		if p.ControlledRuns != 2 {
-			t.Errorf("%s: controlled runs %d, want 2", p.Label, p.ControlledRuns)
-		}
-		if p.MeanEnvelopeFraction < 0 || p.MeanEnvelopeFraction > 1 {
-			t.Errorf("%s: mean envelope fraction %v outside [0,1]", p.Label, p.MeanEnvelopeFraction)
-		}
-	}
-	_ = pt
-
-	// An open-loop campaign must pool zero controlled replicates.
-	open, err := campaign.Run(context.Background(), fastSpec("control-sweep-open", 2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := open.Points[0].ControlledRuns; n != 0 {
-		t.Errorf("open-loop campaign reports %d controlled runs, want 0", n)
 	}
 }
 

@@ -14,7 +14,9 @@ import (
 // so checkpoint files are themselves inspectable artefacts (frostctl
 // -load renders any of them). Writes go through a temp file and rename so
 // an interrupt mid-write never leaves a half checkpoint that a resume
-// would trust; unreadable files are simply re-run.
+// would trust; unreadable files are simply re-run, and so is a file
+// another campaign wrote under the same name (a different seed or
+// horizon) — the directory is keyed by sweep point and replicate only.
 
 // checkpointPath names a replicate's checkpoint file.
 func (s *Spec) checkpointPath(pt point, rep int) string {
@@ -65,7 +67,8 @@ func (s *Spec) saveCheckpoint(pt point, rep int, r *core.Results) {
 }
 
 // loadCheckpoint restores a replicate summary from a previous campaign,
-// reporting whether a usable checkpoint existed.
+// reporting whether a usable checkpoint existed: one that decodes and
+// was run with this replicate's seed and window.
 func (s *Spec) loadCheckpoint(pt point, rep int) (RunSummary, bool) {
 	if s.CheckpointDir == "" {
 		return RunSummary{}, false
@@ -77,6 +80,10 @@ func (s *Spec) loadCheckpoint(pt point, rep int) (RunSummary, bool) {
 	defer f.Close()
 	r, err := core.LoadResults(f)
 	if err != nil {
+		return RunSummary{}, false
+	}
+	cfg, err := s.config(pt, rep)
+	if err != nil || r.Seed != cfg.Seed || !r.Start.Equal(cfg.Start) || !r.End.Equal(cfg.End) {
 		return RunSummary{}, false
 	}
 	rs, err := Summarize(r, s.EnvelopeGrid)

@@ -21,13 +21,13 @@ record out_copy value($outside_temp)
 `)
 	spec := func(workers int) campaign.Spec {
 		return campaign.Spec{
-			Seed:         "alerts-determinism",
-			Reps:         4,
-			Workers:      workers,
-			Days:         2,
-			MonitorEvery: 20 * time.Minute,
-			Sweep:        campaign.Sweep{FleetPairs: []int{2}},
+			Seed:    "alerts-determinism",
+			Reps:    4,
+			Workers: workers,
+			Days:    2,
+			Sweep:   campaign.Sweep{FleetPairs: []int{2}},
 			Mutate: func(rep int, cfg *core.Config) {
+				cfg.MonitorEvery = 20 * time.Minute
 				cfg.Rules = set
 			},
 		}

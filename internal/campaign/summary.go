@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"frostlab/internal/simkernel"
 	"frostlab/internal/stats"
 	"frostlab/internal/timeseries"
-	"frostlab/internal/tsdb"
 )
 
 // The Fig. 3/4 series a campaign builds cross-run envelopes for.
@@ -43,41 +41,14 @@ type RunSummary struct {
 	TotalCycles            uint64
 	WrongHashes            int
 	TentEnergyKWh          float64
-	// Controlled marks a closed-loop replicate; EnvelopeFraction is then
-	// its share of control ticks spent inside the allowable envelope (the
-	// E14 headline, 0 for open-loop runs).
-	Controlled       bool
-	EnvelopeFraction float64
 	// AlertIncidents and AlertDigest carry the sim-time rules engine's
 	// incident count and timeline hash; empty for runs without rules.
 	AlertIncidents int
 	AlertDigest    string
-	// Series holds the envelope inputs, resampled to the campaign grid
-	// and compressed: a few bits per sample instead of a 24-byte Point,
-	// so hundreds of retained replicates stay small.
-	Series map[string]CompactSeries
-}
-
-// CompactSeries is one grid-resampled envelope input held as compressed
-// tsdb blocks. Decoding is bitwise-lossless, so aggregating from blocks
-// is byte-identical to aggregating from the Points it was built from.
-type CompactSeries struct {
-	Unit   string
-	Blocks []tsdb.Block
-}
-
-// Samples returns the stored sample count.
-func (cs CompactSeries) Samples() int {
-	n := 0
-	for _, b := range cs.Blocks {
-		n += b.Count()
-	}
-	return n
-}
-
-// Iter iterates the full series straight off the compressed blocks.
-func (cs CompactSeries) Iter() *tsdb.SeriesIter {
-	return tsdb.NewSeriesIter(cs.Blocks, math.MinInt64, math.MaxInt64)
+	// Series holds the envelope inputs resampled to the campaign grid:
+	// at most ~140 points per series over the paper horizon, so hundreds
+	// of retained replicates stay small.
+	Series map[string]*timeseries.Series
 }
 
 // Summarize reduces a finished run to its campaign summary.
@@ -93,11 +64,7 @@ func Summarize(r *core.Results, grid time.Duration) (RunSummary, error) {
 		TotalCycles:   r.TotalCycles,
 		WrongHashes:   len(r.WrongHashes),
 		TentEnergyKWh: float64(r.TentEnergy),
-		Series:        make(map[string]CompactSeries, len(envelopeSeries)),
-	}
-	if r.Control != nil {
-		rs.Controlled = true
-		rs.EnvelopeFraction = r.Control.EnvelopeFraction()
+		Series:        make(map[string]*timeseries.Series, len(envelopeSeries)),
 	}
 	if r.Alerts != nil {
 		rs.AlertIncidents = int(r.Alerts.IncidentsTotal)
@@ -122,11 +89,7 @@ func Summarize(r *core.Results, grid time.Duration) (RunSummary, error) {
 		if err != nil {
 			return rs, fmt.Errorf("campaign: resampling %s: %w", es.name, err)
 		}
-		blocks, err := res.Compact(0)
-		if err != nil {
-			return rs, fmt.Errorf("campaign: compacting %s: %w", es.name, err)
-		}
-		rs.Series[es.name] = CompactSeries{Unit: res.Unit(), Blocks: blocks}
+		rs.Series[es.name] = res
 	}
 	return rs, nil
 }
@@ -178,11 +141,6 @@ type PointAggregate struct {
 	// WrongHash pools wrong-md5sum incidents over workload cycles.
 	WrongHash stats.Rate
 
-	// ControlledRuns counts closed-loop replicates;
-	// MeanEnvelopeFraction averages their envelope residency.
-	ControlledRuns       int
-	MeanEnvelopeFraction float64
-
 	// AlertIncidents pools incident counts across replicates;
 	// AlertDigest hashes the per-replicate timeline digests in replicate
 	// order, so two campaigns agree iff every replicate's incident
@@ -226,7 +184,7 @@ func (s *Spec) aggregate(label string, sums []RunSummary) *PointAggregate {
 	agg := &PointAggregate{Label: label}
 	env := make(map[string]map[int64]*envBucket, len(envelopeSeries))
 	envRuns := make(map[string]int, len(envelopeSeries))
-	var energySum, envFracSum float64
+	var energySum float64
 	alertHash := sha256.New()
 	haveAlerts := false
 	for _, rs := range sums {
@@ -246,10 +204,6 @@ func (s *Spec) aggregate(label string, sums []RunSummary) *PointAggregate {
 			Events: rs.WrongHashes, Trials: int(rs.TotalCycles),
 		})
 		energySum += rs.TentEnergyKWh
-		if rs.Controlled {
-			agg.ControlledRuns++
-			envFracSum += rs.EnvelopeFraction
-		}
 		if rs.AlertDigest != "" {
 			haveAlerts = true
 			agg.AlertIncidents += rs.AlertIncidents
@@ -258,7 +212,7 @@ func (s *Spec) aggregate(label string, sums []RunSummary) *PointAggregate {
 			fmt.Fprintf(alertHash, "%d:%s\n", rs.Rep, rs.AlertDigest)
 		}
 		for name, series := range rs.Series {
-			if series.Samples() == 0 {
+			if series.Len() == 0 {
 				continue
 			}
 			buckets := env[name]
@@ -267,11 +221,10 @@ func (s *Spec) aggregate(label string, sums []RunSummary) *PointAggregate {
 				env[name] = buckets
 			}
 			envRuns[name]++
-			// Decode straight off the compressed blocks; sample order —
-			// and therefore every pooled float sum — matches the Points
-			// slice this replicate was compacted from.
-			for it := series.Iter(); it.Next(); {
-				key, v := it.At()
+			// Points are in time order, so every pooled float sum
+			// accumulates in a fixed order.
+			for _, p := range series.Points() {
+				key, v := p.At.UnixNano(), p.Value
 				b := buckets[key]
 				if b == nil {
 					buckets[key] = &envBucket{min: v, max: v, sum: v, n: 1}
@@ -292,9 +245,6 @@ func (s *Spec) aggregate(label string, sums []RunSummary) *PointAggregate {
 		return agg
 	}
 	agg.MeanEnergyKWh = energySum / float64(agg.Completed)
-	if agg.ControlledRuns > 0 {
-		agg.MeanEnvelopeFraction = envFracSum / float64(agg.ControlledRuns)
-	}
 	if haveAlerts {
 		agg.AlertDigest = hex.EncodeToString(alertHash.Sum(nil))
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"frostlab/internal/hardware"
@@ -291,11 +292,7 @@ func sortedHostIDs(hosts map[string]*HostReport) []string {
 	for id := range hosts {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ { // insertion sort; the fleet is tiny
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	sort.Strings(ids)
 	return ids
 }
 

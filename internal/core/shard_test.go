@@ -232,3 +232,13 @@ func TestNewShardedValidation(t *testing.T) {
 		t.Fatal("second Run on one engine accepted")
 	}
 }
+
+// TestShardedSaveGolden pins the serialized bytes of a small synthetic
+// sharded run, so any change to SaveResults (host ordering included)
+// that moves a byte fails here and not only in the benchmark anchors.
+func TestShardedSaveGolden(t *testing.T) {
+	const want = "b0e5b8e23b572e0ccaae2f70d98c6b05"
+	if got := shardedRunMD5(t, scaleConfig(t, 24, 9), 3); got != want {
+		t.Fatalf("sharded SaveResults md5 %s, want %s", got, want)
+	}
+}

@@ -53,10 +53,6 @@ func Campaign(s *campaign.Summary) string {
 			}
 		}
 		fmt.Fprintf(&b, "mean tent-feed energy per replicate: %.1f kWh\n", pt.MeanEnergyKWh)
-		if pt.ControlledRuns > 0 {
-			fmt.Fprintf(&b, "closed-loop envelope residency: %.1f%% of control ticks (mean over %d replicate(s))\n",
-				pt.MeanEnvelopeFraction*100, pt.ControlledRuns)
-		}
 		if env := envelopeTable(pt); env != "" {
 			b.WriteString("\ncross-run envelopes (per-bucket min/mean/max over replicates):\n")
 			b.WriteString(env)

@@ -3,6 +3,7 @@ package timeseries
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -285,5 +286,58 @@ func BenchmarkResampleDay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = s.Resample(10 * time.Minute)
+	}
+}
+
+func quantizedSeries(t *testing.T, n int) *Series {
+	t.Helper()
+	s := New("tent_inside", "°C")
+	base := time.Date(2009, 11, 20, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < n; i++ {
+		v, _ := strconv.ParseFloat(strconv.FormatFloat(
+			6*math.Sin(float64(i)/70)-3, 'f', 3, 64), 64)
+		if err := s.Append(base.Add(time.Duration(i)*20*time.Minute), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+func TestSummarizeWindow(t *testing.T) {
+	s := quantizedSeries(t, 1000)
+	from := s.At(100).At
+	to := s.At(300).At // exclusive
+	want, err := s.Slice(from, to).Summarize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.SummarizeWindow(from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("SummarizeWindow = %+v, want %+v", got, want)
+	}
+	if got.N != 200 {
+		t.Fatalf("window holds %d samples, want 200", got.N)
+	}
+	if _, err := s.SummarizeWindow(to, from); err != ErrEmpty {
+		t.Fatalf("inverted window: got %v, want ErrEmpty", err)
+	}
+}
+
+func TestSummarizeWindowAllocFree(t *testing.T) {
+	// The windowed aggregation must not copy the window: the old
+	// Slice+Summarize path allocated a fresh Series per dashboard query.
+	s := quantizedSeries(t, 5000)
+	from := s.At(1000).At
+	to := s.At(4000).At
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.SummarizeWindow(from, to); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SummarizeWindow allocates %.1f times per call, want 0", allocs)
 	}
 }

@@ -233,8 +233,7 @@ func (b Block) CompressedBytes() int { return len(b.data) }
 func (b Block) Iter() Iter { return newIter(b.data, b.count) }
 
 // Builder encodes an ordered sample stream into sealed blocks of up to
-// maxSamples each: the bridge internal/timeseries.Compact uses to move an
-// in-memory series into compressed storage.
+// maxSamples each, without a Store or its segment files.
 type Builder struct {
 	app        appender
 	maxSamples int
