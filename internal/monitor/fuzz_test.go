@@ -1,6 +1,12 @@
 package monitor
 
-import "testing"
+import (
+	"crypto/md5"
+	"encoding/binary"
+	"testing"
+
+	"frostlab/internal/delta"
+)
 
 // FuzzParseLedger hardens the central accounting parser against mirrored
 // content from a compromised or corrupted agent.
@@ -36,6 +42,62 @@ func FuzzDecodeNamed(f *testing.F) {
 		}
 		if len(name)+len(rest)+2 != len(data) {
 			t.Fatal("decoded parts do not account for the payload")
+		}
+	})
+}
+
+// FuzzAgentAppendFrame feeds arbitrary append-request payloads to an
+// Agent over an authenticated pipe. Every request must draw a delta, stale
+// or error reply, never a panic or a dropped session, and a delta may only
+// answer a request whose prefix digest matches the agent's file.
+func FuzzAgentAppendFrame(f *testing.F) {
+	content := []byte("2010-02-19T12:10:00Z cpu=-4.1\n2010-02-19T12:30:00Z cpu=-3.9\n")
+	store := NewFileStore()
+	store.Append(SensorLog, content)
+	agent := NewAgent("01", store)
+	aSess, cSess := connectPair(f, "01")
+	go func() { _ = agent.Serve(aSess) }()
+
+	sig := func(old []byte) []byte {
+		s, err := delta.NewSignature(old, 16)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return s.Marshal()
+	}
+	f.Add(encodeAppend(SensorLog, 0, md5.Sum(nil), sig(nil)))
+	f.Add(encodeAppend(SensorLog, 32, md5.Sum(content[:32]), sig(content[32:40])))
+	f.Add(encodeAppend(SensorLog, 32, md5.Sum(content[:31]), sig(nil)))
+	f.Add(encodeAppend(SensorLog, len(content)+1, md5.Sum(content), sig(nil)))
+	f.Add(encodeAppend(MD5Log, 0, md5.Sum(nil), sig([]byte("x"))))
+	f.Add(encodeNamed(SensorLog, []byte("short")))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if err := cSess.Send(ftAppend, payload); err != nil {
+			return // larger than a frame may be
+		}
+		ft, reply, err := cSess.Recv()
+		if err != nil {
+			t.Fatalf("agent dropped the session: %v", err)
+		}
+		switch ft {
+		case ftError, ftStale:
+		case ftDelta:
+			_, body, err := decodeNamed(reply)
+			if err != nil {
+				t.Fatalf("delta reply: %v", err)
+			}
+			if _, err := delta.UnmarshalDelta(body); err != nil {
+				t.Fatalf("delta reply does not decode: %v", err)
+			}
+			name, p, _ := decodeNamed(payload)
+			off := binary.BigEndian.Uint64(p)
+			file := store.Get(name)
+			if off > uint64(len(file)) || md5.Sum(file[:off]) != [md5.Size]byte(p[8:appendHeader]) {
+				t.Fatalf("delta answered an unverified prefix at offset %d", off)
+			}
+		default:
+			t.Fatalf("reply frame %d, want delta, stale or error", ft)
 		}
 	})
 }

@@ -15,9 +15,11 @@ package monitor
 import (
 	"bytes"
 	"context"
+	"crypto/md5"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"sort"
 	"strings"
 	"sync"
@@ -43,6 +45,11 @@ const (
 type FileStore struct {
 	mu    sync.Mutex
 	files map[string][]byte
+	// gen counts the writes that were not appends (Put, truncating
+	// Splice). A reader that summarised a prefix of a file at one
+	// generation knows the summary still holds while the generation is
+	// unchanged: appends never alter bytes already written.
+	gen uint64
 }
 
 // NewFileStore returns an empty store.
@@ -67,11 +74,41 @@ func (fs *FileStore) Get(name string) []byte {
 	return nil
 }
 
+// From returns a copy of the named file's content from byte off on,
+// together with the store's generation at the time of the read. ok is
+// false when the file (empty if absent) is shorter than off.
+func (fs *FileStore) From(name string, off int) (suffix []byte, gen uint64, ok bool) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	data := fs.files[name]
+	if off < 0 || off > len(data) {
+		return nil, fs.gen, false
+	}
+	return append([]byte(nil), data[off:]...), fs.gen, true
+}
+
 // Put replaces the named file's content.
 func (fs *FileStore) Put(name string, data []byte) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.files[name] = append([]byte(nil), data...)
+	fs.gen++
+}
+
+// Splice truncates the named file to off bytes and appends data in place,
+// creating the file if needed. off beyond the file's end is an error.
+func (fs *FileStore) Splice(name string, off int, data []byte) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	cur := fs.files[name]
+	if off < 0 || off > len(cur) {
+		return fmt.Errorf("monitor: splice at %d outside %s of %d bytes", off, name, len(cur))
+	}
+	if off < len(cur) {
+		fs.gen++
+	}
+	fs.files[name] = append(cur[:off], data...)
+	return nil
 }
 
 // Names returns the sorted file names.
@@ -93,27 +130,35 @@ func (fs *FileStore) Size(name string) int {
 	return len(fs.files[name])
 }
 
-// Protocol frame types.
+// Protocol frame types. Values 3 and 7 belonged to the retired
+// whole-file and offset signature frames and are not reused.
 const (
 	ftList     byte = 1 // collector -> agent: list files
 	ftListResp byte = 2 // agent -> collector: newline-joined names
-	ftSig      byte = 3 // collector -> agent: name + signature
 	ftDelta    byte = 4 // agent -> collector: name + delta
 	ftBye      byte = 5 // collector -> agent: round complete
 	ftError    byte = 6 // agent -> collector: error text
-	// ftSigAt is ftSig with an 8-byte base offset before the signature:
-	// the agent diffs only its file content from that offset on. It is
-	// what keeps a retention-capped mirror (SetRetention) from paying the
-	// evicted prefix as literal bytes again every round — the collector
-	// asks for the suffix it actually retains.
-	ftSigAt byte = 7
 	// ftPing/ftPong are the keepalive health check: before reusing a
 	// pooled session the collector round-trips a ping, so a connection
 	// that died while parked (agent restart, injected pool fault) is
 	// retired and redialled instead of failing the round's first frame.
 	ftPing byte = 8
 	ftPong byte = 9
+	// ftAppend is the append-verify request (rsync's --append-verify):
+	// name + 8-byte agent-file offset + md5 of the agent file's bytes
+	// before that offset + the signature of the mirror's bytes from that
+	// offset on. The agent diffs only its content past the offset, once
+	// the prefix digest matches.
+	ftAppend byte = 10
+	// ftStale answers an append request whose prefix did not verify —
+	// the file shrank or was rewritten — with just the name. The
+	// collector then resends the file at offset 0.
+	ftStale byte = 11
 )
+
+// appendHeader is the fixed part of an append request after the name:
+// the offset and the prefix digest.
+const appendHeader = 8 + md5.Size
 
 // ErrRemote carries an agent-reported error.
 var ErrRemote = errors.New("monitor: remote error")
@@ -140,15 +185,37 @@ func decodeNamed(p []byte) (string, []byte, error) {
 	return string(p[2 : 2+n]), p[2+n:], nil
 }
 
+// encodeAppend builds an append request's payload.
+func encodeAppend(name string, off int, prefix [md5.Size]byte, sig []byte) []byte {
+	p := make([]byte, appendHeader, appendHeader+len(sig))
+	binary.BigEndian.PutUint64(p, uint64(off))
+	copy(p[8:], prefix[:])
+	return encodeNamed(name, append(p, sig...))
+}
+
 // Agent exports a host's FileStore to the collector.
 type Agent struct {
 	hostID string
 	store  *FileStore
+
+	mu sync.Mutex
+	// prefixes hold one running md5 per file, advanced to the offsets the
+	// collector asks about, so verifying a prefix costs only the bytes
+	// appended since the previous round.
+	prefixes map[string]*prefixHash
+}
+
+// prefixHash is the md5 of a file's first n bytes, valid while the
+// store's generation is still gen.
+type prefixHash struct {
+	h   hash.Hash
+	n   int
+	gen uint64
 }
 
 // NewAgent returns an agent serving the given store.
 func NewAgent(hostID string, store *FileStore) *Agent {
-	return &Agent{hostID: hostID, store: store}
+	return &Agent{hostID: hostID, store: store, prefixes: make(map[string]*prefixHash)}
 }
 
 // Store returns the agent's file store.
@@ -168,51 +235,17 @@ func (a *Agent) Serve(sess *wire.Session) error {
 			if err := sess.Send(ftListResp, []byte(joined)); err != nil {
 				return err
 			}
-		case ftSig, ftSigAt:
-			name, sigBytes, err := decodeNamed(payload)
+		case ftAppend:
+			name, d, err := a.appendDelta(payload)
+			switch {
+			case err != nil:
+				err = sess.Send(ftError, []byte(err.Error()))
+			case d == nil:
+				err = sess.Send(ftStale, encodeNamed(name, nil))
+			default:
+				err = sess.Send(ftDelta, encodeNamed(name, d.Marshal()))
+			}
 			if err != nil {
-				if serr := sess.Send(ftError, []byte(err.Error())); serr != nil {
-					return serr
-				}
-				continue
-			}
-			var base int
-			if ft == ftSigAt {
-				if len(sigBytes) < 8 {
-					if serr := sess.Send(ftError, []byte("monitor: sigAt payload too short")); serr != nil {
-						return serr
-					}
-					continue
-				}
-				off := binary.BigEndian.Uint64(sigBytes)
-				sigBytes = sigBytes[8:]
-				if off > uint64(1<<62) {
-					if serr := sess.Send(ftError, []byte("monitor: sigAt offset out of range")); serr != nil {
-						return serr
-					}
-					continue
-				}
-				base = int(off)
-			}
-			sig, err := delta.UnmarshalSignature(sigBytes)
-			if err != nil {
-				if serr := sess.Send(ftError, []byte(err.Error())); serr != nil {
-					return serr
-				}
-				continue
-			}
-			content := a.store.Get(name)
-			if base > len(content) {
-				base = len(content) // file shrank or offset raced ahead
-			}
-			d, err := delta.Compute(sig, content[base:])
-			if err != nil {
-				if serr := sess.Send(ftError, []byte(err.Error())); serr != nil {
-					return serr
-				}
-				continue
-			}
-			if err := sess.Send(ftDelta, encodeNamed(name, d.Marshal())); err != nil {
 				return err
 			}
 		case ftPing:
@@ -227,6 +260,71 @@ func (a *Agent) Serve(sess *wire.Session) error {
 			}
 		}
 	}
+}
+
+// appendDelta answers one append request: the delta of the file's content
+// past the requested offset against the collector's tail signature, or a
+// nil delta when the file's prefix does not match the collector's digest.
+func (a *Agent) appendDelta(payload []byte) (string, *delta.Delta, error) {
+	name, p, err := decodeNamed(payload)
+	if err != nil {
+		return "", nil, err
+	}
+	if len(p) < appendHeader {
+		return name, nil, fmt.Errorf("monitor: append request of %d bytes, want at least %d", len(p), appendHeader)
+	}
+	off := binary.BigEndian.Uint64(p)
+	var want [md5.Size]byte
+	copy(want[:], p[8:appendHeader])
+	sig, err := delta.UnmarshalSignature(p[appendHeader:])
+	if err != nil {
+		return name, nil, err
+	}
+	suffix, ok := a.verifiedSuffix(name, off, want)
+	if !ok {
+		return name, nil, nil
+	}
+	d, err := delta.Compute(sig, suffix)
+	return name, d, err
+}
+
+// verifiedSuffix returns the file's content from off on if md5 of its
+// first off bytes is want. The running prefix hash resumes where the
+// previous request left it, unless the store has seen a non-append write
+// since (which could have changed bytes already hashed) or off lies
+// behind it; then it restarts from byte 0.
+func (a *Agent) verifiedSuffix(name string, off uint64, want [md5.Size]byte) ([]byte, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	ph := a.prefixes[name]
+	if ph == nil {
+		ph = &prefixHash{h: md5.New()}
+		a.prefixes[name] = ph
+	}
+	from := ph.n
+	if uint64(from) > off {
+		from = 0
+	}
+	data, gen, ok := a.store.From(name, from)
+	if from > 0 && (!ok || gen != ph.gen) {
+		from = 0
+		data, gen, _ = a.store.From(name, 0)
+	}
+	if from == 0 {
+		ph.h.Reset()
+		ph.n, ph.gen = 0, gen
+	}
+	if off-uint64(from) > uint64(len(data)) {
+		return nil, false // the file is shorter than the verified prefix
+	}
+	k := int(off) - from
+	ph.h.Write(data[:k])
+	ph.n += k
+	var got [md5.Size]byte
+	if ph.h.Sum(got[:0]); got != want {
+		return nil, false
+	}
+	return data[k:], true
 }
 
 // RoundStats summarises one collection round against one host.
@@ -261,9 +359,23 @@ type Collector struct {
 	samples *SampleDB
 	// retain caps each mirrored file's raw bytes; 0 means unbounded.
 	retain int
-	// trimmed[host][file] is how many bytes of that file's prefix the
-	// retention cap has evicted — the base offset for ftSigAt rounds.
-	trimmed map[string]map[string]int
+	// files hold the append-verify baseline of every mirrored file.
+	files map[fileKey]*mirrorState
+}
+
+// fileKey names one host's file.
+type fileKey struct{ host, name string }
+
+// mirrorState is where one mirrored file stands, in agent-file offsets:
+// the mirror holds the agent's bytes from trim on (retention evicted the
+// ones before), and prefix is the md5 of the agent's first off bytes, off
+// being the end of the mirror's last whole block (or a little past it,
+// after an eviction shifted the block grid). A round signs only the
+// mirror's bytes past off, and the agent diffs only its bytes past off
+// once the prefix verifies.
+type mirrorState struct {
+	off, trim int
+	prefix    hash.Hash
 }
 
 // NewCollector returns a collector using the given delta block size
@@ -275,7 +387,7 @@ func NewCollector(blockSize int) *Collector {
 	return &Collector{
 		mirrors:   make(map[string]*FileStore),
 		blockSize: blockSize,
-		trimmed:   make(map[string]map[string]int),
+		files:     make(map[fileKey]*mirrorState),
 	}
 }
 
@@ -298,11 +410,12 @@ func (c *Collector) Samples() *SampleDB {
 
 // SetRetention caps every mirrored file at n raw bytes. When an applied
 // round pushes a file past the cap, the oldest bytes are evicted down to
-// the cap at a line boundary; subsequent rounds synchronise only the
-// retained suffix (the ftSigAt frame), so the evicted prefix is never
-// re-transferred. n <= 0 disables the cap. Already-ingested samples are
-// unaffected: eviction is what makes mirrors a bounded working set while
-// the SampleDB keeps the full history in compressed form.
+// the cap at a line boundary; later rounds sign and diff only past the
+// verified prefix, which never lies before the eviction point, so the
+// evicted prefix is never re-transferred. n <= 0 disables the cap.
+// Already-ingested samples are unaffected: eviction is what makes mirrors
+// a bounded working set while the SampleDB keeps the full history in
+// compressed form.
 func (c *Collector) SetRetention(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -335,19 +448,10 @@ func (c *Collector) MirrorBytes() int64 {
 func (c *Collector) TrimmedBytes(hostID, name string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.trimmed[hostID][name]
-}
-
-// setTrimmed records the eviction offset for a host's file.
-func (c *Collector) setTrimmed(hostID, name string, off int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := c.trimmed[hostID]
-	if m == nil {
-		m = make(map[string]int)
-		c.trimmed[hostID] = m
+	if st := c.files[fileKey{hostID, name}]; st != nil {
+		return st.trim
 	}
-	m[name] = off
+	return 0
 }
 
 // Mirror returns the collector's mirror of a host's store, creating it on
@@ -373,7 +477,7 @@ func (c *Collector) History() []RoundStats {
 }
 
 // CollectHost performs one collection round over an established session:
-// list the agent's files, then signature/delta each one into the mirror.
+// list the agent's files, then append-verify each one into the mirror.
 // The session is left open; the agent returns from Serve after the bye.
 func (c *Collector) CollectHost(sess *wire.Session, hostID string, now time.Time) (RoundStats, error) {
 	return c.CollectHostContext(context.Background(), sess, hostID, now)
@@ -427,80 +531,13 @@ func (c *Collector) collectHost(ctx context.Context, sess *wire.Session, hostID 
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
-		old := mirror.Get(name)
-		trim := c.TrimmedBytes(hostID, name)
-		sig, err := delta.NewSignature(old, c.blockSize)
+		literal, size, err := c.syncFile(sess, hostID, name, mirror, samples, retain)
 		if err != nil {
 			return stats, err
 		}
-		if trim > 0 {
-			// The mirror holds only the suffix past the eviction offset;
-			// ask the agent to diff from there so the evicted prefix is
-			// not re-paid as literal bytes.
-			payload := make([]byte, 8+len(sig.Marshal()))
-			binary.BigEndian.PutUint64(payload, uint64(trim))
-			copy(payload[8:], sig.Marshal())
-			err = sess.Send(ftSigAt, encodeNamed(name, payload))
-		} else {
-			err = sess.Send(ftSig, encodeNamed(name, sig.Marshal()))
-		}
-		if err != nil {
-			return stats, err
-		}
-		ft, payload, err := sess.Recv()
-		if err != nil {
-			return stats, err
-		}
-		if ft == ftError {
-			return stats, fmt.Errorf("%w: %s: %s", ErrRemote, name, payload)
-		}
-		if ft != ftDelta {
-			return stats, fmt.Errorf("monitor: unexpected frame %d to signature", ft)
-		}
-		rname, deltaBytes, err := decodeNamed(payload)
-		if err != nil {
-			return stats, err
-		}
-		if rname != name {
-			return stats, fmt.Errorf("monitor: delta for %q, requested %q", rname, name)
-		}
-		d, err := delta.UnmarshalDelta(deltaBytes)
-		if err != nil {
-			return stats, err
-		}
-		updated, err := delta.Apply(old, d)
-		if err != nil {
-			return stats, fmt.Errorf("monitor: applying delta for %s/%s: %w", hostID, name, err)
-		}
-		if samples != nil {
-			if len(old) > 0 && len(updated) >= len(old) && bytes.HasPrefix(updated, old) {
-				// Append-only logs grow in place; parse only the new suffix.
-				samples.Ingest(hostID, name, updated[len(old):])
-			} else {
-				// No append baseline (a file's first sync — possibly after
-				// a restart with a restored sample checkpoint — or a
-				// rewritten file): replay the whole mirror and let
-				// timestamps dedupe against what the store already holds.
-				samples.Replay(hostID, name, updated)
-			}
-		}
-		fullLen := trim + len(updated) // the agent-side file size
-		if retain > 0 && len(updated) > retain {
-			cut := len(updated) - retain
-			// Evict whole lines only, so the retained suffix always
-			// starts at a line start (and stays parseable on replay).
-			if i := indexByteFrom(updated, '\n', cut-1); i >= 0 {
-				cut = i + 1
-			} else {
-				cut = len(updated)
-			}
-			c.setTrimmed(hostID, name, trim+cut)
-			updated = updated[cut:]
-		}
-		mirror.Put(name, updated)
 		stats.Files++
-		stats.LiteralBytes += d.LiteralBytes()
-		stats.TotalBytes += fullLen
+		stats.LiteralBytes += literal
+		stats.TotalBytes += size
 	}
 	if bye {
 		if err := sess.Send(ftBye, nil); err != nil {
@@ -513,18 +550,122 @@ func (c *Collector) collectHost(ctx context.Context, sess *wire.Session, hostID 
 	return stats, nil
 }
 
-// indexByteFrom returns the index of the first b at or after start
-// (-1 if none). start may be any value; it is clamped to the slice.
-func indexByteFrom(p []byte, b byte, start int) int {
-	if start < 0 {
-		start = 0
+// syncFile brings one mirrored file up to date and returns the literal
+// bytes that travelled and the agent-side file size. It asks for the
+// file's bytes past the verified prefix; if the agent reports that prefix
+// stale, it asks again from offset 0 against the whole mirror. The file's
+// state changes only once the delta has been applied, so a round cut
+// anywhere leaves the next round starting from the same baseline.
+func (c *Collector) syncFile(sess *wire.Session, hostID, name string, mirror *FileStore, samples *SampleDB, retain int) (literal, size int, err error) {
+	key := fileKey{hostID, name}
+	c.mu.Lock()
+	st := c.files[key]
+	if st == nil {
+		st = &mirrorState{prefix: md5.New()}
+		c.files[key] = st
 	}
-	for i := start; i < len(p); i++ {
-		if p[i] == b {
-			return i
+	off, trim, prefix := st.off, st.trim, st.prefix
+	c.mu.Unlock()
+
+	var tail []byte
+	var d *delta.Delta
+	for {
+		var ok bool
+		if tail, _, ok = mirror.From(name, off-trim); ok {
+			if d, err = c.requestAppend(sess, name, off, prefix, tail); err != nil {
+				return 0, 0, err
+			}
+			if d != nil {
+				break
+			}
+		}
+		if off == 0 && trim == 0 {
+			return 0, 0, fmt.Errorf("monitor: %s/%s: agent reported offset 0 stale", hostID, name)
+		}
+		// Full resync: the whole mirror is only a basis for the
+		// signature, and the reply rebuilds the whole agent file.
+		off, trim, prefix = 0, 0, md5.New()
+	}
+	newTail, err := delta.Apply(tail, d)
+	if err != nil {
+		return 0, 0, fmt.Errorf("monitor: applying delta for %s/%s: %w", hostID, name, err)
+	}
+	base := off - trim // the tail's position in the mirror
+	if err := mirror.Splice(name, base, newTail); err != nil {
+		return 0, 0, err
+	}
+	if samples != nil {
+		if base+len(tail) > 0 && bytes.HasPrefix(newTail, tail) {
+			// Append-only logs grow in place; parse only the new bytes.
+			samples.Ingest(hostID, name, newTail[len(tail):])
+		} else {
+			// No append baseline (a file's first sync — possibly after
+			// a restart with a restored sample checkpoint — or a
+			// rewritten file): replay the whole mirror and let
+			// timestamps dedupe against what the store already holds.
+			whole, _, _ := mirror.From(name, 0)
+			samples.Replay(hostID, name, whole)
 		}
 	}
-	return -1
+	size = off + len(newTail)
+	if retain > 0 && size-trim > retain {
+		// Evict whole lines only, so the retained suffix always starts
+		// at a line start (and stays parseable on replay).
+		rest, _, _ := mirror.From(name, size-trim-retain-1)
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			rest = rest[i+1:]
+		} else {
+			rest = nil
+		}
+		mirror.Put(name, rest)
+		trim = size - len(rest)
+	}
+	newOff := trim + (size-trim)/c.blockSize*c.blockSize
+	if newOff < off {
+		newOff = off // an eviction shifted the block grid; md5 cannot rewind
+	}
+	prefix.Write(newTail[:newOff-off])
+	c.mu.Lock()
+	st.off, st.trim, st.prefix = newOff, trim, prefix
+	c.mu.Unlock()
+	return d.LiteralBytes(), size, nil
+}
+
+// requestAppend sends one append request for the mirror's tail from off
+// on and returns the agent's delta, or nil if the agent reports the
+// prefix stale.
+func (c *Collector) requestAppend(sess *wire.Session, name string, off int, prefix hash.Hash, tail []byte) (*delta.Delta, error) {
+	sig, err := delta.NewSignature(tail, c.blockSize)
+	if err != nil {
+		return nil, err
+	}
+	var sum [md5.Size]byte
+	prefix.Sum(sum[:0])
+	if err := sess.Send(ftAppend, encodeAppend(name, off, sum, sig.Marshal())); err != nil {
+		return nil, err
+	}
+	ft, payload, err := sess.Recv()
+	if err != nil {
+		return nil, err
+	}
+	switch ft {
+	case ftDelta, ftStale:
+	case ftError:
+		return nil, fmt.Errorf("%w: %s: %s", ErrRemote, name, payload)
+	default:
+		return nil, fmt.Errorf("monitor: unexpected frame %d to append request", ft)
+	}
+	rname, body, err := decodeNamed(payload)
+	if err != nil {
+		return nil, err
+	}
+	if rname != name {
+		return nil, fmt.Errorf("monitor: reply for %q, requested %q", rname, name)
+	}
+	if ft == ftStale {
+		return nil, nil
+	}
+	return delta.UnmarshalDelta(body)
 }
 
 func splitLines(s string) []string {

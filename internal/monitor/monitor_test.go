@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"crypto/md5"
 	"errors"
 	"fmt"
 	"net"
@@ -39,6 +40,30 @@ func TestFileStoreBasics(t *testing.T) {
 	if fs.Get(MD5Log)[0] == 'X' {
 		t.Error("Get exposed internal buffer")
 	}
+	// From copies the suffix; only non-append writes move the generation.
+	suffix, gen, ok := fs.From(MD5Log, 6)
+	if !ok || string(suffix) != "line2\n" {
+		t.Errorf("From(6) = %q, %v", suffix, ok)
+	}
+	if _, _, ok := fs.From(MD5Log, 13); ok {
+		t.Error("From past the end succeeded")
+	}
+	fs.Append(MD5Log, []byte("line3\n"))
+	if err := fs.Splice(MD5Log, 18, []byte("line4\n")); err != nil {
+		t.Fatal(err)
+	}
+	if _, g, _ := fs.From(MD5Log, 0); g != gen {
+		t.Errorf("appends moved the generation %d -> %d", gen, g)
+	}
+	if err := fs.Splice(MD5Log, 6, []byte("LINE2\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got, g, _ := fs.From(MD5Log, 0); string(got) != "line1\nLINE2\n" || g == gen {
+		t.Errorf("truncating splice gave %q at generation %d (was %d)", got, g, gen)
+	}
+	if err := fs.Splice(MD5Log, 13, nil); err == nil {
+		t.Error("splice past the end succeeded")
+	}
 }
 
 func TestFileStoreConcurrent(t *testing.T) {
@@ -63,7 +88,7 @@ func TestFileStoreConcurrent(t *testing.T) {
 
 // connectPair builds an authenticated agent/collector session pair over an
 // in-memory pipe.
-func connectPair(t *testing.T, hostID string) (agentSess, collSess *wire.Session) {
+func connectPair(t testing.TB, hostID string) (agentSess, collSess *wire.Session) {
 	t.Helper()
 	keys := wire.Keystore{hostID: []byte("key-" + hostID)}
 	a, c := net.Pipe()
@@ -226,8 +251,8 @@ func TestAgentReportsErrors(t *testing.T) {
 	agent := NewAgent("01", NewFileStore())
 	aSess, cSess := connectPair(t, "01")
 	go func() { _ = agent.Serve(aSess) }()
-	// Send a malformed signature frame directly.
-	if err := cSess.Send(ftSig, encodeNamed("x", []byte("not a signature"))); err != nil {
+	// Send an append request with a malformed signature directly.
+	if err := cSess.Send(ftAppend, encodeAppend("x", 0, md5.Sum(nil), []byte("not a signature"))); err != nil {
 		t.Fatal(err)
 	}
 	ft, payload, err := cSess.Recv()

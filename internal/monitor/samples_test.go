@@ -179,7 +179,7 @@ func TestRetentionDoesNotRetransferEvictedPrefix(t *testing.T) {
 		t.Fatal("round 1 did not trim")
 	}
 
-	// Round 2: only a small tail is new. With ftSigAt the evicted
+	// Round 2: only a small tail is new. With append-verify the evicted
 	// prefix must not come back as literal bytes.
 	tail := sensorLine(at, -3.5)
 	store.Append(SensorLog, tail)
