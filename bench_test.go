@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -67,9 +68,8 @@ func firstLines(s string, n int) string {
 }
 
 // reportPerHostHour normalises a run benchmark to ns per simulated
-// host-hour, the cross-fleet-size figure of merit the scale work is gated
-// on (BENCH_SHARD.json): a 19-host classic run and a 10k-host sharded run
-// land on the same axis.
+// host-hour, the cross-fleet-size figure of merit: a 19-host classic run
+// and a 10k-host sharded run land on the same axis.
 func reportPerHostHour(b *testing.B, hosts int, cfg core.Config) {
 	b.Helper()
 	hours := cfg.End.Sub(cfg.Start).Hours()
@@ -80,120 +80,132 @@ func reportPerHostHour(b *testing.B, hosts int, cfg core.Config) {
 	b.ReportMetric(perRun/(float64(hosts)*hours), "ns/host-hour")
 }
 
-// BenchmarkReferenceRun measures the full normal-phase experiment
-// (35 simulated days, 19 hosts, physics at 1-minute steps).
-func BenchmarkReferenceRun(b *testing.B) {
+// gateSamples is how many pairs of runs a paired gate times per
+// benchmark iteration, so even a one-iteration run judges a median of
+// five.
+const gateSamples = 5
+
+// overheadBudgetPct is the most an instrumented run may cost over its
+// bare twin. The instruments are scrape-time views over counters the
+// engines already maintain, so the hot path gains no allocations.
+const overheadBudgetPct = 5.0
+
+// medianRatio times base and arm back to back, gateSamples pairs per
+// iteration, alternating which goes first and starting each from a
+// freshly collected heap, and returns the median over pairs of arm's
+// wall time divided by base's. Pairing cancels machine drift between
+// samples; the median ignores a sample a noisy neighbour hit.
+func medianRatio(b *testing.B, base, arm func()) float64 {
+	b.Helper()
+	timed := func(f func()) float64 {
+		runtime.GC()
+		t0 := time.Now()
+		f()
+		return float64(time.Since(t0))
+	}
+	ratios := make([]float64, b.N*gateSamples)
+	for i := range ratios {
+		var tb, ta float64
+		if i%2 == 0 {
+			tb = timed(base)
+			ta = timed(arm)
+		} else {
+			ta = timed(arm)
+			tb = timed(base)
+		}
+		ratios[i] = ta / tb
+	}
+	sort.Float64s(ratios)
+	n := len(ratios)
+	return (ratios[(n-1)/2] + ratios[n/2]) / 2
+}
+
+// gateOverhead fails the benchmark when the instrumented run's median
+// paired overhead over the bare run exceeds overheadBudgetPct.
+func gateOverhead(b *testing.B, bare, instrumented func()) {
+	b.Helper()
+	pct := 100 * (medianRatio(b, bare, instrumented) - 1)
+	b.ReportMetric(pct, "overhead_%")
+	if pct > overheadBudgetPct {
+		b.Fatalf("instrumented run costs %.2f%% over the bare run, budget %.0f%%", pct, overheadBudgetPct)
+	}
+}
+
+// referenceRun runs the full normal-phase experiment once (35 simulated
+// days, 19 hosts, physics at 1-minute steps), open-loop or with the E14
+// ventilation controller stepping the damper every 5 simulated minutes.
+// Instrumented, it attaches a live metrics registry and a span tracer
+// and scrapes the registry once at the end. It returns the host count.
+func referenceRun(b *testing.B, closedLoop, instrument bool) int {
+	b.Helper()
 	cfg := core.DefaultConfig(core.ReferenceSeed)
-	hosts := 0
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig(core.ReferenceSeed)
-		cfg.MonitorEvery = 0
-		exp, err := core.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := exp.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		hosts = len(r.Hosts)
+	cfg.MonitorEvery = 0
+	if closedLoop {
+		cc := control.DefaultConfig()
+		cfg.Control = &cc
 	}
-	reportPerHostHour(b, hosts, cfg)
-}
-
-// BenchmarkReferenceRunInstrumented is the telemetry-overhead benchmark:
-// the identical reference run with a live metrics registry and a span
-// tracer attached, plus one end-of-run scrape. The committed contract is
-// that this stays within 5% of BenchmarkReferenceRun — the instruments
-// are scrape-time views over counters the experiment already maintains,
-// so the hot path gains no allocations (see core.TestFailureTickAllocs).
-func BenchmarkReferenceRunInstrumented(b *testing.B) {
-	hosts := 0
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig(core.ReferenceSeed)
-		cfg.MonitorEvery = 0
-		exp, err := core.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reg := telemetry.NewRegistry()
+	exp, err := core.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	if instrument {
 		exp.InstrumentTelemetry(reg)
 		exp.WithTracer(telemetry.NewTracer(telemetry.DefaultTraceCapacity))
-		r, err := exp.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		hosts = len(r.Hosts)
+	}
+	r, err := exp.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if instrument {
 		var sb strings.Builder
 		if err := reg.WritePrometheus(&sb); err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			logOnce(b, "instrumented", firstLines(sb.String(), 4)+
-				fmt.Sprintf("\n… %d trace events recorded", exp.Tracer().Len()))
-		}
-	}
-	reportPerHostHour(b, hosts, core.DefaultConfig(core.ReferenceSeed))
-}
-
-// BenchmarkControlledRun measures the closed-loop reference run: the same
-// 35-day physics with the E14 ventilation controller stepping the damper
-// every 5 simulated minutes. The control stage holds a zero-allocation
-// tick budget (core.TestControlTickAllocs), so the delta over
-// BenchmarkReferenceRun is pure arithmetic, not garbage.
-func BenchmarkControlledRun(b *testing.B) {
-	hosts := 0
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig(core.ReferenceSeed)
-		cfg.MonitorEvery = 0
-		cc := control.DefaultConfig()
-		cfg.Control = &cc
-		exp, err := core.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r, err := exp.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		hosts = len(r.Hosts)
-	}
-	reportPerHostHour(b, hosts, core.DefaultConfig(core.ReferenceSeed))
-}
-
-// BenchmarkControlledRunInstrumented adds the live metrics registry and
-// span tracer to the closed-loop run. The CI overhead gate holds this
-// within 5% of BenchmarkControlledRun: the controller gauges are
-// scrape-time views and the damper counter track writes into the tracer's
-// preallocated ring.
-func BenchmarkControlledRunInstrumented(b *testing.B) {
-	hosts := 0
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig(core.ReferenceSeed)
-		cfg.MonitorEvery = 0
-		cc := control.DefaultConfig()
-		cfg.Control = &cc
-		exp, err := core.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reg := telemetry.NewRegistry()
-		exp.InstrumentTelemetry(reg)
-		exp.WithTracer(telemetry.NewTracer(telemetry.DefaultTraceCapacity))
-		r, err := exp.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		hosts = len(r.Hosts)
-		var sb strings.Builder
-		if err := reg.WritePrometheus(&sb); err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 && !strings.Contains(sb.String(), "frostlab_control_ticks_total") {
+		if closedLoop && !strings.Contains(sb.String(), "frostlab_control_ticks_total") {
 			b.Fatal("instrumented closed-loop run exposes no control metrics")
 		}
 	}
+	return len(r.Hosts)
+}
+
+// BenchmarkReferenceRun measures the full normal-phase experiment.
+func BenchmarkReferenceRun(b *testing.B) {
+	hosts := 0
+	for i := 0; i < b.N; i++ {
+		hosts = referenceRun(b, false, false)
+	}
 	reportPerHostHour(b, hosts, core.DefaultConfig(core.ReferenceSeed))
+}
+
+// BenchmarkControlledRun measures the closed-loop reference run. The
+// control stage holds a zero-allocation tick budget
+// (core.TestControlTickAllocs), so the delta over BenchmarkReferenceRun
+// is pure arithmetic, not garbage.
+func BenchmarkControlledRun(b *testing.B) {
+	hosts := 0
+	for i := 0; i < b.N; i++ {
+		hosts = referenceRun(b, true, false)
+	}
+	reportPerHostHour(b, hosts, core.DefaultConfig(core.ReferenceSeed))
+}
+
+// BenchmarkTelemetryOverhead gates the telemetry plane: the instrumented
+// reference run stays within the overhead budget of the bare one (see
+// core.TestFailureTickAllocs for the hot path's 0 allocs).
+func BenchmarkTelemetryOverhead(b *testing.B) {
+	gateOverhead(b,
+		func() { referenceRun(b, false, false) },
+		func() { referenceRun(b, false, true) })
+}
+
+// BenchmarkControlOverhead gates the closed-loop run's instruments the
+// same way: the controller gauges are scrape-time views and the damper
+// counter track writes into the tracer's preallocated ring.
+func BenchmarkControlOverhead(b *testing.B) {
+	gateOverhead(b,
+		func() { referenceRun(b, true, false) },
+		func() { referenceRun(b, true, true) })
 }
 
 // BenchmarkFig2InstallTimeline regenerates the Fig. 2 installation Gantt.

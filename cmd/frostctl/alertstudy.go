@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"testing"
@@ -24,23 +23,26 @@ import (
 // fault taking effect and the matching alert's firing transition. Each
 // arm runs twice with the same seed; the incident timelines must be
 // byte-identical (digest-compared), and the warm evaluation path must
-// not allocate. The full result lands in BENCH_ALERTS.json so CI can
-// gate detection latency like any other benchmark.
+// not allocate. Each class must also be detected within its MTTD budget;
+// the full result lands in BENCH_ALERTS.json.
 
-type alertsOpts struct {
-	hosts *int
-	days  *int
-	stuck *int
-	out   *string
-}
+// The E16 fleet: six hosts in the collection arms, and an 11-day
+// closed-loop run whose damper jams at 1-based control tick 2601
+// (5-minute cadence).
+const (
+	alertsHosts     = 6
+	alertsDays      = 11
+	alertsStuckTick = 2601
+)
 
-func alertsFlags() alertsOpts {
-	return alertsOpts{
-		hosts: flag.Int("alerts-hosts", 6, "fleet size for the -phase alerts collection arms"),
-		days:  flag.Int("alerts-days", 11, "simulated days for the stuck-damper arm"),
-		stuck: flag.Int("alerts-stuck-tick", 2601, "1-based control tick the damper jams at (5m cadence)"),
-		out:   flag.String("alerts-out", "BENCH_ALERTS.json", "write the study report as JSON to this file (\"\" disables)"),
-	}
+// mttdBudget is each fault class's detection budget in seconds: the
+// MTTDs committed in BENCH_ALERTS.json, so detection can only get faster.
+var mttdBudget = map[string]float64{
+	"sensor-stall": 2400,
+	"network-cut":  1200,
+	"corruption":   1200,
+	"stale-conn":   1200,
+	"stuck-damper": 2400,
 }
 
 // armResult is one fault class's detection record.
@@ -79,7 +81,7 @@ type fleetArm struct {
 	linesPerRound int
 }
 
-func runAlertsStudy(seed string, o alertsOpts) error {
+func runAlertsStudy(seed, out string) error {
 	t0 := time.Date(2010, time.February, 19, 12, 0, 0, 0, time.UTC)
 	cadence := 20 * time.Minute
 
@@ -124,10 +126,10 @@ func runAlertsStudy(seed string, o alertsOpts) error {
 		},
 	}
 
-	fmt.Printf("E16 detection-latency study: %d hosts, seed %q\n\n", *o.hosts, seed)
+	fmt.Printf("E16 detection-latency study: %d hosts, seed %q\n\n", alertsHosts, seed)
 	var results []armResult
 	for _, arm := range arms {
-		res, err := runFleetArmTwice(seed, *o.hosts, t0, cadence, arm)
+		res, err := runFleetArmTwice(seed, alertsHosts, t0, cadence, arm)
 		if err != nil {
 			return fmt.Errorf("%s: %w", arm.class, err)
 		}
@@ -135,7 +137,7 @@ func runAlertsStudy(seed string, o alertsOpts) error {
 		printArm(res)
 	}
 
-	damper, err := runDamperArm(seed, *o.days, *o.stuck)
+	damper, err := runDamperArm(seed, alertsDays, alertsStuckTick)
 	if err != nil {
 		return fmt.Errorf("stuck-damper: %w", err)
 	}
@@ -146,30 +148,45 @@ func runAlertsStudy(seed string, o alertsOpts) error {
 	fmt.Printf("\nwarm eval path: %.3f allocs/tick over 1000 ticks\n", allocs)
 
 	bench := alertsBench{Seed: seed, Classes: results, EvalAllocsPerTick: allocs}
-	if *o.out != "" {
+	if out != "" {
 		data, err := json.MarshalIndent(bench, "", " ")
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*o.out, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("report written to %s\n", *o.out)
+		fmt.Printf("report written to %s\n", out)
 	}
+	return alertsGate(bench)
+}
 
-	// Invariant gates: every fault class must be detected with a finite
-	// MTTD, every replay must be byte-identical, and the warm eval path
-	// must be allocation-free — CI asserts all three by exit status.
-	for _, r := range results {
+// alertsGate is the study's pass/fail decision: every fault class must
+// be detected within its MTTD budget, every replay must be
+// byte-identical, and the warm eval path must be allocation-free.
+func alertsGate(b alertsBench) error {
+	seen := make(map[string]bool, len(b.Classes))
+	for _, r := range b.Classes {
+		seen[r.Class] = true
 		if !r.Detected {
 			return fmt.Errorf("E16: fault class %s never fired rule %s", r.Class, r.Rule)
 		}
 		if !r.ReplayIdentical {
 			return fmt.Errorf("E16: fault class %s replay produced a different timeline", r.Class)
 		}
+		budget, ok := mttdBudget[r.Class]
+		if !ok {
+			return fmt.Errorf("E16: fault class %s has no MTTD budget", r.Class)
+		}
+		if r.MTTDSeconds > budget {
+			return fmt.Errorf("E16: fault class %s MTTD %.0fs over its %.0fs budget", r.Class, r.MTTDSeconds, budget)
+		}
 	}
-	if allocs != 0 {
-		return fmt.Errorf("E16: warm eval path allocates (%.3f allocs/tick)", allocs)
+	if len(seen) != len(mttdBudget) {
+		return fmt.Errorf("E16: the study ran %d of the %d budgeted fault classes", len(seen), len(mttdBudget))
+	}
+	if b.EvalAllocsPerTick != 0 {
+		return fmt.Errorf("E16: warm eval path allocates (%.3f allocs/tick)", b.EvalAllocsPerTick)
 	}
 	return nil
 }

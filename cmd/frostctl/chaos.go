@@ -20,33 +20,27 @@ import (
 // gap ledger records exactly what was lost. The whole run is driven by
 // named RNG streams, so the same seed and fault spec replay bit-identically.
 
+// The E13 fleet and fault mix: nine hosts collected over twelve rounds,
+// per-attempt fault probabilities, three attempts per host-round, and
+// breakers that open after two failed rounds and skip two before probing.
+const (
+	chaosHosts    = 9
+	chaosRounds   = 12
+	chaosPRefuse  = 0.05
+	chaosPStall   = 0.05
+	chaosPCut     = 0.05
+	chaosPCorrupt = 0.1
+)
+
 type chaosOpts struct {
-	hosts    *int
-	rounds   *int
-	pRefuse  *float64
-	pCut     *float64
-	pCorrupt *float64
-	pStall   *float64
-	down     *string
-	stalled  *string
-	retries  *int
-	trip     *int
-	cooldown *int
+	down    *string
+	stalled *string
 }
 
 func chaosFlags() chaosOpts {
 	return chaosOpts{
-		hosts:    flag.Int("chaos-hosts", 9, "fleet size for -phase chaos"),
-		rounds:   flag.Int("chaos-rounds", 12, "collection rounds for -phase chaos"),
-		pRefuse:  flag.Float64("p-refuse", 0.05, "per-attempt probability of a refused dial"),
-		pCut:     flag.Float64("p-cut", 0.05, "per-attempt probability of a mid-frame cut"),
-		pCorrupt: flag.Float64("p-corrupt", 0.1, "per-attempt probability of payload bit corruption"),
-		pStall:   flag.Float64("p-stall", 0.05, "per-attempt probability of a read stall"),
-		down:     flag.String("down", "", "crash schedule host=from-to[,host=from-to] (rounds, open end: from-)"),
-		stalled:  flag.String("stalled", "", "stall schedule, same syntax as -down"),
-		retries:  flag.Int("chaos-retries", 3, "collection attempts per host per round"),
-		trip:     flag.Int("breaker-trip", 2, "consecutive failed rounds before a host's breaker opens"),
-		cooldown: flag.Int("breaker-cooldown", 2, "rounds an open breaker skips before probing"),
+		down:    flag.String("down", "", "crash schedule host=from-to[,host=from-to] (rounds, open end: from-)"),
+		stalled: flag.String("stalled", "", "stall schedule, same syntax as -down"),
 	}
 }
 
@@ -94,10 +88,10 @@ func runChaosStudy(seed string, o chaosOpts, traceTo string) error {
 	}
 	inj, err := chaos.New(chaos.Spec{
 		Seed:       seed + "/chaos",
-		PRefuse:    *o.pRefuse,
-		PStallRead: *o.pStall,
-		PCut:       *o.pCut,
-		PCorrupt:   *o.pCorrupt,
+		PRefuse:    chaosPRefuse,
+		PStallRead: chaosPStall,
+		PCut:       chaosPCut,
+		PCorrupt:   chaosPCorrupt,
 		Down:       down,
 		Stalled:    stalled,
 	})
@@ -105,9 +99,9 @@ func runChaosStudy(seed string, o chaosOpts, traceTo string) error {
 		return err
 	}
 
-	ids := make([]string, *o.hosts)
-	agents := make(map[string]*monitor.Agent, *o.hosts)
-	keys := make(wire.Keystore, *o.hosts)
+	ids := make([]string, chaosHosts)
+	agents := make(map[string]*monitor.Agent, chaosHosts)
+	keys := make(wire.Keystore, chaosHosts)
 	for i := range ids {
 		id := fmt.Sprintf("%02d", i+1)
 		ids[i] = id
@@ -129,8 +123,8 @@ func runChaosStudy(seed string, o chaosOpts, traceTo string) error {
 		Dial:         inj.WrapDialer(monitor.InProcessDialer(agents, keys, seed)),
 		KeyFor:       keys.Lookup,
 		NonceFor:     monitor.InProcessNonces(seed),
-		Retry:        monitor.RetryPolicy{MaxAttempts: *o.retries, BaseBackoff: time.Second, Multiplier: 2},
-		Breaker:      monitor.BreakerConfig{Trip: *o.trip, Cooldown: *o.cooldown},
+		Retry:        monitor.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Second, Multiplier: 2},
+		Breaker:      monitor.BreakerConfig{Trip: 2, Cooldown: 2},
 		PhaseTimeout: 2 * time.Second,
 		RoundTimeout: 30 * time.Second,
 		Jitter:       monitor.DeterministicJitter(seed),
@@ -142,11 +136,11 @@ func runChaosStudy(seed string, o chaosOpts, traceTo string) error {
 		return err
 	}
 
-	fmt.Printf("E13 monitoring-outage study: %d hosts, %d rounds, seed %q\n", *o.hosts, *o.rounds, seed)
+	fmt.Printf("E13 monitoring-outage study: %d hosts, %d rounds, seed %q\n", chaosHosts, chaosRounds, seed)
 	fmt.Printf("faults: refuse %.2f, stall %.2f, cut %.2f, corrupt %.2f; down %q; stalled %q\n\n",
-		*o.pRefuse, *o.pStall, *o.pCut, *o.pCorrupt, *o.down, *o.stalled)
+		chaosPRefuse, chaosPStall, chaosPCut, chaosPCorrupt, *o.down, *o.stalled)
 	at := time.Date(2010, time.February, 19, 12, 0, 0, 0, time.UTC)
-	for round := 1; round <= *o.rounds; round++ {
+	for round := 1; round <= chaosRounds; round++ {
 		rep := fc.Round(context.Background(), at)
 		at = at.Add(20 * time.Minute)
 		var notes []string

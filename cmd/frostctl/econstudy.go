@@ -19,23 +19,25 @@ import (
 // per climate family, each on its geographic tariff — swept over
 // placement policy x fleet composition x price regime. The study reports
 // $/kWh-derived cost and gCO₂ per completed work-cycle for every cell,
-// and gates four invariants by exit status: the whole sweep replays
+// and gates five invariants by exit status: the whole sweep replays
 // byte-identically (digest-compared double run), the warm multi-site
 // tick is allocation-free, every cell conserves work-cycles exactly,
-// and follow-the-cold beats static placement on at least one
-// (fleet, tariff) pair. The full result lands in BENCH_ECON.json.
+// follow-the-cold beats static placement on at least one (fleet, tariff)
+// pair, and every cell completes a share of its demand in (0, 1]. The
+// full result lands in BENCH_ECON.json.
+
+// econHosts is the E17 fleet's hosts per site.
+const econHosts = 9
 
 type econOpts struct {
-	days  *int
-	hosts *int
-	out   *string
+	days *int
+	out  *string
 }
 
 func econFlags() econOpts {
 	return econOpts{
-		days:  flag.Int("econ-days", 28, "simulated days per sweep cell"),
-		hosts: flag.Int("econ-hosts", 9, "hosts per site"),
-		out:   flag.String("econ-out", "BENCH_ECON.json", "write the study report as JSON to this file (\"\" disables)"),
+		days: flag.Int("econ-days", 28, "simulated days per sweep cell"),
+		out:  flag.String("econ-out", "BENCH_ECON.json", "write the study report as JSON to this file (\"\" disables)"),
 	}
 }
 
@@ -72,12 +74,9 @@ func runEconStudy(seed string, o econOpts) error {
 	if *o.days < 1 {
 		return fmt.Errorf("-econ-days must be at least 1, got %d", *o.days)
 	}
-	if *o.hosts < 1 {
-		return fmt.Errorf("-econ-hosts must be at least 1, got %d", *o.hosts)
-	}
 	spec := campaign.DefaultEconSpec(seed)
 	spec.Days = *o.days
-	spec.HostsPerSite = *o.hosts
+	spec.HostsPerSite = econHosts
 
 	fmt.Printf("E17 economics study: %d-day cells, %d hosts/site, seed %q\n\n", spec.Days, spec.HostsPerSite, seed)
 
@@ -107,7 +106,7 @@ func runEconStudy(seed string, o econOpts) error {
 		}
 	}
 
-	allocs := measureEconTickAllocs(seed, *o.hosts)
+	allocs := measureEconTickAllocs(seed)
 
 	text, err := report.Econ(sum)
 	if err != nil {
@@ -169,18 +168,29 @@ func runEconStudy(seed string, o econOpts) error {
 		}
 		fmt.Printf("report written to %s\n", *o.out)
 	}
+	return econGate(bench)
+}
 
-	// Invariant gates, asserted by exit status so CI can hold the study.
-	if !replayOK {
+// econGate is the study's pass/fail decision: the sweep replays
+// identically, the warm tick is allocation-free, every cell conserves
+// work-cycles and completes a share of its demand in (0, 1], and
+// follow-cold beats static on at least one pair.
+func econGate(b econBench) error {
+	if !b.ReplayIdentical {
 		return fmt.Errorf("E17: sweep replay produced a different digest")
 	}
-	if allocs != 0 {
-		return fmt.Errorf("E17: warm multi-site tick allocates (%.3f allocs/tick)", allocs)
+	if b.WarmTickAllocs != 0 {
+		return fmt.Errorf("E17: warm multi-site tick allocates (%.3f allocs/tick)", b.WarmTickAllocs)
 	}
-	if !conservationOK {
+	if !b.ConservationOK {
 		return fmt.Errorf("E17: work-cycle conservation violated")
 	}
-	if wins == 0 {
+	for _, c := range b.Cells {
+		if !(c.Completion > 0 && c.Completion <= 1) {
+			return fmt.Errorf("E17: %s/%s/%s completion %v out of (0, 1]", c.Policy, c.Set, c.Tariff, c.Completion)
+		}
+	}
+	if b.FollowColdWins == 0 {
 		return fmt.Errorf("E17: follow-cold never beat static placement")
 	}
 	return nil
@@ -189,12 +199,8 @@ func runEconStudy(seed string, o econOpts) error {
 // measureEconTickAllocs warms a default multi-site engine past its cold
 // caches, then measures mallocs across 100 dispatch ticks. The tentpole
 // claim is zero.
-func measureEconTickAllocs(seed string, hosts int) float64 {
-	cfg := core.DefaultMultiSiteConfig(seed + "/allocs")
-	for i := range cfg.Sites {
-		cfg.Sites[i].Hosts = hosts
-	}
-	eng, err := core.NewMultiSite(cfg)
+func measureEconTickAllocs(seed string) float64 {
+	eng, err := core.NewMultiSite(core.DefaultMultiSiteConfig(seed + "/allocs"))
 	if err != nil {
 		panic(err)
 	}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	frostctl [-seed SEED] [-phase all|prototype|normal|chaos|control|serve|alerts|econ] [-monitor 20m]
-//	         [-days N] [-csv DIR] [-events] [-trace out.json]
+//	         [-days N] [-csv DIR] [-trace out.json]
 //	frostctl -tents N [-hosts-per-tent 9] [-shards K] [-days N] [-csv DIR] [-save out.json]
 //
 // With no flags it reproduces the reference run (seed winter0910-r115).
@@ -14,7 +14,8 @@
 // model, stepped as parallel per-tent shards, reported as fleet-level
 // aggregates. Results are byte-identical at any -shards value or GOMAXPROCS.
 // -phase chaos runs the E13 monitoring-outage study instead: an in-process
-// fleet collected under seeded fault injection (see -chaos-* flags).
+// fleet collected under seeded fault injection, with scripted host crashes
+// and stalls from -down and -stalled.
 // -phase control runs the E14 free-cooling control study: the winter and
 // spring scenarios open-loop vs closed-loop, with envelope residency
 // measured identically for every arm (see -control-* flags).
@@ -25,7 +26,7 @@
 // -phase alerts runs the E16 detection-latency study: every injectable
 // fault class against the rules engine, measuring MTTD per class,
 // checking replay byte-identity and the zero-alloc eval path, writing
-// BENCH_ALERTS.json (see -alerts-* flags).
+// BENCH_ALERTS.json (see -alerts-out).
 // -phase econ runs the E17 economics study: the multi-site fleet (one
 // site per climate family, each on its geographic tariff) swept over
 // placement policy x fleet x price regime, reporting $ and gCO2 per
@@ -71,7 +72,6 @@ func run() error {
 	monitor := flag.Duration("monitor", 20*time.Minute, "monitoring cadence (0 disables the rsync plane)")
 	days := flag.Int("days", 0, "override the normal-phase length in days (0 = paper horizon)")
 	csvDir := flag.String("csv", "", "write temperature/humidity CSVs into this directory")
-	events := flag.Bool("events", false, "print the full experiment event log")
 	saveTo := flag.String("save", "", "save the run's results as JSON to this file")
 	loadFrom := flag.String("load", "", "skip the simulation; render a previously saved run")
 	mdTo := flag.String("md", "", "write a complete markdown run report to this file")
@@ -84,7 +84,7 @@ func run() error {
 	ch := chaosFlags()
 	co := controlFlags()
 	se := serveFlags()
-	al := alertsFlags()
+	alertsOut := flag.String("alerts-out", "BENCH_ALERTS.json", "write the E16 study report as JSON to this file (\"\" disables)")
 	eo := econFlags()
 	flag.Parse()
 
@@ -121,7 +121,7 @@ func run() error {
 		return runControlStudy(*seed, co)
 	}
 	if *phase == "alerts" {
-		return runAlertsStudy(*seed, al)
+		return runAlertsStudy(*seed, *alertsOut)
 	}
 	if *phase == "econ" {
 		return runEconStudy(*seed, eo)
@@ -233,10 +233,6 @@ func run() error {
 		return err
 	}
 	fmt.Println(report.TableEconomizer(cmp))
-
-	if *events {
-		fmt.Println(report.EventLog(r))
-	}
 
 	if *csvDir != "" {
 		if err := writeCSVs(*csvDir, r); err != nil {

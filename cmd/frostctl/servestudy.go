@@ -31,7 +31,6 @@ type serveOpts struct {
 	roundEvery *time.Duration
 	queue      *int
 	inflight   *int
-	cacheTTL   *time.Duration
 	pStale     *float64
 	out        *string
 }
@@ -49,16 +48,13 @@ func serveFlags() serveOpts {
 		roundEvery: flag.Duration("serve-round-every", 250*time.Millisecond, "collection-round cadence during the run"),
 		queue:      flag.Int("serve-queue", 4, "ingest queue capacity (rounds; oldest shed when full)"),
 		inflight:   flag.Int("serve-inflight", 64, "dash admission watermark (concurrent requests before 503)"),
-		cacheTTL:   flag.Duration("serve-cache-ttl", time.Second, "dash scrape-cache TTL"),
 		pStale:     flag.Float64("serve-stale", 0.05, "per-(host,round) probability a pooled keepalive went stale"),
 		out:        flag.String("serve-out", "BENCH_SERVE.json", "write the full report as JSON to this file (\"\" disables)"),
 	}
 }
 
-// runServeStudy drives E15 and gates on its invariants: the study exits
-// non-zero if any request went unaccounted, any healthz probe failed, or
-// the ingest queue's accounting does not balance — so CI can assert
-// graceful degradation by exit status alone.
+// runServeStudy drives E15 and exits non-zero when serveGate rejects the
+// report, so CI can assert graceful degradation by exit status alone.
 func runServeStudy(ctx context.Context, seed string, o serveOpts) error {
 	cfg := loadgen.Config{
 		Seed:        seed + "/serve",
@@ -69,7 +65,6 @@ func runServeStudy(ctx context.Context, seed string, o serveOpts) error {
 		RoundEvery:    *o.roundEvery,
 		QueueCapacity: *o.queue,
 		MaxInflight:   *o.inflight,
-		CacheTTL:      *o.cacheTTL,
 		PStaleConn:    *o.pStale,
 	}
 	fmt.Printf("E15 serving-load study: %d agents, %d scrapers, %.0f rps sustain (spike ×%.1f), seed %q\n",
@@ -117,9 +112,14 @@ func runServeStudy(ctx context.Context, seed string, o serveOpts) error {
 		}
 		fmt.Printf("report written to %s\n", *o.out)
 	}
+	return serveGate(rep)
+}
 
-	// Invariant gates: a study that sheds load is healthy; a study that
-	// loses track of load, or goes dark, is not.
+// serveGate is the study's pass/fail decision. A study that sheds load
+// is healthy; one that loses track of load, goes dark, leaks goroutines,
+// fails collection rounds, or serves the sustain phase slower than
+// 250 ms at p99 is not.
+func serveGate(rep *loadgen.Report) error {
 	if n := rep.Unaccounted(); n != 0 {
 		return fmt.Errorf("E15: %d requests unaccounted (arrivals != ok+rejected+errors+dropped)", n)
 	}
@@ -128,6 +128,22 @@ func runServeStudy(ctx context.Context, seed string, o serveOpts) error {
 	}
 	if rep.Ingest.Offered != rep.Ingest.Done+rep.Ingest.Shed+rep.Ingest.Failed {
 		return fmt.Errorf("E15: ingest accounting broken: %+v", rep.Ingest)
+	}
+	sustain := rep.PhaseByName("sustain")
+	if sustain == nil {
+		return fmt.Errorf("E15: report has no sustain phase")
+	}
+	if sustain.P99Ms > 250 {
+		return fmt.Errorf("E15: sustain-phase p99 %.2f ms above the 250 ms budget", sustain.P99Ms)
+	}
+	if rep.Healthz.Probes == 0 {
+		return fmt.Errorf("E15: serving plane never probed under load")
+	}
+	if g := rep.Goroutines; g.After > g.Before+8 {
+		return fmt.Errorf("E15: goroutine leak across the load run: %d -> %d", g.Before, g.After)
+	}
+	if n := rep.RoundsPlane.Failed; n != 0 {
+		return fmt.Errorf("E15: %d collection host-rounds failed under scrape load", n)
 	}
 	return nil
 }

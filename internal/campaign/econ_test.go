@@ -30,13 +30,21 @@ func TestEconSweepShape(t *testing.T) {
 	if len(sum.Cells) != 12 || calls != 12 {
 		t.Fatalf("expected 12 cells, got %d (callbacks %d)", len(sum.Cells), calls)
 	}
-	labels := map[string]bool{}
+	// The exact roster, in sweep order: policy outermost, then fleet,
+	// then price regime.
+	want := [][3]string{
+		{"static", "continental", "paired"}, {"static", "continental", "flat"},
+		{"static", "coastal", "paired"}, {"static", "coastal", "flat"},
+		{"follow-cold", "continental", "paired"}, {"follow-cold", "continental", "flat"},
+		{"follow-cold", "coastal", "paired"}, {"follow-cold", "coastal", "flat"},
+		{"follow-green", "continental", "paired"}, {"follow-green", "continental", "flat"},
+		{"follow-green", "coastal", "paired"}, {"follow-green", "coastal", "flat"},
+	}
 	for i := range sum.Cells {
 		c := &sum.Cells[i]
-		if labels[c.Label] {
-			t.Fatalf("duplicate cell label %q", c.Label)
+		if got := [3]string{c.Policy, c.Set, c.Tariff}; got != want[i] {
+			t.Fatalf("cell %d is %v, want %v", i, got, want[i])
 		}
-		labels[c.Label] = true
 		if c.Result == nil || c.Result.Ticks == 0 {
 			t.Fatalf("cell %s has no result", c.Label)
 		}

@@ -75,7 +75,7 @@ type ActuatorSpec struct {
 
 // Validate checks the spec.
 func (s ActuatorSpec) Validate() error {
-	if s.PStick < 0 || s.PStick > 1 || s.PLag < 0 || s.PLag > 1 {
+	if !(s.PStick >= 0 && s.PStick <= 1 && s.PLag >= 0 && s.PLag <= 1) {
 		return fmt.Errorf("chaos: actuator probability outside [0,1]: stick %v, lag %v", s.PStick, s.PLag)
 	}
 	if s.PStick+s.PLag > 1 {

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"testing"
 )
 
@@ -18,6 +19,8 @@ func TestActuatorSpecValidate(t *testing.T) {
 	}
 	bad := []ActuatorSpec{
 		{Seed: "s", PStick: -0.1},
+		{Seed: "s", PStick: math.NaN()},
+		{Seed: "s", PLag: math.NaN()},
 		{Seed: "s", PStick: 0.7, PLag: 0.7},
 		{Seed: "s", Stuck: map[string][]RoundRange{"damper": {{From: 0, To: 2}}}},
 		{Seed: "s", Lagged: map[string][]RoundRange{"damper": {{From: 5, To: 2}}}},

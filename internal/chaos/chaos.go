@@ -133,7 +133,7 @@ func (s Spec) Validate() error {
 	ps := []float64{s.PRefuse, s.PStallRead, s.PStallWrite, s.PCut, s.PCorrupt}
 	sum := 0.0
 	for _, p := range ps {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("chaos: probability %v outside [0,1]", p)
 		}
 		sum += p
@@ -141,7 +141,7 @@ func (s Spec) Validate() error {
 	if sum > 1 {
 		return fmt.Errorf("chaos: fault probabilities sum to %v > 1", sum)
 	}
-	if s.PStaleConn < 0 || s.PStaleConn > 1 {
+	if !(s.PStaleConn >= 0 && s.PStaleConn <= 1) {
 		return fmt.Errorf("chaos: PStaleConn %v outside [0,1]", s.PStaleConn)
 	}
 	for host, ranges := range s.Down {

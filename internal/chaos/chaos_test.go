@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -162,6 +163,9 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if _, err := chaos.New(chaos.Spec{PCorrupt: -0.1}); err == nil {
 		t.Error("negative probability accepted")
+	}
+	if _, err := chaos.New(chaos.Spec{PCut: math.NaN()}); err == nil {
+		t.Error("NaN probability accepted")
 	}
 	if _, err := chaos.New(chaos.Spec{Down: map[string][]chaos.RoundRange{"01": {{From: 5, To: 2}}}}); err == nil {
 		t.Error("inverted round range accepted")

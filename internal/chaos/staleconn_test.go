@@ -2,6 +2,7 @@ package chaos_test
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -66,6 +67,9 @@ func TestStaleConnValidation(t *testing.T) {
 	}
 	if _, err := chaos.New(chaos.Spec{PStaleConn: -0.1}); err == nil {
 		t.Error("negative PStaleConn accepted")
+	}
+	if _, err := chaos.New(chaos.Spec{PStaleConn: math.NaN()}); err == nil {
+		t.Error("NaN PStaleConn accepted")
 	}
 	// PStaleConn is its own channel: a full-rate stale-conn spec composes
 	// with attempt probabilities summing to 1.

@@ -160,7 +160,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	var poolFault func(string, int) bool
-	if cfg.PStaleConn > 0 {
+	if cfg.PStaleConn != 0 {
 		inj, err := chaos.New(chaos.Spec{Seed: cfg.Seed + "/chaos", PStaleConn: cfg.PStaleConn})
 		if err != nil {
 			return nil, err

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -180,5 +181,15 @@ func TestRunRespectsContext(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("cancelled run took %v", elapsed)
+	}
+}
+
+// TestRunRejectsBadStaleProbability: a negative or NaN PStaleConn is an
+// error from the chaos plane, not a silent run without chaos.
+func TestRunRejectsBadStaleProbability(t *testing.T) {
+	for _, p := range []float64{-1, math.NaN()} {
+		if _, err := Run(context.Background(), Config{Seed: "bad-stale", Agents: 2, PStaleConn: p}); err == nil {
+			t.Errorf("PStaleConn %v accepted", p)
+		}
 	}
 }

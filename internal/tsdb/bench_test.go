@@ -67,8 +67,8 @@ func BenchmarkBlockDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeNsPerSample reports the per-sample decode cost the CI
-// gate reads (<= 50 ns/sample).
+// BenchmarkDecodeNsPerSample gates the per-sample decode cost of the
+// sensor corpus at 50 ns/sample.
 func BenchmarkDecodeNsPerSample(b *testing.B) {
 	corpus := sensorCorpus(1 << 14)
 	bl := NewBuilder(DefaultBlockSamples)
@@ -86,26 +86,32 @@ func BenchmarkDecodeNsPerSample(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if total > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/sample")
+	perSample := float64(b.Elapsed().Nanoseconds()) / float64(total)
+	b.ReportMetric(perSample, "ns/sample")
+	if perSample > 50 {
+		b.Fatalf("decode costs %.2f ns/sample, budget 50", perSample)
 	}
 }
 
-func BenchmarkCompressionRatio(b *testing.B) {
+// TestCompressionRatio gates the encoding on the sensor corpus: at least
+// 6x smaller than raw 16-byte (timestamp, value) samples. The corpus and
+// encoder are deterministic, so the ratio is too.
+func TestCompressionRatio(t *testing.T) {
 	corpus := sensorCorpus(1 << 14)
-	var blocks []Block
-	for i := 0; i < b.N; i++ {
-		bl := NewBuilder(DefaultBlockSamples)
-		for _, smp := range corpus {
-			_ = bl.Append(smp.t, smp.v)
+	bl := NewBuilder(DefaultBlockSamples)
+	for _, smp := range corpus {
+		if err := bl.Append(smp.t, smp.v); err != nil {
+			t.Fatal(err)
 		}
-		blocks = bl.Finish()
 	}
 	comp := 0
-	for _, blk := range blocks {
+	for _, blk := range bl.Finish() {
 		comp += blk.CompressedBytes()
 	}
-	b.ReportMetric(float64(24*len(corpus))/float64(comp), "x_vs_point24")
-	b.ReportMetric(float64(16*len(corpus))/float64(comp), "x_vs_raw16")
-	b.ReportMetric(float64(comp*8)/float64(len(corpus)), "bits/sample")
+	ratio := float64(16*len(corpus)) / float64(comp)
+	t.Logf("%.2fx vs raw16, %.2fx vs point24, %.2f bits/sample",
+		ratio, float64(24*len(corpus))/float64(comp), float64(comp*8)/float64(len(corpus)))
+	if ratio < 6 {
+		t.Fatalf("compression %.2fx vs raw16, budget at least 6x", ratio)
+	}
 }
