@@ -399,6 +399,13 @@ func checkpointSamples(db *monitor.SampleDB, dir string) error {
 		os.Remove(tmp)
 		return err
 	}
+	// Sync before the rename, so a crash cannot publish a file whose
+	// bytes never reached the disk.
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return err

@@ -59,6 +59,13 @@ func (s *Spec) saveCheckpoint(pt point, rep int, r *core.Results) {
 		os.Remove(tmp)
 		return
 	}
+	// Sync before the rename, so a crash cannot publish a checkpoint whose
+	// chunks never all reached the disk.
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return
+	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return
