@@ -59,6 +59,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -389,28 +390,45 @@ func checkpointSamples(db *monitor.SampleDB, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, segmentName+".tmp")
+	return writeFileAtomic(filepath.Join(dir, segmentName), db.Store().WriteSegment)
+}
+
+// writeFileAtomic replaces path with what write produces. It writes a
+// temporary file beside path, syncs it, renames it over path and syncs
+// the directory, so a failed write or a crash leaves the previous file or
+// the new one, never a torn mix.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := db.Store().WriteSegment(f); err != nil {
-		f.Close()
+	err = write(f)
+	if err == nil {
+		// Sync before the rename, so a crash cannot publish a file whose
+		// bytes never reached the disk.
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	// Sync before the rename, so a crash cannot publish a file whose
-	// bytes never reached the disk.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	// Sync the directory too, so the rename itself survives a crash.
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	return os.Rename(tmp, filepath.Join(dir, segmentName))
+	return err
 }
 
 // restoreSamples loads the checkpoint segment if one exists.
@@ -448,7 +466,12 @@ func dumpMirror(coll *monitor.Collector, hostID, dir string) error {
 		return err
 	}
 	for _, name := range m.Names() {
-		if err := os.WriteFile(filepath.Join(base, name), m.Get(name), 0o644); err != nil {
+		data := m.Get(name)
+		err := writeFileAtomic(filepath.Join(base, name), func(w io.Writer) error {
+			_, err := w.Write(data)
+			return err
+		})
+		if err != nil {
 			return err
 		}
 	}

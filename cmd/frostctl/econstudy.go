@@ -89,7 +89,8 @@ func runEconStudy(seed string, o econOpts) error {
 	if err != nil {
 		return fmt.Errorf("replay run: %w", err)
 	}
-	replayOK := sum.Digest() == again.Digest()
+	sweepDigest, cellDigests := sum.Digests()
+	replayOK := sweepDigest == again.Digest()
 
 	// Conservation gate: re-derive every cell's work-cycle accounting from
 	// the results (the engine also checks internally on Run).
@@ -126,7 +127,7 @@ func runEconStudy(seed string, o econOpts) error {
 	if !replayOK {
 		replay = "REPLAY DIVERGED"
 	}
-	fmt.Printf("sweep digest %s (%s)\n", sum.Digest(), replay)
+	fmt.Printf("sweep digest %s (%s)\n", sweepDigest, replay)
 	fmt.Printf("warm multi-site tick: %.3f allocs over 100 ticks\n", allocs)
 	fmt.Printf("follow-cold beats static on %d of %d (fleet, tariff) pairs\n", wins, len(keys))
 
@@ -134,7 +135,7 @@ func runEconStudy(seed string, o econOpts) error {
 		Seed:              seed,
 		Days:              spec.Days,
 		HostsPerSite:      spec.HostsPerSite,
-		SweepDigest:       sum.Digest(),
+		SweepDigest:       sweepDigest,
 		ReplayIdentical:   replayOK,
 		WarmTickAllocs:    allocs,
 		ConservationOK:    conservationOK,
@@ -155,7 +156,7 @@ func runEconStudy(seed string, o econOpts) error {
 			EnergyKWh:      float64(r.TotalMeter.Energy()),
 			Migrated:       r.Migrated,
 			Shed:           r.Shed,
-			Digest:         r.Digest(),
+			Digest:         cellDigests[i],
 		})
 	}
 	if *o.out != "" {

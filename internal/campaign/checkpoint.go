@@ -70,7 +70,16 @@ func (s *Spec) saveCheckpoint(pt point, rep int, r *core.Results) {
 		os.Remove(tmp)
 		return
 	}
-	_ = os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return
+	}
+	// Sync the directory too, so the rename itself survives a crash; a
+	// failure only risks this checkpoint, like every error here.
+	if d, err := os.Open(s.CheckpointDir); err == nil {
+		_ = d.Sync()
+		d.Close()
+	}
 }
 
 // loadCheckpoint restores a replicate summary from a previous campaign,

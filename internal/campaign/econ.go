@@ -171,15 +171,24 @@ type EconSummary struct {
 // Digest hashes every cell's replay digest (with its label) into the
 // sweep's replay identity: the quantity the CI econ gate double-runs.
 func (s *EconSummary) Digest() string {
+	sweep, _ := s.Digests()
+	return sweep
+}
+
+// Digests returns the sweep digest together with the cell digests it
+// hashes, in cell order, computing each cell's once.
+func (s *EconSummary) Digests() (sweep string, cells []string) {
 	h := md5.New()
+	cells = make([]string, len(s.Cells))
 	for i := range s.Cells {
 		c := &s.Cells[i]
+		cells[i] = c.Result.Digest()
 		io.WriteString(h, c.Label)
 		io.WriteString(h, "=")
-		io.WriteString(h, c.Result.Digest())
+		io.WriteString(h, cells[i])
 		io.WriteString(h, "\n")
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return fmt.Sprintf("%x", h.Sum(nil)), cells
 }
 
 // Cell returns the cell with the given axes, or nil.

@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"testing"
+
+	"frostlab/internal/core"
 )
 
 // smallEconSpec keeps sweep tests fast: one week, two fleets, all
@@ -157,6 +159,26 @@ func TestEconSpecValidate(t *testing.T) {
 	for i := range bad {
 		if err := bad[i].Validate(); err == nil {
 			t.Errorf("bad spec %d accepted", i)
+		}
+	}
+}
+
+// econSweepDigest is the full E17 sweep's digest at the reference seed,
+// the digest BENCH_ECON.json records.
+const econSweepDigest = "78230808af470362704333dd269cb66b"
+
+// BenchmarkEconSweep times the full E17 sweep at the reference seed, one
+// sweep per iteration, digest included, and fails unless every
+// iteration's digest is the recorded one.
+func BenchmarkEconSweep(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sum, err := RunEcon(DefaultEconSpec(core.ReferenceSeed))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := sum.Digest(); got != econSweepDigest {
+			b.Fatalf("sweep digest %s, want %s", got, econSweepDigest)
 		}
 	}
 }

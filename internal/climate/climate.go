@@ -20,7 +20,6 @@ package climate
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -245,46 +244,22 @@ func build(f Family, p Params, epoch time.Time, seed string) (weather.Model, err
 		epoch:    epoch,
 		latitude: p.Latitude,
 	}
-	mix := func(stream string, n int, minP, maxP time.Duration) []harmonic {
-		hs := make([]harmonic, n)
-		for i := range hs {
-			frac := float64(i) / float64(n)
-			hs[i] = harmonic{
-				amp:    rng.Uniform(stream, 0.5, 1.0) / float64(n) * 2,
-				period: time.Duration(float64(minP) + frac*float64(maxP-minP)),
-				phase:  rng.Uniform(stream, 0, 2*math.Pi),
-			}
-		}
-		return hs
-	}
 	switch f.kind {
 	case overlayFog:
 		// Fog index wanders on synoptic-ish scales; banks roll in when it
 		// exceeds the threshold, more often at higher stress.
-		ov.index = mix("fog", 5, 18*time.Hour, 4*24*time.Hour)
+		ov.index = weather.Mix(rng, "fog", 5, 1, 0.5, 18*time.Hour, 4*24*time.Hour)
 		ov.threshold = 0.55 - 0.35*p.Stress
 	case overlayMonsoon:
 		// Onset ramps in after two weeks; bursts modulate within the season.
-		ov.index = mix("burst", 4, 9*time.Hour, 3*24*time.Hour)
+		ov.index = weather.Mix(rng, "burst", 4, 1, 0.5, 9*time.Hour, 3*24*time.Hour)
 		ov.onset = epoch.AddDate(0, 0, 14)
 		ov.ramp = 5 * 24 * time.Hour
 	case overlayTropical:
 		// Small wandering component on top of the deterministic night cycle.
-		ov.index = mix("night", 3, 12*time.Hour, 2*24*time.Hour)
+		ov.index = weather.Mix(rng, "night", 3, 1, 0.5, 12*time.Hour, 2*24*time.Hour)
 	}
 	return ov, nil
-}
-
-// harmonic is one component of an overlay's seeded sinusoid mixture.
-type harmonic struct {
-	amp    float64
-	period time.Duration
-	phase  float64
-}
-
-func (h harmonic) at(t, epoch time.Time) float64 {
-	x := t.Sub(epoch).Seconds() / h.period.Seconds()
-	return h.amp * math.Sin(2*math.Pi*x+h.phase)
 }
 
 // overlay applies a family's characteristic transform on top of the base
@@ -299,7 +274,7 @@ type overlay struct {
 	epoch    time.Time
 	latitude float64
 
-	index     []harmonic
+	index     []weather.Harmonic
 	threshold float64
 	onset     time.Time
 	ramp      time.Duration
@@ -308,6 +283,7 @@ type overlay struct {
 // At implements weather.Model.
 func (o *overlay) At(t time.Time) weather.Conditions {
 	c := o.base.At(t)
+	sec := t.Sub(o.epoch).Seconds()
 	switch o.kind {
 	case overlayTropical:
 		// Nights near the equator saturate: once the sun is below the
@@ -316,10 +292,7 @@ func (o *overlay) At(t time.Time) weather.Conditions {
 		// plane's dew-point guard exists for.
 		elev := weather.SolarElevation(o.latitude, t)
 		night := clamp01(-elev / 10)
-		wander := 0.0
-		for _, h := range o.index {
-			wander += h.at(t, o.epoch)
-		}
+		wander := weather.AddMix(0, o.index, sec)
 		nf := clamp01(night*(0.8+0.2*wander)) * o.stress
 		// Pull toward saturation, never drying air that is already wetter
 		// than the night target.
@@ -328,10 +301,7 @@ func (o *overlay) At(t time.Time) weather.Conditions {
 			c.RH = units.RelHumidity(rh).Clamp()
 		}
 	case overlayFog:
-		idx := 0.0
-		for _, h := range o.index {
-			idx += h.at(t, o.epoch)
-		}
+		idx := weather.AddMix(0, o.index, sec)
 		if idx > o.threshold {
 			f := clamp01((idx - o.threshold) / 0.3)
 			c.RH = units.RelHumidity(float64(c.RH) + (100-float64(c.RH))*0.9*f).Clamp()
@@ -344,11 +314,7 @@ func (o *overlay) At(t time.Time) weather.Conditions {
 			m = clamp01(float64(t.Sub(o.onset)) / float64(o.ramp))
 		}
 		if m > 0 {
-			burst := 0.7
-			for _, h := range o.index {
-				burst += h.at(t, o.epoch)
-			}
-			burst = clamp01(burst)
+			burst := clamp01(weather.AddMix(0.7, o.index, sec))
 			mm := m * o.stress
 			c.RH = units.RelHumidity(float64(c.RH) + (98-float64(c.RH))*mm*burst).Clamp()
 			c.Irradiance *= units.WattsPerSquareMeter(1 - 0.6*mm*burst)

@@ -462,6 +462,14 @@ func (s *jsonStream) float(f float64) {
 	}
 }
 
+// gfloat writes f as a quoted shortest 'g' string, the %g form, which
+// needs no escaping and keeps NaN and ±Inf.
+func (s *jsonStream) gfloat(f float64) {
+	s.b = append(s.b, '"')
+	s.b = strconv.AppendFloat(s.b, f, 'g', -1, 64)
+	s.b = append(s.b, '"')
+}
+
 // time writes t as time.Time.MarshalJSON does for the times
 // preflightResults lets through.
 func (s *jsonStream) time(t time.Time) {
@@ -555,9 +563,7 @@ func (s *jsonStream) seriesField(k string, ts *timeseries.Series) {
 			s.elem()
 			s.time(p.At.UTC())
 			s.elem()
-			s.b = append(s.b, '"')
-			s.b = strconv.AppendFloat(s.b, p.Value, 'g', -1, 64)
-			s.b = append(s.b, '"')
+			s.gfloat(p.Value)
 			s.close(']')
 		}
 		s.close(']')

@@ -146,6 +146,9 @@ type siteState struct {
 	spanW   units.Watts // fleet full-load draw minus idle
 	maxFan  units.Watts
 	envTick int // ticks with intake inside the allowable envelope
+	// rates is the tariff at the current tick, evaluated once in phase 1
+	// and reused for migration charges and the price trace.
+	rates econ.Rates
 
 	// Preallocated per-tick traces (capacity = tick count).
 	intake   []float64
@@ -290,6 +293,7 @@ func (e *MultiSite) Step() bool {
 		s.tent.SetVentilation(out.Damper)
 
 		rates := s.tariff.At(at)
+		s.rates = rates
 		env := s.ctl.Config().Envelope
 		safe := !out.Guard && env.Contains(inside, insideRH)
 		if env.Contains(inside, insideRH) {
@@ -359,11 +363,10 @@ func (e *MultiSite) Step() bool {
 		s.meter.CyclesShed += shedShare
 		if paired > 0 {
 			d := e.nextAssign[i] - e.prevAssign[i]
-			rates := s.tariff.At(at)
 			if d > 0 {
 				in := d * paired / flowIn
 				s.meter.CyclesIn += in
-				s.meter.ChargeMigration(in, migrationCost, rates)
+				s.meter.ChargeMigration(in, migrationCost, s.rates)
 			} else if d < 0 {
 				s.meter.CyclesOut += -d * paired / flowOut
 			}
@@ -371,7 +374,7 @@ func (e *MultiSite) Step() bool {
 		s.intake = append(s.intake, float64(e.states[i].Intake))
 		s.damper = append(s.damper, e.ctlDamper(i))
 		s.assigned = append(s.assigned, e.nextAssign[i])
-		s.price = append(s.price, s.tariff.At(at).Price)
+		s.price = append(s.price, s.rates.Price)
 	}
 	copy(e.prevAssign, e.nextAssign)
 

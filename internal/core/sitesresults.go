@@ -2,7 +2,7 @@ package core
 
 import (
 	"crypto/md5"
-	"encoding/json"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"strconv"
@@ -69,124 +69,106 @@ func (r *FleetResult) Completion() float64 {
 
 // Multi-site serialization. This is a separate, self-contained schema —
 // deliberately NOT an extension of the single-site results file in
-// serialize.go, whose byte stream anchors the reference-seed md5.
+// serialize.go, whose byte stream anchors the reference-seed md5 — but it
+// is written by the same jsonStream.
 
 // fleetFileVersion guards the multi-site schema.
 const fleetFileVersion = 1
 
-// f formats a float canonically for the digest: shortest round-trip form,
-// so the JSON bytes are a pure function of the values.
-func ffmt(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func ffmts(vs []float64) []string {
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = ffmt(v)
-	}
-	return out
-}
-
-type meterDTO struct {
-	ITEnergyKWh   string `json:"it_energy_kwh"`
-	VentEnergyKWh string `json:"vent_energy_kwh"`
-	MigrationKWh  string `json:"migration_energy_kwh"`
-	CostUSD       string `json:"cost_usd"`
-	CarbonG       string `json:"carbon_g"`
-	CyclesDone    string `json:"cycles_done"`
-	CyclesShed    string `json:"cycles_shed"`
-	CyclesIn      string `json:"cycles_in"`
-	CyclesOut     string `json:"cycles_out"`
-}
-
-func meterToDTO(m econ.Meter) meterDTO {
-	return meterDTO{
-		ITEnergyKWh:   ffmt(float64(m.ITEnergy)),
-		VentEnergyKWh: ffmt(float64(m.VentEnergy)),
-		MigrationKWh:  ffmt(float64(m.MigrationEnergy)),
-		CostUSD:       ffmt(m.CostUSD),
-		CarbonG:       ffmt(m.CarbonG),
-		CyclesDone:    ffmt(m.CyclesDone),
-		CyclesShed:    ffmt(m.CyclesShed),
-		CyclesIn:      ffmt(m.CyclesIn),
-		CyclesOut:     ffmt(m.CyclesOut),
-	}
-}
-
-type siteDTO struct {
-	Name          string   `json:"name"`
-	Climate       string   `json:"climate"`
-	Tariff        string   `json:"tariff"`
-	Hosts         int      `json:"hosts"`
-	Meter         meterDTO `json:"meter"`
-	EnvelopeTicks int      `json:"envelope_ticks"`
-	GuardTrips    int      `json:"guard_trips"`
-	EnvOverride   int      `json:"envelope_override_ticks"`
-	Intake        []string `json:"intake_c"`
-	Damper        []string `json:"damper"`
-	Assigned      []string `json:"assigned_cycles"`
-	Price         []string `json:"price_usd_kwh"`
-}
-
-type fleetDTO struct {
-	Version  int       `json:"version"`
-	Policy   string    `json:"policy"`
-	Seed     string    `json:"seed"`
-	Start    string    `json:"start"`
-	End      string    `json:"end"`
-	StepSec  int64     `json:"step_seconds"`
-	Ticks    int       `json:"ticks"`
-	Demanded string    `json:"demanded_cycles"`
-	Shed     string    `json:"shed_cycles"`
-	Migrated string    `json:"migrated_cycles"`
-	Total    meterDTO  `json:"total"`
-	Sites    []siteDTO `json:"sites"`
-}
-
-func fleetToDTO(r *FleetResult) fleetDTO {
-	d := fleetDTO{
-		Version:  fleetFileVersion,
-		Policy:   r.Policy,
-		Seed:     r.Seed,
-		Start:    r.Start.UTC().Format(time.RFC3339Nano),
-		End:      r.End.UTC().Format(time.RFC3339Nano),
-		StepSec:  int64(r.Step / time.Second),
-		Ticks:    r.Ticks,
-		Demanded: ffmt(r.Demanded),
-		Shed:     ffmt(r.Shed),
-		Migrated: ffmt(r.Migrated),
-		Total:    meterToDTO(r.TotalMeter),
-	}
-	for i := range r.Sites {
-		s := &r.Sites[i]
-		d.Sites = append(d.Sites, siteDTO{
-			Name:          s.Name,
-			Climate:       s.Climate,
-			Tariff:        s.Tariff,
-			Hosts:         s.Hosts,
-			Meter:         meterToDTO(s.Meter),
-			EnvelopeTicks: s.EnvelopeTicks,
-			GuardTrips:    s.ControlStats.GuardTrips,
-			EnvOverride:   s.ControlStats.EnvelopeTicks,
-			Intake:        ffmts(s.Intake),
-			Damper:        ffmts(s.Damper),
-			Assigned:      ffmts(s.Assigned),
-			Price:         ffmts(s.Price),
-		})
-	}
-	return d
-}
-
 // WriteFleetJSON serializes a multi-site result canonically: fixed field
-// order (struct order), shortest-round-trip floats, UTC RFC3339 times.
-// The byte stream is a pure function of the result, which is what makes
-// Digest a replay-identity check.
+// order, floats as quoted shortest-round-trip 'g' strings, UTC RFC3339
+// times, one-space indent. The byte stream is a pure function of the
+// result, which is what makes Digest a replay-identity check. It is
+// appended straight from r; every field encodes, so the only error is
+// w's.
 func WriteFleetJSON(w io.Writer, r *FleetResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(fleetToDTO(r)); err != nil {
-		return fmt.Errorf("core: encoding fleet results: %w", err)
+	s := &jsonStream{w: w, b: make([]byte, 0, saveChunkBytes+saveChunkBytes/4)}
+	s.open('{')
+	s.intField("version", fleetFileVersion)
+	s.strField("policy", r.Policy)
+	s.strField("seed", r.Seed)
+	s.utcField("start", r.Start)
+	s.utcField("end", r.End)
+	s.key("step_seconds")
+	s.b = strconv.AppendInt(s.b, int64(r.Step/time.Second), 10)
+	s.intField("ticks", r.Ticks)
+	s.gField("demanded_cycles", r.Demanded)
+	s.gField("shed_cycles", r.Shed)
+	s.gField("migrated_cycles", r.Migrated)
+	s.meterField("total", &r.TotalMeter)
+	s.key("sites")
+	if len(r.Sites) == 0 {
+		s.null()
+	} else {
+		s.open('[')
+		for i := range r.Sites {
+			site := &r.Sites[i]
+			s.elem()
+			s.open('{')
+			s.strField("name", site.Name)
+			s.strField("climate", site.Climate)
+			s.strField("tariff", site.Tariff)
+			s.intField("hosts", site.Hosts)
+			s.meterField("meter", &site.Meter)
+			s.intField("envelope_ticks", site.EnvelopeTicks)
+			s.intField("guard_trips", site.ControlStats.GuardTrips)
+			s.intField("envelope_override_ticks", site.ControlStats.EnvelopeTicks)
+			s.gsField("intake_c", site.Intake)
+			s.gsField("damper", site.Damper)
+			s.gsField("assigned_cycles", site.Assigned)
+			s.gsField("price_usd_kwh", site.Price)
+			s.close('}')
+		}
+		s.close(']')
+	}
+	s.close('}')
+	s.b = append(s.b, '\n')
+	s.flush()
+	if s.err != nil {
+		return fmt.Errorf("core: encoding fleet results: %w", s.err)
 	}
 	return nil
+}
+
+// utcField writes t in UTC as an RFC3339Nano string; unlike a time
+// value, the string form has no year range to refuse.
+func (s *jsonStream) utcField(k string, t time.Time) {
+	s.key(k)
+	s.b = append(s.b, '"')
+	s.b = t.UTC().AppendFormat(s.b, time.RFC3339Nano)
+	s.b = append(s.b, '"')
+}
+
+func (s *jsonStream) gField(k string, v float64) {
+	s.key(k)
+	s.gfloat(v)
+}
+
+// gsField writes vs as an array of 'g' strings; nil writes [] like an
+// empty slice.
+func (s *jsonStream) gsField(k string, vs []float64) {
+	s.key(k)
+	s.open('[')
+	for _, v := range vs {
+		s.elem()
+		s.gfloat(v)
+	}
+	s.close(']')
+}
+
+func (s *jsonStream) meterField(k string, m *econ.Meter) {
+	s.key(k)
+	s.open('{')
+	s.gField("it_energy_kwh", float64(m.ITEnergy))
+	s.gField("vent_energy_kwh", float64(m.VentEnergy))
+	s.gField("migration_energy_kwh", float64(m.MigrationEnergy))
+	s.gField("cost_usd", m.CostUSD)
+	s.gField("carbon_g", m.CarbonG)
+	s.gField("cycles_done", m.CyclesDone)
+	s.gField("cycles_shed", m.CyclesShed)
+	s.gField("cycles_in", m.CyclesIn)
+	s.gField("cycles_out", m.CyclesOut)
+	s.close('}')
 }
 
 // Digest returns the md5 of the canonical serialization — the multi-site
@@ -194,10 +176,6 @@ func WriteFleetJSON(w io.Writer, r *FleetResult) error {
 // digests at any GOMAXPROCS; the CI econ gate enforces this.
 func (r *FleetResult) Digest() string {
 	h := md5.New()
-	if err := WriteFleetJSON(h, r); err != nil {
-		// The encoder writes to a hash; the only failure mode is a
-		// programming bug in the DTO (e.g. an unencodable type).
-		panic(err)
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	_ = WriteFleetJSON(h, r) // a hash never fails a write
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -22,6 +22,7 @@ import (
 
 	"frostlab/internal/simkernel"
 	"frostlab/internal/units"
+	"frostlab/internal/weather"
 )
 
 // Rates is one snapshot of the grid at a site: the spot electricity price
@@ -88,18 +89,7 @@ func (c TariffConfig) Validate() error {
 // source trivially safe to share across sites and shards.
 type Synthetic struct {
 	cfg    TariffConfig
-	wander []harmonic
-}
-
-type harmonic struct {
-	amp    float64
-	period time.Duration
-	phase  float64
-}
-
-func (h harmonic) at(t, epoch time.Time) float64 {
-	x := t.Sub(epoch).Seconds() / h.period.Seconds()
-	return h.amp * math.Sin(2*math.Pi*x+h.phase)
+	wander []weather.Harmonic
 }
 
 // NewSynthetic builds a synthetic tariff from the config.
@@ -108,18 +98,10 @@ func NewSynthetic(cfg TariffConfig) (*Synthetic, error) {
 		return nil, err
 	}
 	rng := simkernel.NewRNG(cfg.Seed)
-	s := &Synthetic{cfg: cfg}
-	const n = 5
-	for i := 0; i < n; i++ {
-		frac := float64(i) / n
-		minP, maxP := 7*time.Hour, 6*24*time.Hour
-		s.wander = append(s.wander, harmonic{
-			amp:    cfg.Volatility * rng.Uniform("price", 0.4, 1.0) / n * 2,
-			period: time.Duration(float64(minP) + frac*float64(maxP-minP)),
-			phase:  rng.Uniform("price", 0, 2*math.Pi),
-		})
-	}
-	return s, nil
+	return &Synthetic{
+		cfg:    cfg,
+		wander: weather.Mix(rng, "price", 5, cfg.Volatility, 0.4, 7*time.Hour, 6*24*time.Hour),
+	}, nil
 }
 
 // At implements Source. Prices and intensities are clamped at zero: the
@@ -138,9 +120,7 @@ func (s *Synthetic) At(t time.Time) Rates {
 		price -= s.cfg.DuckAmp * belly
 		carbon *= 1 - 0.5*belly
 	}
-	for _, h := range s.wander {
-		price += h.at(t, s.cfg.Epoch)
-	}
+	price = weather.AddMix(price, s.wander, t.Sub(s.cfg.Epoch).Seconds())
 	return Rates{Price: math.Max(0, price), Carbon: math.Max(0, carbon)}
 }
 

@@ -58,16 +58,46 @@ type Cloner interface {
 // HelsinkiLatitude is the latitude of the experiment site in degrees north.
 const HelsinkiLatitude = 60.2
 
-// harmonic is one component of a sinusoid mixture.
-type harmonic struct {
-	amp    float64
-	period time.Duration
-	phase  float64 // radians
+// Harmonic is one component of a seeded sinusoid mixture. The weather,
+// climate-overlay and tariff models all draw theirs with Mix and evaluate
+// them at the seconds elapsed since their epoch, computed once per
+// instant.
+type Harmonic struct {
+	Amp    float64
+	Period float64 // seconds
+	Phase  float64 // radians
 }
 
-func (h harmonic) at(t time.Time, epoch time.Time) float64 {
-	x := t.Sub(epoch).Seconds() / h.period.Seconds()
-	return h.amp * math.Sin(2*math.Pi*x+h.phase)
+// At returns the harmonic's value sec seconds after its epoch.
+func (h Harmonic) At(sec float64) float64 {
+	x := sec / h.Period
+	return h.Amp * math.Sin(2*math.Pi*x+h.Phase)
+}
+
+// Mix draws n harmonics from an RNG stream: harmonic i has period
+// minP + i/n·(maxP−minP), amplitude ampScale·U(ampLo, 1)/n·2 and a
+// uniform phase, drawn in that order.
+func Mix(rng *simkernel.RNG, stream string, n int, ampScale, ampLo float64, minP, maxP time.Duration) []Harmonic {
+	hs := make([]Harmonic, n)
+	for i := range hs {
+		frac := float64(i) / float64(n)
+		p := time.Duration(float64(minP) + frac*float64(maxP-minP))
+		hs[i] = Harmonic{
+			Amp:    ampScale * rng.Uniform(stream, ampLo, 1.0) / float64(n) * 2,
+			Period: p.Seconds(),
+			Phase:  rng.Uniform(stream, 0, 2*math.Pi),
+		}
+	}
+	return hs
+}
+
+// AddMix returns acc plus each harmonic of hs at sec, added one by one
+// in order.
+func AddMix(acc float64, hs []Harmonic, sec float64) float64 {
+	for _, h := range hs {
+		acc += h.At(sec)
+	}
+	return acc
 }
 
 // coldSnap is a Gaussian-shaped temperature dip anchoring an extreme event.
@@ -87,16 +117,17 @@ func (c coldSnap) at(t time.Time) float64 {
 type Synthetic struct {
 	epoch     time.Time
 	latitude  float64
-	seasonal  func(t time.Time) float64 // slowly varying mean temperature
-	diurnalA  float64                   // °C amplitude of the daily cycle at epoch
-	synoptic  []harmonic                // multi-day temperature variation
-	humid     []harmonic                // RH variation
-	windH     []harmonic                // wind variation
-	cloudH    []harmonic                // cloud-fraction variation
+	meanTemp  float64    // seasonal mean temperature at epoch, °C
+	warming   float64    // seasonal trend, °C/day
+	diurnalA  float64    // °C amplitude of the daily cycle at epoch
+	synoptic  []Harmonic // multi-day temperature variation
+	humid     []Harmonic // RH variation
+	windH     []Harmonic // wind variation
+	cloudH    []Harmonic // cloud-fraction variation
 	snaps     []coldSnap
 	windMean  float64
 	rhMean    float64
-	tempNoise []harmonic // short-period jitter standing in for turbulence
+	tempNoise []Harmonic // short-period jitter standing in for turbulence
 
 	// Same-instant memo: within one simulated instant the environment step,
 	// the failure step, and the station sampler all query the same t, so the
@@ -157,32 +188,17 @@ func NewSynthetic(cfg Config) (*Synthetic, error) {
 		return nil, fmt.Errorf("weather: mean RH %v out of range", cfg.MeanRH)
 	}
 	rng := simkernel.NewRNG(cfg.Seed)
-	mix := func(stream string, n int, ampScale float64, minP, maxP time.Duration) []harmonic {
-		hs := make([]harmonic, n)
-		for i := range hs {
-			frac := float64(i) / float64(n)
-			p := time.Duration(float64(minP) + frac*float64(maxP-minP))
-			hs[i] = harmonic{
-				amp:    ampScale * rng.Uniform(stream, 0.4, 1.0) / float64(n) * 2,
-				period: p,
-				phase:  rng.Uniform(stream, 0, 2*math.Pi),
-			}
-		}
-		return hs
-	}
 	s := &Synthetic{
-		epoch:    cfg.Epoch,
-		latitude: cfg.Latitude,
-		seasonal: func(t time.Time) float64 {
-			days := t.Sub(cfg.Epoch).Hours() / 24
-			return cfg.MeanTempAtEpoch + cfg.WarmingPerDay*days
-		},
+		epoch:     cfg.Epoch,
+		latitude:  cfg.Latitude,
+		meanTemp:  cfg.MeanTempAtEpoch,
+		warming:   cfg.WarmingPerDay,
 		diurnalA:  cfg.DiurnalAmplitude,
-		synoptic:  mix("synoptic", 7, cfg.SynopticAmplitude, 40*time.Hour, 15*24*time.Hour),
-		humid:     mix("humidity", 5, 9, 20*time.Hour, 8*24*time.Hour),
-		windH:     mix("wind", 5, 2.2, 6*time.Hour, 5*24*time.Hour),
-		cloudH:    mix("cloud", 5, 0.5, 12*time.Hour, 9*24*time.Hour),
-		tempNoise: mix("noise", 4, 0.6, 9*time.Minute, 3*time.Hour),
+		synoptic:  Mix(rng, "synoptic", 7, cfg.SynopticAmplitude, 0.4, 40*time.Hour, 15*24*time.Hour),
+		humid:     Mix(rng, "humidity", 5, 9, 0.4, 20*time.Hour, 8*24*time.Hour),
+		windH:     Mix(rng, "wind", 5, 2.2, 0.4, 6*time.Hour, 5*24*time.Hour),
+		cloudH:    Mix(rng, "cloud", 5, 0.5, 0.4, 12*time.Hour, 9*24*time.Hour),
+		tempNoise: Mix(rng, "noise", 4, 0.6, 0.4, 9*time.Minute, 3*time.Hour),
 		windMean:  cfg.MeanWind,
 		rhMean:    cfg.MeanRH,
 	}
@@ -257,40 +273,37 @@ func (s *Synthetic) Clone() *Synthetic {
 // CloneModel implements Cloner.
 func (s *Synthetic) CloneModel() Model { return s.Clone() }
 
+// eval computes the conditions at t from the time since the epoch, taken
+// once: every harmonic sees the same elapsed seconds, and the seasonal
+// mean and the diurnal growth the same elapsed days.
 func (s *Synthetic) eval(t time.Time) Conditions {
+	elapsed := t.Sub(s.epoch)
+	sec := elapsed.Seconds()
+	days := elapsed.Hours() / 24
 	elev := SolarElevation(s.latitude, t)
-	cloud := s.cloudFraction(t)
+	cloud := s.cloudFraction(sec)
 
-	temp := s.seasonal(t)
+	seasonal := s.meanTemp + s.warming*days
+	temp := seasonal
 	// Diurnal cycle: coldest near 06:00, warmest near 15:00 local; its
 	// amplitude grows as the sun climbs through spring.
 	hour := float64(t.Hour()) + float64(t.Minute())/60
-	diurnalGrowth := 1 + math.Max(0, t.Sub(s.epoch).Hours()/24)*0.02
+	diurnalGrowth := 1 + math.Max(0, days)*0.02
 	temp += s.diurnalA * diurnalGrowth * math.Sin(2*math.Pi*(hour-10.5)/24)
-	for _, h := range s.synoptic {
-		temp += h.at(t, s.epoch)
-	}
-	for _, h := range s.tempNoise {
-		temp += h.at(t, s.epoch)
-	}
+	temp = AddMix(temp, s.synoptic, sec)
+	temp = AddMix(temp, s.tempNoise, sec)
 	for _, c := range s.snaps {
 		temp += c.at(t)
 	}
 
 	// RH: high base in winter; anticorrelated with temperature anomaly
 	// (cold snaps are dry, Arctic air), plus its own variation.
-	anomaly := temp - s.seasonal(t)
-	rh := s.rhMean - 0.9*anomaly
-	for _, h := range s.humid {
-		rh += h.at(t, s.epoch)
-	}
+	anomaly := temp - seasonal
+	rh := AddMix(s.rhMean-0.9*anomaly, s.humid, sec)
 	// Overcast air is moister.
 	rh += 8 * (cloud - 0.5)
 
-	wind := s.windMean
-	for _, h := range s.windH {
-		wind += h.at(t, s.epoch)
-	}
+	wind := AddMix(s.windMean, s.windH, sec)
 	if wind < 0 {
 		wind = 0
 	}
@@ -312,12 +325,9 @@ func (s *Synthetic) eval(t time.Time) Conditions {
 	}
 }
 
-// cloudFraction returns the 0..1 cloud cover at t.
-func (s *Synthetic) cloudFraction(t time.Time) float64 {
-	c := 0.62 // Finnish winters are mostly overcast
-	for _, h := range s.cloudH {
-		c += h.at(t, s.epoch)
-	}
+// cloudFraction returns the 0..1 cloud cover sec seconds after the epoch.
+func (s *Synthetic) cloudFraction(sec float64) float64 {
+	c := AddMix(0.62, s.cloudH, sec) // Finnish winters are mostly overcast
 	if c < 0 {
 		c = 0
 	}
