@@ -316,7 +316,7 @@ func BenchmarkTablePUE(b *testing.B) {
 func BenchmarkPrototypeWeekend(b *testing.B) {
 	var out string
 	for i := 0; i < b.N; i++ {
-		p, err := core.RunPrototype(core.DefaultPrototypeConfig(core.ReferenceSeed))
+		p, err := core.RunPrototype(core.ReferenceSeed)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -114,6 +114,8 @@ func run() error {
 				status = "FAILED: " + rs.Err
 			} else if rs.FromCheckpoint {
 				status += " (checkpoint)"
+			} else if rs.CheckpointErr != "" {
+				status += " (checkpoint write failed: " + rs.CheckpointErr + ")"
 			}
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s rep %d (%s): %s\n",
 				done, total, rs.Point, rs.Rep, rs.Seed, status)
@@ -136,6 +138,9 @@ func run() error {
 			time.Since(started).Round(time.Millisecond), summary.Completed, summary.TotalRuns)
 		if *checkpoint != "" {
 			fmt.Printf(" and checkpointed; re-run the same command to resume")
+			if summary.CheckpointFailed > 0 {
+				fmt.Printf(" (%d checkpoint write(s) failed and will re-run)", summary.CheckpointFailed)
+			}
 		}
 		fmt.Println(".")
 		return nil

@@ -137,7 +137,7 @@ func run() error {
 		fmt.Println(s)
 	}
 	if want == "all" || want == "prototype" {
-		p, err := core.RunPrototype(core.DefaultPrototypeConfig(*seed))
+		p, err := core.RunPrototype(*seed)
 		if err != nil {
 			return err
 		}

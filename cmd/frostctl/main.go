@@ -94,6 +94,10 @@ func run() error {
 		return fmt.Errorf("unknown -phase %q (want all | prototype | normal | chaos | control | serve | alerts | econ)", *phase)
 	}
 
+	if *days < 0 {
+		return fmt.Errorf("-days must not be negative, got %d", *days)
+	}
+
 	if *listClim || *listPol {
 		if *listClim {
 			listClimates()
@@ -133,7 +137,7 @@ func run() error {
 	}
 
 	if *phase == "all" || *phase == "prototype" {
-		proto, err := core.RunPrototype(core.DefaultPrototypeConfig(*seed))
+		proto, err := core.RunPrototype(*seed)
 		if err != nil {
 			return err
 		}

@@ -47,7 +47,8 @@ type Spec struct {
 	Reps int
 	// Workers is the worker-pool width; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Days overrides the normal-phase length (0 = the paper horizon).
+	// Days overrides the normal-phase length (0 = the paper horizon;
+	// negative is rejected).
 	Days int
 	// EnvelopeGrid is the resampling bucket for cross-run envelopes;
 	// <= 0 selects DefaultEnvelopeGrid.

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -182,6 +183,67 @@ func TestCheckpointRejectsOtherRun(t *testing.T) {
 	}
 	if n := run(longer).Checkpoint; n != 2 {
 		t.Errorf("identical rerun restored %d replicates, want 2", n)
+	}
+}
+
+// TestCheckpointWriteFailuresCounted points the checkpoint directory at a
+// regular file, so every replicate's write fails. The failures are
+// counted, and the pooled statistics and the report are those of a run
+// without checkpoints, plus the one line that reports the count.
+func TestCheckpointWriteFailuresCounted(t *testing.T) {
+	const reps = 3
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec := fastSpec("checkpoint-fail", reps, 2)
+	spec.CheckpointDir = notDir
+	var failed int
+	spec.Progress = func(done, total int, rs campaign.RunSummary) {
+		if rs.CheckpointErr != "" {
+			failed++
+		}
+	}
+	sum, err := campaign.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Completed != reps || sum.CheckpointFailed != reps || failed != reps {
+		t.Fatalf("completed %d, checkpoint failures %d (progress saw %d), want %d each",
+			sum.Completed, sum.CheckpointFailed, failed, reps)
+	}
+
+	base, err := campaign.Run(context.Background(), fastSpec("checkpoint-fail", reps, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.CheckpointFailed != 0 {
+		t.Fatalf("run without checkpoints counted %d failures", base.CheckpointFailed)
+	}
+	if !reflect.DeepEqual(sum.Points, base.Points) {
+		t.Error("pooled statistics differ from a run without checkpoints")
+	}
+	got := strings.Split(report.Campaign(sum), "\n")
+	want := strings.Split(report.Campaign(base), "\n")
+	countLine := "3 checkpoint write(s) failed; a resumed campaign re-runs those replicates"
+	if len(got) != len(want)+1 || got[1] != countLine {
+		t.Fatalf("report lines %d (line 2 %q), want %d plus %q", len(got), got[1], len(want), countLine)
+	}
+	got = append(got[:1], got[2:]...)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("report line %d: %q, want %q", i+1, got[i], want[i])
+		}
+	}
+}
+
+// TestRunRejectsNegativeDays: a negative horizon is an error, not a
+// silent run of the paper window.
+func TestRunRejectsNegativeDays(t *testing.T) {
+	spec := fastSpec("negative", 1, 1)
+	spec.Days = -1
+	if sum, err := campaign.Run(context.Background(), spec); err == nil {
+		t.Fatalf("days -1 accepted (summary %+v)", sum)
 	}
 }
 

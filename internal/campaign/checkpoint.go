@@ -39,47 +39,50 @@ func sanitizeLabel(label string) string {
 	return b.String()
 }
 
-// saveCheckpoint persists a finished replicate. Best-effort: campaigns
-// keep their statistics even when the checkpoint directory is unwritable.
-func (s *Spec) saveCheckpoint(pt point, rep int, r *core.Results) {
+// saveCheckpoint persists a finished replicate. A failed write costs only
+// resume for this replicate, never its statistics; runOne records it so
+// the campaign summary can count it.
+func (s *Spec) saveCheckpoint(pt point, rep int, r *core.Results) error {
 	if s.CheckpointDir == "" {
-		return
+		return nil
 	}
 	if err := os.MkdirAll(s.CheckpointDir, 0o755); err != nil {
-		return
+		return err
 	}
 	path := s.checkpointPath(pt, rep)
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return
+		return err
 	}
 	if err := core.SaveResults(f, r); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return
+		return err
 	}
 	// Sync before the rename, so a crash cannot publish a checkpoint whose
 	// chunks never all reached the disk.
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return
+		return err
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return
+		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return
+		return err
 	}
-	// Sync the directory too, so the rename itself survives a crash; a
-	// failure only risks this checkpoint, like every error here.
+	// Sync the directory too, so the rename itself survives a crash. The
+	// rename has already published a complete checkpoint that a resume
+	// reads, so a failed directory sync is not a failed write.
 	if d, err := os.Open(s.CheckpointDir); err == nil {
 		_ = d.Sync()
 		d.Close()
 	}
+	return nil
 }
 
 // loadCheckpoint restores a replicate summary from a previous campaign,

@@ -32,6 +32,9 @@ func Run(ctx context.Context, spec Spec) (*Summary, error) {
 	if spec.Reps <= 0 {
 		return nil, fmt.Errorf("campaign: reps must be positive, got %d", spec.Reps)
 	}
+	if spec.Days < 0 {
+		return nil, fmt.Errorf("campaign: days must not be negative, got %d", spec.Days)
+	}
 	if spec.Workers <= 0 {
 		spec.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -153,6 +156,8 @@ func (s *Spec) runOne(ctx context.Context, j job) (rs RunSummary) {
 	// Persist before reporting: a checkpointed run is one the next
 	// campaign never re-pays for. A persistence failure only disables
 	// resume for this replicate; the statistics are unaffected.
-	s.saveCheckpoint(j.pt, j.rep, r)
+	if err := s.saveCheckpoint(j.pt, j.rep, r); err != nil {
+		sum.CheckpointErr = err.Error()
+	}
 	return sum
 }

@@ -36,6 +36,10 @@ type RunSummary struct {
 	// FromCheckpoint marks a replicate restored from the checkpoint
 	// directory instead of re-run.
 	FromCheckpoint bool
+	// CheckpointErr is non-empty when the replicate ran but its
+	// checkpoint write failed: its statistics count, but a resumed
+	// campaign re-runs it.
+	CheckpointErr string
 
 	Tent, Control, Initial stats.Rate
 	TotalCycles            uint64
@@ -167,7 +171,9 @@ type Summary struct {
 	Completed  int
 	Failed     int
 	Checkpoint int
-	Points     []*PointAggregate
+	// CheckpointFailed counts replicates whose checkpoint write failed.
+	CheckpointFailed int
+	Points           []*PointAggregate
 }
 
 // powerLevels is the power-analysis table's grid.
@@ -322,6 +328,9 @@ func (s *Spec) buildSummary(pts []point, sums []RunSummary, total int) *Summary 
 		}
 		if rs.FromCheckpoint {
 			out.Checkpoint++
+		}
+		if rs.CheckpointErr != "" {
+			out.CheckpointFailed++
 		}
 	}
 	for _, pt := range pts {

@@ -24,8 +24,35 @@ import (
 )
 
 // PaperPagesPerCycle is §4.2.2's implied memory traffic per workload cycle:
-// about 3.2 billion pages over 27 627 runs.
+// about 3.2 billion pages over 27 627 runs. Soft-error sampling uses this
+// paper-scale figure, NOT the scaled-down tree's own traffic, so corruption
+// statistics match §4.2.2.
 const PaperPagesPerCycle = int64(3.2e9) / 27627
+
+// The testbed's fixed instrument set and calibration. No run varies them;
+// DESIGN.md §4 lists where each comes from.
+const (
+	// lascarInterval is the Lascar EL-USB-2 logger's sampling cadence.
+	lascarInterval = 5 * time.Minute
+	// stationInterval is the SMEAR-style outdoor sampling cadence.
+	stationInterval = 10 * time.Minute
+	// envStep is the physics step of the enclosure model.
+	envStep = time.Minute
+	// failureStep is how often host failure hazards are sampled.
+	failureStep = 15 * time.Minute
+	// dutyCycle is the average load fraction of the 10-minute cycle.
+	dutyCycle = 0.25
+	// chipSusceptibility is the fraction of sensor chips that can develop
+	// the §4.2.1 cold glitch.
+	chipSusceptibility = 0.25
+	// repairDelay is how long a crashed host waits for inspection and
+	// reset (§4.2.1: the Saturday-morning failure was reset on Monday).
+	repairDelay = 48 * time.Hour
+)
+
+// failureParams calibrates the reliability engine; both engines read it,
+// the sharded one on every tick.
+var failureParams = failure.DefaultParams()
 
 // ReferenceSeed selects the reproduction's reference sample path. The
 // generative models are calibrated so the paper's outcomes are *typical*;
@@ -50,10 +77,6 @@ type Config struct {
 	// hardware.ReferenceFleet. Custom fleets let downstream users design
 	// their own free-air experiments on the same orchestration.
 	Fleet *hardware.Fleet
-	// Tent configures the enclosure envelope.
-	Tent thermal.TentConfig
-	// Failure calibrates the reliability engine.
-	Failure failure.Params
 	// Disk calibrates the drive hazard model; drive deaths cascade
 	// through each vendor's storage layout (§3.4).
 	Disk failure.DiskParams
@@ -62,37 +85,17 @@ type Config struct {
 	// LascarArrival is when the data logger was delivered; inside series
 	// have no samples before it (Fig. 3/4 caption).
 	LascarArrival time.Time
-	// LascarInterval is the logger's sampling cadence.
-	LascarInterval time.Duration
 	// ReadoutEvery schedules the manual USB readout trips that insert
 	// indoor outliers; 0 disables them.
 	ReadoutEvery time.Duration
-	// StationInterval is the SMEAR-style outdoor sampling cadence.
-	StationInterval time.Duration
-	// EnvStep is the physics step of the enclosure model.
-	EnvStep time.Duration
-	// FailureStep is how often host failure hazards are sampled.
-	FailureStep time.Duration
 	// MonitorEvery is the collection cadence (§3.5: 20 minutes);
 	// 0 disables the monitoring plane.
 	MonitorEvery time.Duration
-	// PagesPerCycle is the memory traffic used for soft-error sampling.
-	// The default is the paper-scale figure, NOT the scaled-down tree's
-	// own traffic, so corruption statistics match §4.2.2.
-	PagesPerCycle int64
 	// WorkloadFiles, WorkloadBytes and WorkloadBlockSize shape each
 	// host's scaled-down source tree (see DESIGN.md on the substitution).
 	WorkloadFiles     int
 	WorkloadBytes     int64
 	WorkloadBlockSize int
-	// DutyCycle is the average load fraction of the 10-minute cycle.
-	DutyCycle float64
-	// ChipSusceptibility is the fraction of sensor chips that can develop
-	// the §4.2.1 cold glitch.
-	ChipSusceptibility float64
-	// RepairDelay is how long a crashed host waits for inspection and
-	// reset (§4.2.1: the Saturday-morning failure was reset on Monday).
-	RepairDelay time.Duration
 	// Control enables the closed-loop free-cooling control plane (§5
 	// outlook): the R/I/B/F calendar is replaced by a ventilation
 	// controller on the continuous damper, with duty cycling and the
@@ -114,32 +117,22 @@ type Config struct {
 // DefaultConfig returns the reference reproduction configuration.
 func DefaultConfig(seed string) Config {
 	return Config{
-		Seed:    seed,
-		Start:   hardware.InstallStart,
-		End:     hardware.InstallEnd,
-		Tent:    thermal.DefaultTentConfig(),
-		Failure: failure.DefaultParams(),
-		Disk:    failure.DefaultDiskParams(),
+		Seed:  seed,
+		Start: hardware.InstallStart,
+		End:   hardware.InstallEnd,
+		Disk:  failure.DefaultDiskParams(),
 		Modifications: map[thermal.Modification]time.Time{
 			thermal.ReflectiveFoil:  time.Date(2010, time.February, 26, 12, 0, 0, 0, time.UTC),
 			thermal.RemoveInnerTent: time.Date(2010, time.March, 5, 12, 0, 0, 0, time.UTC),
 			thermal.OpenBottom:      time.Date(2010, time.March, 12, 12, 0, 0, 0, time.UTC),
 			thermal.InstallFan:      time.Date(2010, time.March, 20, 12, 0, 0, 0, time.UTC),
 		},
-		LascarArrival:      time.Date(2010, time.March, 5, 10, 0, 0, 0, time.UTC),
-		LascarInterval:     5 * time.Minute,
-		ReadoutEvery:       5 * 24 * time.Hour,
-		StationInterval:    10 * time.Minute,
-		EnvStep:            time.Minute,
-		FailureStep:        15 * time.Minute,
-		MonitorEvery:       20 * time.Minute,
-		PagesPerCycle:      PaperPagesPerCycle,
-		WorkloadFiles:      30,
-		WorkloadBytes:      128 << 10,
-		WorkloadBlockSize:  8 << 10,
-		DutyCycle:          0.25,
-		ChipSusceptibility: 0.25,
-		RepairDelay:        48 * time.Hour,
+		LascarArrival:     time.Date(2010, time.March, 5, 10, 0, 0, 0, time.UTC),
+		ReadoutEvery:      5 * 24 * time.Hour,
+		MonitorEvery:      20 * time.Minute,
+		WorkloadFiles:     30,
+		WorkloadBytes:     128 << 10,
+		WorkloadBlockSize: 8 << 10,
 	}
 }
 
@@ -151,26 +144,11 @@ func (c Config) Validate() error {
 	if !c.End.After(c.Start) {
 		return fmt.Errorf("core: end %v not after start %v", c.End, c.Start)
 	}
-	if c.EnvStep <= 0 || c.StationInterval <= 0 || c.LascarInterval <= 0 || c.FailureStep <= 0 {
-		return fmt.Errorf("core: sampling intervals must be positive")
-	}
 	if c.MonitorEvery < 0 || c.ReadoutEvery < 0 {
 		return fmt.Errorf("core: negative cadence")
 	}
-	if c.DutyCycle < 0 || c.DutyCycle > 1 {
-		return fmt.Errorf("core: duty cycle %v out of [0,1]", c.DutyCycle)
-	}
-	if c.ChipSusceptibility < 0 || c.ChipSusceptibility > 1 {
-		return fmt.Errorf("core: chip susceptibility %v out of [0,1]", c.ChipSusceptibility)
-	}
-	if c.PagesPerCycle <= 0 {
-		return fmt.Errorf("core: pages per cycle must be positive")
-	}
 	if c.WorkloadFiles <= 0 || c.WorkloadBytes <= 0 || c.WorkloadBlockSize <= 0 {
 		return fmt.Errorf("core: workload shape must be positive")
-	}
-	if err := c.Failure.Validate(); err != nil {
-		return err
 	}
 	if err := c.Disk.Validate(); err != nil {
 		return err

@@ -53,12 +53,12 @@ type ctlState struct {
 // dutyFraction maps a duty level to a host's workload load fraction.
 // Basement hosts only ever deviate from the configured duty when their
 // tent twin's cycles are migrated onto them.
-func (c Config) dutyFraction(l control.DutyLevel, h *hardware.Host) float64 {
+func dutyFraction(l control.DutyLevel, h *hardware.Host) float64 {
 	if h.Location == hardware.Basement {
 		if l == control.DutyMigrate && h.TwinID != "" {
 			return boostDuty
 		}
-		return c.DutyCycle
+		return dutyCycle
 	}
 	switch l {
 	case control.DutyBoost:
@@ -68,7 +68,7 @@ func (c Config) dutyFraction(l control.DutyLevel, h *hardware.Host) float64 {
 	case control.DutyMigrate:
 		return 0 // idle: the cycles run on the basement twin
 	default:
-		return c.DutyCycle
+		return dutyCycle
 	}
 }
 
@@ -100,7 +100,7 @@ func (e *Experiment) setupControl() error {
 	}
 	for _, hs := range e.hosts {
 		for l := 0; l < control.NumDutyLevels; l++ {
-			duty := e.cfg.dutyFraction(control.DutyLevel(l), hs.host)
+			duty := dutyFraction(control.DutyLevel(l), hs.host)
 			p, err := thermal.NewProfile(hs.host.Spec.Power(duty),
 				hs.host.Spec.CPUPower(duty), hs.host.Spec.Airflow)
 			if err != nil {

@@ -32,21 +32,6 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("empty window accepted")
 	}
-	bad = DefaultConfig("s")
-	bad.DutyCycle = 2
-	if err := bad.Validate(); err == nil {
-		t.Error("duty cycle 2 accepted")
-	}
-	bad = DefaultConfig("s")
-	bad.PagesPerCycle = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero pages accepted")
-	}
-	bad = DefaultConfig("s")
-	bad.EnvStep = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero env step accepted")
-	}
 }
 
 func TestShortRunBasics(t *testing.T) {
@@ -326,7 +311,7 @@ func TestHostStoreUnknown(t *testing.T) {
 }
 
 func TestPrototypeWeekend(t *testing.T) {
-	res, err := RunPrototype(DefaultPrototypeConfig("winter0910"))
+	res, err := RunPrototype("winter0910")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,28 +339,17 @@ func TestPrototypeWeekend(t *testing.T) {
 }
 
 func TestPrototypeValidation(t *testing.T) {
-	bad := DefaultPrototypeConfig("")
-	if _, err := RunPrototype(bad); err == nil {
+	if _, err := RunPrototype(""); err == nil {
 		t.Error("empty seed accepted")
-	}
-	bad = DefaultPrototypeConfig("s")
-	bad.End = bad.Start
-	if _, err := RunPrototype(bad); err == nil {
-		t.Error("empty window accepted")
-	}
-	bad = DefaultPrototypeConfig("s")
-	bad.SampleEvery = 0
-	if _, err := RunPrototype(bad); err == nil {
-		t.Error("zero cadence accepted")
 	}
 }
 
 func TestPrototypeDeterminism(t *testing.T) {
-	a, err := RunPrototype(DefaultPrototypeConfig("same"))
+	a, err := RunPrototype("same")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunPrototype(DefaultPrototypeConfig("same"))
+	b, err := RunPrototype("same")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,7 +170,7 @@ type Experiment struct {
 	// tentW is the running sum of online tent-host power at the configured
 	// duty cycle. It is recomputed (in fleet order, with the same float
 	// additions as hardware.TotalPower) on every install/online/offline/
-	// relocate transition instead of rebuilding a host slice every EnvStep.
+	// relocate transition instead of rebuilding a host slice every envStep.
 	tentW units.Watts
 	// tsBuf holds the RFC3339 timestamp of the current failure tick,
 	// formatted once per tick and shared by every host's sensor line.
@@ -187,8 +187,8 @@ type Experiment struct {
 }
 
 // New builds an experiment from the configuration: the paper's reference
-// fleet unless cfg.Fleet overrides it, with physics, schedules and
-// calibration from cfg.
+// fleet unless cfg.Fleet overrides it, on the testbed's fixed cadences and
+// calibration (see config.go).
 func New(cfg Config) (*Experiment, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -198,11 +198,11 @@ func New(cfg Config) (*Experiment, error) {
 	if wx == nil {
 		wx = weather.ReferenceWinter0910(cfg.Seed)
 	}
-	tent, err := thermal.NewTent(cfg.Tent)
+	tent, err := thermal.NewTent(thermal.DefaultTentConfig())
 	if err != nil {
 		return nil, err
 	}
-	engine, err := failure.NewEngine(cfg.Failure, rng)
+	engine, err := failure.NewEngine(failureParams, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -246,27 +246,27 @@ func New(cfg Config) (*Experiment, error) {
 				return 0
 			})
 	}
-	e.station = weather.NewStation(wx, rng, cfg.StationInterval)
+	e.station = weather.NewStation(wx, rng, stationInterval)
 	e.meter = sensors.NewPowerMeter(rng, "tent-feed")
-	e.lascar, err = sensors.NewLascar(sensors.ELUSB2Spec, rng, tent, cfg.LascarInterval, cfg.LascarArrival)
+	e.lascar, err = sensors.NewLascar(sensors.ELUSB2Spec, rng, tent, lascarInterval, cfg.LascarArrival)
 	if err != nil {
 		return nil, err
 	}
 	for _, h := range fleet.All() {
 		hs := &hostState{
 			host:   h,
-			chip:   sensors.NewChip(sensors.DefaultChipConfig(), rng, h.ID, cfg.ChipSusceptibility),
+			chip:   sensors.NewChip(sensors.DefaultChipConfig(), rng, h.ID, chipSusceptibility),
 			store:  monitor.NewFileStore(),
 			psk:    []byte(cfg.Seed + "/psk/" + h.ID),
 			cpuMin: units.Celsius(math.Inf(1)),
 			cpuMax: units.Celsius(math.Inf(-1)),
 		}
 		hs.profile, err = thermal.NewProfile(
-			h.Spec.Power(cfg.DutyCycle), h.Spec.CPUPower(cfg.DutyCycle), h.Spec.Airflow)
+			h.Spec.Power(dutyCycle), h.Spec.CPUPower(dutyCycle), h.Spec.Airflow)
 		if err != nil {
 			return nil, fmt.Errorf("core: host %s thermal profile: %w", h.ID, err)
 		}
-		hs.power = h.Spec.Power(cfg.DutyCycle)
+		hs.power = h.Spec.Power(dutyCycle)
 		for i := 0; i < h.Spec.Layout.DiskCount(); i++ {
 			hs.disks = append(hs.disks, sensors.NewDisk(rng, h.ID, i))
 			hs.diskIDs = append(hs.diskIDs, fmt.Sprintf("%s/%d", h.ID, i))
@@ -384,19 +384,19 @@ func (e *Experiment) RunContext(ctx context.Context) (*Results, error) {
 	}
 
 	// Environment physics.
-	if _, err := e.sched.Periodic(cfg.Start, cfg.EnvStep, nil, func(now time.Time) {
+	if _, err := e.sched.Periodic(cfg.Start, envStep, nil, func(now time.Time) {
 		out := e.wx.At(now)
 		power := e.tentPower()
-		fail(e.tent.Step(cfg.EnvStep, out, power))
-		e.meter.Observe(cfg.EnvStep, power)
-		e.basement.Tick(cfg.EnvStep)
+		fail(e.tent.Step(envStep, out, power))
+		e.meter.Observe(envStep, power)
+		e.basement.Tick(envStep)
 		e.met.weatherTicks.Inc()
 	}); err != nil {
 		return nil, err
 	}
 
 	// Failure sampling, component thermals, sensor logging.
-	if _, err := e.sched.Periodic(cfg.Start.Add(cfg.FailureStep), cfg.FailureStep, nil, func(now time.Time) {
+	if _, err := e.sched.Periodic(cfg.Start.Add(failureStep), failureStep, nil, func(now time.Time) {
 		fail(e.failureTick(now))
 		e.met.failureTicks.Inc()
 		if e.tracer != nil {
@@ -560,7 +560,7 @@ func (e *Experiment) workloadCycle(now time.Time, hs *hostState) {
 	}
 	hs.cycles++
 	e.met.workloadCycles.Inc()
-	corrupted := e.engine.CycleCorrupted(hs.host.ID, e.cfg.PagesPerCycle, hs.host.Spec.ECC)
+	corrupted := e.engine.CycleCorrupted(hs.host.ID, PaperPagesPerCycle, hs.host.Spec.ECC)
 	if !corrupted {
 		// The healthy line is timestamp + a precomputed " OK <md5>\n" tail,
 		// assembled in the host's reusable buffer (FileStore copies).
@@ -593,7 +593,7 @@ func (e *Experiment) failureTick(now time.Time) error {
 	out := e.wx.At(now)
 	var ratePerHour float64
 	if e.havePrev {
-		ratePerHour = math.Abs(float64(out.Temp-e.prevOutside)) / e.cfg.FailureStep.Hours()
+		ratePerHour = math.Abs(float64(out.Temp-e.prevOutside)) / failureStep.Hours()
 	}
 	e.prevOutside = out.Temp
 	e.havePrev = true
@@ -621,14 +621,14 @@ func (e *Experiment) failureTick(now time.Time) error {
 		if temps.CPU > hs.cpuMax {
 			hs.cpuMax = temps.CPU
 		}
-		hs.chip.Observe(e.cfg.FailureStep, temps.CPU)
+		hs.chip.Observe(failureStep, temps.CPU)
 		e.watchChip(now, hs, temps.CPU)
 		for i, d := range hs.disks {
 			if d.Failed() {
 				continue
 			}
-			d.Observe(e.cfg.FailureStep, temps.Disk)
-			ev, err := e.engine.StepDisk(now, e.cfg.FailureStep,
+			d.Observe(failureStep, temps.Disk)
+			ev, err := e.engine.StepDisk(now, failureStep,
 				hs.diskIDs[i], temps.Disk, e.cfg.Disk)
 			if err != nil {
 				return err
@@ -649,7 +649,7 @@ func (e *Experiment) failureTick(now time.Time) error {
 			TempRatePerHour: tern(hs.host.Location == hardware.Tent && !hs.relocated, ratePerHour, 0),
 			Condensing:      units.CondensationRisk(ambient, rh, temps.CaseAir),
 		}
-		ev, err := e.engine.StepHost(now, e.cfg.FailureStep, hs.host.ID, stress)
+		ev, err := e.engine.StepHost(now, failureStep, hs.host.ID, stress)
 		if err != nil {
 			return err
 		}
@@ -741,7 +741,7 @@ func (e *Experiment) handleTransient(now time.Time, hs *hostState) {
 	nth := len(hs.transients)
 	e.logEvent(now, EventTransient, hs.host.ID,
 		fmt.Sprintf("system failure #%d in %s", nth, hs.envName()))
-	after := e.cfg.RepairDelay
+	after := repairDelay
 	if e.tracer != nil {
 		// The outage's full extent is known up front: the host stays down
 		// until the scheduled repair (or relocation) fires.

@@ -49,7 +49,7 @@ func testFailureTickAllocs(t *testing.T, instrumented bool) {
 	}
 	now := cfg.Start
 	tick := func() {
-		now = now.Add(cfg.FailureStep)
+		now = now.Add(failureStep)
 		if err := e.failureTick(now); err != nil {
 			t.Fatal(err)
 		}
@@ -149,6 +149,6 @@ func TestTentPowerCacheMatchesRecompute(t *testing.T) {
 	// Run past the repair delay so the queued repair/relocation callbacks
 	// fire (the workload tasks re-push forever, so bound by time, not by
 	// queue exhaustion).
-	e.sched.RunUntil(cfg.Start.Add(cfg.RepairDelay + time.Hour))
+	e.sched.RunUntil(cfg.Start.Add(repairDelay + time.Hour))
 	check(e.sched.Now())
 }

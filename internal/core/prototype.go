@@ -36,56 +36,28 @@ type PrototypeResults struct {
 	CPUTemp *timeseries.Series
 }
 
-// PrototypeConfig parameterises RunPrototype.
-type PrototypeConfig struct {
-	Seed       string
-	Start, End time.Time
-	// Weather defaults to ReferenceWinter0910(Seed).
-	Weather weather.Model
-	// DutyCycle is the load fraction.
-	DutyCycle float64
-	// SampleEvery is the sensing cadence.
-	SampleEvery time.Duration
-}
+// prototypeSampleEvery is the weekend's station and lm-sensors cadence.
+const prototypeSampleEvery = 10 * time.Minute
 
-// DefaultPrototypeConfig covers the paper's Feb 12–15 weekend.
-func DefaultPrototypeConfig(seed string) PrototypeConfig {
-	return PrototypeConfig{
-		Seed:        seed,
-		Start:       hardware.InstallPrototype,
-		End:         time.Date(2010, time.February, 15, 9, 0, 0, 0, time.UTC),
-		DutyCycle:   0.25,
-		SampleEvery: 10 * time.Minute,
-	}
-}
-
-// RunPrototype executes the prototype phase.
-func RunPrototype(cfg PrototypeConfig) (*PrototypeResults, error) {
-	if cfg.Seed == "" {
+// RunPrototype executes the prototype phase on the seed's reference
+// winter: from the Friday install to Monday Feb 15 09:00, at the normal
+// phase's duty cycle.
+func RunPrototype(seed string) (*PrototypeResults, error) {
+	if seed == "" {
 		return nil, fmt.Errorf("core: prototype needs a seed")
 	}
-	if !cfg.End.After(cfg.Start) {
-		return nil, fmt.Errorf("core: prototype window inverted")
-	}
-	if cfg.SampleEvery <= 0 {
-		return nil, fmt.Errorf("core: prototype needs a positive sampling interval")
-	}
-	if cfg.DutyCycle < 0 || cfg.DutyCycle > 1 {
-		return nil, fmt.Errorf("core: duty cycle %v out of [0,1]", cfg.DutyCycle)
-	}
-	rng := simkernel.NewRNG(cfg.Seed + "/prototype")
-	wx := cfg.Weather
-	if wx == nil {
-		wx = weather.ReferenceWinter0910(cfg.Seed)
-	}
+	start := hardware.InstallPrototype
+	end := time.Date(2010, time.February, 15, 9, 0, 0, 0, time.UTC)
+	rng := simkernel.NewRNG(seed + "/prototype")
+	wx := weather.ReferenceWinter0910(seed)
 	host := hardware.ReferencePrototype()
 	boxes := thermal.NewPrototypeBoxes()
 	chip := sensors.NewChip(sensors.DefaultChipConfig(), rng, host.ID, 0)
-	sched := simkernel.NewScheduler(cfg.Start)
+	sched := simkernel.NewScheduler(start)
 
 	res := &PrototypeResults{
-		Start:       cfg.Start,
-		End:         cfg.End,
+		Start:       start,
+		End:         end,
 		OutsideMin:  units.Celsius(math.Inf(1)),
 		CPUMin:      units.Celsius(math.Inf(1)),
 		Survived:    true,
@@ -95,12 +67,12 @@ func RunPrototype(cfg PrototypeConfig) (*PrototypeResults, error) {
 	var sum float64
 	var n int
 	var tickErr error
-	if _, err := sched.Periodic(cfg.Start, cfg.SampleEvery, nil, func(now time.Time) {
+	if _, err := sched.Periodic(start, prototypeSampleEvery, nil, func(now time.Time) {
 		out := wx.At(now)
 		boxes.Observe(out)
 		intake, _ := boxes.Air()
 		temps, err := thermal.SteadyState(intake,
-			host.Spec.Power(cfg.DutyCycle), host.Spec.CPUPower(cfg.DutyCycle), host.Spec.Airflow)
+			host.Spec.Power(dutyCycle), host.Spec.CPUPower(dutyCycle), host.Spec.Airflow)
 		if err != nil {
 			if tickErr == nil {
 				tickErr = err
@@ -127,12 +99,12 @@ func RunPrototype(cfg PrototypeConfig) (*PrototypeResults, error) {
 	// The synthetic load ran on the prototype too (S.M.A.R.T. and
 	// lm-sensors were monitored through it, §3.1).
 	fuzz := workload.StartFuzz(rng, host.ID)
-	if _, err := sched.Periodic(cfg.Start, workload.CyclePeriod, fuzz, func(time.Time) {
+	if _, err := sched.Periodic(start, workload.CyclePeriod, fuzz, func(time.Time) {
 		res.Cycles++
 	}); err != nil {
 		return nil, err
 	}
-	sched.RunUntil(cfg.End)
+	sched.RunUntil(end)
 	if tickErr != nil {
 		return nil, tickErr
 	}

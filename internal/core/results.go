@@ -212,7 +212,7 @@ func (e *Experiment) assembleResults() (*Results, error) {
 	// The paper's 5.6% counts the initially installed 18 hosts.
 	r.InitialHostFailureRate = stats.Rate{Events: initialFailed, Trials: tentTotal + controlTotal - countReplacements(e)}
 
-	r.PagesTouched = int64(r.TotalCycles) * e.cfg.PagesPerCycle
+	r.PagesTouched = int64(r.TotalCycles) * PaperPagesPerCycle
 	if r.PagesTouched > 0 {
 		r.ImpliedPageFailureRate = float64(len(r.WrongHashes)) / float64(r.PagesTouched)
 	}

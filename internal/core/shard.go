@@ -222,10 +222,10 @@ func NewSharded(cfg Config, shards int) (*ShardedExperiment, error) {
 	e := &ShardedExperiment{
 		cfg:    cfg,
 		master: simkernel.NewRNG(cfg.Seed),
-		stepH:  cfg.FailureStep.Hours(),
+		stepH:  failureStep.Hours(),
 	}
-	e.numTicks = int(cfg.End.Sub(cfg.Start) / cfg.FailureStep)
-	e.repairT = int32((cfg.RepairDelay + cfg.FailureStep - 1) / cfg.FailureStep)
+	e.numTicks = int(cfg.End.Sub(cfg.Start) / failureStep)
+	e.repairT = int32((repairDelay + failureStep - 1) / failureStep)
 
 	// Spec table: the distinct machine models, with hazard rates and the
 	// duty-cycle thermal response precomputed.
@@ -239,7 +239,7 @@ func NewSharded(cfg Config, shards int) (*ShardedExperiment, error) {
 		}
 		if _, ok := specIdx[h.Spec]; !ok {
 			profile, err := thermal.NewProfile(
-				h.Spec.Power(cfg.DutyCycle), h.Spec.CPUPower(cfg.DutyCycle), h.Spec.Airflow)
+				h.Spec.Power(dutyCycle), h.Spec.CPUPower(dutyCycle), h.Spec.Airflow)
 			if err != nil {
 				return nil, fmt.Errorf("core: host %s thermal profile: %w", h.ID, err)
 			}
@@ -253,9 +253,9 @@ func NewSharded(cfg Config, shards int) (*ShardedExperiment, error) {
 			e.specs = append(e.specs, shardSpec{
 				spec:      h.Spec,
 				profile:   profile,
-				power:     float64(h.Spec.Power(cfg.DutyCycle)),
-				rateBase:  cfg.Failure.BaseTransientPerHour,
-				rateWeak:  cfg.Failure.WeakTransientPerHour,
+				power:     float64(h.Spec.Power(dutyCycle)),
+				rateBase:  failureParams.BaseTransientPerHour,
+				rateWeak:  failureParams.WeakTransientPerHour,
 				diskCount: h.Spec.Layout.DiskCount(),
 				ecc:       h.Spec.ECC,
 				layout:    h.Spec.Layout,
@@ -292,7 +292,7 @@ func NewSharded(cfg Config, shards int) (*ShardedExperiment, error) {
 		// shard count. (The classic engine's per-host "weak/"+id streams
 		// would each pay math/rand's ~0.1ms seeding; at 100k hosts that is
 		// the whole wall-clock budget.)
-		e.weak[i] = e.master.Bernoulli("scale/weak", cfg.Failure.WeakFraction(h.Spec.KnownDefective))
+		e.weak[i] = e.master.Bernoulli("scale/weak", failureParams.WeakFraction(h.Spec.KnownDefective))
 		e.online[i] = true
 		e.downTick[i] = -1
 		e.transTick[2*i], e.transTick[2*i+1] = -1, -1
@@ -383,7 +383,11 @@ func NewSharded(cfg Config, shards int) (*ShardedExperiment, error) {
 			mult:    make([]float64, e.nSpecs),
 			hd:      make([]float64, e.nSpecs),
 		}
-		sh.tent, _ = thermal.NewTent(cfg.Tent)
+		tent, err := thermal.NewTent(thermal.DefaultTentConfig())
+		if err != nil {
+			return nil, err
+		}
+		sh.tent = tent
 		e.shards = append(e.shards, sh)
 	}
 	return e, nil
@@ -467,7 +471,7 @@ func (s *shard) run(ctx context.Context) error {
 		if timed {
 			t0 = time.Now()
 		}
-		now := e.cfg.Start.Add(time.Duration(t+1) * e.cfg.FailureStep)
+		now := e.cfg.Start.Add(time.Duration(t+1) * failureStep)
 		s.step(int32(t), now)
 		if timed {
 			hist.Observe(time.Since(t0).Seconds())
@@ -526,7 +530,7 @@ func (s *shard) step(t int32, now time.Time) {
 			// Condensing is false by construction: NewSharded verified
 			// every spec's case air runs above intake, and a surface above
 			// the air temperature is above its dew point.
-			mult := cfg.Failure.StressMultiplier(failure.Stress{
+			mult := failureParams.StressMultiplier(failure.Stress{
 				Ambient:         insideT,
 				RH:              rh,
 				CaseAir:         temps.CaseAir,

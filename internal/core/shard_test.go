@@ -91,7 +91,7 @@ func TestShardedRunShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticks := int(cfg.End.Sub(cfg.Start) / cfg.FailureStep)
+	ticks := int(cfg.End.Sub(cfg.Start) / failureStep)
 	if r.InsideTemp.Len() != ticks || r.InsideRH.Len() != ticks {
 		t.Fatalf("inside series %d/%d points, want %d", r.InsideTemp.Len(), r.InsideRH.Len(), ticks)
 	}
@@ -142,7 +142,7 @@ func TestShardedStepAllocs(t *testing.T) {
 	sh := e.shards[0]
 	tick := 0
 	stepOnce := func() {
-		now := cfg.Start.Add(time.Duration(tick+1) * cfg.FailureStep)
+		now := cfg.Start.Add(time.Duration(tick+1) * failureStep)
 		sh.step(int32(tick), now)
 		tick++
 	}
@@ -168,7 +168,7 @@ func TestShardedTelemetryCounts(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ticks := int64(cfg.End.Sub(cfg.Start)/cfg.FailureStep) * 3
+	ticks := int64(cfg.End.Sub(cfg.Start)/failureStep) * 3
 	if got := e.met.ticks.Value(); int64(got) != ticks {
 		t.Fatalf("frostlab_shard_ticks_total %v, want %d", got, ticks)
 	}

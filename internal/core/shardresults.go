@@ -49,7 +49,7 @@ func (e *ShardedExperiment) assemble() (*Results, error) {
 	r.OutsideTemp = timeseries.New("outside_temp", "°C")
 	r.OutsideRH = timeseries.New("outside_rh", "%RH")
 	wx := e.newWeather()
-	for at := cfg.Start; !at.After(cfg.End); at = at.Add(cfg.StationInterval) {
+	for at := cfg.Start; !at.After(cfg.End); at = at.Add(stationInterval) {
 		c := wx.At(at)
 		if err := r.OutsideTemp.Append(at, float64(c.Temp)); err != nil {
 			return nil, err
@@ -110,7 +110,7 @@ func (e *ShardedExperiment) assemble() (*Results, error) {
 		ti, si := int(e.tentOf[i]), int(e.specOf[i])
 		sp := &e.specs[si]
 		onlineTicks := horizonTicks - e.offTicks[i]
-		cycles := uint64(time.Duration(onlineTicks) * cfg.FailureStep / workload.CyclePeriod)
+		cycles := uint64(time.Duration(onlineTicks) * failureStep / workload.CyclePeriod)
 		rep := &HostReport{
 			ID:          id,
 			Vendor:      sp.spec.Vendor,
@@ -145,7 +145,7 @@ func (e *ShardedExperiment) assemble() (*Results, error) {
 			// single-threaded assembly — same reasoning (and the same
 			// per-host seeding cost being avoided) as the weak lottery.
 			const stream = "scale/mem"
-			mean := float64(cycles) * cfg.Failure.PageCorruptionProb(cfg.PagesPerCycle)
+			mean := float64(cycles) * failureParams.PageCorruptionProb(PaperPagesPerCycle)
 			n := e.master.Poisson(stream, mean)
 			ats := make([]time.Time, 0, n)
 			for k := 0; k < n; k++ {
@@ -183,7 +183,7 @@ func (e *ShardedExperiment) assemble() (*Results, error) {
 	r.ControlHostFailureRate = stats.Rate{}
 	r.InitialHostFailureRate = r.TentHostFailureRate
 
-	r.PagesTouched = int64(r.TotalCycles) * cfg.PagesPerCycle
+	r.PagesTouched = int64(r.TotalCycles) * PaperPagesPerCycle
 	if r.PagesTouched > 0 {
 		r.ImpliedPageFailureRate = float64(len(r.WrongHashes)) / float64(r.PagesTouched)
 	}
@@ -200,7 +200,7 @@ func (e *ShardedExperiment) assemble() (*Results, error) {
 
 // tickTime maps a failure tick index to its simulated instant.
 func (e *ShardedExperiment) tickTime(t int32) time.Time {
-	return e.cfg.Start.Add(time.Duration(t+1) * e.cfg.FailureStep)
+	return e.cfg.Start.Add(time.Duration(t+1) * failureStep)
 }
 
 // renderEvent expands one compact run event into the classic log form.

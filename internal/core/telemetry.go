@@ -14,7 +14,7 @@ import (
 // see TestFailureTickAllocs). InstrumentTelemetry exposes them on a
 // registry as scrape-time counter views.
 type expMetrics struct {
-	weatherTicks   telemetry.Counter // EnvStep physics ticks
+	weatherTicks   telemetry.Counter // envStep physics ticks
 	failureTicks   telemetry.Counter // failure-sampling ticks
 	workloadCycles telemetry.Counter // §3.5 workload cycles across the fleet
 	badHashes      telemetry.Counter // cycles that produced a wrong md5sum

@@ -19,6 +19,9 @@ func Campaign(s *campaign.Summary) string {
 	fmt.Fprintf(&b, "Campaign %q: %d replicate(s) x %d sweep point(s) = %d runs",
 		s.Seed, s.Reps, len(s.Points), s.TotalRuns)
 	fmt.Fprintf(&b, " (%d completed, %d failed, %d from checkpoints)\n", s.Completed, s.Failed, s.Checkpoint)
+	if s.CheckpointFailed > 0 {
+		fmt.Fprintf(&b, "%d checkpoint write(s) failed; a resumed campaign re-runs those replicates\n", s.CheckpointFailed)
+	}
 	for _, pt := range s.Points {
 		b.WriteString("\n")
 		fmt.Fprintf(&b, "== %s ==\n", pt.Label)

@@ -253,7 +253,7 @@ func TestTables(t *testing.T) {
 }
 
 func TestTablePrototype(t *testing.T) {
-	p, err := core.RunPrototype(core.DefaultPrototypeConfig(core.ReferenceSeed))
+	p, err := core.RunPrototype(core.ReferenceSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
