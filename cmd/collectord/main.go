@@ -56,7 +56,6 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
@@ -80,12 +79,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "collectord:", err)
 		os.Exit(1)
 	}
-}
-
-// derivePSK matches nodeagent's key derivation.
-func derivePSK(keyseed, hostID string) []byte {
-	sum := sha256.Sum256([]byte(keyseed + "/psk/" + hostID))
-	return sum[:]
 }
 
 func run() error {
@@ -125,7 +118,7 @@ func run() error {
 		addrFor[id] = addr
 		ids = append(ids, id)
 	}
-	keyFor := func(id string) ([]byte, error) { return derivePSK(*keyseed, id), nil }
+	keyFor := func(id string) ([]byte, error) { return wire.DerivePSK(*keyseed, id), nil }
 	if *keyfile != "" {
 		f, err := os.Open(*keyfile)
 		if err != nil {
@@ -274,7 +267,7 @@ func run() error {
 		if *rounds != 0 && round == *rounds {
 			break
 		}
-		if err := sleepCtx(ctx, *every); err != nil {
+		if err := monitor.SleepContext(ctx, *every); err != nil {
 			break
 		}
 	}
@@ -368,17 +361,6 @@ func poolConfig(enabled bool) *monitor.PoolConfig {
 		return nil
 	}
 	return &monitor.PoolConfig{}
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // segmentName is the sample store's checkpoint file within -tsdb-dir.

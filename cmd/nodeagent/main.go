@@ -22,7 +22,6 @@ package main
 import (
 	"context"
 	"crypto/rand"
-	"crypto/sha256"
 	"errors"
 	"flag"
 	"fmt"
@@ -83,11 +82,6 @@ func main() {
 	}
 }
 
-func derivePSK(keyseed, hostID string) []byte {
-	sum := sha256.Sum256([]byte(keyseed + "/psk/" + hostID))
-	return sum[:]
-}
-
 func randNonce() ([]byte, error) {
 	b := make([]byte, wire.NonceSize)
 	_, err := rand.Read(b)
@@ -111,7 +105,7 @@ func run() error {
 	}
 	store := monitor.NewFileStore()
 	agent := monitor.NewAgent(*id, store)
-	keys := wire.Keystore{*id: derivePSK(*keyseed, *id)}
+	keys := wire.Keystore{*id: wire.DerivePSK(*keyseed, *id)}
 	if *keyfile != "" {
 		f, err := os.Open(*keyfile)
 		if err != nil {
@@ -162,7 +156,7 @@ func run() error {
 		fuzz := workload.StartFuzz(rng, *id)
 		scale := float64(*cycle) / float64(workload.CyclePeriod)
 		for n := 0; *cycles == 0 || n < *cycles; n++ {
-			if sleepCtx(ctx, time.Duration(float64(fuzz())*scale)) != nil {
+			if monitor.SleepContext(ctx, time.Duration(float64(fuzz())*scale)) != nil {
 				return
 			}
 			cycleStart := time.Now()
@@ -189,7 +183,7 @@ func run() error {
 				res.At.UTC().Format(time.RFC3339),
 				float64(time.Since(cycleStart))/float64(time.Millisecond), ok)
 			store.Append(monitor.SensorLog, []byte(sensor))
-			if sleepCtx(ctx, *cycle) != nil {
+			if monitor.SleepContext(ctx, *cycle) != nil {
 				return
 			}
 		}
@@ -270,17 +264,6 @@ func run() error {
 	wg.Wait()
 	fmt.Fprintf(os.Stderr, "nodeagent %s: stopped\n", *id)
 	return nil
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // waitTimeout waits for wg up to d; false on timeout.

@@ -361,7 +361,7 @@ func TestNineHostFleetTwoFaultyWithinDeadline(t *testing.T) {
 		KeyFor:       func(id string) ([]byte, error) { return keys[id], nil },
 		NonceFor:     monitor.InProcessNonces("nine-hosts"),
 		Retry:        monitor.RetryPolicy{MaxAttempts: 2, BaseBackoff: 10 * time.Millisecond},
-		Breaker:      monitor.DefaultBreaker(),
+		Breaker:      monitor.BreakerConfig{Trip: 3, Cooldown: 3},
 		PhaseTimeout: 250 * time.Millisecond,
 		RoundTimeout: roundDeadline,
 	})

@@ -17,6 +17,7 @@ import (
 	"frostlab/internal/control"
 	"frostlab/internal/failure"
 	"frostlab/internal/hardware"
+	"frostlab/internal/monitor"
 	"frostlab/internal/rules"
 	"frostlab/internal/thermal"
 	"frostlab/internal/weather"
@@ -129,7 +130,7 @@ func DefaultConfig(seed string) Config {
 		},
 		LascarArrival:     time.Date(2010, time.March, 5, 10, 0, 0, 0, time.UTC),
 		ReadoutEvery:      5 * 24 * time.Hour,
-		MonitorEvery:      20 * time.Minute,
+		MonitorEvery:      monitor.CollectionPeriod,
 		WorkloadFiles:     30,
 		WorkloadBytes:     128 << 10,
 		WorkloadBlockSize: 8 << 10,

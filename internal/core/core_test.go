@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -216,7 +217,7 @@ func TestMonitoringMirrorsLogs(t *testing.T) {
 	if r.MonitorRounds == 0 {
 		t.Fatal("no monitoring rounds ran")
 	}
-	store, err := exp.HostStore("01")
+	store, err := exp.hostStore("01")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestSensorLogsContainCPUReadings(t *testing.T) {
 	if _, err := exp.Run(); err != nil {
 		t.Fatal(err)
 	}
-	store, err := exp.HostStore("02")
+	store, err := exp.hostStore("02")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestHostStoreUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exp.HostStore("nope"); err == nil {
+	if _, err := exp.hostStore("nope"); err == nil {
 		t.Error("unknown host accepted")
 	}
 }
@@ -437,4 +438,14 @@ func BenchmarkShortRunNoMonitoring(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// hostStore exposes a host's own log store. It has no caller in the
+// program; it stays beside the tests that use it.
+func (e *Experiment) hostStore(hostID string) (*monitor.FileStore, error) {
+	i, ok := e.byID[hostID]
+	if !ok {
+		return nil, fmt.Errorf("core: unknown host %q", hostID)
+	}
+	return e.hosts[i].store, nil
 }

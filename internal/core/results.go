@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"frostlab/internal/hardware"
@@ -287,13 +286,4 @@ func (e *Experiment) GapLedger() *monitor.GapLedger {
 // for inspection after a run.
 func (e *Experiment) Mirror(hostID string) *monitor.FileStore {
 	return e.coll.Mirror(hostID)
-}
-
-// HostStore exposes a host's own log store.
-func (e *Experiment) HostStore(hostID string) (*monitor.FileStore, error) {
-	i, ok := e.byID[hostID]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown host %q", hostID)
-	}
-	return e.hosts[i].store, nil
 }

@@ -407,9 +407,6 @@ func (e *ShardedExperiment) newWeather() weather.Model {
 // Hosts returns the fleet size.
 func (e *ShardedExperiment) Hosts() int { return len(e.ids) }
 
-// Tents returns the number of tents.
-func (e *ShardedExperiment) Tents() int { return len(e.tentIDs) }
-
 // Shards returns the number of shards the fleet was partitioned into.
 func (e *ShardedExperiment) Shards() int { return len(e.shards) }
 

@@ -84,8 +84,8 @@ func TestShardedRunShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Shards() != 3 || e.Tents() != 12 || e.Hosts() != 108 {
-		t.Fatalf("shape: %d shards, %d tents, %d hosts", e.Shards(), e.Tents(), e.Hosts())
+	if e.Shards() != 3 || len(e.tentIDs) != 12 || e.Hosts() != 108 {
+		t.Fatalf("shape: %d shards, %d tents, %d hosts", e.Shards(), len(e.tentIDs), e.Hosts())
 	}
 	r, err := e.Run()
 	if err != nil {

@@ -258,14 +258,6 @@ type SeriesPoint struct {
 	Value float64   `json:"value"`
 }
 
-// SeriesWindow is the /api/series/{host}/{metric} response shape. It is
-// exported so regression tests (and clients) can marshal the reference
-// representation through the exact same encoder.
-type SeriesWindow struct {
-	Series string        `json:"series"`
-	Points []SeriesPoint `json:"points"`
-}
-
 func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	db := s.coll.Samples()
 	if db == nil {

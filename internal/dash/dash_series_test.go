@@ -40,6 +40,14 @@ func seededSeriesServer(t *testing.T, n int) (*httptest.Server, []byte) {
 	return srv, raw
 }
 
+// SeriesWindow is the /api/series/{host}/{metric} response shape, which
+// the handler streams point by point; the tests marshal it whole as the
+// reference representation.
+type SeriesWindow struct {
+	Series string        `json:"series"`
+	Points []SeriesPoint `json:"points"`
+}
+
 // referenceWindowJSON renders the response the old raw-mirror path would
 // have produced: re-parse the raw log with the exact live parser and
 // marshal through the same encoder the handler uses.

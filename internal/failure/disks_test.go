@@ -94,7 +94,7 @@ func TestStepDiskLogsHardFailure(t *testing.T) {
 	if got.Kind != Hard || got.Component != DiskDrive {
 		t.Errorf("event %+v, want hard disk failure", got)
 	}
-	if evs := e.EventsFor("15/0"); len(evs) != 1 {
+	if evs := eventsFor(e, "15/0"); len(evs) != 1 {
 		t.Errorf("log has %d events for the drive", len(evs))
 	}
 }

@@ -55,11 +55,10 @@ type Component string
 
 // Components tracked by the engine.
 const (
-	System      Component = "system" // whole-host crash/hang, cause unidentified
-	Memory      Component = "memory" // silent corruption (soft error)
-	NetSwitch   Component = "switch"
-	DiskDrive   Component = "disk"
-	PowerSupply Component = "psu"
+	System    Component = "system" // whole-host crash/hang, cause unidentified
+	Memory    Component = "memory" // silent corruption (soft error)
+	NetSwitch Component = "switch"
+	DiskDrive Component = "disk"
 )
 
 // Event is one logged failure.
@@ -252,9 +251,6 @@ func NewEngine(params Params, rng *simkernel.RNG) (*Engine, error) {
 	}, nil
 }
 
-// Params returns the engine's calibration.
-func (e *Engine) Params() Params { return e.params }
-
 // RegisterHost runs the weak-unit lottery for a host. knownDefective marks
 // units from vendor B's bad series. Registering twice is a no-op and keeps
 // the first draw.
@@ -361,17 +357,6 @@ func (e *Engine) Log() []Event {
 	out := make([]Event, len(e.log))
 	copy(out, e.log)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At.Before(out[j].At) })
-	return out
-}
-
-// EventsFor returns the logged events for one subject.
-func (e *Engine) EventsFor(subjectID string) []Event {
-	var out []Event
-	for _, ev := range e.Log() {
-		if ev.SubjectID == subjectID {
-			out = append(out, ev)
-		}
-	}
 	return out
 }
 

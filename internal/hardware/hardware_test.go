@@ -1,6 +1,7 @@
 package hardware
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -130,12 +131,32 @@ func TestFleetAddAndLookup(t *testing.T) {
 	}
 }
 
+// checkReference validates the reference fleet against the paper's §3.4
+// head counts: ten vendor-A, four vendor-B, four vendor-C machines across
+// both sites plus the replacement, nine hosts per site initially.
+func checkReference(f *Fleet) error {
+	sums := summarize(f)
+	want := map[Vendor][2]int{ // {tent including replacement, basement}
+		VendorA: {5, 5},
+		VendorB: {3, 2}, // 14, 15, 19 on the terrace over the whole run
+		VendorC: {2, 2},
+	}
+	for _, s := range sums {
+		w := want[s.Vendor]
+		if s.Tent != w[0] || s.Basement != w[1] {
+			return fmt.Errorf("hardware: vendor %s counts tent=%d basement=%d, want %d/%d",
+				s.Vendor, s.Tent, s.Basement, w[0], w[1])
+		}
+	}
+	return nil
+}
+
 func TestReferenceFleetCounts(t *testing.T) {
 	f, err := ReferenceFleet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckReference(f); err != nil {
+	if err := checkReference(f); err != nil {
 		t.Fatal(err)
 	}
 	all := f.All()
@@ -326,7 +347,7 @@ func TestSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums := Summarize(f)
+	sums := summarize(f)
 	if len(sums) != 3 {
 		t.Fatalf("summaries %d", len(sums))
 	}
@@ -345,4 +366,36 @@ func BenchmarkReferenceFleet(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// fleetSummary is a per-vendor head count.
+type fleetSummary struct {
+	Vendor   Vendor
+	Tent     int
+	Basement int
+}
+
+// summarize counts hosts per vendor and location.
+func summarize(f *Fleet) []fleetSummary {
+	counts := map[Vendor]*fleetSummary{}
+	for _, v := range []Vendor{VendorA, VendorB, VendorC} {
+		counts[v] = &fleetSummary{Vendor: v}
+	}
+	for _, h := range f.All() {
+		c, ok := counts[h.Spec.Vendor]
+		if !ok {
+			continue
+		}
+		switch h.Location {
+		case Tent:
+			c.Tent++
+		case Basement:
+			c.Basement++
+		}
+	}
+	out := make([]fleetSummary, 0, 3)
+	for _, v := range []Vendor{VendorA, VendorB, VendorC} {
+		out = append(out, *counts[v])
+	}
+	return out
 }

@@ -1,9 +1,6 @@
 package hardware
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // The Fig. 2 installation timeline. The paper's x-axis marks Feb 12
 // (first prototype), Feb 19 (start of testing), Feb 24/25, Mar 05, Mar 10,
@@ -121,56 +118,4 @@ func ReferenceSwitches() []Switch {
 		{ID: "sw2", Ports: 8, Whining: true},
 		{ID: "sw-spare", Ports: 8, Whining: true},
 	}
-}
-
-// FleetSummary is a per-vendor head count used by reports.
-type FleetSummary struct {
-	Vendor   Vendor
-	Tent     int
-	Basement int
-}
-
-// Summarize counts hosts per vendor and location.
-func Summarize(f *Fleet) []FleetSummary {
-	counts := map[Vendor]*FleetSummary{}
-	for _, v := range []Vendor{VendorA, VendorB, VendorC} {
-		counts[v] = &FleetSummary{Vendor: v}
-	}
-	for _, h := range f.All() {
-		c, ok := counts[h.Spec.Vendor]
-		if !ok {
-			continue
-		}
-		switch h.Location {
-		case Tent:
-			c.Tent++
-		case Basement:
-			c.Basement++
-		}
-	}
-	out := make([]FleetSummary, 0, 3)
-	for _, v := range []Vendor{VendorA, VendorB, VendorC} {
-		out = append(out, *counts[v])
-	}
-	return out
-}
-
-// CheckReference validates the reference fleet against the paper's §3.4
-// head counts: ten vendor-A, four vendor-B, four vendor-C machines across
-// both sites plus the replacement, nine hosts per site initially.
-func CheckReference(f *Fleet) error {
-	sums := Summarize(f)
-	want := map[Vendor][2]int{ // {tent including replacement, basement}
-		VendorA: {5, 5},
-		VendorB: {3, 2}, // 14, 15, 19 on the terrace over the whole run
-		VendorC: {2, 2},
-	}
-	for _, s := range sums {
-		w := want[s.Vendor]
-		if s.Tent != w[0] || s.Basement != w[1] {
-			return fmt.Errorf("hardware: vendor %s counts tent=%d basement=%d, want %d/%d",
-				s.Vendor, s.Tent, s.Basement, w[0], w[1])
-		}
-	}
-	return nil
 }

@@ -262,7 +262,7 @@ func TestRetentionKeepsAgentSuffix(t *testing.T) {
 				store.Append(SensorLog, randomText(rng, n))
 				stats := collectOnce(t, agent, coll, "01", t0)
 				full := store.Get(SensorLog)
-				trim := coll.TrimmedBytes("01", SensorLog)
+				trim := trimmedBytes(coll, "01", SensorLog)
 				if !bytes.Equal(coll.Mirror("01").Get(SensorLog), full[trim:]) {
 					t.Fatalf("round %d: mirror is not the agent file from byte %d", round, trim)
 				}

@@ -40,14 +40,6 @@ type BreakerConfig struct {
 	Cooldown int
 }
 
-// DefaultBreaker trips after 3 consecutive failed rounds and probes again
-// after skipping 3 — with the paper's 20-minute cadence, a crashed host
-// costs the collector one wasted dial per hour instead of three timeouts
-// per round.
-func DefaultBreaker() BreakerConfig {
-	return BreakerConfig{Trip: 3, Cooldown: 3}
-}
-
 func (bc BreakerConfig) cooldown() int {
 	if bc.Cooldown < 1 {
 		return 1
@@ -74,9 +66,6 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 
 // State reports the breaker's position.
 func (b *Breaker) State() BreakerState { return b.state }
-
-// ConsecutiveFailures reports the current failed-round streak.
-func (b *Breaker) ConsecutiveFailures() int { return b.fails }
 
 // Gate is called once at the start of a round. allow reports whether the
 // host may be collected at all this round; probe restricts an allowed

@@ -49,9 +49,9 @@ func TestBreakerTripAndRecover(t *testing.T) {
 		t.Fatalf("expected second probe, got %v,%v", allow, probe)
 	}
 	b.OnSuccess()
-	if b.State() != BreakerClosed || b.ConsecutiveFailures() != 0 {
+	if b.State() != BreakerClosed || b.fails != 0 {
 		t.Fatalf("state after successful probe = %v (%d fails), want closed/0",
-			b.State(), b.ConsecutiveFailures())
+			b.State(), b.fails)
 	}
 }
 

@@ -123,6 +123,16 @@ func NewFleetCollector(coll *Collector, cfg FleetConfig) (*FleetCollector, error
 	}
 	cfg.Hosts = append([]string(nil), cfg.Hosts...)
 	sort.Strings(cfg.Hosts)
+	// Each host owns one breaker driven by one round worker; a repeated
+	// ID would have two workers share a breaker.
+	for i, h := range cfg.Hosts {
+		if h == "" {
+			return nil, fmt.Errorf("monitor: empty host ID")
+		}
+		if i > 0 && h == cfg.Hosts[i-1] {
+			return nil, fmt.Errorf("monitor: duplicate host ID %q", h)
+		}
+	}
 	if cfg.Jitter == nil {
 		cfg.Jitter = DeterministicJitter("")
 	}

@@ -231,22 +231,28 @@ func TestCollectHostContextCancelled(t *testing.T) {
 func TestNewFleetCollectorValidation(t *testing.T) {
 	agents, keys := testFleet(t, []string{"01"})
 	good := testConfig([]string{"01"}, agents, keys, &fakeSleeper{})
+	if _, err := NewFleetCollector(NewCollector(0), good); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
 	if _, err := NewFleetCollector(nil, good); err == nil {
 		t.Error("nil collector accepted")
 	}
-	bad := good
-	bad.Hosts = nil
-	if _, err := NewFleetCollector(NewCollector(0), bad); err == nil {
-		t.Error("empty fleet accepted")
-	}
-	bad = good
-	bad.Dial = nil
-	if _, err := NewFleetCollector(NewCollector(0), bad); err == nil {
-		t.Error("nil dial accepted")
-	}
-	bad = good
-	bad.KeyFor = nil
-	if _, err := NewFleetCollector(NewCollector(0), bad); err == nil {
-		t.Error("nil KeyFor accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*FleetConfig)
+	}{
+		{"empty fleet", func(c *FleetConfig) { c.Hosts = nil }},
+		{"nil dial", func(c *FleetConfig) { c.Dial = nil }},
+		{"nil KeyFor", func(c *FleetConfig) { c.KeyFor = nil }},
+		// Duplicates arrive from outside input such as collectord's
+		// -hosts 01=a,01=b; two round workers would share one breaker.
+		{"duplicate host", func(c *FleetConfig) { c.Hosts = []string{"01", "02", "01"} }},
+		{"empty host ID", func(c *FleetConfig) { c.Hosts = []string{"01", ""} }},
+	} {
+		bad := good
+		tc.mutate(&bad)
+		if _, err := NewFleetCollector(NewCollector(0), bad); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }

@@ -24,7 +24,7 @@ func FuzzParseLedger(f *testing.F) {
 		if sum.OK < 0 || sum.Bad < 0 || sum.Errors < 0 {
 			t.Fatal("negative counts")
 		}
-		if sum.Total() > 0 && !sum.LastAt.IsZero() && sum.LastAt.Before(sum.FirstAt) {
+		if ledgerTotal(sum) > 0 && !sum.LastAt.IsZero() && sum.LastAt.Before(sum.FirstAt) {
 			t.Fatal("time bounds inverted")
 		}
 	})

@@ -20,9 +20,6 @@ type LedgerSummary struct {
 	FirstAt, LastAt time.Time
 }
 
-// Total returns all accounted cycles.
-func (l LedgerSummary) Total() int { return l.OK + l.Bad + l.Errors }
-
 // ParseLedger reads an md5sums.log as written by the experiment's workload
 // cycle: lines of "<RFC3339> OK <md5>" or "<RFC3339> BAD <md5> ...", with
 // "ERROR ..." lines for pipeline faults.

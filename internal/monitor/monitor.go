@@ -443,17 +443,6 @@ func (c *Collector) MirrorBytes() int64 {
 	return total
 }
 
-// TrimmedBytes returns how many raw bytes retention has evicted for one
-// host's file (0 if never trimmed).
-func (c *Collector) TrimmedBytes(hostID, name string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if st := c.files[fileKey{hostID, name}]; st != nil {
-		return st.trim
-	}
-	return 0
-}
-
 // Mirror returns the collector's mirror of a host's store, creating it on
 // first use.
 func (c *Collector) Mirror(hostID string) *FileStore {

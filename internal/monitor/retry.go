@@ -30,18 +30,6 @@ type RetryPolicy struct {
 	JitterFrac float64
 }
 
-// DefaultRetry is tuned to the paper's 20-minute cadence: three tries with
-// pauses of roughly 2 s and 4 s fit comfortably inside a round.
-func DefaultRetry() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: 3,
-		BaseBackoff: 2 * time.Second,
-		Multiplier:  2,
-		MaxBackoff:  30 * time.Second,
-		JitterFrac:  0.5,
-	}
-}
-
 // attempts returns the effective attempt cap.
 func (rp RetryPolicy) attempts() int {
 	if rp.MaxAttempts < 1 {

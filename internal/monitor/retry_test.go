@@ -11,7 +11,8 @@ func TestWaitContextCancelledBeforeSleep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	slept := false
-	err := DefaultRetry().WaitContext(ctx, 1, 0.5, func(context.Context, time.Duration) error {
+	rp := RetryPolicy{MaxAttempts: 3, BaseBackoff: 2 * time.Second, Multiplier: 2, JitterFrac: 0.5}
+	err := rp.WaitContext(ctx, 1, 0.5, func(context.Context, time.Duration) error {
 		slept = true
 		return nil
 	})

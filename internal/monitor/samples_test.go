@@ -111,7 +111,7 @@ func TestCollectorSamplesAndRetention(t *testing.T) {
 		t.Errorf("mirror holds %d bytes, cap %d", got, retain)
 	}
 	full := store.Get(SensorLog)
-	trim := coll.TrimmedBytes("01", SensorLog)
+	trim := trimmedBytes(coll, "01", SensorLog)
 	if trim == 0 {
 		t.Fatal("retention never evicted despite cap overflow")
 	}
@@ -175,7 +175,7 @@ func TestRetentionDoesNotRetransferEvictedPrefix(t *testing.T) {
 	if _, err := coll.CollectHost(cSess, "01", at); err != nil {
 		t.Fatal(err)
 	}
-	if coll.TrimmedBytes("01", SensorLog) == 0 {
+	if trimmedBytes(coll, "01", SensorLog) == 0 {
 		t.Fatal("round 1 did not trim")
 	}
 
@@ -193,8 +193,19 @@ func TestRetentionDoesNotRetransferEvictedPrefix(t *testing.T) {
 		t.Errorf("round 2 moved %d literal bytes, want ≈ %d (offset-aware sync)", s2.LiteralBytes, len(tail))
 	}
 	full := store.Get(SensorLog)
-	trim := coll.TrimmedBytes("01", SensorLog)
+	trim := trimmedBytes(coll, "01", SensorLog)
 	if got := coll.Mirror("01").Get(SensorLog); !bytes.Equal(got, full[trim:]) {
 		t.Error("mirror suffix diverged after offset-aware round")
 	}
+}
+
+// trimmedBytes returns how many raw bytes retention has evicted for one
+// host's file (0 if never trimmed).
+func trimmedBytes(c *Collector, hostID, name string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if st := c.files[fileKey{hostID, name}]; st != nil {
+		return st.trim
+	}
+	return 0
 }

@@ -240,15 +240,6 @@ func (e *Engine) Live(name string, fn func() float64) *Engine {
 	return e
 }
 
-// WithTimelineCap bounds the retained incident timeline (default 1024
-// events; older events are dropped and counted).
-func (e *Engine) WithTimelineCap(n int) *Engine {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.tl = newTimeline(n)
-	return e
-}
-
 // rebuild (re)expands wildcards and rebinds sources. Called on the
 // first Eval and whenever the store's series count changes; instances
 // that survive keep their alert state.

@@ -249,8 +249,8 @@ func TestRestoreFromCheckpoint(t *testing.T) {
 func TestTimelineBounded(t *testing.T) {
 	var v float64
 	eng := NewEngine(MustParse("alert x value($v) > 0\n"), tsdb.NewStore(0)).
-		Live("v", func() float64 { return v }).
-		WithTimelineCap(8)
+		Live("v", func() float64 { return v })
+	eng.tl = newTimeline(8)
 	for i := 0; i < 20; i++ {
 		v = float64(i % 2) // flaps every tick
 		eng.Eval(tick(i))
@@ -318,7 +318,7 @@ alert cov value($coverage) < 0.9 for 20m
 			cov = 1 - float64(i)*0.02
 			eng.Eval(now)
 		}
-		return eng.TimelineText()
+		return eng.tl.text()
 	}
 	a, b := run(), run()
 	if a != b {

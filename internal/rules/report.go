@@ -152,15 +152,8 @@ func (e *Engine) Timeline() []Event {
 	return e.tl.snapshot()
 }
 
-// TimelineText renders the retained timeline in its canonical
-// one-line-per-event form.
-func (e *Engine) TimelineText() string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.tl.text()
-}
-
-// TimelineDigest is the SHA-256 of TimelineText: the replay
+// TimelineDigest is the SHA-256 of the retained timeline in its canonical
+// one-line-per-event form: the replay
 // byte-identity anchor for determinism tests and E16.
 func (e *Engine) TimelineDigest() string {
 	e.mu.Lock()

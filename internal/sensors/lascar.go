@@ -22,8 +22,8 @@ type LascarSpec struct {
 // ELUSB2Spec is the datasheet of the unit the paper used.
 var ELUSB2Spec = LascarSpec{TempTypical: 0.5, TempMax: 2, RHTypical: 3, RHMax: 6}
 
-// Environment is the air the logger sits in; satisfied by
-// thermal.Environment.
+// Environment is the air the logger sits in; satisfied by *thermal.Tent,
+// *thermal.Basement and *thermal.PrototypeBoxes.
 type Environment interface {
 	Air() (units.Celsius, units.RelHumidity)
 }
@@ -82,9 +82,6 @@ func NewLascar(spec LascarSpec, rng *simkernel.RNG, env Environment, interval ti
 		RH:        timeseries.New("tent_inside_rh", "%RH"),
 	}, nil
 }
-
-// ArrivesAt returns the delivery instant.
-func (l *Lascar) ArrivesAt() time.Time { return l.arrivesAt }
 
 // Install registers the logger's sampling task on the scheduler. Sampling
 // starts at the later of start and the delivery date.

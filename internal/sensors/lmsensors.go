@@ -110,9 +110,6 @@ func NewChip(cfg ChipConfig, rng *simkernel.RNG, hostID string, susceptibility f
 // State returns the chip's current health state.
 func (c *Chip) State() ChipState { return c.state }
 
-// Susceptible reports whether this individual can ever develop the glitch.
-func (c *Chip) Susceptible() bool { return c.susceptible }
-
 // Observe advances the chip's internal condition by dt at the given true
 // die temperature. Cold exposure accumulates; warm operation does not heal
 // a glitching chip (only a warm reboot does).

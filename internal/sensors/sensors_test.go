@@ -17,7 +17,7 @@ func susceptibleChip(t *testing.T) *Chip {
 	t.Helper()
 	rng := simkernel.NewRNG("chips")
 	c := NewChip(DefaultChipConfig(), rng, "01", 1)
-	if !c.Susceptible() {
+	if !c.susceptible {
 		t.Fatal("susceptibility 1 produced non-susceptible chip")
 	}
 	return c
@@ -93,7 +93,7 @@ func TestChipGlitchStateMachine(t *testing.T) {
 func TestChipNonSusceptibleNeverGlitches(t *testing.T) {
 	rng := simkernel.NewRNG("never")
 	c := NewChip(DefaultChipConfig(), rng, "02", 0)
-	if c.Susceptible() {
+	if c.susceptible {
 		t.Fatal("susceptibility 0 produced susceptible chip")
 	}
 	c.Observe(1000*time.Hour, -30)

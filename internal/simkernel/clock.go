@@ -23,14 +23,6 @@ import (
 	"time"
 )
 
-// Clock exposes the current simulated time. The Scheduler implements it;
-// components that only need to *read* time should depend on Clock, not on
-// the full Scheduler.
-type Clock interface {
-	// Now returns the current simulated instant.
-	Now() time.Time
-}
-
 // Event is a scheduled callback. Fire runs at the event's due time with the
 // scheduler's clock already advanced to that time.
 //
@@ -59,9 +51,6 @@ func (e *Event) Cancel() {
 		e.canceled = true
 	}
 }
-
-// Due returns the simulated instant the event is scheduled for.
-func (e *Event) Due() time.Time { return e.due }
 
 // before reports whether a dispatches ahead of b: earlier due time first,
 // FIFO among equal due times.
@@ -277,20 +266,6 @@ func (s *Scheduler) NextDue() (time.Time, bool) {
 		return time.Time{}, false
 	}
 	return e.due, true
-}
-
-// RunAll dispatches every pending event. It guards against runaway
-// self-rescheduling with a generous cap and returns an error if the cap is
-// reached.
-func (s *Scheduler) RunAll(maxEvents uint64) error {
-	var n uint64
-	for s.Step() {
-		n++
-		if n >= maxEvents {
-			return fmt.Errorf("simkernel: RunAll exceeded %d events", maxEvents)
-		}
-	}
-	return nil
 }
 
 // peek surfaces the earliest pending non-canceled event into the head slot

@@ -25,9 +25,6 @@ func NewRNG(master string) *RNG {
 	return &RNG{master: master, streams: make(map[string]*rand.Rand)}
 }
 
-// Master returns the master seed string.
-func (r *RNG) Master() string { return r.master }
-
 // Stream returns the stream with the given name, creating and seeding it on
 // first use. The same (master, name) pair always yields the same sequence.
 func (r *RNG) Stream(name string) *rand.Rand {
@@ -64,12 +61,6 @@ func (r *RNG) Normal(stream string, mean, stddev float64) float64 {
 // Uniform draws uniformly from [lo, hi) on the named stream.
 func (r *RNG) Uniform(stream string, lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Stream(stream).Float64()
-}
-
-// Exponential draws from an exponential distribution with the given mean on
-// the named stream.
-func (r *RNG) Exponential(stream string, mean float64) float64 {
-	return r.Stream(stream).ExpFloat64() * mean
 }
 
 // Bernoulli returns true with probability p on the named stream.

@@ -1,9 +1,8 @@
 // Package stats provides the statistical machinery the experiment's
-// analysis needs: descriptive summaries, histograms, binomial rate
-// estimates with Wilson confidence intervals (used to compare the tent's
-// 5.6 % host failure rate with the control group's 0 % and Intel's
-// 4.46 %), two-proportion tests, linear regression, and bootstrap
-// resampling.
+// analysis needs: binomial rate estimates with Wilson confidence
+// intervals (used to compare the tent's 5.6 % host failure rate with the
+// control group's 0 % and Intel's 4.46 %), Fisher's exact test, pooled
+// rates, bootstrap resampling and two-proportion sample sizes.
 package stats
 
 import (
@@ -17,44 +16,6 @@ import (
 
 // ErrEmpty reports a computation over no data.
 var ErrEmpty = errors.New("stats: empty data")
-
-// Describe holds descriptive statistics of a sample.
-type Describe struct {
-	N                  int
-	Mean, Stddev       float64
-	Min, Max           float64
-	Median             float64
-	P05, P25, P75, P95 float64
-}
-
-// Summarize computes descriptive statistics.
-func Summarize(xs []float64) (Describe, error) {
-	if len(xs) == 0 {
-		return Describe{}, ErrEmpty
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	d := Describe{N: len(s), Min: s[0], Max: s[len(s)-1]}
-	var sum float64
-	for _, x := range s {
-		sum += x
-	}
-	d.Mean = sum / float64(d.N)
-	var sq float64
-	for _, x := range s {
-		sq += (x - d.Mean) * (x - d.Mean)
-	}
-	if d.N > 1 {
-		d.Stddev = math.Sqrt(sq / float64(d.N-1))
-	}
-	d.Median = Quantile(s, 0.5)
-	d.P05 = Quantile(s, 0.05)
-	d.P25 = Quantile(s, 0.25)
-	d.P75 = Quantile(s, 0.75)
-	d.P95 = Quantile(s, 0.95)
-	return d, nil
-}
 
 // Quantile returns the q-quantile (0..1) of sorted data by linear
 // interpolation.
@@ -147,20 +108,6 @@ func Distinguishable(a, b Rate) (bool, error) {
 	return ahi < blo || bhi < alo, nil
 }
 
-// TwoProportionZ returns the z statistic of the standard two-proportion
-// test (pooled). Callers compare |z| against 1.96 for 5 % significance.
-func TwoProportionZ(a, b Rate) (float64, error) {
-	if a.Trials == 0 || b.Trials == 0 {
-		return 0, ErrEmpty
-	}
-	p := float64(a.Events+b.Events) / float64(a.Trials+b.Trials)
-	if p == 0 || p == 1 {
-		return 0, nil
-	}
-	se := math.Sqrt(p * (1 - p) * (1/float64(a.Trials) + 1/float64(b.Trials)))
-	return (a.Value() - b.Value()) / se, nil
-}
-
 // FisherExact returns the two-sided p-value of Fisher's exact test on the
 // 2x2 table [[a, b], [c, d]] — the appropriate test for the experiment's
 // tiny arms (1 failed / 8 fine in the tent vs 0 / 9 in the basement),
@@ -212,98 +159,6 @@ func logChoose(n, k int) float64 {
 	lk, _ := math.Lgamma(float64(k + 1))
 	lnk, _ := math.Lgamma(float64(n - k + 1))
 	return ln - lk - lnk
-}
-
-// Histogram bins data into equal-width buckets over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	// Under and Over count out-of-range samples.
-	Under, Over int
-}
-
-// NewHistogram bins xs into n buckets.
-func NewHistogram(xs []float64, min, max float64, n int) (*Histogram, error) {
-	if n <= 0 || max <= min {
-		return nil, fmt.Errorf("stats: bad histogram shape [%v,%v) x%d", min, max, n)
-	}
-	h := &Histogram{Min: min, Max: max, Counts: make([]int, n)}
-	width := (max - min) / float64(n)
-	for _, x := range xs {
-		switch {
-		case x < min:
-			h.Under++
-		case x >= max:
-			h.Over++
-		default:
-			h.Counts[int((x-min)/width)]++
-		}
-	}
-	return h, nil
-}
-
-// Total returns the in-range sample count.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Linear holds a least-squares fit y = Slope*x + Intercept.
-type Linear struct {
-	Slope, Intercept float64
-	// R2 is the coefficient of determination.
-	R2 float64
-}
-
-// FitLinear computes the least-squares line through (xs, ys).
-func FitLinear(xs, ys []float64) (Linear, error) {
-	if len(xs) != len(ys) {
-		return Linear{}, fmt.Errorf("stats: mismatched lengths %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return Linear{}, ErrEmpty
-	}
-	n := float64(len(xs))
-	var sx, sy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, sxy, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return Linear{}, errors.New("stats: x has zero variance")
-	}
-	l := Linear{Slope: sxy / sxx}
-	l.Intercept = my - l.Slope*mx
-	if syy > 0 {
-		l.R2 = (sxy * sxy) / (sxx * syy)
-	} else {
-		l.R2 = 1
-	}
-	return l, nil
-}
-
-// Pearson returns the linear correlation of xs and ys.
-func Pearson(xs, ys []float64) (float64, error) {
-	l, err := FitLinear(xs, ys)
-	if err != nil {
-		return 0, err
-	}
-	r := math.Sqrt(l.R2)
-	if l.Slope < 0 {
-		r = -r
-	}
-	return r, nil
 }
 
 // PoolRates sums binomial rates over independent replicates: the campaign

@@ -129,22 +129,8 @@ func ExponentialBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n upper bounds starting at start, spaced by
-// width. It panics on n < 1 or width <= 0.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n < 1 || width <= 0 {
-		panic("telemetry: LinearBuckets needs width > 0, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start += width
-	}
-	return out
-}
-
-// vec is the shared child table behind CounterVec, GaugeVec and
-// HistogramVec: a label-values → child map under a read-mostly lock.
+// vec is the shared child table behind CounterVec and GaugeVec: a
+// label-values → child map under a read-mostly lock.
 // Callers on hot paths should resolve their child once and cache the
 // pointer; With itself is for setup and network-bound paths.
 type vec[T any] struct {
@@ -255,17 +241,5 @@ type GaugeVec struct {
 // With returns the gauge for the given label values, creating it on
 // first use.
 func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.vec.with(joinLabelValues(values))
-}
-
-// HistogramVec is a histogram family partitioned by label values. All
-// children share the bucket layout chosen at registration.
-type HistogramVec struct {
-	vec vec[Histogram]
-}
-
-// With returns the histogram for the given label values, creating it on
-// first use.
-func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.vec.with(joinLabelValues(values))
 }

@@ -44,7 +44,6 @@ type family struct {
 	histogram  *Histogram
 	counterVec *CounterVec
 	gaugeVec   *GaugeVec
-	histVec    *HistogramVec
 	valueFn    func() float64
 }
 
@@ -144,17 +143,6 @@ func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
 	return v
 }
 
-// NewHistogramVec registers and returns a histogram family partitioned
-// by the given label names, all children sharing one bucket layout.
-func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	checkBuckets(name, buckets)
-	v := &HistogramVec{}
-	v.vec.children = make(map[string]*Histogram)
-	v.vec.make = func() *Histogram { return newHistogram(buckets) }
-	r.register(&family{name: name, help: help, kind: kindHistogram, labels: labels, histVec: v})
-	return v
-}
-
 // CounterFunc registers a counter whose value is read at scrape time.
 // This is how pre-existing atomic counters (a Scheduler's fired-event
 // count, the experiment's embedded tick counters) join a registry
@@ -227,10 +215,6 @@ func (f *family) render(b *strings.Builder) {
 	case f.gaugeVec != nil:
 		for _, key := range sortedKeys(f.gaugeVec.vec.snapshot()) {
 			writeSample(b, f.name, f.labelPairs(key), f.gaugeVec.vec.get(key).Value())
-		}
-	case f.histVec != nil:
-		for _, key := range sortedKeys(f.histVec.vec.snapshot()) {
-			renderHistogram(b, f.name, f.labelPairs(key), f.histVec.vec.get(key))
 		}
 	}
 }

@@ -170,10 +170,6 @@ func TestBucketHelpers(t *testing.T) {
 	if want := []float64{1, 2, 4, 8}; len(exp) != 4 || exp[3] != want[3] {
 		t.Errorf("ExponentialBuckets = %v", exp)
 	}
-	lin := LinearBuckets(0.5, 0.5, 3)
-	if lin[0] != 0.5 || lin[2] != 1.5 {
-		t.Errorf("LinearBuckets = %v", lin)
-	}
 }
 
 // TestConcurrentUpdatesAndScrapes hammers every instrument type from

@@ -119,7 +119,7 @@ func TestSetVentilationReversible(t *testing.T) {
 		t.Fatal(err)
 	}
 	tent.SetVentilation(1)
-	if !tent.Applied(InstallFan) || tent.Ventilation() != 1 {
+	if !tent.Applied(InstallFan) || tent.damper != 1 {
 		t.Fatal("full open should apply every rung")
 	}
 	tent.SetVentilation(0.3)

@@ -20,16 +20,6 @@ import (
 	"frostlab/internal/weather"
 )
 
-// Environment yields the air conditions immediately around the machines of
-// one group. Implementations: *Tent, *Basement, *PrototypeBoxes.
-type Environment interface {
-	// Air returns the current ambient temperature and relative humidity
-	// around the equipment.
-	Air() (units.Celsius, units.RelHumidity)
-	// Name identifies the environment in logs and figures.
-	Name() string
-}
-
 // Modification is one of the paper's envelope changes, in the order they
 // appear beneath Fig. 3.
 type Modification int
@@ -154,10 +144,6 @@ func (t *Tent) SetVentilation(pos float64) {
 	t.damper = clamp01(pos)
 	t.vent = Ladder(t.damper)
 }
-
-// Ventilation returns the last position given to SetVentilation. Discrete
-// Apply events do not move it.
-func (t *Tent) Ventilation() float64 { return t.damper }
 
 // Ladder maps a continuous damper position in [0, 1] to fractional
 // application levels of the four envelope modifications, indexed by

@@ -3,9 +3,9 @@
 // Lascar logger samples, lm-sensors readings, and power meter output.
 //
 // It supports append-only recording, windowed aggregation, resampling,
-// gap detection, outlier removal (the paper removes Lascar samples taken
-// while the logger was carried indoors for readout), and CSV round-trips
-// in the same style as a Lascar EL-USB-2 export.
+// outlier removal (the paper removes Lascar samples taken while the
+// logger was carried indoors for readout), and CSV export in the same
+// style as a Lascar EL-USB-2 export.
 package timeseries
 
 import (
@@ -204,27 +204,6 @@ func (s *Series) Resample(width time.Duration) (*Series, error) {
 	return out, nil
 }
 
-// Gaps returns the start and end of every inter-sample interval longer than
-// threshold. The paper's Fig. 4 caption calls out exactly such a gap.
-func (s *Series) Gaps(threshold time.Duration) []Gap {
-	var gaps []Gap
-	for i := 1; i < len(s.points); i++ {
-		d := s.points[i].At.Sub(s.points[i-1].At)
-		if d > threshold {
-			gaps = append(gaps, Gap{From: s.points[i-1].At, To: s.points[i].At})
-		}
-	}
-	return gaps
-}
-
-// Gap is a span with no samples.
-type Gap struct {
-	From, To time.Time
-}
-
-// Duration returns the length of the gap.
-func (g Gap) Duration() time.Duration { return g.To.Sub(g.From) }
-
 // RemoveOutliers returns a new series without samples whose robust z-score
 // — distance from the rolling-window median in units of the window's
 // median absolute deviation (MAD) — exceeds zmax. The window is centered
@@ -307,61 +286,4 @@ func (s *Series) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a series previously written with WriteCSV. The name and
-// unit are recovered from the header when it matches the "name (unit)"
-// shape; otherwise the raw header is used as the name.
-func ReadCSV(r io.Reader) (*Series, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("timeseries: reading CSV header: %w", err)
-	}
-	if len(header) != 2 {
-		return nil, fmt.Errorf("timeseries: want 2 CSV columns, got %d", len(header))
-	}
-	name, unit := header[1], ""
-	if i := lastIndexByte(name, '('); i > 0 && name[len(name)-1] == ')' {
-		unit = name[i+1 : len(name)-1]
-		name = trimSpaceRight(name[:i])
-	}
-	s := New(name, unit)
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("timeseries: CSV line %d: %w", line, err)
-		}
-		at, err := time.Parse(csvTimeLayout, rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("timeseries: CSV line %d timestamp: %w", line, err)
-		}
-		v, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("timeseries: CSV line %d value: %w", line, err)
-		}
-		if err := s.Append(at.UTC(), v); err != nil {
-			return nil, fmt.Errorf("timeseries: CSV line %d: %w", line, err)
-		}
-	}
-	return s, nil
-}
-
-func lastIndexByte(s string, b byte) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
-}
-
-func trimSpaceRight(s string) string {
-	for len(s) > 0 && s[len(s)-1] == ' ' {
-		s = s[:len(s)-1]
-	}
-	return s
 }

@@ -2,6 +2,9 @@ package timeseries
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -176,7 +179,7 @@ func TestGaps(t *testing.T) {
 	mustAppend(t, s, t0.Add(5*time.Minute), 1)
 	mustAppend(t, s, t0.Add(3*time.Hour), 1) // gap
 	mustAppend(t, s, t0.Add(3*time.Hour+5*time.Minute), 1)
-	gaps := s.Gaps(30 * time.Minute)
+	gaps := s.gaps(30 * time.Minute)
 	if len(gaps) != 1 {
 		t.Fatalf("found %d gaps, want 1", len(gaps))
 	}
@@ -226,7 +229,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := s.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	got, err := readCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,15 +257,15 @@ func TestReadCSVBadInput(t *testing.T) {
 		"timestamp,v\n2010-02-19 12:00:00,not-a-number\n",
 	}
 	for _, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadCSV(%q) succeeded, want error", in)
+		if _, err := readCSV(strings.NewReader(in)); err == nil {
+			t.Errorf("readCSV(%q) succeeded, want error", in)
 		}
 	}
 }
 
 func TestReadCSVPlainHeader(t *testing.T) {
 	in := "timestamp,outside\n2010-02-19 12:00:00,-9.2\n"
-	s, err := ReadCSV(strings.NewReader(in))
+	s, err := readCSV(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,4 +343,87 @@ func TestSummarizeWindowAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("SummarizeWindow allocates %.1f times per call, want 0", allocs)
 	}
+}
+
+// The helpers below have no caller in the program; they stay beside the
+// tests that pin them and go when those tests do.
+// readCSV is also the inverse of WriteCSV that TestCSVRoundTrip reads
+// back with.
+
+// gaps returns the start and end of every inter-sample interval longer than
+// threshold. The paper's Fig. 4 caption calls out exactly such a gap.
+func (s *Series) gaps(threshold time.Duration) []gap {
+	var gaps []gap
+	for i := 1; i < len(s.points); i++ {
+		d := s.points[i].At.Sub(s.points[i-1].At)
+		if d > threshold {
+			gaps = append(gaps, gap{From: s.points[i-1].At, To: s.points[i].At})
+		}
+	}
+	return gaps
+}
+
+// gap is a span with no samples.
+type gap struct {
+	From, To time.Time
+}
+
+// Duration returns the length of the gap.
+func (g gap) Duration() time.Duration { return g.To.Sub(g.From) }
+
+// readCSV parses a series previously written with WriteCSV. The name and
+// unit are recovered from the header when it matches the "name (unit)"
+// shape; otherwise the raw header is used as the name.
+func readCSV(r io.Reader) (*Series, error) {
+	cr := csv.NewReader(r)
+	header, err := cr.Read()
+	if err != nil {
+		return nil, fmt.Errorf("timeseries: reading CSV header: %w", err)
+	}
+	if len(header) != 2 {
+		return nil, fmt.Errorf("timeseries: want 2 CSV columns, got %d", len(header))
+	}
+	name, unit := header[1], ""
+	if i := lastIndexByte(name, '('); i > 0 && name[len(name)-1] == ')' {
+		unit = name[i+1 : len(name)-1]
+		name = trimSpaceRight(name[:i])
+	}
+	s := New(name, unit)
+	for line := 2; ; line++ {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("timeseries: CSV line %d: %w", line, err)
+		}
+		at, err := time.Parse(csvTimeLayout, rec[0])
+		if err != nil {
+			return nil, fmt.Errorf("timeseries: CSV line %d timestamp: %w", line, err)
+		}
+		v, err := strconv.ParseFloat(rec[1], 64)
+		if err != nil {
+			return nil, fmt.Errorf("timeseries: CSV line %d value: %w", line, err)
+		}
+		if err := s.Append(at.UTC(), v); err != nil {
+			return nil, fmt.Errorf("timeseries: CSV line %d: %w", line, err)
+		}
+	}
+	return s, nil
+}
+
+func lastIndexByte(s string, b byte) int {
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i] == b {
+			return i
+		}
+	}
+	return -1
+}
+
+func trimSpaceRight(s string) string {
+	for len(s) > 0 && s[len(s)-1] == ' ' {
+		s = s[:len(s)-1]
+	}
+	return s
 }

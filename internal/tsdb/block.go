@@ -211,10 +211,6 @@ func (a *appender) seal(seriesID uint32) Block {
 	return b
 }
 
-// SeriesID returns the block's owning series, as assigned by its store
-// (blocks built by a Builder carry ID 0).
-func (b Block) SeriesID() uint32 { return b.seriesID }
-
 // Count returns the number of samples in the block.
 func (b Block) Count() int { return int(b.count) }
 
@@ -231,44 +227,3 @@ func (b Block) CompressedBytes() int { return len(b.data) }
 // decodes directly from the compressed bytes; it never materialises a
 // sample slice.
 func (b Block) Iter() Iter { return newIter(b.data, b.count) }
-
-// Builder encodes an ordered sample stream into sealed blocks of up to
-// maxSamples each, without a Store or its segment files.
-type Builder struct {
-	app        appender
-	maxSamples int
-	blocks     []Block
-}
-
-// NewBuilder returns a builder sealing blocks every maxSamples samples
-// (DefaultBlockSamples when <= 0).
-func NewBuilder(maxSamples int) *Builder {
-	if maxSamples <= 0 {
-		maxSamples = DefaultBlockSamples
-	}
-	b := &Builder{maxSamples: maxSamples}
-	b.app.reset()
-	return b
-}
-
-// Append encodes one sample. Timestamps must be non-decreasing.
-func (b *Builder) Append(t int64, v float64) error {
-	if err := b.app.append(t, v); err != nil {
-		return err
-	}
-	if int(b.app.count) >= b.maxSamples {
-		b.blocks = append(b.blocks, b.app.seal(0))
-	}
-	return nil
-}
-
-// Finish seals any partial head block and returns every block built. The
-// builder is reusable afterwards.
-func (b *Builder) Finish() []Block {
-	if b.app.count > 0 {
-		b.blocks = append(b.blocks, b.app.seal(0))
-	}
-	out := b.blocks
-	b.blocks = nil
-	return out
-}

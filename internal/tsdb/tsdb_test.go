@@ -16,6 +16,47 @@ type sample struct {
 	v float64
 }
 
+// Builder encodes an ordered sample stream into sealed blocks of up to
+// maxSamples each, without a Store or its segment files.
+type Builder struct {
+	app        appender
+	maxSamples int
+	blocks     []Block
+}
+
+// NewBuilder returns a builder sealing blocks every maxSamples samples
+// (DefaultBlockSamples when <= 0).
+func NewBuilder(maxSamples int) *Builder {
+	if maxSamples <= 0 {
+		maxSamples = DefaultBlockSamples
+	}
+	b := &Builder{maxSamples: maxSamples}
+	b.app.reset()
+	return b
+}
+
+// Append encodes one sample. Timestamps must be non-decreasing.
+func (b *Builder) Append(t int64, v float64) error {
+	if err := b.app.append(t, v); err != nil {
+		return err
+	}
+	if int(b.app.count) >= b.maxSamples {
+		b.blocks = append(b.blocks, b.app.seal(0))
+	}
+	return nil
+}
+
+// Finish seals any partial head block and returns every block built. The
+// builder is reusable afterwards.
+func (b *Builder) Finish() []Block {
+	if b.app.count > 0 {
+		b.blocks = append(b.blocks, b.app.seal(0))
+	}
+	out := b.blocks
+	b.blocks = nil
+	return out
+}
+
 // roundTrip encodes samples through a Builder and decodes them back,
 // asserting bitwise equality.
 func roundTrip(t *testing.T, name string, in []sample, blockSamples int) []Block {

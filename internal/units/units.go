@@ -1,11 +1,11 @@
 // Package units provides the physical quantities used throughout frostlab:
 // temperatures, relative humidities, power, energy, wind speed, and the
-// psychrometric relations (dew point, absolute humidity, condensation risk)
-// that the paper's discussion of humidity and condensation depends on.
+// psychrometric relations (dew point, condensation risk) that the paper's
+// discussion of humidity and condensation depends on.
 //
 // All quantities are strong types over float64 so that a Celsius value can
-// never be accidentally mixed with a Kelvin value or a relative humidity.
-// Conversions are explicit.
+// never be accidentally mixed with a relative humidity. Conversions are
+// explicit.
 package units
 
 import (
@@ -16,9 +16,6 @@ import (
 
 // Celsius is a temperature in degrees Celsius.
 type Celsius float64
-
-// Kelvin is an absolute temperature in kelvins.
-type Kelvin float64
 
 // RelHumidity is a relative humidity in percent (0..100).
 type RelHumidity float64
@@ -35,20 +32,11 @@ type MetersPerSecond float64
 // WattsPerSquareMeter is a solar irradiance.
 type WattsPerSquareMeter float64
 
-// GramsPerCubicMeter is an absolute humidity (water vapour density).
-type GramsPerCubicMeter float64
-
 // AbsoluteZero is the lowest possible Celsius temperature.
 const AbsoluteZero Celsius = -273.15
 
 // ErrOutOfRange reports a physically impossible quantity.
 var ErrOutOfRange = errors.New("units: quantity out of physical range")
-
-// Kelvin converts a Celsius temperature to kelvins.
-func (c Celsius) Kelvin() Kelvin { return Kelvin(float64(c) + 273.15) }
-
-// Celsius converts a Kelvin temperature to degrees Celsius.
-func (k Kelvin) Celsius() Celsius { return Celsius(float64(k) - 273.15) }
 
 // Valid reports whether the temperature is at or above absolute zero.
 func (c Celsius) Valid() bool { return c >= AbsoluteZero }
@@ -83,9 +71,6 @@ func (w Watts) String() string {
 	}
 	return fmt.Sprintf("%.0fW", float64(w))
 }
-
-// Kilowatts returns the power in kilowatts.
-func (w Watts) Kilowatts() float64 { return float64(w) / 1000 }
 
 // Energy returns the energy dissipated by drawing the power for the given
 // number of hours.
@@ -144,16 +129,6 @@ func RelHumidityAt(t Celsius, rh RelHumidity, newT Celsius) RelHumidity {
 	return RelHumidity(e / es * 100).Clamp()
 }
 
-// AbsoluteHumidity returns the water vapour density of the air in g/m³,
-// via the ideal gas law for water vapour (specific gas constant
-// 461.5 J/(kg·K)).
-func AbsoluteHumidity(t Celsius, rh RelHumidity) GramsPerCubicMeter {
-	e := VaporPressure(t, rh) * 100 // hPa -> Pa
-	const rv = 461.5                // J/(kg·K)
-	kg := e / (rv * float64(t.Kelvin()))
-	return GramsPerCubicMeter(kg * 1000)
-}
-
 // CondensationRisk reports whether a surface at surfaceT exposed to air at
 // (airT, rh) would collect condensation, i.e. whether the surface is below
 // the air's dew point. The paper argues (§5) that powered equipment stays
@@ -187,9 +162,9 @@ func DewPointMargin(airT Celsius, rh RelHumidity, surfaceT Celsius) (Celsius, er
 // in the style of the ASHRAE datacom classes: an intake temperature band
 // plus moisture ceilings expressed as a maximum dew point and a maximum
 // relative humidity. The paper's tent spends weeks outside every published
-// class — that is the point of the experiment — so frostlab ships both the
-// standard A2 allowable box and a frost-extended box that admits the
-// sub-zero operation the paper demonstrates.
+// class — that is the point of the experiment — so frostlab's control
+// plane defends a frost-extended box that admits the sub-zero operation
+// the paper demonstrates.
 type AshraeEnvelope struct {
 	// TempLow and TempHigh bound the allowable intake temperature.
 	TempLow, TempHigh Celsius
@@ -198,10 +173,6 @@ type AshraeEnvelope struct {
 	// RHMax caps the intake relative humidity.
 	RHMax RelHumidity
 }
-
-// AshraeA2Allowable is the ASHRAE class A2 allowable envelope: 10–35 °C,
-// dew point at most 21 °C, relative humidity at most 80 %.
-var AshraeA2Allowable = AshraeEnvelope{TempLow: 10, TempHigh: 35, DewPointMax: 21, RHMax: 80}
 
 // FrostAllowable is the frost-extended allowable box frostlab's control
 // plane defends by default: it admits near-freezing intake (the tent's
@@ -244,31 +215,4 @@ func (e AshraeEnvelope) Contains(t Celsius, rh RelHumidity) bool {
 // String describes the box, e.g. "[10.0°C, 35.0°C], dp ≤ 21.0°C, rh ≤ 80.0%RH".
 func (e AshraeEnvelope) String() string {
 	return fmt.Sprintf("[%v, %v], dp ≤ %v, rh ≤ %v", e.TempLow, e.TempHigh, e.DewPointMax, e.RHMax)
-}
-
-// WindChill returns the apparent temperature using the North American /
-// UK Met Office wind chill index (valid for t <= 10 °C and wind >= 1.34 m/s;
-// outside that envelope the air temperature itself is returned). The tent
-// deliberately blocks wind chill — the paper notes this as a problem for
-// heat dissipation — so frostlab uses wind chill only for reporting outdoor
-// conditions, never for the heat balance.
-func WindChill(t Celsius, wind MetersPerSecond) Celsius {
-	if t > 10 || wind < 1.34 {
-		return t
-	}
-	kmh := float64(wind) * 3.6
-	v := math.Pow(kmh, 0.16)
-	return Celsius(13.12 + 0.6215*float64(t) - 11.37*v + 0.3965*float64(t)*v)
-}
-
-// MixRatio linearly mixes two temperatures; used by enclosure models when
-// blending recirculated and fresh air. frac is the share of b.
-func MixRatio(a, b Celsius, frac float64) Celsius {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	return a + Celsius(frac)*(b-a)
 }

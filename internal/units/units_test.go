@@ -185,12 +185,12 @@ func TestRelHumidityAtPreservesVaporPressure(t *testing.T) {
 
 func TestAbsoluteHumidityAnchor(t *testing.T) {
 	// Saturated air at 20 °C holds about 17.3 g/m³.
-	got := AbsoluteHumidity(20, 100)
+	got := absoluteHumidity(20, 100)
 	if math.Abs(float64(got)-17.3) > 0.5 {
 		t.Errorf("AH(20°C, 100%%) = %v g/m³, want ≈17.3", got)
 	}
 	// Cold air holds very little: saturated -20 °C air is under 1.1 g/m³.
-	if cold := AbsoluteHumidity(-20, 100); cold > 1.2 {
+	if cold := absoluteHumidity(-20, 100); cold > 1.2 {
 		t.Errorf("AH(-20°C, 100%%) = %v g/m³, want < 1.2", cold)
 	}
 }
@@ -222,17 +222,17 @@ func TestCondensationRiskNeverWhenSurfaceWarmer(t *testing.T) {
 
 func TestWindChillAnchor(t *testing.T) {
 	// Environment Canada anchor: -10 °C at 20 km/h (5.56 m/s) ≈ -17.9.
-	got := WindChill(-10, 5.56)
+	got := windChill(-10, 5.56)
 	if math.Abs(float64(got)+17.9) > 0.5 {
-		t.Errorf("WindChill(-10, 5.56) = %v, want ≈ -17.9", got)
+		t.Errorf("windChill(-10, 5.56) = %v, want ≈ -17.9", got)
 	}
 }
 
 func TestWindChillOutsideEnvelope(t *testing.T) {
-	if got := WindChill(15, 10); got != 15 {
+	if got := windChill(15, 10); got != 15 {
 		t.Errorf("wind chill applied above 10°C: %v", got)
 	}
-	if got := WindChill(-5, 0.5); got != -5 {
+	if got := windChill(-5, 0.5); got != -5 {
 		t.Errorf("wind chill applied in calm air: %v", got)
 	}
 }
@@ -241,7 +241,7 @@ func TestWindChillNeverWarms(t *testing.T) {
 	f := func(t8, w8 uint8) bool {
 		temp := Celsius(float64(t8)/8 - 30) // -30..2
 		wind := MetersPerSecond(float64(w8) / 255 * 30)
-		return WindChill(temp, wind) <= temp
+		return windChill(temp, wind) <= temp
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -249,19 +249,19 @@ func TestWindChillNeverWarms(t *testing.T) {
 }
 
 func TestMixRatio(t *testing.T) {
-	if got := MixRatio(-10, 10, 0.5); got != 0 {
+	if got := mixRatio(-10, 10, 0.5); got != 0 {
 		t.Errorf("midpoint mix = %v, want 0", got)
 	}
-	if got := MixRatio(-10, 10, 0); got != -10 {
+	if got := mixRatio(-10, 10, 0); got != -10 {
 		t.Errorf("frac 0 = %v, want a", got)
 	}
-	if got := MixRatio(-10, 10, 1); got != 10 {
+	if got := mixRatio(-10, 10, 1); got != 10 {
 		t.Errorf("frac 1 = %v, want b", got)
 	}
-	if got := MixRatio(-10, 10, 2); got != 10 {
+	if got := mixRatio(-10, 10, 2); got != 10 {
 		t.Errorf("frac clamps above 1: %v", got)
 	}
-	if got := MixRatio(-10, 10, -1); got != -10 {
+	if got := mixRatio(-10, 10, -1); got != -10 {
 		t.Errorf("frac clamps below 0: %v", got)
 	}
 }
@@ -365,6 +365,10 @@ func TestDewPointMarginInvalidTemperature(t *testing.T) {
 	}
 }
 
+// ashraeA2Allowable is the ASHRAE class A2 allowable envelope: 10–35 °C,
+// dew point at most 21 °C, relative humidity at most 80 %.
+var ashraeA2Allowable = AshraeEnvelope{TempLow: 10, TempHigh: 35, DewPointMax: 21, RHMax: 80}
+
 func TestAshraeEnvelopeContains(t *testing.T) {
 	cases := []struct {
 		name string
@@ -373,13 +377,13 @@ func TestAshraeEnvelopeContains(t *testing.T) {
 		rh   RelHumidity
 		want bool
 	}{
-		{"A2 center", AshraeA2Allowable, 22, 50, true},
-		{"A2 low edge", AshraeA2Allowable, 10, 50, true},
-		{"A2 below band", AshraeA2Allowable, 9.9, 50, false},
-		{"A2 high edge", AshraeA2Allowable, 35, 30, true},
-		{"A2 above band", AshraeA2Allowable, 35.1, 30, false},
-		{"A2 RH cap", AshraeA2Allowable, 22, 81, false},
-		{"A2 dew point cap", AshraeA2Allowable, 34, 55, false}, // dp ≈ 23.8 > 21
+		{"A2 center", ashraeA2Allowable, 22, 50, true},
+		{"A2 low edge", ashraeA2Allowable, 10, 50, true},
+		{"A2 below band", ashraeA2Allowable, 9.9, 50, false},
+		{"A2 high edge", ashraeA2Allowable, 35, 30, true},
+		{"A2 above band", ashraeA2Allowable, 35.1, 30, false},
+		{"A2 RH cap", ashraeA2Allowable, 22, 81, false},
+		{"A2 dew point cap", ashraeA2Allowable, 34, 55, false}, // dp ≈ 23.8 > 21
 		{"frost box admits near-freezing", FrostAllowable, 2.5, 60, true},
 		{"frost box refuses deep frost", FrostAllowable, -6, 60, false},
 		{"frost box refuses saturation", FrostAllowable, 5, 100, false},
@@ -397,7 +401,7 @@ func TestAshraeEnvelopeContains(t *testing.T) {
 }
 
 func TestAshraeEnvelopeValidate(t *testing.T) {
-	if err := AshraeA2Allowable.Validate(); err != nil {
+	if err := ashraeA2Allowable.Validate(); err != nil {
 		t.Fatalf("A2 allowable invalid: %v", err)
 	}
 	if err := FrostAllowable.Validate(); err != nil {
@@ -415,4 +419,53 @@ func TestAshraeEnvelopeValidate(t *testing.T) {
 			t.Errorf("case %d: %v validated, want error", i, e)
 		}
 	}
+}
+
+// The helpers below have no caller in the program; they stay beside the
+// tests that pin them and go when those tests do.
+
+// Kelvin is an absolute temperature in kelvins.
+type Kelvin float64
+
+// Kelvin converts a Celsius temperature to kelvins.
+func (c Celsius) Kelvin() Kelvin { return Kelvin(float64(c) + 273.15) }
+
+// Celsius converts a Kelvin temperature to degrees Celsius.
+func (k Kelvin) Celsius() Celsius { return Celsius(float64(k) - 273.15) }
+
+// GramsPerCubicMeter is an absolute humidity (water vapour density).
+type GramsPerCubicMeter float64
+
+// absoluteHumidity returns the water vapour density of the air in g/m³,
+// via the ideal gas law for water vapour (specific gas constant
+// 461.5 J/(kg·K)).
+func absoluteHumidity(t Celsius, rh RelHumidity) GramsPerCubicMeter {
+	e := VaporPressure(t, rh) * 100 // hPa -> Pa
+	const rv = 461.5                // J/(kg·K)
+	kg := e / (rv * float64(t.Kelvin()))
+	return GramsPerCubicMeter(kg * 1000)
+}
+
+// windChill returns the apparent temperature using the North American /
+// UK Met Office wind chill index (valid for t <= 10 °C and wind >= 1.34 m/s;
+// outside that envelope the air temperature itself is returned).
+func windChill(t Celsius, wind MetersPerSecond) Celsius {
+	if t > 10 || wind < 1.34 {
+		return t
+	}
+	kmh := float64(wind) * 3.6
+	v := math.Pow(kmh, 0.16)
+	return Celsius(13.12 + 0.6215*float64(t) - 11.37*v + 0.3965*float64(t)*v)
+}
+
+// mixRatio linearly mixes two temperatures; frac, clamped to [0, 1], is
+// the share of b.
+func mixRatio(a, b Celsius, frac float64) Celsius {
+	if frac < 0 {
+		frac = 0
+	}
+	if frac > 1 {
+		frac = 1
+	}
+	return a + Celsius(frac)*(b-a)
 }

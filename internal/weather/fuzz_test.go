@@ -21,6 +21,9 @@ func FuzzReadTraceCSV(f *testing.F) {
 	f.Add([]byte("a,b\n1,2\n"))
 	f.Add([]byte("timestamp,temp_c,rh_pct,wind_ms,irr_wm2,snow_mmh\n" +
 		"2010-02-12 00:00:00,45.00,250.0,-3.00,1e309,NaN\n"))
+	f.Add([]byte("timestamp,temp_c,rh_pct,wind_ms,irr_wm2,snow_mmh\n" +
+		"2010-02-12 00:00:00,-9.20,84.0,3.80,0.0,0.00\n" +
+		"2010-02-12 01:00:00,-9.90,85.5,4.10,0.0,0.40\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadTraceCSV(bytes.NewReader(data))
 		if err != nil {

@@ -49,9 +49,6 @@ func NewStation(model Model, rng *simkernel.RNG, interval time.Duration) *Statio
 	}
 }
 
-// Interval returns the sampling interval.
-func (st *Station) Interval() time.Duration { return st.interval }
-
 // Install registers the station's periodic sampling task on the scheduler,
 // starting at the given time.
 func (st *Station) Install(sched *simkernel.Scheduler, start time.Time) error {

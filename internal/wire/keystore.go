@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -46,22 +45,4 @@ func LoadKeystore(r io.Reader) (Keystore, error) {
 		return nil, err
 	}
 	return ks, nil
-}
-
-// Save writes the keystore in the load format, sorted by host ID.
-func (ks Keystore) Save(w io.Writer) error {
-	ids := make([]string, 0, len(ks))
-	for id := range ks {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# frostlab monitoring keystore: hostID hexkey")
-	for _, id := range ids {
-		if strings.ContainsAny(id, " \n") {
-			return fmt.Errorf("wire: host id %q contains whitespace", id)
-		}
-		fmt.Fprintf(bw, "%s %s\n", id, hex.EncodeToString(ks[id]))
-	}
-	return bw.Flush()
 }

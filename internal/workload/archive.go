@@ -143,23 +143,6 @@ func writeFBZBlock(w io.Writer, fw *flate.Writer, comp *bytes.Buffer, chunk []by
 	return err
 }
 
-// DecompressFBZ expands an FBZ stream, verifying every block checksum.
-func DecompressFBZ(w io.Writer, r io.Reader) error {
-	blocks, err := ScanFBZ(r)
-	if err != nil {
-		return err
-	}
-	for _, b := range blocks {
-		if !b.OK {
-			return fmt.Errorf("workload: block %d corrupt: %s", b.Index, b.Err)
-		}
-		if _, err := w.Write(b.Data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // BlockInfo is the result of scanning one FBZ block, in the spirit of
 // bzip2recover: each block is independently decodable and verifiable.
 type BlockInfo struct {

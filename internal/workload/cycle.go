@@ -137,9 +137,6 @@ func (r *Runner) Reference() Digest { return r.reference }
 // ReferenceBlocks returns the block count of a clean archive.
 func (r *Runner) ReferenceBlocks() int { return r.refBlocks }
 
-// PagesPerCycle returns the §4.2.2-style memory page traffic of one cycle.
-func (r *Runner) PagesPerCycle() int64 { return r.pages }
-
 // PagesTouched estimates memory pages read and written by one archival
 // cycle the way §4.2.2 does: source bytes are read, the tar stream is
 // written and re-read by the compressor, the archive is written and then
@@ -203,21 +200,11 @@ func (r *Runner) Results() []CycleResult {
 	return out
 }
 
-// StoredArchives returns the failing archives kept for inspection, keyed
-// by RFC 3339 cycle time.
-func (r *Runner) StoredArchives() map[string][]byte {
-	out := make(map[string][]byte, len(r.storedArchives))
-	for k, v := range r.storedArchives {
-		out[k] = v
-	}
-	return out
-}
-
 // StartFuzz returns a scheduler fuzz function drawing the paper's 0–119 s
 // start sleep from the host's RNG stream.
 func StartFuzz(rng *simkernel.RNG, hostID string) func() time.Duration {
 	stream := "fuzz/" + hostID
 	return func() time.Duration {
-		return time.Duration(rng.Pick(stream, 120)) * time.Second
+		return time.Duration(rng.Pick(stream, int(MaxStartFuzz/time.Second)+1)) * time.Second
 	}
 }

@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"crypto/md5"
+	"fmt"
+	"io"
 	"math"
 	"testing"
 	"testing/quick"
@@ -12,6 +14,23 @@ import (
 )
 
 var t0 = time.Date(2010, time.February, 19, 12, 0, 0, 0, time.UTC)
+
+// decompressFBZ expands an FBZ stream, verifying every block checksum.
+func decompressFBZ(w io.Writer, r io.Reader) error {
+	blocks, err := ScanFBZ(r)
+	if err != nil {
+		return err
+	}
+	for _, b := range blocks {
+		if !b.OK {
+			return fmt.Errorf("workload: block %d corrupt: %s", b.Index, b.Err)
+		}
+		if _, err := w.Write(b.Data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 func smallTree(t testing.TB) *SourceTree {
 	t.Helper()
@@ -159,7 +178,7 @@ func TestFBZRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var back bytes.Buffer
-	if err := DecompressFBZ(&back, bytes.NewReader(comp.Bytes())); err != nil {
+	if err := decompressFBZ(&back, bytes.NewReader(comp.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(back.Bytes(), original) {
@@ -177,7 +196,7 @@ func TestFBZRoundTripProperty(t *testing.T) {
 			return false
 		}
 		var back bytes.Buffer
-		if err := DecompressFBZ(&back, bytes.NewReader(comp.Bytes())); err != nil {
+		if err := decompressFBZ(&back, bytes.NewReader(comp.Bytes())); err != nil {
 			return false
 		}
 		return bytes.Equal(back.Bytes(), data)
@@ -276,7 +295,7 @@ func TestRunnerCleanCycle(t *testing.T) {
 	if len(res.BadBlocks) != 0 {
 		t.Errorf("clean cycle reported bad blocks %v", res.BadBlocks)
 	}
-	if len(r.StoredArchives()) != 0 {
+	if len(r.storedArchives) != 0 {
 		t.Error("clean cycle stored its tarball; §3.5 overwrites it")
 	}
 }
@@ -293,7 +312,7 @@ func TestRunnerCorruptCycle(t *testing.T) {
 	if len(res.BadBlocks) != 1 {
 		t.Errorf("bad blocks %v, want exactly one (§4.2.2)", res.BadBlocks)
 	}
-	if len(r.StoredArchives()) != 1 {
+	if len(r.storedArchives) != 1 {
 		t.Error("failing tarball not stored")
 	}
 	if got := len(r.Results()); got != 1 {
@@ -303,7 +322,7 @@ func TestRunnerCorruptCycle(t *testing.T) {
 
 func TestRunnerPageAccounting(t *testing.T) {
 	r := newRunner(t)
-	if r.PagesPerCycle() <= 0 {
+	if r.pages <= 0 {
 		t.Fatal("no page traffic accounted")
 	}
 	// Pages must cover at least the tar stream twice and archive twice.
@@ -312,8 +331,8 @@ func TestRunnerPageAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := PagesTouched(res)
-	if r.PagesPerCycle() != want {
-		t.Errorf("pages %d, want %d", r.PagesPerCycle(), want)
+	if r.pages != want {
+		t.Errorf("pages %d, want %d", r.pages, want)
 	}
 	if want < res.TarBytes/PageSize {
 		t.Error("accounting below single-pass traffic")

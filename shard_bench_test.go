@@ -41,8 +41,8 @@ func shardedRun(b *testing.B, cfg core.Config, instrument bool) int {
 		b.Fatal(err)
 	}
 	logOnce(b, fmt.Sprintf("sharded-%d-%v", len(r.Hosts), instrument),
-		fmt.Sprintf("%d hosts in %d tents, %d shards: tent failure rate %v, %d events, %.0f kWh",
-			len(r.Hosts), e.Tents(), e.Shards(), r.TentHostFailureRate, len(r.Events), float64(r.TentEnergy)))
+		fmt.Sprintf("%d hosts, %d shards: tent failure rate %v, %d events, %.0f kWh",
+			len(r.Hosts), e.Shards(), r.TentHostFailureRate, len(r.Events), float64(r.TentEnergy)))
 	return len(r.Hosts)
 }
 
