@@ -26,10 +26,7 @@ import (
 func BenchmarkAblationECC(b *testing.B) {
 	var withECC, withoutECC int
 	for i := 0; i < b.N; i++ {
-		eng, err := failure.NewEngine(failure.DefaultParams(), simkernel.NewRNG("ablation-ecc"))
-		if err != nil {
-			b.Fatal(err)
-		}
+		eng := failure.NewEngine(simkernel.NewRNG("ablation-ecc"))
 		withECC, withoutECC = 0, 0
 		for c := 0; c < 27627; c++ {
 			if eng.CycleCorrupted("host", 115828, false) {
@@ -100,7 +97,7 @@ func BenchmarkAblationOutlierCleaning(b *testing.B) {
 		rng := simkernel.NewRNG("ablation-lascar")
 		env := frozenEnv{temp: -9, rh: 82}
 		start := time.Date(2010, 3, 5, 10, 0, 0, 0, time.UTC)
-		l, err := sensors.NewLascar(sensors.ELUSB2Spec, rng, env, 5*time.Minute, start)
+		l, err := sensors.NewLascar(rng, env, start)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +154,7 @@ func BenchmarkAblationTentModifications(b *testing.B) {
 		out = ""
 		prev := 1e9
 		for _, st := range steps {
-			att, err := analysis.AttributeDeltaT(wx, thermal.DefaultTentConfig(), st.mods, 1400,
+			att, err := analysis.AttributeDeltaT(wx, st.mods, 1400,
 				weather.ExperimentEpoch, weather.ExperimentEpoch.AddDate(0, 0, 3), time.Minute)
 			if err != nil {
 				b.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -74,15 +75,35 @@ func parseSchedule(s string) (map[string][]chaos.RoundRange, error) {
 	return out, nil
 }
 
+// fleetSchedule parses a -down or -stalled schedule and rejects any host
+// outside the study's fleet, so a typo such as "1" for host "01" fails
+// instead of silently scheduling nothing.
+func fleetSchedule(flagName, s string, fleet []string) (map[string][]chaos.RoundRange, error) {
+	sched, err := parseSchedule(s)
+	if err != nil {
+		return nil, err
+	}
+	for host := range sched {
+		if !slices.Contains(fleet, host) {
+			return nil, fmt.Errorf("%s: host %q is not in the fleet %s…%s", flagName, host, fleet[0], fleet[len(fleet)-1])
+		}
+	}
+	return sched, nil
+}
+
 // runChaosStudy drives the E13 study; traceTo, when non-empty, records
 // the collection plane (round and per-host collect spans, wall time) as
 // Chrome trace-event JSON.
 func runChaosStudy(seed string, o chaosOpts, traceTo string) error {
-	down, err := parseSchedule(*o.down)
+	ids := make([]string, chaosHosts)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("%02d", i+1)
+	}
+	down, err := fleetSchedule("-down", *o.down, ids)
 	if err != nil {
 		return err
 	}
-	stalled, err := parseSchedule(*o.stalled)
+	stalled, err := fleetSchedule("-stalled", *o.stalled, ids)
 	if err != nil {
 		return err
 	}
@@ -99,12 +120,9 @@ func runChaosStudy(seed string, o chaosOpts, traceTo string) error {
 		return err
 	}
 
-	ids := make([]string, chaosHosts)
 	agents := make(map[string]*monitor.Agent, chaosHosts)
 	keys := make(wire.Keystore, chaosHosts)
-	for i := range ids {
-		id := fmt.Sprintf("%02d", i+1)
-		ids[i] = id
+	for _, id := range ids {
 		store := monitor.NewFileStore()
 		store.Append(monitor.MD5Log,
 			[]byte("2010-02-19T12:10:00Z OK d41d8cd98f00b204e9800998ecf8427e\n"))

@@ -93,7 +93,7 @@ func runControlStudy(seed string, co controlOpts) error {
 			if err != nil {
 				return err
 			}
-			frac, n := report.EnvelopeResidency(r, cc.Envelope)
+			frac, n := report.EnvelopeResidency(r, units.FrostAllowable)
 			row := report.ControlRow{
 				Scenario:         sc.name,
 				Arm:              arm,

@@ -238,7 +238,6 @@ func listPolicies() {
 	for _, p := range control.Policies() {
 		fmt.Printf("\n%s — %s\n", p.Name, p.Description)
 	}
-	def := control.DefaultFollowConfig()
-	fmt.Printf("\nfollow-* hysteresis defaults: switch margin %.0f%%, hold %d ticks\n",
-		100*def.SwitchMargin, def.HoldTicks)
+	fmt.Printf("\nfollow-* hysteresis: switch margin %.0f%%, hold %d ticks\n",
+		100*control.FollowSwitchMargin, control.FollowHoldTicks)
 }

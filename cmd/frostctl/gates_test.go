@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"frostlab/internal/chaos"
@@ -153,5 +154,26 @@ func TestParseSchedule(t *testing.T) {
 	}
 	if _, err := chaos.New(chaos.Spec{Down: down}); err == nil {
 		t.Error("reversed range 03=5-2 accepted by chaos.New")
+	}
+}
+
+// TestChaosScheduleHostsInFleet: a -down or -stalled host outside the
+// study's 01…09 fleet is an error that names the host, not a run in which
+// the schedule silently never fires.
+func TestChaosScheduleHostsInFleet(t *testing.T) {
+	for _, tc := range []struct{ down, stalled, host string }{
+		{"1=2-4", "", `"1"`},
+		{"", "10=1", `"10"`},
+		{"01=2-4,x=3", "", `"x"`},
+	} {
+		err := runChaosStudy("winter0910", chaosOpts{down: &tc.down, stalled: &tc.stalled}, "")
+		if err == nil || !strings.Contains(err.Error(), tc.host) {
+			t.Errorf("-down %q -stalled %q: error %v, want one naming host %s",
+				tc.down, tc.stalled, err, tc.host)
+		}
+	}
+	ids := []string{"01", "02", "09"}
+	if _, err := fleetSchedule("-down", "01=2-4,09=1-", ids); err != nil {
+		t.Errorf("in-fleet schedule rejected: %v", err)
 	}
 }

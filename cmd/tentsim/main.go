@@ -73,10 +73,7 @@ func run() error {
 	if *days <= 0 {
 		return fmt.Errorf("-days must be positive")
 	}
-	tent, err := thermal.NewTent(thermal.DefaultTentConfig())
-	if err != nil {
-		return err
-	}
+	tent := thermal.NewTent()
 	for _, c := range strings.ToUpper(*mods) {
 		switch c {
 		case 'R':

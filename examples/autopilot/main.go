@@ -16,6 +16,7 @@ import (
 	"frostlab/internal/control"
 	"frostlab/internal/core"
 	"frostlab/internal/report"
+	"frostlab/internal/units"
 )
 
 func main() {
@@ -42,17 +43,17 @@ func main() {
 	// Arm 1: the paper's open-loop calendar (R/I/B/F on fixed dates).
 	open := run(base)
 
-	// Arm 2: the closed loop. DefaultConfig is a PID law toward 12 °C with
-	// the frost-hardened allowable envelope and a 1.5 °C dew-point margin;
-	// every knob (gains, deadband, guard position, duty thresholds) is a
-	// Config field.
+	// Arm 2: the closed loop. DefaultConfig is a PID law toward 12 °C,
+	// supervised by the frost-hardened allowable envelope and a 1.5 °C
+	// dew-point margin; the law's mode, setpoint and period are Config
+	// fields, its tuning is fixed (DESIGN.md §4).
 	cc := control.DefaultConfig()
 	closedCfg := base
 	closedCfg.Control = &cc
 	closed := run(closedCfg)
 
-	openFrac, n := report.EnvelopeResidency(open, cc.Envelope)
-	closedFrac, _ := report.EnvelopeResidency(closed, cc.Envelope)
+	openFrac, n := report.EnvelopeResidency(open, units.FrostAllowable)
+	closedFrac, _ := report.EnvelopeResidency(closed, units.FrostAllowable)
 	fmt.Printf("intake inside the allowable envelope (%d samples):\n", n)
 	fmt.Printf("  open-loop ladder : %5.1f%%\n", openFrac*100)
 	fmt.Printf("  closed-loop      : %5.1f%%\n\n", closedFrac*100)

@@ -118,15 +118,12 @@ type DeltaTAttribution struct {
 
 // AttributeDeltaT runs the tent with and without solar gain over [from,
 // to) under a constant equipment load and the given modification set.
-func AttributeDeltaT(m weather.Model, cfg thermal.TentConfig, mods []thermal.Modification, equipment units.Watts, from, to time.Time, step time.Duration) (DeltaTAttribution, error) {
+func AttributeDeltaT(m weather.Model, mods []thermal.Modification, equipment units.Watts, from, to time.Time, step time.Duration) (DeltaTAttribution, error) {
 	if step <= 0 || !to.After(from) {
 		return DeltaTAttribution{}, fmt.Errorf("analysis: bad window [%v, %v) step %v", from, to, step)
 	}
 	run := func(zeroSolar bool) (float64, error) {
-		tent, err := thermal.NewTent(cfg)
-		if err != nil {
-			return 0, err
-		}
+		tent := thermal.NewTent()
 		for _, mo := range mods {
 			tent.Apply(mo)
 		}

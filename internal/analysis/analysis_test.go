@@ -84,7 +84,7 @@ func TestCondensationValidation(t *testing.T) {
 }
 
 func TestAttributeDeltaT(t *testing.T) {
-	att, err := AttributeDeltaT(refModel(), thermal.DefaultTentConfig(), nil, 1400,
+	att, err := AttributeDeltaT(refModel(), nil, 1400,
 		t0, t0.AddDate(0, 0, 7), time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -108,13 +108,12 @@ func TestAttributeDeltaT(t *testing.T) {
 }
 
 func TestAttributeDeltaTModificationsShrinkIt(t *testing.T) {
-	cfg := thermal.DefaultTentConfig()
-	bare, err := AttributeDeltaT(refModel(), cfg, nil, 1400, t0, t0.AddDate(0, 0, 3), time.Minute)
+	bare, err := AttributeDeltaT(refModel(), nil, 1400, t0, t0.AddDate(0, 0, 3), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	all := []thermal.Modification{thermal.ReflectiveFoil, thermal.RemoveInnerTent, thermal.OpenBottom, thermal.InstallFan}
-	opened, err := AttributeDeltaT(refModel(), cfg, all, 1400, t0, t0.AddDate(0, 0, 3), time.Minute)
+	opened, err := AttributeDeltaT(refModel(), all, 1400, t0, t0.AddDate(0, 0, 3), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +127,7 @@ func TestAttributeDeltaTModificationsShrinkIt(t *testing.T) {
 }
 
 func TestAttributeValidation(t *testing.T) {
-	if _, err := AttributeDeltaT(refModel(), thermal.DefaultTentConfig(), nil, 100, t0, t0, time.Minute); err == nil {
+	if _, err := AttributeDeltaT(refModel(), nil, 100, t0, t0, time.Minute); err == nil {
 		t.Error("empty window accepted")
 	}
 }
@@ -269,7 +268,7 @@ func BenchmarkCondensationStudyWinter(b *testing.B) {
 func BenchmarkAttributeDeltaT(b *testing.B) {
 	m := refModel()
 	for i := 0; i < b.N; i++ {
-		if _, err := AttributeDeltaT(m, thermal.DefaultTentConfig(), nil, 1400, t0, t0.AddDate(0, 0, 3), time.Minute); err != nil {
+		if _, err := AttributeDeltaT(m, nil, 1400, t0, t0.AddDate(0, 0, 3), time.Minute); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -81,21 +81,10 @@ func (s ActuatorSpec) Validate() error {
 	if s.PStick+s.PLag > 1 {
 		return fmt.Errorf("chaos: actuator fault probabilities sum to %v > 1", s.PStick+s.PLag)
 	}
-	for name, ranges := range s.Stuck {
-		for _, rr := range ranges {
-			if rr.From < 1 || (rr.To != 0 && rr.To < rr.From) {
-				return fmt.Errorf("chaos: bad stuck range %+v for actuator %s", rr, name)
-			}
-		}
+	if err := validateRanges(s.Stuck, "stuck", "actuator"); err != nil {
+		return err
 	}
-	for name, ranges := range s.Lagged {
-		for _, rr := range ranges {
-			if rr.From < 1 || (rr.To != 0 && rr.To < rr.From) {
-				return fmt.Errorf("chaos: bad lag range %+v for actuator %s", rr, name)
-			}
-		}
-	}
-	return nil
+	return validateRanges(s.Lagged, "lag", "actuator")
 }
 
 // actState is the persistent fault state of one named actuator.

@@ -34,15 +34,14 @@ import (
 // Kind enumerates injectable faults.
 type Kind int
 
-// Fault kinds. Refuse fails the dial outright; StallRead and StallWrite
-// hang an I/O phase until the collector's deadline fires; Cut severs the
+// Fault kinds. Refuse fails the dial outright; StallRead hangs a read
+// until the collector's deadline fires; Cut severs the
 // connection mid-frame after a drawn number of bytes; Corrupt flips one
 // bit of the inbound byte stream, which wire must reject as tampering.
 const (
 	None Kind = iota
 	Refuse
 	StallRead
-	StallWrite
 	Cut
 	Corrupt
 )
@@ -55,8 +54,6 @@ func (k Kind) String() string {
 		return "refuse"
 	case StallRead:
 		return "stall-read"
-	case StallWrite:
-		return "stall-write"
 	case Cut:
 		return "cut"
 	case Corrupt:
@@ -102,11 +99,10 @@ type Spec struct {
 
 	// Per-attempt probabilities of each probabilistic fault. Their sum
 	// must not exceed 1; the remainder is the no-fault case.
-	PRefuse     float64
-	PStallRead  float64
-	PStallWrite float64
-	PCut        float64
-	PCorrupt    float64
+	PRefuse    float64
+	PStallRead float64
+	PCut       float64
+	PCorrupt   float64
 
 	// StallDelay is attached to every drawn stall fault (see Fault).
 	StallDelay time.Duration
@@ -130,7 +126,7 @@ type Spec struct {
 
 // Validate checks the spec's probabilities.
 func (s Spec) Validate() error {
-	ps := []float64{s.PRefuse, s.PStallRead, s.PStallWrite, s.PCut, s.PCorrupt}
+	ps := []float64{s.PRefuse, s.PStallRead, s.PCut, s.PCorrupt}
 	sum := 0.0
 	for _, p := range ps {
 		if !(p >= 0 && p <= 1) {
@@ -144,17 +140,19 @@ func (s Spec) Validate() error {
 	if !(s.PStaleConn >= 0 && s.PStaleConn <= 1) {
 		return fmt.Errorf("chaos: PStaleConn %v outside [0,1]", s.PStaleConn)
 	}
-	for host, ranges := range s.Down {
-		for _, rr := range ranges {
-			if rr.From < 1 || (rr.To != 0 && rr.To < rr.From) {
-				return fmt.Errorf("chaos: bad down range %+v for host %s", rr, host)
-			}
-		}
+	if err := validateRanges(s.Down, "down", "host"); err != nil {
+		return err
 	}
-	for host, ranges := range s.Stalled {
+	return validateRanges(s.Stalled, "stall", "host")
+}
+
+// validateRanges rejects a schedule range that starts before round 1 or
+// ends before it starts; kind and subject label the error.
+func validateRanges(sched map[string][]RoundRange, kind, subject string) error {
+	for name, ranges := range sched {
 		for _, rr := range ranges {
 			if rr.From < 1 || (rr.To != 0 && rr.To < rr.From) {
-				return fmt.Errorf("chaos: bad stall range %+v for host %s", rr, host)
+				return fmt.Errorf("chaos: bad %s range %+v for %s %s", kind, rr, subject, name)
 			}
 		}
 	}
@@ -188,7 +186,7 @@ func (in *Injector) FaultFor(host string, round, attempt int) Fault {
 		return Fault{Kind: StallRead, StallDelay: in.spec.StallDelay}
 	}
 	s := in.spec
-	if s.PRefuse+s.PStallRead+s.PStallWrite+s.PCut+s.PCorrupt == 0 {
+	if s.PRefuse+s.PStallRead+s.PCut+s.PCorrupt == 0 {
 		return Fault{}
 	}
 	stream := fmt.Sprintf("fault/%s/r%d/a%d", host, round, attempt)
@@ -201,13 +199,11 @@ func (in *Injector) FaultFor(host string, round, attempt int) Fault {
 		f.Kind = Refuse
 	case u < s.PRefuse+s.PStallRead:
 		f.Kind = StallRead
-	case u < s.PRefuse+s.PStallRead+s.PStallWrite:
-		f.Kind = StallWrite
-	case u < s.PRefuse+s.PStallRead+s.PStallWrite+s.PCut:
+	case u < s.PRefuse+s.PStallRead+s.PCut:
 		f.Kind = Cut
 		// Somewhere inside the handshake or the first frames.
 		f.CutAfter = in.rng.Pick(stream, 512)
-	case u < s.PRefuse+s.PStallRead+s.PStallWrite+s.PCut+s.PCorrupt:
+	case u < s.PRefuse+s.PStallRead+s.PCut+s.PCorrupt:
 		f.Kind = Corrupt
 		// Offsets below ~68 land in the handshake (rejected as ErrAuth);
 		// later offsets land in frames (rejected as ErrTampered). Both

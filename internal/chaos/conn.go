@@ -13,9 +13,9 @@ var ErrCut = errors.New("chaos: connection cut mid-frame (injected)")
 
 // timeoutError is what an injected stall surfaces: a net.Error whose
 // Timeout() is true, exactly like a deadline expiry on a real conn.
-type timeoutError struct{ op string }
+type timeoutError struct{}
 
-func (e timeoutError) Error() string   { return "chaos: injected " + e.op + " stall: i/o timeout" }
+func (e timeoutError) Error() string   { return "chaos: injected read stall: i/o timeout" }
 func (e timeoutError) Timeout() bool   { return true }
 func (e timeoutError) Temporary() bool { return true }
 
@@ -38,17 +38,16 @@ type faultConn struct {
 	mu      sync.Mutex
 	readOff int
 	readDL  time.Time
-	writeDL time.Time
 
 	closed    chan struct{}
 	closeOnce sync.Once
 }
 
-// SetDeadline and friends record the deadline so injected stalls respect
-// it, exactly as a real blocked read or write would.
+// SetDeadline and SetReadDeadline record the read deadline so injected
+// stalls respect it, exactly as a real blocked read would.
 func (c *faultConn) SetDeadline(t time.Time) error {
 	c.mu.Lock()
-	c.readDL, c.writeDL = t, t
+	c.readDL = t
 	c.mu.Unlock()
 	return c.Conn.SetDeadline(t)
 }
@@ -58,13 +57,6 @@ func (c *faultConn) SetReadDeadline(t time.Time) error {
 	c.readDL = t
 	c.mu.Unlock()
 	return c.Conn.SetReadDeadline(t)
-}
-
-func (c *faultConn) SetWriteDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.writeDL = t
-	c.mu.Unlock()
-	return c.Conn.SetWriteDeadline(t)
 }
 
 // Close severs the connection and unblocks any in-flight injected stall,
@@ -78,7 +70,7 @@ func (c *faultConn) Close() error {
 func (c *faultConn) Read(p []byte) (int, error) {
 	switch c.fault.Kind {
 	case StallRead:
-		return 0, c.stall("read")
+		return 0, c.stall()
 	case Cut:
 		c.mu.Lock()
 		remain := c.fault.CutAfter - c.readOff
@@ -111,27 +103,17 @@ func (c *faultConn) Read(p []byte) (int, error) {
 	}
 }
 
-func (c *faultConn) Write(p []byte) (int, error) {
-	if c.fault.Kind == StallWrite {
-		return 0, c.stall("write")
-	}
-	return c.Conn.Write(p)
-}
-
-// stall blocks for the fault's StallDelay (zero = not at all: the
+// stall blocks a read for the fault's StallDelay (zero = not at all: the
 // deterministic "deadline already fired" mode), then surfaces a timeout.
-// The stall ends early when the operation's deadline passes or the
-// connection is closed — so a collector with per-phase deadlines escapes
-// even a "stalled forever" agent, and one without them only escapes via
-// its round watchdog.
-func (c *faultConn) stall(op string) error {
+// The stall ends early when the read deadline passes or the connection is
+// closed — so a collector with per-phase deadlines escapes even a
+// "stalled forever" agent, and one without them only escapes via its
+// round watchdog.
+func (c *faultConn) stall() error {
 	delay := c.fault.StallDelay
 	if delay > 0 {
 		c.mu.Lock()
 		dl := c.readDL
-		if op == "write" {
-			dl = c.writeDL
-		}
 		c.mu.Unlock()
 		if !dl.IsZero() {
 			if until := time.Until(dl); until < delay {
@@ -147,5 +129,5 @@ func (c *faultConn) stall(op string) error {
 		case <-c.closed:
 		}
 	}
-	return timeoutError{op: op}
+	return timeoutError{}
 }

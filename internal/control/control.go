@@ -51,85 +51,72 @@ func (m Mode) String() string {
 // reference tent.
 type Config struct {
 	// Mode selects the primary law; Setpoint is the intake temperature it
-	// regulates to, and Deadband the hysteresis half-width (also used for
-	// the in-band statistic in PID mode).
+	// regulates to.
 	Mode     Mode
 	Setpoint units.Celsius
-	Deadband units.Celsius
-
-	// Kp, Ki, Kd are the PID gains (damper fraction per °C).
-	Kp, Ki, Kd float64
 
 	// Every is the control period. The loop is scheduled by the caller;
 	// the value is carried here so sweeps can treat it as an axis.
 	Every time.Duration
 
-	// Slew is the damper's maximum travel (fraction of full range) per
-	// control tick.
-	Slew float64
-
-	// Envelope is the allowable intake box the supervisor defends. Intake
-	// air below the band forces the damper closed regardless of the
-	// primary law; above the band forces it open.
-	Envelope units.AshraeEnvelope
-
-	// MinDewMargin is the condensation guard threshold: when the powered
-	// surfaces' dew-point margin falls below it, the guard latches for
-	// GuardHold ticks and caps the damper at GuardPosition, cutting the
-	// moist-air intake before water actually forms.
-	MinDewMargin  units.Celsius
-	GuardPosition float64
-	GuardHold     int
-
-	// StuckWindow and StuckTolerance detect a failed actuator: when the
-	// measured damper position stays more than StuckTolerance away from
-	// the command for StuckWindow consecutive ticks, the supervisor stops
-	// chasing the setpoint and falls back to the open-loop calendar ladder
-	// (Fallback), so a recovering damper lands on the known-safe schedule
-	// instead of a wound-up extreme.
-	StuckWindow    int
-	StuckTolerance float64
-
 	// Fallback maps a simulation time to the open-loop ladder position the
 	// supervisor commands while the actuator is suspect. Nil holds the
 	// current position.
 	Fallback func(now time.Time) float64
-
-	// BoostBelow and ThrottleAbove are the duty-cycling thresholds: intake
-	// at or below BoostBelow with the damper closed raises the duty level
-	// to DutyBoost (servers as heaters); intake at or above ThrottleAbove
-	// with the damper fully open sheds load, escalating to DutyMigrate
-	// after MigrateAfter consecutive hot ticks. Hold is the duty cycler's
-	// minimum hold (ticks) between level changes.
-	BoostBelow    units.Celsius
-	ThrottleAbove units.Celsius
-	MigrateAfter  int
-	Hold          int
 }
 
-// DefaultConfig returns the reference controller tuning: a PID loop holding
-// 12 °C intake on a 5-minute tick, defending the frost-extended allowable
-// box with a 1.5 °C dew-point margin.
+// The reference controller tuning. The supervisor defends
+// units.FrostAllowable, the frost-extended allowable box.
+const (
+	// deadband is the hysteresis half-width, °C (also used for the
+	// in-band statistic in PID mode).
+	deadband units.Celsius = 1.5
+
+	// kp, ki and kd are the PID gains (damper fraction per °C).
+	kp = 0.12
+	ki = 0.004
+	kd = 0.02
+
+	// slew is the damper's maximum travel (fraction of full range) per
+	// control tick.
+	slew = 0.05
+
+	// minDewMargin is the condensation guard threshold: when the powered
+	// surfaces' dew-point margin falls below it, the guard latches for
+	// guardHold ticks and caps the damper at guardPosition, cutting the
+	// moist-air intake before water actually forms.
+	minDewMargin  units.Celsius = 1.5
+	guardPosition               = 0.25
+	guardHold                   = 6
+
+	// stuckWindow and stuckTolerance detect a failed actuator: when the
+	// measured damper position stays more than stuckTolerance away from
+	// the command for stuckWindow consecutive ticks, the supervisor stops
+	// chasing the setpoint and falls back to the open-loop calendar ladder
+	// (Config.Fallback), so a recovering damper lands on the known-safe
+	// schedule instead of a wound-up extreme.
+	stuckWindow    = 6
+	stuckTolerance = 0.08
+
+	// boostBelow and throttleAbove are the duty-cycling thresholds: intake
+	// at or below boostBelow with the damper closed raises the duty level
+	// to DutyBoost (servers as heaters); intake at or above throttleAbove
+	// with the damper fully open sheds load, escalating to DutyMigrate
+	// after migrateAfter consecutive hot ticks. dutyHold is the duty
+	// cycler's minimum hold (ticks) between level changes.
+	boostBelow    units.Celsius = 4
+	throttleAbove units.Celsius = 26
+	migrateAfter                = 24
+	dutyHold                    = 12
+)
+
+// DefaultConfig returns the reference controller: a PID loop holding
+// 12 °C intake on a 5-minute tick.
 func DefaultConfig() Config {
 	return Config{
-		Mode:           ModePID,
-		Setpoint:       12,
-		Deadband:       1.5,
-		Kp:             0.12,
-		Ki:             0.004,
-		Kd:             0.02,
-		Every:          5 * time.Minute,
-		Slew:           0.05,
-		Envelope:       units.FrostAllowable,
-		MinDewMargin:   1.5,
-		GuardPosition:  0.25,
-		GuardHold:      6,
-		StuckWindow:    6,
-		StuckTolerance: 0.08,
-		BoostBelow:     4,
-		ThrottleAbove:  26,
-		MigrateAfter:   24,
-		Hold:           12,
+		Mode:     ModePID,
+		Setpoint: 12,
+		Every:    5 * time.Minute,
 	}
 }
 
@@ -141,33 +128,8 @@ func (c Config) Validate() error {
 	if !c.Setpoint.Valid() {
 		return fmt.Errorf("control: setpoint %v: %w", c.Setpoint, units.ErrOutOfRange)
 	}
-	if c.Deadband < 0 {
-		return fmt.Errorf("control: negative deadband %v", c.Deadband)
-	}
-	if c.Kp < 0 || c.Ki < 0 || c.Kd < 0 {
-		return fmt.Errorf("control: negative gain (kp %v, ki %v, kd %v)", c.Kp, c.Ki, c.Kd)
-	}
 	if c.Every <= 0 {
 		return fmt.Errorf("control: period %v must be positive", c.Every)
-	}
-	if c.Slew <= 0 || c.Slew > 1 {
-		return fmt.Errorf("control: slew %v outside (0, 1]", c.Slew)
-	}
-	if err := c.Envelope.Validate(); err != nil {
-		return err
-	}
-	if c.GuardPosition < 0 || c.GuardPosition > 1 {
-		return fmt.Errorf("control: guard position %v outside [0, 1]", c.GuardPosition)
-	}
-	if c.GuardHold < 1 || c.StuckWindow < 1 || c.MigrateAfter < 1 || c.Hold < 1 {
-		return fmt.Errorf("control: hold/window counts must be >= 1")
-	}
-	if c.StuckTolerance <= 0 || c.StuckTolerance >= 1 {
-		return fmt.Errorf("control: stuck tolerance %v outside (0, 1)", c.StuckTolerance)
-	}
-	if c.ThrottleAbove <= c.BoostBelow {
-		return fmt.Errorf("control: throttle threshold %v not above boost threshold %v",
-			c.ThrottleAbove, c.BoostBelow)
 	}
 	return nil
 }
@@ -205,7 +167,7 @@ type Output struct {
 // Stats accumulates a run's control-plane accounting.
 type Stats struct {
 	// Ticks is the number of control ticks executed; InBand how many of
-	// them found the intake within Deadband of the setpoint.
+	// them found the intake within the deadband of the setpoint.
 	Ticks  int
 	InBand int
 	// GuardTrips counts guard onsets (a latch held over several ticks is
@@ -260,18 +222,18 @@ func New(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	damper, err := NewDamper(cfg.Slew)
+	damper, err := NewDamper(slew)
 	if err != nil {
 		return nil, err
 	}
 	return &Controller{
 		cfg: cfg,
-		pid: PID{Kp: cfg.Kp, Ki: cfg.Ki, Kd: cfg.Kd, Min: 0, Max: 1},
+		pid: PID{Kp: kp, Ki: ki, Kd: kd, Min: 0, Max: 1},
 		bang: Hysteresis{
-			Deadband: float64(cfg.Deadband), Low: 0, High: 1,
+			Deadband: float64(deadband), Low: 0, High: 1,
 		},
 		damper: damper,
-		duty:   NewDutyCycler(cfg.Hold),
+		duty:   NewDutyCycler(dutyHold),
 	}, nil
 }
 
@@ -307,7 +269,7 @@ func (c *Controller) EnableTrace(n int) *Trace {
 func (c *Controller) Step(in Inputs) Output {
 	c.stats.Ticks++
 	e := float64(in.Inside - c.cfg.Setpoint)
-	if e <= float64(c.cfg.Deadband) && e >= -float64(c.cfg.Deadband) {
+	if e <= float64(deadband) && e >= -float64(deadband) {
 		c.stats.InBand++
 	}
 
@@ -334,18 +296,18 @@ func (c *Controller) Step(in Inputs) Output {
 	// Envelope override: intake outside the allowable band forces the
 	// damper to the closing (or opening) extreme regardless of the law.
 	switch {
-	case in.Inside < c.cfg.Envelope.TempLow:
+	case in.Inside < units.FrostAllowable.TempLow:
 		u = 0
 		out.Envelope = true
-	case in.Inside > c.cfg.Envelope.TempHigh:
+	case in.Inside > units.FrostAllowable.TempHigh:
 		u = 1
 		out.Envelope = true
 	}
 	if out.Envelope {
 		c.stats.EnvelopeTicks++
 	}
-	if guard && u > c.cfg.GuardPosition {
-		u = c.cfg.GuardPosition
+	if guard && u > guardPosition {
+		u = guardPosition
 	}
 	if c.fallback {
 		if c.cfg.Fallback != nil {
@@ -372,12 +334,12 @@ func (c *Controller) Step(in Inputs) Output {
 // guardActive evaluates (and latches) the dew-point condensation guard.
 func (c *Controller) guardActive(in Inputs) bool {
 	margin, err := units.DewPointMargin(in.Inside, in.InsideRH, in.Surface)
-	tripped := err == nil && margin < c.cfg.MinDewMargin
+	tripped := err == nil && margin < minDewMargin
 	if tripped && c.guardLeft == 0 {
 		c.stats.GuardTrips++
 	}
 	if tripped {
-		c.guardLeft = c.cfg.GuardHold
+		c.guardLeft = guardHold
 	}
 	if c.guardLeft > 0 {
 		c.guardLeft--
@@ -401,11 +363,11 @@ func (c *Controller) watchActuator(cmd, actual, prev, e float64) {
 	if moved < 0 {
 		moved = -moved
 	}
-	if diff > c.cfg.StuckTolerance && moved < c.cfg.Slew/4 {
+	if diff > stuckTolerance && moved < slew/4 {
 		c.stats.StuckTicks++
 		c.mismatch++
 		c.matched = 0
-		if !c.fallback && c.mismatch >= c.cfg.StuckWindow {
+		if !c.fallback && c.mismatch >= stuckWindow {
 			c.fallback = true
 		}
 		return
@@ -413,7 +375,7 @@ func (c *Controller) watchActuator(cmd, actual, prev, e float64) {
 	c.mismatch = 0
 	if c.fallback {
 		c.matched++
-		if c.matched >= c.cfg.StuckWindow {
+		if c.matched >= stuckWindow {
 			// The actuator tracks again: hand the loop back bumplessly
 			// from the position the fallback parked it at.
 			c.fallback = false
@@ -428,12 +390,12 @@ func (c *Controller) watchActuator(cmd, actual, prev, e float64) {
 // run out of authority in the relevant direction).
 func (c *Controller) wantDuty(in Inputs, damper float64) DutyLevel {
 	switch {
-	case in.Inside <= c.cfg.BoostBelow && damper <= c.cfg.Slew:
+	case in.Inside <= boostBelow && damper <= slew:
 		c.throttleRun = 0
 		return DutyBoost
-	case in.Inside >= c.cfg.ThrottleAbove && damper >= 1-c.cfg.Slew:
+	case in.Inside >= throttleAbove && damper >= 1-slew:
 		c.throttleRun++
-		if c.throttleRun >= c.cfg.MigrateAfter || c.duty.Level() == DutyMigrate {
+		if c.throttleRun >= migrateAfter || c.duty.Level() == DutyMigrate {
 			return DutyMigrate
 		}
 		return DutyThrottle

@@ -31,6 +31,8 @@ func in(tick int, inside units.Celsius) Inputs {
 	}
 }
 
+// TestConfigValidate covers the rejection paths of the settable fields
+// and holds the fixed tuning to the invariants the controller relies on.
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
@@ -38,15 +40,7 @@ func TestConfigValidate(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Mode = Mode(9) },
 		func(c *Config) { c.Setpoint = -400 },
-		func(c *Config) { c.Deadband = -1 },
-		func(c *Config) { c.Ki = -0.1 },
 		func(c *Config) { c.Every = 0 },
-		func(c *Config) { c.Slew = 0 },
-		func(c *Config) { c.Envelope.TempHigh = c.Envelope.TempLow },
-		func(c *Config) { c.GuardPosition = 1.2 },
-		func(c *Config) { c.GuardHold = 0 },
-		func(c *Config) { c.StuckTolerance = 1 },
-		func(c *Config) { c.ThrottleAbove = c.BoostBelow },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()
@@ -54,6 +48,30 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d validated", i)
 		}
+	}
+	if deadband < 0 {
+		t.Errorf("negative deadband %v", deadband)
+	}
+	if kp < 0 || ki < 0 || kd < 0 {
+		t.Errorf("negative gain (kp %v, ki %v, kd %v)", kp, ki, kd)
+	}
+	if slew <= 0 || slew > 1 {
+		t.Errorf("slew %v outside (0, 1]", slew)
+	}
+	if err := units.FrostAllowable.Validate(); err != nil {
+		t.Errorf("supervised envelope invalid: %v", err)
+	}
+	if guardPosition < 0 || guardPosition > 1 {
+		t.Errorf("guard position %v outside [0, 1]", guardPosition)
+	}
+	if guardHold < 1 || stuckWindow < 1 || migrateAfter < 1 || dutyHold < 1 {
+		t.Error("hold/window counts must be >= 1")
+	}
+	if stuckTolerance <= 0 || stuckTolerance >= 1 {
+		t.Errorf("stuck tolerance %v outside (0, 1)", stuckTolerance)
+	}
+	if throttleAbove <= boostBelow {
+		t.Errorf("throttle threshold %v not above boost threshold %v", throttleAbove, boostBelow)
 	}
 }
 
@@ -111,7 +129,7 @@ func TestControllerColdTentClosesAndBoosts(t *testing.T) {
 		t.Fatalf("damper %v after 60 cold ticks, want 0", out.Damper)
 	}
 	if !out.Envelope {
-		t.Fatalf("envelope override not reported below %v", cfg.Envelope.TempLow)
+		t.Fatalf("envelope override not reported below %v", units.FrostAllowable.TempLow)
 	}
 	if out.Duty != DutyBoost {
 		t.Fatalf("duty %v, want boost with a cold closed tent", out.Duty)
@@ -154,8 +172,8 @@ func TestControllerDewGuardCapsDamper(t *testing.T) {
 	if !out.Guard {
 		t.Fatal("guard never engaged on saturated intake")
 	}
-	if out.Damper > cfg.GuardPosition {
-		t.Fatalf("damper %v above guard position %v", out.Damper, cfg.GuardPosition)
+	if out.Damper > guardPosition {
+		t.Fatalf("damper %v above guard position %v", out.Damper, guardPosition)
 	}
 	st := c.Stats()
 	if st.GuardTrips == 0 || st.GuardTicks == 0 {
@@ -177,13 +195,13 @@ func TestControllerStuckDamperFallsBackToLadder(t *testing.T) {
 	// Warm tent wants the damper open, but it is stuck shut.
 	stuck := chaos.ActuatorFault{Kind: chaos.ActStuck}
 	var out Output
-	for i := 0; i < cfg.StuckWindow+2; i++ {
+	for i := 0; i < stuckWindow+2; i++ {
 		snap := in(i, 20)
 		snap.Fault = stuck
 		out = c.Step(snap)
 	}
 	if !out.Fallback {
-		t.Fatalf("fallback not engaged after %d stuck ticks", cfg.StuckWindow+2)
+		t.Fatalf("fallback not engaged after %d stuck ticks", stuckWindow+2)
 	}
 	if out.Command != ladderPos {
 		t.Fatalf("fallback command %v, want ladder %v", out.Command, ladderPos)

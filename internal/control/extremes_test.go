@@ -53,7 +53,7 @@ func TestDesertEnvelopeOverride(t *testing.T) {
 		}
 		o := c.Step(in)
 
-		if in.Inside > cfg.Envelope.TempHigh {
+		if in.Inside > units.FrostAllowable.TempHigh {
 			hotTicks++
 			if o.Envelope {
 				overrideOnHot++
@@ -65,8 +65,8 @@ func TestDesertEnvelopeOverride(t *testing.T) {
 		if o.Duty == DutyThrottle || o.Duty == DutyMigrate {
 			sawShed = true
 		}
-		if d := o.Damper - prevDamper; d > cfg.Slew+1e-12 || d < -cfg.Slew-1e-12 {
-			t.Fatalf("damper jumped %v in one tick, slew limit %v", d, cfg.Slew)
+		if d := o.Damper - prevDamper; d > slew+1e-12 || d < -slew-1e-12 {
+			t.Fatalf("damper jumped %v in one tick, slew limit %v", d, slew)
 		}
 		prevDamper = o.Damper
 	}
@@ -131,8 +131,8 @@ func TestMonsoonCondensationGuard(t *testing.T) {
 		if margin < 0 && !o.Guard {
 			t.Fatalf("condensing at %v (margin %v) with no guard active", at, margin)
 		}
-		if o.Guard && o.Command > cfg.GuardPosition+1e-12 && !o.Envelope {
-			t.Fatalf("guard active but command %v above cap %v", o.Command, cfg.GuardPosition)
+		if o.Guard && o.Command > guardPosition+1e-12 && !o.Envelope {
+			t.Fatalf("guard active but command %v above cap %v", o.Command, guardPosition)
 		}
 	}
 	if !guardTripped {
@@ -141,8 +141,8 @@ func TestMonsoonCondensationGuard(t *testing.T) {
 	if marginAtFirstTrip <= 0 {
 		t.Fatalf("guard tripped only after condensation began (margin %v); must trip while margin is positive", marginAtFirstTrip)
 	}
-	if marginAtFirstTrip > cfg.MinDewMargin {
-		t.Fatalf("guard tripped at margin %v, above the configured threshold %v", marginAtFirstTrip, cfg.MinDewMargin)
+	if marginAtFirstTrip > minDewMargin {
+		t.Fatalf("guard tripped at margin %v, above the configured threshold %v", marginAtFirstTrip, minDewMargin)
 	}
 	if s := c.Stats(); s.GuardTrips == 0 || s.GuardTicks < s.GuardTrips {
 		t.Fatalf("guard accounting inconsistent: %+v", s)

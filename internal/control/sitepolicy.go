@@ -59,7 +59,7 @@ type PolicyInfo struct {
 func Policies() []PolicyInfo {
 	return []PolicyInfo{
 		{Name: "static", Description: "fixed home-site shares (capacity-weighted); unsafe or over-capacity work is shed, never moved"},
-		{Name: "follow-cold", Description: "greedy cheapest-$/cycle placement with hysteretic holds (switch margin 10%, hold 6 ticks)"},
+		{Name: "follow-cold", Description: "greedy cheapest-$/cycle placement with hysteretic holds"},
 		{Name: "follow-green", Description: "greedy lowest-gCO₂/cycle placement with the same hysteresis as follow-cold"},
 	}
 }
@@ -73,9 +73,9 @@ func NewSitePolicy(name string, sites int) (SitePolicy, error) {
 	case "static":
 		return &StaticPolicy{weights: make([]float64, sites)}, nil
 	case "follow-cold":
-		return NewFollowPolicy(name, sites, func(s *SiteState) float64 { return s.CostPerCycle }, DefaultFollowConfig()), nil
+		return NewFollowPolicy(name, sites, func(s *SiteState) float64 { return s.CostPerCycle }), nil
 	case "follow-green":
-		return NewFollowPolicy(name, sites, func(s *SiteState) float64 { return s.CarbonPerCycle }, DefaultFollowConfig()), nil
+		return NewFollowPolicy(name, sites, func(s *SiteState) float64 { return s.CarbonPerCycle }), nil
 	default:
 		names := Policies()
 		keys := make([]string, len(names))
@@ -131,46 +131,30 @@ func (p *StaticPolicy) Assign(states []SiteState, demand float64, prev, next []f
 	return demand - placed
 }
 
-// FollowConfig tunes the hysteresis of the follow-* policies.
-type FollowConfig struct {
-	// SwitchMargin is the fractional objective improvement a new
+// The reference hysteresis of the follow-* policies.
+const (
+	// FollowSwitchMargin is the fractional objective improvement a new
 	// placement must offer before the policy abandons the current one:
 	// 0.10 means "move only for a ≥10% cheaper fleet tick". It is the
 	// stand-in for real migration friction (state transfer, cache warmup)
 	// at ranking level; the engine additionally charges migration energy.
-	SwitchMargin float64
-	// HoldTicks is the minimum number of dispatch ticks between
-	// re-rankings, the placement-level analogue of DutyCycler's hold.
-	HoldTicks int
-}
-
-// DefaultFollowConfig returns the reference hysteresis: 10% switch margin,
-// 6-tick (one hour at the 10-minute dispatch tick) minimum hold.
-func DefaultFollowConfig() FollowConfig {
-	return FollowConfig{SwitchMargin: 0.10, HoldTicks: 6}
-}
-
-// Validate checks the hysteresis parameters.
-func (c FollowConfig) Validate() error {
-	if c.SwitchMargin < 0 || c.SwitchMargin >= 1 {
-		return fmt.Errorf("control: switch margin %v outside [0, 1)", c.SwitchMargin)
-	}
-	if c.HoldTicks < 1 {
-		return fmt.Errorf("control: hold ticks %d < 1", c.HoldTicks)
-	}
-	return nil
-}
+	FollowSwitchMargin = 0.10
+	// FollowHoldTicks is the minimum number of dispatch ticks between
+	// re-rankings (one hour at the 10-minute dispatch tick), the
+	// placement-level analogue of DutyCycler's hold.
+	FollowHoldTicks = 6
+)
 
 // FollowPolicy places work greedily in ascending objective order (cheapest
 // or greenest marginal cycle first), with two dampers against thrash: a
-// re-ranking happens at most every HoldTicks, and only when the candidate
-// ranking beats the standing one by SwitchMargin on this tick's states.
+// re-ranking happens at most every FollowHoldTicks, and only when the
+// candidate ranking beats the standing one by FollowSwitchMargin on this
+// tick's states.
 // Safety is NOT hysteretic: an unsafe site is skipped immediately whatever
 // the standing order says, and its work flows down the order.
 type FollowPolicy struct {
 	name      string
 	objective func(*SiteState) float64
-	cfg       FollowConfig
 
 	order    []int // standing fill order, best first
 	cand     []int // scratch: candidate order
@@ -181,11 +165,10 @@ type FollowPolicy struct {
 
 // NewFollowPolicy builds a follow-style policy with the given objective.
 // The objective maps a site state to marginal cost (lower is better).
-func NewFollowPolicy(name string, sites int, objective func(*SiteState) float64, cfg FollowConfig) *FollowPolicy {
+func NewFollowPolicy(name string, sites int, objective func(*SiteState) float64) *FollowPolicy {
 	return &FollowPolicy{
 		name:      name,
 		objective: objective,
-		cfg:       cfg,
 		order:     make([]int, sites),
 		cand:      make([]int, sites),
 		score:     make([]float64, sites),
@@ -214,15 +197,15 @@ func (p *FollowPolicy) Assign(states []SiteState, demand float64, prev, next []f
 	if !p.adopted {
 		copy(p.order, p.cand)
 		p.adopted = true
-		p.holdLeft = p.cfg.HoldTicks
+		p.holdLeft = FollowHoldTicks
 	} else if p.holdLeft > 0 {
 		p.holdLeft--
 	} else {
 		candCost := p.fillCost(states, demand, p.cand)
 		curCost := p.fillCost(states, demand, p.order)
-		if candCost < curCost*(1-p.cfg.SwitchMargin) {
+		if candCost < curCost*(1-FollowSwitchMargin) {
 			copy(p.order, p.cand)
-			p.holdLeft = p.cfg.HoldTicks
+			p.holdLeft = FollowHoldTicks
 		}
 	}
 

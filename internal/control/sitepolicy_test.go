@@ -112,8 +112,7 @@ func TestFollowColdRoutesAroundUnsafe(t *testing.T) {
 // a large one does, but only after the hold expires, and the re-ranking
 // then holds again.
 func TestFollowHysteresis(t *testing.T) {
-	cfg := FollowConfig{SwitchMargin: 0.10, HoldTicks: 3}
-	p := NewFollowPolicy("follow-cold", 2, func(s *SiteState) float64 { return s.CostPerCycle }, cfg)
+	p := NewFollowPolicy("follow-cold", 2, func(s *SiteState) float64 { return s.CostPerCycle })
 	states := mkStates(0.05, 0.06)
 	prev := make([]float64, 2)
 	next := make([]float64, 2)
@@ -124,9 +123,9 @@ func TestFollowHysteresis(t *testing.T) {
 	}
 
 	// Site 1 becomes 5% cheaper — inside the 10% margin, placement holds
-	// even after HoldTicks pass.
+	// even after FollowHoldTicks pass.
 	states[0].CostPerCycle, states[1].CostPerCycle = 0.060, 0.057
-	for i := 0; i < 6; i++ {
+	for i := 0; i < FollowHoldTicks+3; i++ {
 		copy(prev, next)
 		p.Assign(states, 10, prev, next)
 	}
@@ -138,7 +137,7 @@ func TestFollowHysteresis(t *testing.T) {
 	// spent.
 	states[1].CostPerCycle = 0.03
 	moved := false
-	for i := 0; i < cfg.HoldTicks+1; i++ {
+	for i := 0; i < FollowHoldTicks+1; i++ {
 		copy(prev, next)
 		p.Assign(states, 10, prev, next)
 		if next[1] == 10 {
@@ -176,19 +175,14 @@ func TestFollowGreenUsesCarbon(t *testing.T) {
 	}
 }
 
-// TestFollowConfigValidate covers the rejection paths.
+// TestFollowConfigValidate holds the follow-* hysteresis to the ranges
+// Assign relies on.
 func TestFollowConfigValidate(t *testing.T) {
-	if err := DefaultFollowConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
+	if FollowSwitchMargin < 0 || FollowSwitchMargin >= 1 {
+		t.Errorf("switch margin %v outside [0, 1)", FollowSwitchMargin)
 	}
-	for _, bad := range []FollowConfig{
-		{SwitchMargin: -0.1, HoldTicks: 1},
-		{SwitchMargin: 1.0, HoldTicks: 1},
-		{SwitchMargin: 0.1, HoldTicks: 0},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("invalid config accepted: %+v", bad)
-		}
+	if FollowHoldTicks < 1 {
+		t.Errorf("hold ticks %d < 1", FollowHoldTicks)
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"frostlab/internal/rules"
 	"frostlab/internal/thermal"
 	"frostlab/internal/weather"
-	"frostlab/internal/workload"
 )
 
 // PaperPagesPerCycle is §4.2.2's implied memory traffic per workload cycle:
@@ -33,8 +32,6 @@ const PaperPagesPerCycle = int64(3.2e9) / 27627
 // The testbed's fixed instrument set and calibration. No run varies them;
 // DESIGN.md §4 lists where each comes from.
 const (
-	// lascarInterval is the Lascar EL-USB-2 logger's sampling cadence.
-	lascarInterval = 5 * time.Minute
 	// stationInterval is the SMEAR-style outdoor sampling cadence.
 	stationInterval = 10 * time.Minute
 	// envStep is the physics step of the enclosure model.
@@ -50,10 +47,6 @@ const (
 	// reset (§4.2.1: the Saturday-morning failure was reset on Monday).
 	repairDelay = 48 * time.Hour
 )
-
-// failureParams calibrates the reliability engine; both engines read it,
-// the sharded one on every tick.
-var failureParams = failure.DefaultParams()
 
 // ReferenceSeed selects the reproduction's reference sample path. The
 // generative models are calibrated so the paper's outcomes are *typical*;
@@ -181,5 +174,3 @@ func (c Config) workloadSeed(h *hardware.Host) string {
 	}
 	return c.Seed + "/tree/" + id
 }
-
-var _ = workload.CyclePeriod // document the linkage; cycles use workload's constants

@@ -162,7 +162,7 @@ func (e *Experiment) controlTick(now time.Time) {
 		e.applyDutyLevel(now, res.Duty)
 	}
 	st.envTicks++
-	if e.cfg.Control.Envelope.Contains(inT, inRH) {
+	if units.FrostAllowable.Contains(inT, inRH) {
 		st.envInTicks++
 	}
 	if res.Fallback != st.prevFallback {
@@ -266,7 +266,7 @@ func (e *Experiment) assembleControlReport() *ControlReport {
 	cr := &ControlReport{
 		Mode:            cc.Mode.String(),
 		Setpoint:        cc.Setpoint,
-		Envelope:        cc.Envelope,
+		Envelope:        units.FrostAllowable,
 		Stats:           st.ctl.Stats(),
 		MigratedCycles:  st.migratedCycles,
 		EnvelopeTicks:   st.envTicks,

@@ -228,7 +228,7 @@ func TestControlledRunHoldsEnvelopeLonger(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			total++
-			if cc.Envelope.Contains(units.Celsius(temp[i].Value), units.RelHumidity(rh[i].Value)) {
+			if units.FrostAllowable.Contains(units.Celsius(temp[i].Value), units.RelHumidity(rh[i].Value)) {
 				inside++
 			}
 		}

@@ -198,15 +198,10 @@ func New(cfg Config) (*Experiment, error) {
 	if wx == nil {
 		wx = weather.ReferenceWinter0910(cfg.Seed)
 	}
-	tent, err := thermal.NewTent(thermal.DefaultTentConfig())
-	if err != nil {
-		return nil, err
-	}
-	engine, err := failure.NewEngine(failureParams, rng)
-	if err != nil {
-		return nil, err
-	}
+	tent := thermal.NewTent()
+	engine := failure.NewEngine(rng)
 	fleet := cfg.Fleet
+	var err error
 	if fleet == nil {
 		fleet, err = hardware.ReferenceFleet()
 		if err != nil {
@@ -248,14 +243,14 @@ func New(cfg Config) (*Experiment, error) {
 	}
 	e.station = weather.NewStation(wx, rng, stationInterval)
 	e.meter = sensors.NewPowerMeter(rng, "tent-feed")
-	e.lascar, err = sensors.NewLascar(sensors.ELUSB2Spec, rng, tent, lascarInterval, cfg.LascarArrival)
+	e.lascar, err = sensors.NewLascar(rng, tent, cfg.LascarArrival)
 	if err != nil {
 		return nil, err
 	}
 	for _, h := range fleet.All() {
 		hs := &hostState{
 			host:   h,
-			chip:   sensors.NewChip(sensors.DefaultChipConfig(), rng, h.ID, chipSusceptibility),
+			chip:   sensors.NewChip(rng, h.ID, chipSusceptibility),
 			store:  monitor.NewFileStore(),
 			psk:    []byte(cfg.Seed + "/psk/" + h.ID),
 			cpuMin: units.Celsius(math.Inf(1)),

@@ -52,7 +52,7 @@ func RunPrototype(seed string) (*PrototypeResults, error) {
 	wx := weather.ReferenceWinter0910(seed)
 	host := hardware.ReferencePrototype()
 	boxes := thermal.NewPrototypeBoxes()
-	chip := sensors.NewChip(sensors.DefaultChipConfig(), rng, host.ID, 0)
+	chip := sensors.NewChip(rng, host.ID, 0)
 	sched := simkernel.NewScheduler(start)
 
 	res := &PrototypeResults{

@@ -254,8 +254,8 @@ func NewSharded(cfg Config, shards int) (*ShardedExperiment, error) {
 				spec:      h.Spec,
 				profile:   profile,
 				power:     float64(h.Spec.Power(dutyCycle)),
-				rateBase:  failureParams.BaseTransientPerHour,
-				rateWeak:  failureParams.WeakTransientPerHour,
+				rateBase:  failure.BaseTransientPerHour,
+				rateWeak:  failure.WeakTransientPerHour,
 				diskCount: h.Spec.Layout.DiskCount(),
 				ecc:       h.Spec.ECC,
 				layout:    h.Spec.Layout,
@@ -292,7 +292,7 @@ func NewSharded(cfg Config, shards int) (*ShardedExperiment, error) {
 		// shard count. (The classic engine's per-host "weak/"+id streams
 		// would each pay math/rand's ~0.1ms seeding; at 100k hosts that is
 		// the whole wall-clock budget.)
-		e.weak[i] = e.master.Bernoulli("scale/weak", failureParams.WeakFraction(h.Spec.KnownDefective))
+		e.weak[i] = e.master.Bernoulli("scale/weak", failure.WeakFraction(h.Spec.KnownDefective))
 		e.online[i] = true
 		e.downTick[i] = -1
 		e.transTick[2*i], e.transTick[2*i+1] = -1, -1
@@ -382,12 +382,8 @@ func NewSharded(cfg Config, shards int) (*ShardedExperiment, error) {
 			repairQ: make([]repairItem, 0, hostsIn),
 			mult:    make([]float64, e.nSpecs),
 			hd:      make([]float64, e.nSpecs),
+			tent:    thermal.NewTent(),
 		}
-		tent, err := thermal.NewTent(thermal.DefaultTentConfig())
-		if err != nil {
-			return nil, err
-		}
-		sh.tent = tent
 		e.shards = append(e.shards, sh)
 	}
 	return e, nil
@@ -527,7 +523,7 @@ func (s *shard) step(t int32, now time.Time) {
 			// Condensing is false by construction: NewSharded verified
 			// every spec's case air runs above intake, and a surface above
 			// the air temperature is above its dew point.
-			mult := failureParams.StressMultiplier(failure.Stress{
+			mult := failure.StressMultiplier(failure.Stress{
 				Ambient:         insideT,
 				RH:              rh,
 				CaseAir:         temps.CaseAir,

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"frostlab/internal/failure"
 	"frostlab/internal/hardware"
 	"frostlab/internal/stats"
 	"frostlab/internal/thermal"
@@ -145,7 +146,7 @@ func (e *ShardedExperiment) assemble() (*Results, error) {
 			// single-threaded assembly — same reasoning (and the same
 			// per-host seeding cost being avoided) as the weak lottery.
 			const stream = "scale/mem"
-			mean := float64(cycles) * failureParams.PageCorruptionProb(PaperPagesPerCycle)
+			mean := float64(cycles) * failure.PageCorruptionProb(PaperPagesPerCycle)
 			n := e.master.Poisson(stream, mean)
 			ats := make([]time.Time, 0, n)
 			for k := 0; k < n; k++ {

@@ -46,8 +46,8 @@ type SiteConfig struct {
 	Hosts int
 }
 
-// Every site shares the reference tent envelope (thermal.DefaultTentConfig)
-// and the default thermal controller (control.DefaultConfig); these
+// Every site shares the reference tent envelope (thermal.NewTent) and the
+// default thermal controller (control.DefaultConfig); these
 // constants fix the rest of the multi-site model.
 const (
 	// siteStep is the dispatch tick: the cadence at which work-cycles
@@ -220,10 +220,7 @@ func NewMultiSite(cfg MultiSiteConfig) (*MultiSite, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.tent, err = thermal.NewTent(thermal.DefaultTentConfig())
-		if err != nil {
-			return nil, err
-		}
+		s.tent = thermal.NewTent()
 		ctlCfg := control.DefaultConfig()
 		ctlCfg.Every = siteStep
 		s.ctl, err = control.New(ctlCfg)
@@ -294,9 +291,9 @@ func (e *MultiSite) Step() bool {
 
 		rates := s.tariff.At(at)
 		s.rates = rates
-		env := s.ctl.Config().Envelope
-		safe := !out.Guard && env.Contains(inside, insideRH)
-		if env.Contains(inside, insideRH) {
+		inEnv := units.FrostAllowable.Contains(inside, insideRH)
+		safe := !out.Guard && inEnv
+		if inEnv {
 			s.envTick++
 		}
 

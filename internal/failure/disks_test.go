@@ -101,10 +101,7 @@ func TestStepDiskLogsHardFailure(t *testing.T) {
 
 func TestStepDiskDeterministic(t *testing.T) {
 	run := func() int {
-		e, err := NewEngine(DefaultParams(), simkernel.NewRNG("disk-det"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := NewEngine(simkernel.NewRNG("disk-det"))
 		p := DefaultDiskParams()
 		p.BasePerHour = 0.05
 		n := 0

@@ -86,134 +86,84 @@ type Stress struct {
 	Condensing bool
 }
 
-// Params calibrates the engine. The defaults in DefaultParams reproduce the
-// paper's statistics in expectation.
-type Params struct {
-	// BaseTransientPerHour is the healthy-host transient failure hazard.
-	BaseTransientPerHour float64
+// The reliability calibration of the reference experiment: these values
+// reproduce the paper's statistics in expectation.
+const (
+	// BaseTransientPerHour is the healthy-host transient failure hazard:
+	// ≈ 0.1 expected events per 10k host-hours.
+	BaseTransientPerHour = 1.2e-5
 	// WeakTransientPerHour is the hazard of a "weak" individual from a
-	// defective series.
-	WeakTransientPerHour float64
-	// WeakFractionDefective is the probability that a unit from a
+	// defective series: a weak unit fails about weekly-to-fortnightly.
+	WeakTransientPerHour = 3.5e-3
+	// weakFractionDefective is the probability that a unit from a
 	// known-defective series (vendor B) is weak.
-	WeakFractionDefective float64
-	// WeakFractionHealthy is the same lottery for ordinary units.
-	WeakFractionHealthy float64
+	weakFractionDefective = 0.35
+	// weakFractionHealthy is the same lottery for ordinary units.
+	weakFractionHealthy = 0.008
 
-	// HotCaseThreshold and HotCasePerDegree add hazard when case air runs
+	// hotCaseThreshold and hotCasePerDegree add hazard when case air runs
 	// hot — vendor B's actual defect mechanism (bad airflow).
-	HotCaseThreshold units.Celsius
-	HotCasePerDegree float64
-	// CyclingPerDegreePerHour adds hazard per °C/h of ambient swing.
-	CyclingPerDegreePerHour float64
-	// ExtremeRHThreshold and ExtremeRHFactor add (mild) hazard above the
+	hotCaseThreshold units.Celsius = 45
+	hotCasePerDegree               = 0.08
+	// cyclingPerDegreePerHour adds hazard per °C/h of ambient swing.
+	cyclingPerDegreePerHour = 0.01
+	// extremeRHThreshold and extremeRHFactor add (mild) hazard above the
 	// threshold. The paper found RH of 80–90 % not a certified failure
-	// cause, so the default factor is small.
-	ExtremeRHThreshold units.RelHumidity
-	ExtremeRHFactor    float64
-	// CondensationFactor multiplies hazard while condensing. Condensation
+	// cause, so the factor is small.
+	extremeRHThreshold units.RelHumidity = 92
+	extremeRHFactor                      = 1.1
+	// condensationFactor multiplies hazard while condensing. Condensation
 	// is the one humidity mechanism §5 takes seriously.
-	CondensationFactor float64
+	condensationFactor = 25
 
-	// WhinySwitchMTBF is the mean life of the defective switches; §4.2.1:
+	// whinySwitchMTBF is the mean life of the defective switches; §4.2.1:
 	// "both of the switches encountered a failure after a week or so".
-	WhinySwitchMTBF time.Duration
-	// HealthySwitchMTBF is the mean life of a sound switch.
-	HealthySwitchMTBF time.Duration
+	whinySwitchMTBF = 170 * time.Hour
+	// healthySwitchMTBF is the mean life of a sound switch.
+	healthySwitchMTBF = 10 * 365 * 24 * time.Hour
 
-	// PageFailureRate is the per-page-operation probability of a memory
+	// pageFailureRate is the per-page-operation probability of a memory
 	// soft error on non-ECC hardware; §4.2.2 estimates "around one in 570
 	// million".
-	PageFailureRate float64
-}
-
-// DefaultParams returns the calibration used by the reference experiment.
-func DefaultParams() Params {
-	return Params{
-		BaseTransientPerHour:  1.2e-5, // ≈ 0.1 expected events per 10k host-hours
-		WeakTransientPerHour:  3.5e-3, // a weak unit fails about weekly-to-fortnightly
-		WeakFractionDefective: 0.35,
-		WeakFractionHealthy:   0.008,
-
-		HotCaseThreshold:        45,
-		HotCasePerDegree:        0.08,
-		CyclingPerDegreePerHour: 0.01,
-		ExtremeRHThreshold:      92,
-		ExtremeRHFactor:         1.1,
-		CondensationFactor:      25,
-
-		WhinySwitchMTBF:   170 * time.Hour, // "after a week or so"
-		HealthySwitchMTBF: 10 * 365 * 24 * time.Hour,
-
-		PageFailureRate: 1.0 / 570e6,
-	}
-}
+	pageFailureRate = 1.0 / 570e6
+)
 
 // WeakFraction returns the weak-unit lottery probability for a unit that
 // is (or is not) from a known-defective series.
-func (p Params) WeakFraction(knownDefective bool) float64 {
+func WeakFraction(knownDefective bool) float64 {
 	if knownDefective {
-		return p.WeakFractionDefective
+		return weakFractionDefective
 	}
-	return p.WeakFractionHealthy
+	return weakFractionHealthy
 }
 
 // StressMultiplier returns the environmental hazard multiplier for the
 // given stress. The transient hazard is the weak-or-base rate times this
 // factor; exposing it lets the sharded scale engine compute one multiplier
 // per tent-tick and share it across every host under that envelope.
-func (p Params) StressMultiplier(s Stress) float64 {
+func StressMultiplier(s Stress) float64 {
 	mult := 1.0
-	if s.CaseAir > p.HotCaseThreshold {
-		mult += p.HotCasePerDegree * float64(s.CaseAir-p.HotCaseThreshold)
+	if s.CaseAir > hotCaseThreshold {
+		mult += hotCasePerDegree * float64(s.CaseAir-hotCaseThreshold)
 	}
-	mult += p.CyclingPerDegreePerHour * s.TempRatePerHour
-	if s.RH > p.ExtremeRHThreshold {
-		mult *= p.ExtremeRHFactor
+	mult += cyclingPerDegreePerHour * s.TempRatePerHour
+	if s.RH > extremeRHThreshold {
+		mult *= extremeRHFactor
 	}
 	if s.Condensing {
-		mult *= p.CondensationFactor
+		mult *= condensationFactor
 	}
 	return mult
-}
-
-// TransientHazardPerHour returns a host's transient hazard under stress,
-// with the same float operation order as Engine stepping.
-func (p Params) TransientHazardPerHour(weak bool, s Stress) float64 {
-	h := p.BaseTransientPerHour
-	if weak {
-		h = p.WeakTransientPerHour
-	}
-	return h * p.StressMultiplier(s)
 }
 
 // PageCorruptionProb returns the probability that one workload cycle
 // touching the given number of pages on non-ECC memory suffers at least
 // one silent corruption.
-func (p Params) PageCorruptionProb(pages int64) float64 {
+func PageCorruptionProb(pages int64) float64 {
 	if pages <= 0 {
 		return 0
 	}
-	return 1 - powOneMinus(p.PageFailureRate, pages)
-}
-
-// Validate checks parameter sanity.
-func (p Params) Validate() error {
-	if p.BaseTransientPerHour < 0 || p.WeakTransientPerHour < p.BaseTransientPerHour {
-		return fmt.Errorf("failure: transient hazards inconsistent: base %v, weak %v",
-			p.BaseTransientPerHour, p.WeakTransientPerHour)
-	}
-	if p.WeakFractionDefective < 0 || p.WeakFractionDefective > 1 ||
-		p.WeakFractionHealthy < 0 || p.WeakFractionHealthy > 1 {
-		return fmt.Errorf("failure: weak fractions out of [0,1]")
-	}
-	if p.WhinySwitchMTBF <= 0 || p.HealthySwitchMTBF <= 0 {
-		return fmt.Errorf("failure: switch MTBFs must be positive")
-	}
-	if p.PageFailureRate < 0 || p.PageFailureRate > 1 {
-		return fmt.Errorf("failure: page failure rate %v out of [0,1]", p.PageFailureRate)
-	}
-	return nil
+	return 1 - powOneMinus(pageFailureRate, pages)
 }
 
 // hostRec is the engine's per-host state: the weak-unit lottery outcome and
@@ -230,25 +180,20 @@ type hostRec struct {
 // Engine samples failures. Create with NewEngine; register each subject
 // before stepping it.
 type Engine struct {
-	params Params
-	rng    *simkernel.RNG
-	hosts  map[string]*hostRec
+	rng   *simkernel.RNG
+	hosts map[string]*hostRec
 	// diskStreams interns "disk/"+diskID per drive on first step.
 	diskStreams map[string]string
 	log         []Event
 }
 
-// NewEngine returns an engine with the given calibration.
-func NewEngine(params Params, rng *simkernel.RNG) (*Engine, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
+// NewEngine returns an engine drawing from rng.
+func NewEngine(rng *simkernel.RNG) *Engine {
 	return &Engine{
-		params:      params,
 		rng:         rng,
 		hosts:       make(map[string]*hostRec),
 		diskStreams: make(map[string]string),
-	}, nil
+	}
 }
 
 // RegisterHost runs the weak-unit lottery for a host. knownDefective marks
@@ -259,7 +204,7 @@ func (e *Engine) RegisterHost(hostID string, knownDefective bool) {
 		return
 	}
 	e.hosts[hostID] = &hostRec{
-		weak:      e.rng.Bernoulli("weak/"+hostID, e.params.WeakFraction(knownDefective)),
+		weak:      e.rng.Bernoulli("weak/"+hostID, WeakFraction(knownDefective)),
 		sysStream: "host/" + hostID,
 		memStream: "mem/" + hostID,
 	}
@@ -273,7 +218,11 @@ func (e *Engine) Weak(hostID string) bool {
 
 // hazardPerHour computes a host's current transient hazard.
 func (e *Engine) hazardPerHour(rec *hostRec, s Stress) float64 {
-	return e.params.TransientHazardPerHour(rec.weak, s)
+	h := BaseTransientPerHour
+	if rec.weak {
+		h = WeakTransientPerHour
+	}
+	return h * StressMultiplier(s)
 }
 
 // StepHost advances one host by dt under the given stress and returns the
@@ -309,10 +258,10 @@ func (e *Engine) StepHost(now time.Time, dt time.Duration, hostID string, s Stre
 // conclusion that "the problem is inherent in these individual switches".
 // It returns the switch's time to failure.
 func (e *Engine) RegisterSwitch(switchID string, whining bool) time.Duration {
-	mtbf := e.params.HealthySwitchMTBF
+	mtbf := healthySwitchMTBF
 	shape := 1.0
 	if whining {
-		mtbf = e.params.WhinySwitchMTBF
+		mtbf = whinySwitchMTBF
 		// Wear-out shape: the defect progresses, so failures cluster
 		// around the MTBF rather than being memoryless.
 		shape = 2.5
@@ -332,12 +281,12 @@ func (e *Engine) LogSwitchFailure(now time.Time, switchID string) Event {
 // CycleCorrupted samples whether one workload cycle that touches the given
 // number of memory pages suffers a silent corruption. ECC machines never
 // corrupt (single-bit errors are corrected); on non-ECC machines each page
-// operation fails independently with PageFailureRate.
+// operation fails independently with pageFailureRate.
 func (e *Engine) CycleCorrupted(hostID string, pages int64, ecc bool) bool {
 	if ecc || pages <= 0 {
 		return false
 	}
-	p := e.params.PageCorruptionProb(pages)
+	p := PageCorruptionProb(pages)
 	stream, ok := e.memStream(hostID)
 	if !ok {
 		stream = "mem/" + hostID // unregistered host: preserve the old name

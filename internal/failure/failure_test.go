@@ -12,11 +12,7 @@ var t0 = time.Date(2010, time.February, 19, 12, 0, 0, 0, time.UTC)
 
 func newEngine(t *testing.T, seed string) *Engine {
 	t.Helper()
-	e, err := NewEngine(DefaultParams(), simkernel.NewRNG(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return NewEngine(simkernel.NewRNG(seed))
 }
 
 // eventsFor returns the logged events for one subject.
@@ -32,30 +28,22 @@ func eventsFor(e *Engine, subjectID string) []Event {
 
 var benign = Stress{Ambient: 21, RH: 32, CaseAir: 33}
 
+// TestParamsValidation holds the reliability calibration to the
+// invariants the engine relies on: a weak unit is at least as fragile as
+// a sound one, the lottery fractions and the page failure rate are
+// probabilities, and switch lifetimes are positive.
 func TestParamsValidation(t *testing.T) {
-	p := DefaultParams()
-	if err := p.Validate(); err != nil {
-		t.Fatalf("defaults invalid: %v", err)
+	if BaseTransientPerHour < 0 || WeakTransientPerHour < BaseTransientPerHour {
+		t.Errorf("transient hazards inconsistent: base %v, weak %v",
+			BaseTransientPerHour, WeakTransientPerHour)
 	}
-	bad := p
-	bad.WeakTransientPerHour = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("weak < base accepted")
+	for _, f := range []float64{weakFractionDefective, weakFractionHealthy, pageFailureRate} {
+		if f < 0 || f > 1 {
+			t.Errorf("probability %v out of [0,1]", f)
+		}
 	}
-	bad = p
-	bad.WeakFractionDefective = 2
-	if err := bad.Validate(); err == nil {
-		t.Error("fraction > 1 accepted")
-	}
-	bad = p
-	bad.WhinySwitchMTBF = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero MTBF accepted")
-	}
-	bad = p
-	bad.PageFailureRate = 2
-	if err := bad.Validate(); err == nil {
-		t.Error("page rate > 1 accepted")
+	if whinySwitchMTBF <= 0 || healthySwitchMTBF <= 0 {
+		t.Error("switch MTBFs must be positive")
 	}
 }
 
@@ -100,12 +88,11 @@ func TestWeakLotteryFractions(t *testing.T) {
 			weakHealthy++
 		}
 	}
-	p := DefaultParams()
-	if f := float64(weakDefective) / float64(n); f < p.WeakFractionDefective-0.05 || f > p.WeakFractionDefective+0.05 {
-		t.Errorf("defective weak fraction %.3f, want ≈ %v", f, p.WeakFractionDefective)
+	if f := float64(weakDefective) / float64(n); f < weakFractionDefective-0.05 || f > weakFractionDefective+0.05 {
+		t.Errorf("defective weak fraction %.3f, want ≈ %v", f, weakFractionDefective)
 	}
-	if f := float64(weakHealthy) / float64(n); f > p.WeakFractionHealthy*2+0.01 {
-		t.Errorf("healthy weak fraction %.3f, want ≈ %v", f, p.WeakFractionHealthy)
+	if f := float64(weakHealthy) / float64(n); f > weakFractionHealthy*2+0.01 {
+		t.Errorf("healthy weak fraction %.3f, want ≈ %v", f, weakFractionHealthy)
 	}
 }
 
@@ -244,9 +231,8 @@ func TestWhinySwitchLifetime(t *testing.T) {
 		sum += e.RegisterSwitch(fmt.Sprintf("sw%d", i), true)
 	}
 	mean := sum / time.Duration(n)
-	p := DefaultParams()
 	// Weibull(k=2.5, λ) has mean ≈ 0.887 λ.
-	want := time.Duration(float64(p.WhinySwitchMTBF) * 0.887)
+	want := time.Duration(float64(whinySwitchMTBF) * 0.887)
 	if mean < want/2 || mean > want*2 {
 		t.Errorf("whiny switch mean life %v, want ≈ %v", mean, want)
 	}
@@ -366,10 +352,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func BenchmarkStepHost(b *testing.B) {
-	e, err := NewEngine(DefaultParams(), simkernel.NewRNG("bench"))
-	if err != nil {
-		b.Fatal(err)
-	}
+	e := NewEngine(simkernel.NewRNG("bench"))
 	e.RegisterHost("01", false)
 	for i := 0; i < b.N; i++ {
 		_, _ = e.StepHost(t0.Add(time.Duration(i)*time.Minute), time.Minute, "01", benign)
@@ -377,10 +360,7 @@ func BenchmarkStepHost(b *testing.B) {
 }
 
 func BenchmarkCycleCorrupted(b *testing.B) {
-	e, err := NewEngine(DefaultParams(), simkernel.NewRNG("bench"))
-	if err != nil {
-		b.Fatal(err)
-	}
+	e := NewEngine(simkernel.NewRNG("bench"))
 	for i := 0; i < b.N; i++ {
 		_ = e.CycleCorrupted("01", 116000, false)
 	}

@@ -40,20 +40,13 @@ type Config struct {
 	Warmup, Ramp, Sustain, Spike time.Duration
 
 	// RoundEvery is the collection-round cadence during the run
-	// (default 100ms); RoundConcurrency caps parallel host collections
-	// (default 32).
-	RoundEvery       time.Duration
-	RoundConcurrency int
+	// (default 100ms).
+	RoundEvery time.Duration
 
 	// QueueCapacity bounds the post-round ingestion queue (default 4).
 	QueueCapacity int
-	// MaxInflight is the dashboard admission watermark (default 64);
-	// RetryAfter is the advisory backoff on 503s (default 1s).
+	// MaxInflight is the dashboard admission watermark (default 64).
 	MaxInflight int
-	RetryAfter  time.Duration
-	// CacheTTL bounds scrape-cache staleness (default 1s; rounds also
-	// invalidate it explicitly when they publish).
-	CacheTTL time.Duration
 
 	// PendingBuffer is the arrival feed depth between the open-loop
 	// generator and the scraper fleet (default 4 × Scrapers). Arrivals
@@ -63,11 +56,21 @@ type Config struct {
 	// PStaleConn is the per-(host, round) probability that a pooled
 	// keepalive went stale while parked (default 0 = no chaos).
 	PStaleConn float64
-
-	// MirrorRetain caps each mirrored file's raw bytes (default 64KiB)
-	// so fleet memory stays bounded over long runs.
-	MirrorRetain int
 }
+
+// The serving plane's fixed limits.
+const (
+	// roundConcurrency caps parallel host collections.
+	roundConcurrency = 32
+	// retryAfter is the advisory backoff on 503s.
+	retryAfter = time.Second
+	// cacheTTL bounds scrape-cache staleness; rounds also invalidate the
+	// cache explicitly when they publish.
+	cacheTTL = time.Second
+	// mirrorRetain caps each mirrored file's raw bytes so fleet memory
+	// stays bounded over long runs.
+	mirrorRetain = 64 << 10
+)
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
@@ -98,26 +101,14 @@ func (c Config) withDefaults() Config {
 	if c.RoundEvery <= 0 {
 		c.RoundEvery = 100 * time.Millisecond
 	}
-	if c.RoundConcurrency <= 0 {
-		c.RoundConcurrency = 32
-	}
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = 4
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 64
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.CacheTTL <= 0 {
-		c.CacheTTL = time.Second
-	}
 	if c.PendingBuffer <= 0 {
 		c.PendingBuffer = 4 * c.Scrapers
-	}
-	if c.MirrorRetain <= 0 {
-		c.MirrorRetain = 64 << 10
 	}
 	return c
 }
@@ -170,7 +161,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	samples := monitor.NewSampleDB()
 	coll := monitor.NewCollector(0).WithSamples(samples)
-	coll.SetRetention(cfg.MirrorRetain)
+	coll.SetRetention(mirrorRetain)
 	fc, err := monitor.NewFleetCollector(coll, monitor.FleetConfig{
 		Hosts:        hosts,
 		Dial:         monitor.InProcessDialer(agents, keys, cfg.Seed),
@@ -181,7 +172,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		PhaseTimeout: 2 * time.Second,
 		RoundTimeout: 30 * time.Second,
 		Jitter:       monitor.DeterministicJitter(cfg.Seed),
-		Concurrency:  cfg.RoundConcurrency,
+		Concurrency:  roundConcurrency,
 		Pool:         &monitor.PoolConfig{Fault: poolFault},
 	})
 	if err != nil {
@@ -195,8 +186,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	srv := dash.NewServer(coll, hosts, t0).
 		WithLedger(fc.Ledger()).
-		WithAdmission(cfg.MaxInflight, cfg.RetryAfter).
-		WithScrapeCache(cfg.CacheTTL).
+		WithAdmission(cfg.MaxInflight, retryAfter).
+		WithScrapeCache(cacheTTL).
 		WithTelemetry(reg)
 	handler := srv.Handler()
 

@@ -63,13 +63,13 @@ func RunAnalyses(r *core.Results) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	bare, err := analysis.AttributeDeltaT(wx, thermal.DefaultTentConfig(), nil, 1400,
+	bare, err := analysis.AttributeDeltaT(wx, nil, 1400,
 		r.Start, r.Start.AddDate(0, 0, 7), time.Minute)
 	if err != nil {
 		return "", err
 	}
 	all := []thermal.Modification{thermal.ReflectiveFoil, thermal.RemoveInnerTent, thermal.OpenBottom, thermal.InstallFan}
-	opened, err := analysis.AttributeDeltaT(wx, thermal.DefaultTentConfig(), all, 1400,
+	opened, err := analysis.AttributeDeltaT(wx, all, 1400,
 		r.Start, r.Start.AddDate(0, 0, 7), time.Minute)
 	if err != nil {
 		return "", err

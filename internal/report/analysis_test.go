@@ -29,13 +29,13 @@ func TestTableCondensation(t *testing.T) {
 
 func TestTableAttribution(t *testing.T) {
 	wx := weather.ReferenceWinter0910("report-attr")
-	bare, err := analysis.AttributeDeltaT(wx, thermal.DefaultTentConfig(), nil, 1400,
+	bare, err := analysis.AttributeDeltaT(wx, nil, 1400,
 		weather.ExperimentEpoch, weather.ExperimentEpoch.AddDate(0, 0, 2), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	all := []thermal.Modification{thermal.ReflectiveFoil, thermal.RemoveInnerTent, thermal.OpenBottom, thermal.InstallFan}
-	opened, err := analysis.AttributeDeltaT(wx, thermal.DefaultTentConfig(), all, 1400,
+	opened, err := analysis.AttributeDeltaT(wx, all, 1400,
 		weather.ExperimentEpoch, weather.ExperimentEpoch.AddDate(0, 0, 2), time.Minute)
 	if err != nil {
 		t.Fatal(err)

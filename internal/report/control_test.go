@@ -112,7 +112,7 @@ func TestFigControlAndStudyTable(t *testing.T) {
 		t.Error("open-loop results rendered a control figure")
 	}
 
-	frac, n := report.EnvelopeResidency(r, cc.Envelope)
+	frac, n := report.EnvelopeResidency(r, units.FrostAllowable)
 	if n == 0 || frac < 0 || frac > 1 {
 		t.Errorf("envelope residency %.3f over %d samples", frac, n)
 	}

@@ -9,18 +9,15 @@ import (
 	"frostlab/internal/units"
 )
 
-// LascarSpec holds the datasheet error bounds of the Lascar EL-USB-2-LCD
-// data logger used inside the tent (§3.3): ±0.5 °C, ±3.0 %RH typical;
-// ±2 °C, ±6.0 %RH maximum.
-type LascarSpec struct {
-	TempTypical units.Celsius
-	TempMax     units.Celsius
-	RHTypical   units.RelHumidity
-	RHMax       units.RelHumidity
-}
-
-// ELUSB2Spec is the datasheet of the unit the paper used.
-var ELUSB2Spec = LascarSpec{TempTypical: 0.5, TempMax: 2, RHTypical: 3, RHMax: 6}
+// The Lascar EL-USB-2-LCD data logger the paper used inside the tent
+// (§3.3): its datasheet error bounds, ±0.5 °C, ±3.0 %RH typical; ±2 °C,
+// ±6.0 %RH maximum, and its sampling cadence.
+const (
+	lascarTempTypical units.Celsius     = 0.5
+	lascarTempMax     units.Celsius     = 2
+	lascarRHTypical   units.RelHumidity = 3
+	lascarInterval                      = 5 * time.Minute
+)
 
 // Environment is the air the logger sits in; satisfied by *thermal.Tent,
 // *thermal.Basement and *thermal.PrototypeBoxes.
@@ -35,10 +32,8 @@ type Environment interface {
 // samples (the outliers the paper removed from its graphs), and is brought
 // back.
 type Lascar struct {
-	spec     LascarSpec
-	rng      *simkernel.RNG
-	env      Environment
-	interval time.Duration
+	rng *simkernel.RNG
+	env Environment
 
 	// ArrivesAt models the unit's delayed delivery: samples before this
 	// instant are never taken (the missing early data of Fig. 3/4).
@@ -60,24 +55,19 @@ var IndoorConditions = struct {
 	RH   units.RelHumidity
 }{Temp: 21.5, RH: 30}
 
-// NewLascar returns a logger sampling env every interval, delivered (and
-// deployed) at arrivesAt. The per-unit calibration offsets are drawn once,
-// uniformly within the typical datasheet bounds.
-func NewLascar(spec LascarSpec, rng *simkernel.RNG, env Environment, interval time.Duration, arrivesAt time.Time) (*Lascar, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("sensors: lascar needs a positive interval, got %v", interval)
-	}
+// NewLascar returns a logger sampling env every five minutes, delivered
+// (and deployed) at arrivesAt. The per-unit calibration offsets are drawn
+// once, uniformly within the typical datasheet bounds.
+func NewLascar(rng *simkernel.RNG, env Environment, arrivesAt time.Time) (*Lascar, error) {
 	if env == nil {
 		return nil, fmt.Errorf("sensors: lascar needs an environment")
 	}
 	return &Lascar{
-		spec:      spec,
 		rng:       rng,
 		env:       env,
-		interval:  interval,
 		arrivesAt: arrivesAt,
-		calTemp:   units.Celsius(rng.Uniform("lascar/cal_t", -float64(spec.TempTypical), float64(spec.TempTypical))),
-		calRH:     units.RelHumidity(rng.Uniform("lascar/cal_rh", -float64(spec.RHTypical), float64(spec.RHTypical))),
+		calTemp:   units.Celsius(rng.Uniform("lascar/cal_t", -float64(lascarTempTypical), float64(lascarTempTypical))),
+		calRH:     units.RelHumidity(rng.Uniform("lascar/cal_rh", -float64(lascarRHTypical), float64(lascarRHTypical))),
 		Temp:      timeseries.New("tent_inside_temp", "°C"),
 		RH:        timeseries.New("tent_inside_rh", "%RH"),
 	}, nil
@@ -89,7 +79,7 @@ func (l *Lascar) Install(sched *simkernel.Scheduler, start time.Time) error {
 	if start.Before(l.arrivesAt) {
 		start = l.arrivesAt
 	}
-	_, err := sched.Periodic(start, l.interval, nil, l.Sample)
+	_, err := sched.Periodic(start, lascarInterval, nil, l.Sample)
 	return err
 }
 
@@ -112,8 +102,8 @@ func (l *Lascar) Sample(now time.Time) {
 	}
 	// Read noise: a third of the typical bound as 1-sigma keeps ~99.7% of
 	// reads within datasheet-typical error.
-	temp += l.calTemp + units.Celsius(l.rng.Normal("lascar/noise_t", 0, float64(l.spec.TempTypical)/3))
-	rh = (rh + l.calRH + units.RelHumidity(l.rng.Normal("lascar/noise_rh", 0, float64(l.spec.RHTypical)/3))).Clamp()
+	temp += l.calTemp + units.Celsius(l.rng.Normal("lascar/noise_t", 0, float64(lascarTempTypical)/3))
+	rh = (rh + l.calRH + units.RelHumidity(l.rng.Normal("lascar/noise_rh", 0, float64(lascarRHTypical)/3))).Clamp()
 	_ = l.Temp.Append(now, float64(temp))
 	_ = l.RH.Append(now, float64(rh))
 }

@@ -56,32 +56,22 @@ var ErrChipNotDetected = errors.New("sensors: chip not detected")
 // BogusReading is the impossible value the failed chip reported (§4.2.1).
 const BogusReading units.Celsius = -111
 
-// ChipConfig tunes the sensor chip emulation.
-type ChipConfig struct {
-	// NoiseSigma is the 1-sigma read noise, °C.
-	NoiseSigma float64
-	// GlitchBelow is the chip temperature below which cold exposure
+// The sensor chip calibration reproduces §4.2.1: the chip began
+// misbehaving after "the initial period in the most extreme cold", having
+// reported CPU temperatures below −4 °C while outside air reached −22 °C.
+const (
+	// chipNoiseSigma is the 1-sigma read noise, °C.
+	chipNoiseSigma = 0.5
+	// chipGlitchBelow is the chip temperature below which cold exposure
 	// accumulates toward a glitch.
-	GlitchBelow units.Celsius
-	// GlitchAfter is how much cumulative exposure below GlitchBelow
-	// triggers the glitching state.
-	GlitchAfter time.Duration
-}
-
-// DefaultChipConfig reproduces §4.2.1: the chip began misbehaving after
-// "the initial period in the most extreme cold", having reported CPU
-// temperatures below −4 °C while outside air reached −22 °C.
-func DefaultChipConfig() ChipConfig {
-	return ChipConfig{
-		NoiseSigma:  0.5,
-		GlitchBelow: -1,
-		GlitchAfter: 10 * time.Hour,
-	}
-}
+	chipGlitchBelow units.Celsius = -1
+	// chipGlitchAfter is how much cumulative exposure below
+	// chipGlitchBelow triggers the glitching state.
+	chipGlitchAfter = 10 * time.Hour
+)
 
 // Chip emulates one motherboard sensor chip as read via lm-sensors.
 type Chip struct {
-	cfg    ChipConfig
 	rng    *simkernel.RNG
 	stream string
 	// noiseStream is the precomputed stream+"/noise" name, so the per-read
@@ -96,10 +86,9 @@ type Chip struct {
 
 // NewChip returns a chip emulation. susceptibility controls the fraction
 // of individual chips that can develop the cold glitch at all.
-func NewChip(cfg ChipConfig, rng *simkernel.RNG, hostID string, susceptibility float64) *Chip {
+func NewChip(rng *simkernel.RNG, hostID string, susceptibility float64) *Chip {
 	stream := "chip/" + hostID
 	return &Chip{
-		cfg:         cfg,
 		rng:         rng,
 		stream:      stream,
 		noiseStream: stream + "/noise",
@@ -117,9 +106,9 @@ func (c *Chip) Observe(dt time.Duration, trueTemp units.Celsius) {
 	if c.state != ChipHealthy || !c.susceptible {
 		return
 	}
-	if trueTemp < c.cfg.GlitchBelow {
+	if trueTemp < chipGlitchBelow {
 		c.coldTime += dt
-		if c.coldTime >= c.cfg.GlitchAfter {
+		if c.coldTime >= chipGlitchAfter {
 			c.state = ChipGlitching
 		}
 	}
@@ -135,7 +124,7 @@ func (c *Chip) Read(trueTemp units.Celsius) (units.Celsius, error) {
 	case ChipGlitching:
 		return BogusReading, nil
 	default:
-		noise := c.rng.Normal(c.noiseStream, 0, c.cfg.NoiseSigma)
+		noise := c.rng.Normal(c.noiseStream, 0, chipNoiseSigma)
 		return trueTemp + units.Celsius(noise), nil
 	}
 }

@@ -16,7 +16,7 @@ var t0 = time.Date(2010, time.February, 19, 12, 0, 0, 0, time.UTC)
 func susceptibleChip(t *testing.T) *Chip {
 	t.Helper()
 	rng := simkernel.NewRNG("chips")
-	c := NewChip(DefaultChipConfig(), rng, "01", 1)
+	c := NewChip(rng, "01", 1)
 	if !c.susceptible {
 		t.Fatal("susceptibility 1 produced non-susceptible chip")
 	}
@@ -47,20 +47,19 @@ func TestChipGlitchStateMachine(t *testing.T) {
 	// Reproduce §4.2.1 end to end: cold exposure -> −111 °C readings ->
 	// redetect kills the chip -> warm reboot revives it.
 	c := susceptibleChip(t)
-	cfg := DefaultChipConfig()
 
 	// Sub-threshold exposure: not enough yet.
-	c.Observe(cfg.GlitchAfter/2, -10)
+	c.Observe(chipGlitchAfter/2, -10)
 	if c.State() != ChipHealthy {
 		t.Fatalf("state %v after half exposure, want healthy", c.State())
 	}
 	// Warm operation must not accumulate.
-	c.Observe(cfg.GlitchAfter*2, 20)
+	c.Observe(chipGlitchAfter*2, 20)
 	if c.State() != ChipHealthy {
 		t.Fatalf("warm operation glitched the chip")
 	}
 	// Finish the cold exposure.
-	c.Observe(cfg.GlitchAfter/2, -10)
+	c.Observe(chipGlitchAfter/2, -10)
 	if c.State() != ChipGlitching {
 		t.Fatalf("state %v after full exposure, want glitching", c.State())
 	}
@@ -92,7 +91,7 @@ func TestChipGlitchStateMachine(t *testing.T) {
 
 func TestChipNonSusceptibleNeverGlitches(t *testing.T) {
 	rng := simkernel.NewRNG("never")
-	c := NewChip(DefaultChipConfig(), rng, "02", 0)
+	c := NewChip(rng, "02", 0)
 	if c.susceptible {
 		t.Fatal("susceptibility 0 produced susceptible chip")
 	}
@@ -129,7 +128,7 @@ func (f fixedEnv) Air() (units.Celsius, units.RelHumidity) { return f.temp, f.rh
 func TestLascarSamplesWithinDatasheet(t *testing.T) {
 	rng := simkernel.NewRNG("lascar1")
 	env := fixedEnv{temp: -8, rh: 78}
-	l, err := NewLascar(ELUSB2Spec, rng, env, 5*time.Minute, t0)
+	l, err := NewLascar(rng, env, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,17 +144,17 @@ func TestLascarSamplesWithinDatasheet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(sum.Mean-(-8)) > float64(ELUSB2Spec.TempTypical) {
+	if math.Abs(sum.Mean-(-8)) > float64(lascarTempTypical) {
 		t.Errorf("mean %v beyond typical datasheet error of true -8", sum.Mean)
 	}
-	if sum.Min < -8-float64(ELUSB2Spec.TempMax) || sum.Max > -8+float64(ELUSB2Spec.TempMax) {
+	if sum.Min < -8-float64(lascarTempMax) || sum.Max > -8+float64(lascarTempMax) {
 		t.Errorf("readings [%v, %v] beyond max datasheet error", sum.Min, sum.Max)
 	}
 	rsum, err := l.RH.Summarize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(rsum.Mean-78) > float64(ELUSB2Spec.RHTypical) {
+	if math.Abs(rsum.Mean-78) > float64(lascarRHTypical) {
 		t.Errorf("RH mean %v beyond typical datasheet error of 78", rsum.Mean)
 	}
 }
@@ -165,7 +164,7 @@ func TestLascarDelayedArrival(t *testing.T) {
 	// date, producing the leading gap of Figs. 3/4.
 	rng := simkernel.NewRNG("lascar2")
 	arrive := t0.AddDate(0, 0, 14)
-	l, err := NewLascar(ELUSB2Spec, rng, fixedEnv{temp: 0, rh: 50}, 5*time.Minute, arrive)
+	l, err := NewLascar(rng, fixedEnv{temp: 0, rh: 50}, arrive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +184,7 @@ func TestLascarDelayedArrival(t *testing.T) {
 
 func TestLascarReadoutInsertsOutliers(t *testing.T) {
 	rng := simkernel.NewRNG("lascar3")
-	l, err := NewLascar(ELUSB2Spec, rng, fixedEnv{temp: -9, rh: 80}, 5*time.Minute, t0)
+	l, err := NewLascar(rng, fixedEnv{temp: -9, rh: 80}, t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +222,10 @@ func TestLascarReadoutInsertsOutliers(t *testing.T) {
 }
 
 func TestLascarValidation(t *testing.T) {
-	rng := simkernel.NewRNG("x")
-	if _, err := NewLascar(ELUSB2Spec, rng, fixedEnv{}, 0, t0); err == nil {
-		t.Error("zero interval accepted")
+	if lascarInterval <= 0 {
+		t.Errorf("lascar interval %v must be positive", lascarInterval)
 	}
-	if _, err := NewLascar(ELUSB2Spec, rng, nil, time.Minute, t0); err == nil {
+	if _, err := NewLascar(simkernel.NewRNG("x"), nil, t0); err == nil {
 		t.Error("nil environment accepted")
 	}
 }
@@ -339,7 +337,7 @@ func TestPowerMeterAccuracy(t *testing.T) {
 
 func BenchmarkChipRead(b *testing.B) {
 	rng := simkernel.NewRNG("bench")
-	c := NewChip(DefaultChipConfig(), rng, "01", 1)
+	c := NewChip(rng, "01", 1)
 	for i := 0; i < b.N; i++ {
 		_, _ = c.Read(-4)
 	}
@@ -347,7 +345,7 @@ func BenchmarkChipRead(b *testing.B) {
 
 func BenchmarkLascarSample(b *testing.B) {
 	rng := simkernel.NewRNG("bench")
-	l, err := NewLascar(ELUSB2Spec, rng, fixedEnv{temp: -9, rh: 80}, 5*time.Minute, t0)
+	l, err := NewLascar(rng, fixedEnv{temp: -9, rh: 80}, t0)
 	if err != nil {
 		b.Fatal(err)
 	}

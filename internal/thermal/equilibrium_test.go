@@ -16,10 +16,7 @@ func TestEquilibriumMatchesStepFixedPoint(t *testing.T) {
 		{ReflectiveFoil},
 		{ReflectiveFoil, RemoveInnerTent, OpenBottom, InstallFan},
 	} {
-		tent, err := NewTent(DefaultTentConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		tent := NewTent()
 		for _, m := range mods {
 			tent.Apply(m)
 		}

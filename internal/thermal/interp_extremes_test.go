@@ -66,10 +66,7 @@ func TestLadderInterpolationMonotone(t *testing.T) {
 // even fully open the powered tent stays above outside air — free cooling
 // cannot refrigerate.
 func TestDesertEquilibriumMonotone(t *testing.T) {
-	tent, err := NewTent(DefaultTentConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tent := NewTent()
 	out := desertNoon(45)
 	const equipment = 1400 // W, the paper's fleet
 	prevEq := units.Celsius(math.Inf(1))
@@ -101,10 +98,7 @@ func TestDesertEquilibriumMonotone(t *testing.T) {
 func TestMonsoonSaturationPhysical(t *testing.T) {
 	out := weather.Conditions{Temp: 26, RH: 97, Wind: 6, Irradiance: 120}
 	run := func(pos float64) units.RelHumidity {
-		tent, err := NewTent(DefaultTentConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		tent := NewTent()
 		tent.SetVentilation(pos)
 		// Start from dry air (machines ran through the pre-monsoon), then
 		// let the monsoon soak in.

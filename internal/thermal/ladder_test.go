@@ -51,14 +51,8 @@ func TestLadderEndpointsBitwiseMatchDiscreteMods(t *testing.T) {
 		{1, []Modification{ReflectiveFoil, RemoveInnerTent, OpenBottom, InstallFan}},
 	}
 	for _, ep := range endpoints {
-		discrete, err := NewTent(DefaultTentConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		continuous, err := NewTent(DefaultTentConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		discrete := NewTent()
+		continuous := NewTent()
 		for _, m := range ep.mods {
 			discrete.Apply(m)
 		}
@@ -95,10 +89,7 @@ func TestVentilationMonotone(t *testing.T) {
 	out := weather.Conditions{Temp: -10, RH: 80, Wind: 3}
 	prev := math.Inf(1)
 	for pos := 0.0; pos <= 1.0; pos += 0.125 {
-		tent, err := NewTent(DefaultTentConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		tent := NewTent()
 		tent.SetVentilation(pos)
 		for i := 0; i < 240; i++ {
 			if err := tent.Step(time.Minute, out, 1400); err != nil {
@@ -114,10 +105,7 @@ func TestVentilationMonotone(t *testing.T) {
 }
 
 func TestSetVentilationReversible(t *testing.T) {
-	tent, err := NewTent(DefaultTentConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tent := NewTent()
 	tent.SetVentilation(1)
 	if !tent.Applied(InstallFan) || tent.damper != 1 {
 		t.Fatal("full open should apply every rung")

@@ -54,46 +54,32 @@ func (m Modification) String() string {
 	}
 }
 
-// TentConfig parameterises a Tent. DefaultTentConfig matches the paper's
-// three-person camping tent.
-type TentConfig struct {
-	// HeatCapacity of the tent air volume plus fabric and equipment
-	// surfaces, J/K.
-	HeatCapacity float64
-	// BaseConductance is the envelope heat loss coefficient with the tent
-	// as shipped (both layers, tarpaulin closed), W/K. The paper found the
-	// tent "surprisingly good at retaining heat".
-	BaseConductance float64
-	// WindConductancePerMS adds conductance per m/s of outside wind, W/K.
-	// The tent is designed to block wind chill, so this starts small and
-	// grows with each opening modification.
-	WindConductancePerMS float64
-	// SolarAperture is the effective solar collection area times
+// The paper's three-person camping tent, calibrated so that ~1.4 kW of
+// equipment initially holds it ≈15 °C above ambient, shrinking to ≈4–5 °C
+// after all four modifications — the trajectory visible in Fig. 3.
+const (
+	// tentHeatCapacity is the tent air volume plus fabric and equipment
+	// surfaces (≈ tent air + fabric + case shells), J/K.
+	tentHeatCapacity = 120e3
+	// tentBaseConductance is the envelope heat loss coefficient with the
+	// tent as shipped (both layers, tarpaulin closed), W/K. The paper
+	// found the tent "surprisingly good at retaining heat".
+	tentBaseConductance = 90
+	// tentWindConductancePerMS adds conductance per m/s of outside wind,
+	// W/K. The tent is designed to block wind chill, so this starts small
+	// and grows with each opening modification.
+	tentWindConductancePerMS = 3
+	// tentSolarAperture is the effective solar collection area times
 	// absorptivity, m². Dark fabric in direct sun gains heat fast.
-	SolarAperture float64
-	// MoistureExchangeTimeConst is how quickly inside vapour pressure
-	// relaxes to outside vapour pressure, at base ventilation.
-	MoistureExchangeTimeConst time.Duration
-}
-
-// DefaultTentConfig is calibrated so that ~1.4 kW of equipment initially
-// holds the tent ≈15 °C above ambient, shrinking to ≈4–5 °C after all four
-// modifications — the trajectory visible in the paper's Fig. 3.
-func DefaultTentConfig() TentConfig {
-	return TentConfig{
-		HeatCapacity:              120e3, // ≈ tent air + fabric + case shells
-		BaseConductance:           90,
-		WindConductancePerMS:      3,
-		SolarAperture:             2.5,
-		MoistureExchangeTimeConst: 90 * time.Minute,
-	}
-}
+	tentSolarAperture = 2.5
+	// tentMoistureExchange is how quickly inside vapour pressure relaxes
+	// to outside vapour pressure, at base ventilation.
+	tentMoistureExchange = 90 * time.Minute
+)
 
 // Tent is the roof-terrace enclosure. Advance it with Step; read it with
 // Air. The zero value is unusable — use NewTent.
 type Tent struct {
-	cfg TentConfig
-
 	// vent holds the fractional application level of each modification,
 	// indexed by Modification. The paper's discrete events set a level to
 	// exactly 1 (Apply); the closed-loop controller sweeps all four levels
@@ -110,15 +96,7 @@ type Tent struct {
 }
 
 // NewTent returns a tent with no modifications applied.
-func NewTent(cfg TentConfig) (*Tent, error) {
-	if cfg.HeatCapacity <= 0 || cfg.BaseConductance <= 0 {
-		return nil, fmt.Errorf("thermal: tent needs positive heat capacity and conductance")
-	}
-	if cfg.MoistureExchangeTimeConst <= 0 {
-		return nil, fmt.Errorf("thermal: tent needs positive moisture exchange time constant")
-	}
-	return &Tent{cfg: cfg}, nil
-}
+func NewTent() *Tent { return &Tent{} }
 
 // Name implements Environment.
 func (t *Tent) Name() string { return "tent" }
@@ -178,8 +156,8 @@ func clamp01(f float64) float64 {
 // ladder endpoint is bit-identical to the corresponding Apply sequence;
 // fractional levels interpolate each rung's effect linearly.
 func (t *Tent) conductance(wind units.MetersPerSecond) float64 {
-	g := t.cfg.BaseConductance
-	windG := t.cfg.WindConductancePerMS
+	g := float64(tentBaseConductance)
+	windG := float64(tentWindConductancePerMS)
 	if f := t.vent[RemoveInnerTent]; f >= 1 {
 		g *= 1.45 // one fabric layer instead of two
 		windG *= 2
@@ -204,7 +182,7 @@ func (t *Tent) conductance(wind units.MetersPerSecond) float64 {
 
 // solarGain returns the current solar heat input in watts.
 func (t *Tent) solarGain(irr units.WattsPerSquareMeter) float64 {
-	a := t.cfg.SolarAperture
+	a := tentSolarAperture
 	if f := t.vent[ReflectiveFoil]; f >= 1 {
 		a *= 0.35 // the rescue-sheet cover reflects most direct sun
 	} else if f > 0 {
@@ -242,20 +220,20 @@ func (t *Tent) Step(dt time.Duration, outside weather.Conditions, equipment unit
 	g := t.conductance(outside.Wind)
 
 	// Sub-step so the explicit update stays stable even for long dt.
-	tau := t.cfg.HeatCapacity / g // thermal time constant, seconds
+	tau := tentHeatCapacity / g // thermal time constant, seconds
 	steps := int(sec/(tau/4)) + 1
 	sub := sec / float64(steps)
 	for i := 0; i < steps; i++ {
 		flux := g*(float64(outside.Temp)-float64(t.insideTemp)) +
 			float64(equipment) +
 			t.solarGain(outside.Irradiance)
-		t.insideTemp += units.Celsius(flux / t.cfg.HeatCapacity * sub)
+		t.insideTemp += units.Celsius(flux / tentHeatCapacity * sub)
 	}
 
 	// Moisture: inside vapour pressure relaxes toward outside; more
 	// ventilation (higher conductance relative to base) mixes faster.
 	eOut := units.VaporPressure(outside.Temp, outside.RH)
-	mix := sec / t.cfg.MoistureExchangeTimeConst.Seconds() * (g / t.cfg.BaseConductance)
+	mix := sec / tentMoistureExchange.Seconds() * (g / tentBaseConductance)
 	if mix > 1 {
 		mix = 1
 	}

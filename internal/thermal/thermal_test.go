@@ -11,11 +11,7 @@ import (
 
 func newTent(t *testing.T) *Tent {
 	t.Helper()
-	tent, err := NewTent(DefaultTentConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tent
+	return NewTent()
 }
 
 // steadyTent steps the tent to equilibrium under fixed conditions.
@@ -131,16 +127,16 @@ func TestTentRejectsBadStep(t *testing.T) {
 	}
 }
 
+// TestNewTentValidation holds the tent calibration to the invariants
+// Step divides by: a positive heat capacity, base conductance and
+// moisture exchange time constant.
 func TestNewTentValidation(t *testing.T) {
-	bad := DefaultTentConfig()
-	bad.HeatCapacity = 0
-	if _, err := NewTent(bad); err == nil {
-		t.Error("zero heat capacity accepted")
+	if tentHeatCapacity <= 0 || tentBaseConductance <= 0 {
+		t.Errorf("tent heat capacity %v and conductance %v must be positive",
+			tentHeatCapacity, tentBaseConductance)
 	}
-	bad = DefaultTentConfig()
-	bad.MoistureExchangeTimeConst = 0
-	if _, err := NewTent(bad); err == nil {
-		t.Error("zero moisture time constant accepted")
+	if tentMoistureExchange <= 0 {
+		t.Errorf("moisture exchange time constant %v must be positive", tentMoistureExchange)
 	}
 }
 
@@ -355,10 +351,7 @@ func TestSteadyStateLinearInIntake(t *testing.T) {
 }
 
 func BenchmarkTentStep(b *testing.B) {
-	tent, err := NewTent(DefaultTentConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
+	tent := NewTent()
 	for i := 0; i < b.N; i++ {
 		_ = tent.Step(time.Minute, calmNight, 1400)
 	}
