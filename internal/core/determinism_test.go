@@ -42,9 +42,11 @@ func serializedRunMD5(t *testing.T, cfg Config) string {
 }
 
 // TestReferenceResultsHashAcrossGOMAXPROCS pins the reference-seed run to
-// its anchored md5 at GOMAXPROCS 1, 2 and 8. The classic engine is
-// single-threaded, so this both guards the anchor and proves scheduler
-// parallelism cannot perturb it.
+// its anchored md5 at GOMAXPROCS 1, 2 and 8. The engine's only
+// concurrency is the pack-ahead goroutine, which packs source trees while
+// the single event loop runs; this both guards the anchor and proves that
+// neither scheduler parallelism nor which goroutine packed a tree can
+// perturb it.
 func TestReferenceResultsHashAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full reference run")

@@ -347,6 +347,18 @@ const ctxCheckEvery = 4096
 // and returns ctx.Err().
 func (e *Experiment) RunContext(ctx context.Context) (*Results, error) {
 	cfg := e.cfg
+	// Every tree this run installs is a pure function of its seed and the
+	// workload geometry, so a second goroutine packs them ahead of their
+	// installs, in install order; installHost waits only for a tree not
+	// yet ready. The packer never outlives the run.
+	installs := e.installsByHorizon()
+	seeds := make([]string, len(installs))
+	for i, hs := range installs {
+		seeds[i] = cfg.workloadSeed(hs.host)
+	}
+	stopPacking := e.packs.PackAhead(seeds, cfg.WorkloadFiles, cfg.WorkloadBytes, cfg.WorkloadBlockSize)
+	defer stopPacking()
+
 	var runErr error
 	fail := func(err error) {
 		if runErr == nil && err != nil {
@@ -427,16 +439,9 @@ func (e *Experiment) RunContext(ctx context.Context) (*Results, error) {
 	}
 
 	// Host installs and workload tasks.
-	for _, hs := range e.hosts {
+	for _, hs := range installs {
 		hs := hs
-		at := hs.host.InstalledAt
-		if at.Before(cfg.Start) {
-			at = cfg.Start
-		}
-		if at.After(cfg.End) {
-			continue
-		}
-		if _, err := e.sched.At(at, func(now time.Time) {
+		if _, err := e.sched.At(e.installAt(hs), func(now time.Time) {
 			fail(e.installHost(now, hs))
 		}); err != nil {
 			return nil, err
@@ -483,6 +488,29 @@ func (e *Experiment) RunContext(ctx context.Context) (*Results, error) {
 		e.tracer.Span("normal-phase", "phase", 0, cfg.Start, cfg.End.Sub(cfg.Start))
 	}
 	return e.assembleResults()
+}
+
+// installAt is when a host's install event fires: its install date, or
+// the start of the run for a host installed before it.
+func (e *Experiment) installAt(hs *hostState) time.Time {
+	if hs.host.InstalledAt.Before(e.cfg.Start) {
+		return e.cfg.Start
+	}
+	return hs.host.InstalledAt
+}
+
+// installsByHorizon lists the hosts installed by the end of the run in the
+// order their install events fire: by install time, ties in host order
+// (the scheduler fires equal due times first in, first out).
+func (e *Experiment) installsByHorizon() []*hostState {
+	var out []*hostState
+	for _, hs := range e.hosts {
+		if !e.installAt(hs).After(e.cfg.End) {
+			out = append(out, hs)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return e.installAt(out[i]).Before(e.installAt(out[j])) })
+	return out
 }
 
 func modName(m thermal.Modification) string {

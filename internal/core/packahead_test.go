@@ -1,0 +1,103 @@
+package core
+
+import (
+	"context"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// pollCancelled is a context that reports cancellation from its second
+// poll on. RunContext polls before the first event and then every
+// ctxCheckEvery events, so the run stops about a simulated day in: after
+// the installs at the start, while the pack-ahead goroutine is still
+// working through the later hosts' trees.
+type pollCancelled struct {
+	context.Context
+	polls int
+}
+
+func (c *pollCancelled) Err() error {
+	c.polls++
+	if c.polls > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPackAheadGoroutineJoined checks that no goroutine outlives a run:
+// the goroutine count returns to its baseline after a completed run, a run
+// cancelled after its first installs, and an experiment built but never
+// run.
+func TestPackAheadGoroutineJoined(t *testing.T) {
+	base := runtime.NumGoroutine()
+	check := func(what string) {
+		t.Helper()
+		// A joined goroutine stays counted from closing its exit channel
+		// until it returns, which an OS thread switch can stretch to
+		// milliseconds. A packer that was not joined stays far longer: the
+		// cancelled run leaves trees queued that take over a second to
+		// pack.
+		deadline := time.Now().Add(100 * time.Millisecond)
+		got := runtime.NumGoroutine()
+		for got > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+			got = runtime.NumGoroutine()
+		}
+		if got > base {
+			t.Errorf("%s: %d goroutines, baseline %d", what, got, base)
+		}
+	}
+	cfg := shortConfig("pack-ahead")
+	cfg.MonitorEvery = 0
+
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	check("completed run")
+
+	// The full horizon queues every host's tree, and 1 MiB trees keep the
+	// packer busy long after the run stops unless RunContext joins it.
+	cfg = referenceConfig()
+	cfg.WorkloadBytes = 1 << 20
+	e, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &pollCancelled{Context: context.Background()}
+	if _, err := e.RunContext(ctx); err != context.Canceled {
+		t.Fatalf("cancelled run: err %v, want context.Canceled", err)
+	}
+	if ctx.polls < 2 {
+		t.Fatalf("context polled %d times; the run never reached its first installs", ctx.polls)
+	}
+	check("cancelled run")
+
+	if _, err := New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	check("New without Run")
+}
+
+// TestInitialPackErrorNamesHost pins the error a pack failure surfaces: a
+// block size Validate accepts but the FBZ header cannot carry fails the
+// first host installed, with the same text whether or not its tree was
+// packed ahead.
+func TestInitialPackErrorNamesHost(t *testing.T) {
+	cfg := shortConfig("pack-error")
+	cfg.MonitorEvery = 0
+	cfg.WorkloadBlockSize = 1 << 33
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = e.Run()
+	const want = "workload: initial pack for 01: workload: block size 8589934592 outside 1..4294967295"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err %v, want %q", err, want)
+	}
+}

@@ -168,14 +168,13 @@ func ScanFBZ(r io.Reader) ([]BlockInfo, error) {
 	if !bytes.Equal(magic, fbzFileMagic) {
 		return nil, ErrNotFBZ
 	}
-	// One decompressor, payload buffer and length-limited reader serve
-	// every block of the scan.
+	// One checker, payload buffer and length-limited reader serve every
+	// block of the scan.
 	var (
 		out     []BlockInfo
 		payload bytes.Buffer
-		comp    bytes.Reader
 		lr      = &io.LimitedReader{R: br}
-		zr      = flate.NewReader(&comp)
+		bc      blockChecker
 	)
 	for i := 0; ; i++ {
 		var hdr [18]byte
@@ -193,9 +192,7 @@ func ScanFBZ(r io.Reader) ([]BlockInfo, error) {
 			out = append(out, info)
 			return out, nil
 		}
-		rawLen := binary.BigEndian.Uint32(hdr[6:10])
 		compLen := binary.BigEndian.Uint32(hdr[10:14])
-		wantCRC := binary.BigEndian.Uint32(hdr[14:18])
 		// The payload buffer grows with the bytes that actually arrive,
 		// so a forged compLen cannot force a large allocation.
 		lr.N = int64(compLen)
@@ -209,21 +206,49 @@ func ScanFBZ(r io.Reader) ([]BlockInfo, error) {
 			out = append(out, info)
 			return out, nil
 		}
-		comp.Reset(payload.Bytes())
-		data, err := inflateBlock(zr, &comp, rawLen)
-		switch {
-		case err != nil:
-			info.Err = fmt.Sprintf("deflate: %v", err)
-		case uint32(len(data)) != rawLen:
-			info.Err = fmt.Sprintf("length %d, header says %d", len(data), rawLen)
-		case crc32.ChecksumIEEE(data) != wantCRC:
-			info.Err = "CRC mismatch"
-		default:
-			info.OK = true
-			info.Data = data
-		}
+		bc.verify(&info, hdr[:], payload.Bytes())
 		out = append(out, info)
 	}
+}
+
+// blockChecker inflates and verifies framed blocks, reusing one
+// decompressor across them.
+type blockChecker struct {
+	comp bytes.Reader
+	zr   io.Reader
+}
+
+// verify decodes a block whose 18-byte header carries the block magic and
+// whose payload is complete, and records in info whether its content
+// matches the header's length and CRC. A block's verdict depends on its
+// header and payload bytes alone.
+func (c *blockChecker) verify(info *BlockInfo, hdr, payload []byte) {
+	rawLen := binary.BigEndian.Uint32(hdr[6:10])
+	wantCRC := binary.BigEndian.Uint32(hdr[14:18])
+	c.comp.Reset(payload)
+	if c.zr == nil {
+		c.zr = flate.NewReader(&c.comp)
+	}
+	data, err := inflateBlock(c.zr, &c.comp, rawLen)
+	switch {
+	case err != nil:
+		info.Err = fmt.Sprintf("deflate: %v", err)
+	case uint32(len(data)) != rawLen:
+		info.Err = fmt.Sprintf("length %d, header says %d", len(data), rawLen)
+	case crc32.ChecksumIEEE(data) != wantCRC:
+		info.Err = "CRC mismatch"
+	default:
+		info.OK = true
+		info.Data = data
+	}
+}
+
+// ok reports whether one framed block — its header, carrying the block
+// magic, then its complete payload — passes verify.
+func (c *blockChecker) ok(framed []byte) bool {
+	var info BlockInfo
+	c.verify(&info, framed[:18], framed[18:])
+	return info.OK
 }
 
 // maxDeflateRatio bounds DEFLATE's expansion: a 258-byte match costs at

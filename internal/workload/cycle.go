@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/md5"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"frostlab/internal/simkernel"
@@ -36,24 +37,22 @@ type CycleResult struct {
 	Blocks int
 }
 
-// Runner executes the synthetic load for one host. It owns the host's
-// source tree and the reference digest "calculated before installation".
+// Runner executes the synthetic load for one host. It holds the host's
+// pristine archive and the reference digest "calculated before
+// installation".
 type Runner struct {
-	hostID    string
-	tree      *SourceTree
-	blockSize int
-	rng       *simkernel.RNG
+	hostID string
+	rng    *simkernel.RNG
 
 	reference Digest
 	refBlocks int
 	pages     int64
 
-	// archive and archiveRes cache the initial pack. The source tree is
+	// pack is the initial pack, shared with twins. The source tree is
 	// immutable and Pack is deterministic, so every later cycle would
 	// produce these exact bytes; re-running the compressor per cycle only
 	// burned time. Corrupting cycles work on a copy.
-	archive    []byte
-	archiveRes ArchiveResult
+	pack *packEntry
 	// blockStream and bitStream are the precomputed corruption RNG stream
 	// names.
 	blockStream string
@@ -64,11 +63,13 @@ type Runner struct {
 	storedArchives map[string][]byte
 }
 
-// PackCache shares generated source trees and their pristine archives
-// between runners with the same tree seed and geometry. Basement twins run
-// their tent partner's disk image, so within one experiment the same tree
-// would otherwise be generated and compressed twice. Not concurrent-safe:
-// each experiment (campaign replicate) owns its own cache.
+// PackCache shares the pristine archives of generated source trees between
+// runners with the same tree seed and geometry. Basement twins run their
+// tent partner's disk image, so within one experiment the same tree would
+// otherwise be generated and compressed twice. PackAhead packs queued
+// trees on a background goroutine; otherwise the cache is not
+// concurrent-safe: each experiment (campaign replicate) owns its own and
+// calls it from one goroutine.
 type PackCache struct {
 	entries map[packKey]*packEntry
 }
@@ -80,46 +81,120 @@ type packKey struct {
 	blockSize int
 }
 
+// packEntry is one tree's pristine archive. Whichever goroutine claims it
+// first — the pack-ahead goroutine or the first NewRunner to need it —
+// packs it and closes done; everyone else waits on done.
 type packEntry struct {
-	tree    *SourceTree
+	key     packKey
+	claimed atomic.Bool
+	done    chan struct{}
+
 	archive []byte
 	res     ArchiveResult
+	treeErr error // from GenerateTree
+	packErr error // from Pack
+
+	// frames and verdicts memoise the forensic scan of the pristine
+	// archive (see badBlocks): frames[i] and frames[i+1] bound block i's
+	// header and payload, and verdicts[i] is its scan result once taken.
+	// framed records that frames has been parsed; it stays nil when the
+	// pristine archive is not cleanly framed.
+	framed   bool
+	frames   []int
+	verdicts []verdict
 }
+
+// verdict is a memoised block scan result.
+type verdict uint8
+
+const (
+	unscanned verdict = iota
+	blockOK
+	blockBad
+)
 
 // NewPackCache returns an empty cache.
 func NewPackCache() *PackCache {
 	return &PackCache{entries: make(map[packKey]*packEntry)}
 }
 
-// NewRunner prepares a runner: it generates the host's tree, performs the
-// initial pack, and records the reference digest. Identical (seed,
-// geometry) requests share one tree and archive; runners never mutate the
-// shared bytes (corrupting cycles copy first).
-func (c *PackCache) NewRunner(hostID string, treeSeed string, files int, treeBytes int64, blockSize int, rng *simkernel.RNG) (*Runner, error) {
-	key := packKey{seed: treeSeed, files: files, bytes: treeBytes, blockSize: blockSize}
+// entry returns the (possibly not yet packed) entry for key.
+func (c *PackCache) entry(key packKey) *packEntry {
 	ent, ok := c.entries[key]
 	if !ok {
-		tree, err := GenerateTree(treeSeed, files, treeBytes)
-		if err != nil {
-			return nil, err
-		}
-		archive, res, err := Pack(tree, blockSize)
-		if err != nil {
-			return nil, fmt.Errorf("workload: initial pack for %s: %w", hostID, err)
-		}
-		ent = &packEntry{tree: tree, archive: archive, res: res}
+		ent = &packEntry{key: key, done: make(chan struct{})}
 		c.entries[key] = ent
+	}
+	return ent
+}
+
+// pack builds the entry's tree and archive if no one has claimed it yet.
+// It reports whether this call did the work.
+func (ent *packEntry) pack() bool {
+	if !ent.claimed.CompareAndSwap(false, true) {
+		return false
+	}
+	defer close(ent.done)
+	tree, err := GenerateTree(ent.key.seed, ent.key.files, ent.key.bytes)
+	if err != nil {
+		ent.treeErr = err
+		return true
+	}
+	ent.archive, ent.res, ent.packErr = Pack(tree, ent.key.blockSize)
+	return true
+}
+
+// PackAhead starts one goroutine that packs the trees of seeds at the
+// given geometry, in order, so that NewRunner finds them
+// ready. A tree NewRunner needs before the goroutine reaches it is packed
+// by NewRunner itself. stop halts the goroutine after the tree in hand and
+// waits for it to exit; it must be called exactly once.
+func (c *PackCache) PackAhead(seeds []string, files int, treeBytes int64, blockSize int) (stop func()) {
+	// Twins share an entry; the goroutine skips one already claimed.
+	queue := make([]*packEntry, len(seeds))
+	for i, seed := range seeds {
+		queue[i] = c.entry(packKey{seed: seed, files: files, bytes: treeBytes, blockSize: blockSize})
+	}
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		for _, ent := range queue {
+			select {
+			case <-quit:
+				return
+			default:
+				ent.pack()
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-exited
+	}
+}
+
+// NewRunner prepares a runner: it generates the host's tree, performs the
+// initial pack, and records the reference digest. Identical (seed,
+// geometry) requests share one archive; runners never mutate the shared
+// bytes (corrupting cycles copy first).
+func (c *PackCache) NewRunner(hostID string, treeSeed string, files int, treeBytes int64, blockSize int, rng *simkernel.RNG) (*Runner, error) {
+	ent := c.entry(packKey{seed: treeSeed, files: files, bytes: treeBytes, blockSize: blockSize})
+	if !ent.pack() {
+		<-ent.done
+	}
+	if ent.treeErr != nil {
+		return nil, ent.treeErr
+	}
+	if ent.packErr != nil {
+		return nil, fmt.Errorf("workload: initial pack for %s: %w", hostID, ent.packErr)
 	}
 	return &Runner{
 		hostID:         hostID,
-		tree:           ent.tree,
-		blockSize:      blockSize,
 		rng:            rng,
 		reference:      ent.res.MD5,
 		refBlocks:      ent.res.Blocks,
 		pages:          PagesTouched(ent.res),
-		archive:        ent.archive,
-		archiveRes:     ent.res,
+		pack:           ent,
 		blockStream:    "workload/" + hostID + "/block",
 		bitStream:      "workload/" + hostID + "/bit",
 		storedArchives: make(map[string][]byte),
@@ -129,6 +204,80 @@ func (c *PackCache) NewRunner(hostID string, treeSeed string, files int, treeByt
 // NewRunner builds a standalone runner with a private cache.
 func NewRunner(hostID string, treeSeed string, files int, treeBytes int64, blockSize int, rng *simkernel.RNG) (*Runner, error) {
 	return NewPackCache().NewRunner(hostID, treeSeed, files, treeBytes, blockSize, rng)
+}
+
+// badBlocks returns the indices of archive's blocks that fail the forensic
+// scan: exactly the blocks a full ScanFBZ of archive reports bad. A
+// block's verdict depends only on its header and payload bytes, so when
+// archive is framed like the pristine archive, only the blocks whose bytes
+// differ are inflated; a byte-equal block takes the pristine block's
+// verdict, scanned once and memoised (a pristine block that fails its scan
+// still reports bad). Any other archive gets a full ScanFBZ.
+func (ent *packEntry) badBlocks(archive []byte) ([]int, error) {
+	if !ent.sameFraming(archive) {
+		blocks, err := ScanFBZ(bytes.NewReader(archive))
+		if err != nil {
+			return nil, err
+		}
+		var bad []int
+		for _, b := range blocks {
+			if !b.OK {
+				bad = append(bad, b.Index)
+			}
+		}
+		return bad, nil
+	}
+	var (
+		bad []int
+		bc  blockChecker
+	)
+	for i := range ent.verdicts {
+		lo, hi := ent.frames[i], ent.frames[i+1]
+		var ok bool
+		if pristine := ent.archive[lo:hi]; bytes.Equal(archive[lo:hi], pristine) {
+			if ent.verdicts[i] == unscanned {
+				ent.verdicts[i] = blockBad
+				if bc.ok(pristine) {
+					ent.verdicts[i] = blockOK
+				}
+			}
+			ok = ent.verdicts[i] == blockOK
+		} else {
+			ok = bc.ok(archive[lo:hi])
+		}
+		if !ok {
+			bad = append(bad, i)
+		}
+	}
+	return bad, nil
+}
+
+// sameFraming reports whether ScanFBZ would frame archive exactly as the
+// cleanly framed pristine archive: same length, file magic, and every
+// block's magic and payload length at the same offsets. Its first call
+// parses the pristine framing.
+func (ent *packEntry) sameFraming(archive []byte) bool {
+	if !ent.framed {
+		ent.framed = true
+		if offs, err := blockPayloadOffsets(ent.archive); err == nil {
+			ent.frames = make([]int, 0, len(offs)+1)
+			for _, o := range offs {
+				ent.frames = append(ent.frames, o[0]-18)
+			}
+			ent.frames = append(ent.frames, len(ent.archive))
+			ent.verdicts = make([]verdict, len(offs))
+		}
+	}
+	p := ent.archive
+	if ent.frames == nil || len(archive) != len(p) || !bytes.Equal(archive[:4], p[:4]) {
+		return false
+	}
+	for _, lo := range ent.frames[:len(ent.verdicts)] {
+		if !bytes.Equal(archive[lo:lo+6], p[lo:lo+6]) || !bytes.Equal(archive[lo+10:lo+14], p[lo+10:lo+14]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Reference returns the digest computed at installation.
@@ -156,9 +305,9 @@ func PagesTouched(res ArchiveResult) int64 {
 func (r *Runner) RunCycle(now time.Time, corrupt bool) (CycleResult, error) {
 	// The clean pack is cached from installation (the tree never changes);
 	// a corrupting cycle flips a bit in its own copy.
-	archive, res := r.archive, r.archiveRes
+	archive, res := r.pack.archive, r.pack.res
 	if corrupt {
-		archive = append([]byte(nil), r.archive...)
+		archive = append([]byte(nil), archive...)
 		block := r.rng.Pick(r.blockStream, res.Blocks)
 		if err := CorruptBit(archive, block, func(n int) int {
 			return r.rng.Pick(r.bitStream, n)
@@ -179,15 +328,11 @@ func (r *Runner) RunCycle(now time.Time, corrupt bool) (CycleResult, error) {
 		key := now.UTC().Format(time.RFC3339)
 		r.storedArchives[key] = archive
 		// bzip2recover-style forensics on the stored archive.
-		blocks, err := ScanFBZ(bytes.NewReader(archive))
+		bad, err := r.pack.badBlocks(archive)
 		if err != nil {
 			return CycleResult{}, err
 		}
-		for _, b := range blocks {
-			if !b.OK {
-				out.BadBlocks = append(out.BadBlocks, b.Index)
-			}
-		}
+		out.BadBlocks = bad
 	}
 	r.results = append(r.results, out)
 	return out, nil
