@@ -1,6 +1,11 @@
-// frostctl runs the full reproduction end to end: the §3.1 prototype
-// weekend, the Feb 19 – Mar 26 normal phase, and every figure and table
-// the paper reports.
+// frostctl runs the full reproduction end to end: the Feb 19 – Mar 26
+// normal phase, then every artefact of report.Catalogue in its order —
+// Figs. 1–4, the lm-sensors CPU figure, the §4 failure, hash, memory and
+// sensor tables, the monitoring and coverage tables of a monitored run,
+// the §5 analyses, the event log, the PUE table, the §3.1 prototype
+// weekend (re-run for the run's seed) and the economizer savings.
+// -phase normal leaves out the prototype; -phase prototype prints only it.
+// -load renders a saved run the same way, with the saved run's seed.
 //
 // Usage:
 //
@@ -52,11 +57,9 @@ import (
 
 	"frostlab/internal/core"
 	"frostlab/internal/hardware"
-	"frostlab/internal/power"
 	"frostlab/internal/report"
 	"frostlab/internal/telemetry"
 	"frostlab/internal/timeseries"
-	"frostlab/internal/weather"
 )
 
 func main() {
@@ -136,15 +139,13 @@ func run() error {
 		return runServeStudy(ctx, *seed, se)
 	}
 
-	if *phase == "all" || *phase == "prototype" {
-		proto, err := core.RunPrototype(*seed)
+	if *phase == "prototype" {
+		proto, _ := report.ArtefactByID("prototype")
+		s, err := proto.Render(*seed, nil)
 		if err != nil {
 			return err
 		}
-		fmt.Println(report.TablePrototype(proto))
-		fmt.Println()
-	}
-	if *phase == "prototype" {
+		fmt.Println(s)
 		return nil
 	}
 
@@ -205,38 +206,18 @@ func run() error {
 		fmt.Printf("Results saved to %s\n\n", *saveTo)
 	}
 
-	fmt.Println(report.Fig1Schematic())
-	for _, f := range []func(*core.Results) (string, error){
-		report.Fig2Timeline, report.Fig3Temperatures, report.Fig4Humidity,
-	} {
-		s, err := f(r)
+	for _, a := range report.Catalogue {
+		if *phase == "normal" && a.ID == "prototype" {
+			continue
+		}
+		s, err := a.Render(r.Seed, r)
 		if err != nil {
 			return err
 		}
-		fmt.Println(s)
+		if s != "" {
+			fmt.Println(s)
+		}
 	}
-	fmt.Println(report.TableFailureRates(r))
-	fmt.Println(report.TableWrongHashes(r))
-	fmt.Println(report.TableMemoryModel(r))
-	fmt.Println(report.TableSensorFault(r))
-	if *monitor > 0 {
-		fmt.Println(report.TableMonitoring(r))
-	}
-	if len(r.MonitorGaps) > 0 {
-		fmt.Println(report.TableCoverage(r))
-	}
-	pue, err := report.TablePUE()
-	if err != nil {
-		return err
-	}
-	fmt.Println(pue)
-
-	wx := weather.ReferenceWinter0910(r.Seed)
-	cmp, err := power.DefaultEconomizer().Compare(wx, 75_000, r.Start, r.End, time.Hour)
-	if err != nil {
-		return err
-	}
-	fmt.Println(report.TableEconomizer(cmp))
 
 	if *csvDir != "" {
 		if err := writeCSVs(*csvDir, r); err != nil {

@@ -35,6 +35,6 @@ func main() {
 	fmt.Println(report.TableFailureRates(results))
 	fmt.Printf("workload cycles: %d, wrong hashes: %d\n",
 		results.TotalCycles, len(results.WrongHashes))
-	fmt.Printf("monitoring rounds: %d, bytes moved: %d of %d corpus bytes\n",
+	fmt.Printf("monitoring host collections: %d, bytes moved: %d of %d corpus bytes\n",
 		results.MonitorRounds, results.MonitorLiteralBytes, results.MonitorTotalBytes)
 }

@@ -88,7 +88,10 @@ type Results struct {
 	// SwitchFailures lists dead switches.
 	SwitchFailures []Event
 
-	// Monitoring summarises the collection plane.
+	// Monitoring summarises the collection plane. MonitorRounds counts
+	// host collections, one per host per round that produced data; the
+	// fleet's round count is the largest Rounds() in MonitorGaps. The
+	// byte counts sum over the same collections.
 	MonitorRounds       int
 	MonitorLiteralBytes int
 	MonitorTotalBytes   int

@@ -140,7 +140,7 @@ func envelopePlot(pt *campaign.PointAggregate) string {
 	if pick == nil {
 		return ""
 	}
-	plot, err := Plot(DefaultPlotConfig(pick.Unit), pick.Min, pick.Mean, pick.Max)
+	plot, err := Plot(PlotConfig{YLabel: pick.Unit}, pick.Min, pick.Mean, pick.Max)
 	if err != nil {
 		return ""
 	}

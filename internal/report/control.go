@@ -11,155 +11,44 @@ import (
 	"frostlab/internal/units"
 )
 
-// DualTrackConfig shapes a dual-track control plot: a value track on top
-// (setpoint vs process variable), a normalized 0..1 band track below it
-// (the damper position), both on a shared time axis, with guard-trip
-// instants marked beneath.
-type DualTrackConfig struct {
-	// Width is the shared column count; Height the value track's rows;
-	// BandHeight the 0..1 track's rows.
-	Width, Height, BandHeight int
-	// YLabel names the value track's unit, BandLabel the band track.
-	YLabel, BandLabel string
-	// Trips are marked with '!' under the time axis.
-	Trips []time.Time
-}
-
-// DefaultDualTrackConfig is 100 columns with a 14-row value track and a
-// 5-row band track.
-func DefaultDualTrackConfig() DualTrackConfig {
-	return DualTrackConfig{Width: 100, Height: 14, BandHeight: 5, YLabel: "°C", BandLabel: "open"}
-}
-
 // DualTrack renders the control loop's trajectory: the setpoint ('-') and
 // the process variable ('*') share the value track, the band series (the
 // damper, clamped to [0,1]) fills the lower track with '#' columns, and
 // guard trips print as '!' markers between the two. Rendering is pure
 // string assembly, so the same figure works in a terminal or a doc.
-func DualTrack(cfg DualTrackConfig, setpoint, pv, band *timeseries.Series) (string, error) {
-	if cfg.Width < 20 || cfg.Height < 5 || cfg.BandHeight < 2 {
-		return "", fmt.Errorf("report: dual-track too small (%dx%d+%d)", cfg.Width, cfg.Height, cfg.BandHeight)
-	}
+func DualTrack(trips []time.Time, setpoint, pv, band *timeseries.Series) (string, error) {
 	if setpoint == nil || pv == nil || band == nil {
 		return "", fmt.Errorf("report: dual-track needs setpoint, pv and band series")
 	}
 	if pv.Len() == 0 {
 		return "", fmt.Errorf("report: dual-track pv series empty")
 	}
-
-	// Shared time range over all three series.
-	var tMin, tMax time.Time
-	any := false
-	for _, s := range []*timeseries.Series{setpoint, pv, band} {
-		if s.Len() == 0 {
-			continue
-		}
-		first, _ := s.First()
-		last, _ := s.Last()
-		if !any || first.At.Before(tMin) {
-			tMin = first.At
-		}
-		if !any || last.At.After(tMax) {
-			tMax = last.At
-		}
-		any = true
-	}
-	span := tMax.Sub(tMin)
-	if span <= 0 {
-		span = time.Second
-	}
-	col := func(at time.Time) int {
-		c := int(float64(at.Sub(tMin)) / float64(span) * float64(cfg.Width-1))
-		if c < 0 {
-			c = 0
-		}
-		if c >= cfg.Width {
-			c = cfg.Width - 1
-		}
-		return c
-	}
-
-	// Value track range from setpoint and pv together.
-	vMin, vMax := math.Inf(1), math.Inf(-1)
-	for _, s := range []*timeseries.Series{setpoint, pv} {
-		for _, p := range s.Points() {
-			vMin = math.Min(vMin, p.Value)
-			vMax = math.Max(vMax, p.Value)
-		}
-	}
-	if vMax == vMin {
-		vMax = vMin + 1
-	}
-	row := func(v float64) int {
-		r := int((vMax - v) / (vMax - vMin) * float64(cfg.Height-1))
-		if r < 0 {
-			r = 0
-		}
-		if r >= cfg.Height {
-			r = cfg.Height - 1
-		}
-		return r
-	}
-
-	grid := make([][]rune, cfg.Height)
-	for i := range grid {
-		grid[i] = []rune(strings.Repeat(" ", cfg.Width))
-	}
-	for _, p := range setpoint.Points() {
-		grid[row(p.Value)][col(p.At)] = '-'
-	}
-	for _, p := range pv.Points() {
-		grid[row(p.Value)][col(p.At)] = '*'
-	}
+	f, _ := newFrame([]*timeseries.Series{setpoint, pv, band}, []*timeseries.Series{setpoint, pv})
+	rows := blankRows(trackHeight)
+	f.draw(rows, setpoint, '-')
+	f.draw(rows, pv, '*')
 
 	var b strings.Builder
-	label := func(v float64) string { return fmt.Sprintf("%7.1f", v) }
-	for i, line := range grid {
-		switch i {
-		case 0:
-			b.WriteString(label(vMax))
-		case cfg.Height / 2:
-			b.WriteString(label((vMax + vMin) / 2))
-		case cfg.Height - 1:
-			b.WriteString(label(vMin))
-		default:
-			b.WriteString(strings.Repeat(" ", 7))
-		}
-		b.WriteString(" |")
-		b.WriteString(string(line))
-		b.WriteByte('\n')
-	}
-	b.WriteString(strings.Repeat(" ", 7) + " +" + strings.Repeat("-", cfg.Width) + "\n")
+	top, mid, bottom := f.valueLabels()
+	writeTrack(&b, rows, top, mid, bottom)
 
 	// Guard-trip marker line between the tracks.
-	trips := []rune(strings.Repeat(" ", cfg.Width))
-	tripped := false
-	for _, at := range cfg.Trips {
-		if at.Before(tMin) || at.After(tMax) {
-			continue
-		}
-		trips[col(at)] = '!'
-		tripped = true
+	marks := make([]Marker, len(trips))
+	for i, at := range trips {
+		marks[i] = Marker{At: at, Label: "!"}
 	}
-	if tripped {
-		b.WriteString(strings.Repeat(" ", 9) + string(trips) + "  guard trips (!)\n")
+	if line, placed := f.markLine(marks); placed {
+		b.WriteString(line + "  guard trips (!)\n")
 	}
 
 	// Band track: each column shows the latest band value at or before it
 	// as a filled bar, clamped to [0,1].
-	level := make([]float64, cfg.Width)
+	level := make([]float64, plotWidth)
 	for i := range level {
 		level[i] = math.NaN()
 	}
 	for _, p := range band.Points() {
-		v := p.Value
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
-		level[col(p.At)] = v
+		level[f.col(p.At)] = math.Max(0, math.Min(p.Value, 1))
 	}
 	// Carry the last seen value forward through empty columns.
 	last := math.NaN()
@@ -170,37 +59,19 @@ func DualTrack(cfg DualTrackConfig, setpoint, pv, band *timeseries.Series) (stri
 			last = level[i]
 		}
 	}
-	for r := 0; r < cfg.BandHeight; r++ {
-		threshold := 1 - (float64(r)+0.5)/float64(cfg.BandHeight)
-		line := []rune(strings.Repeat(" ", cfg.Width))
+	bars := blankRows(bandHeight)
+	for r, line := range bars {
+		threshold := 1 - (float64(r)+0.5)/bandHeight
 		for c, v := range level {
 			if !math.IsNaN(v) && v >= threshold {
 				line[c] = '#'
 			}
 		}
-		switch r {
-		case 0:
-			b.WriteString(fmt.Sprintf("%7s", "1.0"))
-		case cfg.BandHeight - 1:
-			b.WriteString(fmt.Sprintf("%7s", "0.0"))
-		default:
-			b.WriteString(strings.Repeat(" ", 7))
-		}
-		b.WriteString(" |")
-		b.WriteString(string(line))
-		b.WriteByte('\n')
 	}
-	b.WriteString(strings.Repeat(" ", 7) + " +" + strings.Repeat("-", cfg.Width) + "\n")
+	writeTrack(&b, bars, "1.0", "", "0.0")
 
-	// Time axis labels: start and end.
-	const stamp = "Jan 02 15:04"
-	axis := fmt.Sprintf("%-*s%s", cfg.Width-len(stamp)+2, tMin.Format(stamp), tMax.Format(stamp))
-	b.WriteString(strings.Repeat(" ", 9) + axis + "\n")
-	b.WriteString(fmt.Sprintf("  - %s   * %s   # %s", setpoint.Name(), pv.Name(), band.Name()))
-	if cfg.YLabel != "" {
-		b.WriteString("   [" + cfg.YLabel + " / " + cfg.BandLabel + "]")
-	}
-	b.WriteByte('\n')
+	b.WriteString(f.timeAxis())
+	b.WriteString(legend([]string{"- " + setpoint.Name(), "* " + pv.Name(), "# " + band.Name()}, "°C / open"))
 	return b.String(), nil
 }
 
@@ -225,9 +96,7 @@ func FigControl(r *core.Results) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	cfg := DefaultDualTrackConfig()
-	cfg.Trips = cr.GuardTrips
-	plot, err := DualTrack(cfg, sp, pv, damper)
+	plot, err := DualTrack(cr.GuardTrips, sp, pv, damper)
 	if err != nil {
 		return "", err
 	}

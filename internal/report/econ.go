@@ -139,7 +139,7 @@ func FigEconSite(r *core.FleetResult, site string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	fig, err := DualTrack(DefaultDualTrackConfig(), ceiling, intake, damper)
+	fig, err := DualTrack(nil, ceiling, intake, damper)
 	if err != nil {
 		return "", err
 	}
@@ -158,7 +158,7 @@ func FigEconAssignment(r *core.FleetResult) (string, error) {
 		}
 		series = append(series, s)
 	}
-	return Plot(DefaultPlotConfig("cycles"), series...)
+	return Plot(PlotConfig{YLabel: "cycles"}, series...)
 }
 
 // Econ renders the complete E17 report: sweep headline, the

@@ -2,6 +2,7 @@ package report
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -58,7 +59,7 @@ func Fig2Timeline(r *core.Results) (string, error) {
 		}
 		rows = append(rows, row)
 	}
-	g, err := Gantt(r.Start, r.End, rows, 72)
+	g, err := Gantt(r.Start, r.End, rows)
 	if err != nil {
 		return "", err
 	}
@@ -79,8 +80,7 @@ func modMarkers(r *core.Results) []Marker {
 // temperatures with the R/I/B/F markers. The inside series starts at the
 // Lascar logger's delivery.
 func Fig3Temperatures(r *core.Results) (string, error) {
-	cfg := DefaultPlotConfig("°C")
-	cfg.Markers = modMarkers(r)
+	cfg := PlotConfig{YLabel: "°C", Markers: modMarkers(r)}
 	out, err := r.OutsideTemp.Resample(2 * time.Hour)
 	if err != nil {
 		return "", err
@@ -99,8 +99,7 @@ func Fig3Temperatures(r *core.Results) (string, error) {
 // Fig4Humidity renders the paper's Fig. 4: relative humidities, with the
 // inside record missing before the logger arrived.
 func Fig4Humidity(r *core.Results) (string, error) {
-	cfg := DefaultPlotConfig("%RH")
-	cfg.Markers = modMarkers(r)
+	cfg := PlotConfig{YLabel: "%RH", Markers: modMarkers(r)}
 	out, err := r.OutsideRH.Resample(2 * time.Hour)
 	if err != nil {
 		return "", err
@@ -118,27 +117,27 @@ func Fig4Humidity(r *core.Results) (string, error) {
 }
 
 // FigCPUTemperatures renders a supplementary figure the paper describes in
-// prose (§3.1, §4.2.1): the lm-sensors CPU record of the given tent hosts.
-// A glitched chip's −111 °C readings appear as a dramatic floor line.
-func FigCPUTemperatures(r *core.Results, hostIDs ...string) (string, error) {
+// prose (§3.1, §4.2.1): the lm-sensors CPU record of two tent hosts.
+// Plotting every recorded host would be cluttered, so it shows the
+// glitched host if any, topped up with the first hosts by ID. A glitched
+// chip's −111 °C readings appear as a dramatic floor line.
+func FigCPUTemperatures(r *core.Results) (string, error) {
 	if len(r.CPUTemps) == 0 {
 		return "", fmt.Errorf("report: no CPU records in these results (reloaded runs omit them; re-run the experiment)")
 	}
-	if len(hostIDs) == 0 {
-		// Default: every recorded tent host would be cluttered; pick the
-		// glitched host if any, else the first two by ID.
-		for id, h := range r.Hosts {
-			if h.ChipGlitched {
-				hostIDs = append(hostIDs, id)
-			}
+	var hostIDs []string
+	for id, h := range r.Hosts {
+		if h.ChipGlitched {
+			hostIDs = append(hostIDs, id)
 		}
-		for _, id := range sortedSeriesIDs(r.CPUTemps) {
-			if len(hostIDs) >= 2 {
-				break
-			}
-			if !contains(hostIDs, id) {
-				hostIDs = append(hostIDs, id)
-			}
+	}
+	sort.Strings(hostIDs)
+	for _, id := range sortedSeriesIDs(r.CPUTemps) {
+		if len(hostIDs) >= 2 {
+			break
+		}
+		if !slices.Contains(hostIDs, id) {
+			hostIDs = append(hostIDs, id)
 		}
 	}
 	var series []*timeseries.Series
@@ -153,8 +152,7 @@ func FigCPUTemperatures(r *core.Results, hostIDs ...string) (string, error) {
 		}
 		series = append(series, rs)
 	}
-	cfg := DefaultPlotConfig("°C")
-	p, err := Plot(cfg, series...)
+	p, err := Plot(PlotConfig{YLabel: "°C"}, series...)
 	if err != nil {
 		return "", err
 	}
@@ -168,15 +166,6 @@ func sortedSeriesIDs(m map[string]*timeseries.Series) []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // TableFailureRates renders the §4 failure-rate comparison, including the
@@ -325,6 +314,16 @@ func TableSensorFault(r *core.Results) string {
 		Table([]string{"when", "host", "event", "detail"}, rows)
 }
 
+// fleetRounds is the number of collection rounds the fleet ran: the
+// largest per-host round count in the gap ledger.
+func fleetRounds(r *core.Results) int {
+	n := 0
+	for _, hg := range r.MonitorGaps {
+		n = max(n, hg.Rounds())
+	}
+	return n
+}
+
 // TableMonitoring summarises the §3.5 collection plane.
 func TableMonitoring(r *core.Results) string {
 	savings := 0.0
@@ -332,7 +331,8 @@ func TableMonitoring(r *core.Results) string {
 		savings = 1 - float64(r.MonitorLiteralBytes)/float64(r.MonitorTotalBytes)
 	}
 	rows := [][]string{
-		{"collection rounds", fmt.Sprintf("%d", r.MonitorRounds)},
+		{"collection rounds", fmt.Sprintf("%d", fleetRounds(r))},
+		{"host collections", fmt.Sprintf("%d", r.MonitorRounds)},
 		{"corpus bytes (full copies would move)", fmt.Sprintf("%d", r.MonitorTotalBytes)},
 		{"literal bytes moved (rsync algorithm)", fmt.Sprintf("%d", r.MonitorLiteralBytes)},
 		{"transfer saved", fmt.Sprintf("%.1f%%", savings*100)},
@@ -368,7 +368,7 @@ func TableCoverage(r *core.Results) string {
 		})
 	}
 	return fmt.Sprintf("Collection coverage (fleet %.4f over %d rounds)\n\n",
-		r.MonitorCoverage, r.MonitorRounds) +
+		r.MonitorCoverage, fleetRounds(r)) +
 		Table([]string{"host", "collected", "coverage", "skipped", "longest outage", "missed rounds"}, rows)
 }
 

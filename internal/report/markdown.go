@@ -8,9 +8,10 @@ import (
 )
 
 // Markdown renders a complete, self-contained run report in GitHub-style
-// markdown: the summary, every figure (as fenced code blocks) and every
-// table, plus the §5 analyses. frostctl writes it with -md; it is also
-// how EXPERIMENTS.md-style documents are produced from fresh runs.
+// markdown: the summary, then every Catalogue artefact that applies to
+// the run as a fenced code block under its title. frostctl writes it
+// with -md; it is also how EXPERIMENTS.md-style documents are produced
+// from fresh runs.
 func Markdown(r *core.Results) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# frostlab run report\n\n")
@@ -26,51 +27,15 @@ func Markdown(r *core.Results) (string, error) {
 	fmt.Fprintf(&b, "| S.M.A.R.T. long tests | %d passed, %d failed |\n\n",
 		r.SMARTLongTestsPassed, r.SMARTLongTestsFailed)
 
-	fenced := func(title, body string) {
-		fmt.Fprintf(&b, "## %s\n\n```text\n%s```\n\n", title, ensureNewline(body))
+	for _, a := range Catalogue {
+		body, err := a.Render(r.Seed, r)
+		if err != nil {
+			return "", err
+		}
+		if body != "" {
+			fmt.Fprintf(&b, "## %s\n\n```text\n%s```\n\n", a.Title, ensureNewline(body))
+		}
 	}
-
-	fig2, err := Fig2Timeline(r)
-	if err != nil {
-		return "", err
-	}
-	fenced("Fig. 2 — installation timeline", fig2)
-
-	fig3, err := Fig3Temperatures(r)
-	if err != nil {
-		return "", err
-	}
-	fenced("Fig. 3 — temperatures", fig3)
-
-	fig4, err := Fig4Humidity(r)
-	if err != nil {
-		return "", err
-	}
-	fenced("Fig. 4 — relative humidities", fig4)
-
-	fenced("Failure rates (§4)", TableFailureRates(r))
-	fenced("Wrong hashes (§4.2.2)", TableWrongHashes(r))
-	fenced("Memory soft-error model (§4.2.2)", TableMemoryModel(r))
-	fenced("lm-sensors fault sequence (§4.2.1)", TableSensorFault(r))
-	if r.MonitorRounds > 0 {
-		fenced("Monitoring plane (§3.5)", TableMonitoring(r))
-	}
-	if len(r.MonitorGaps) > 0 {
-		fenced("Collection coverage", TableCoverage(r))
-	}
-	pue, err := TablePUE()
-	if err != nil {
-		return "", err
-	}
-	fenced("PUE (§5)", pue)
-
-	analyses, err := RunAnalyses(r)
-	if err != nil {
-		return "", err
-	}
-	fenced("Discussion analyses (§5)", analyses)
-
-	fmt.Fprintf(&b, "## Event log\n\n```text\n%s```\n", ensureNewline(EventLog(r)))
 	return b.String(), nil
 }
 

@@ -16,6 +16,19 @@ import (
 	"frostlab/internal/timeseries"
 )
 
+// Every plot shares one time axis of plotWidth columns; the row counts
+// and the Gantt width are fixed the same way, because no figure varies
+// them.
+const (
+	plotWidth   = 100 // columns of every plot's time axis
+	plotHeight  = 20  // rows of Plot's value axis
+	trackHeight = 14  // rows of DualTrack's value track
+	bandHeight  = 5   // rows of DualTrack's 0..1 band track
+	ganttWidth  = 72  // columns of Gantt's bars
+	stamp       = "Jan 02 15:04"
+	axisPad     = "         " // left of the frame: a 7-rune label and " |"
+)
+
 // Marker labels an instant on a plot's time axis, like the R/I/B/F letters
 // under the paper's Fig. 3.
 type Marker struct {
@@ -25,150 +38,171 @@ type Marker struct {
 
 // PlotConfig shapes an ASCII plot.
 type PlotConfig struct {
-	Width, Height int
 	// YLabel names the value axis (e.g. "°C").
 	YLabel string
 	// Markers are drawn beneath the time axis.
 	Markers []Marker
 }
 
-// DefaultPlotConfig is 100x20 with no markers.
-func DefaultPlotConfig(ylabel string) PlotConfig {
-	return PlotConfig{Width: 100, Height: 20, YLabel: ylabel}
+// frame maps instants to the columns and values to the rows of a plot.
+type frame struct {
+	tMin, tMax time.Time
+	span       time.Duration
+	vMin, vMax float64
+}
+
+// newFrame spans the instants of every series in timed and the values of
+// every series in valued; ok is false when every timed series is empty.
+func newFrame(timed, valued []*timeseries.Series) (f frame, ok bool) {
+	for _, s := range timed {
+		if s.Len() == 0 {
+			continue
+		}
+		first, _ := s.First()
+		last, _ := s.Last()
+		if !ok || first.At.Before(f.tMin) {
+			f.tMin = first.At
+		}
+		if !ok || last.At.After(f.tMax) {
+			f.tMax = last.At
+		}
+		ok = true
+	}
+	f.span = f.tMax.Sub(f.tMin)
+	if f.span <= 0 {
+		f.span = time.Second
+	}
+	f.vMin, f.vMax = math.Inf(1), math.Inf(-1)
+	for _, s := range valued {
+		for _, p := range s.Points() {
+			if p.Value < f.vMin {
+				f.vMin = p.Value
+			}
+			if p.Value > f.vMax {
+				f.vMax = p.Value
+			}
+		}
+	}
+	if f.vMax == f.vMin {
+		f.vMax = f.vMin + 1
+	}
+	return f, ok
+}
+
+func (f frame) col(at time.Time) int {
+	return clampIndex(int(float64(at.Sub(f.tMin))/float64(f.span)*float64(plotWidth-1)), plotWidth)
+}
+
+func (f frame) row(v float64, height int) int {
+	return clampIndex(int((f.vMax-v)/(f.vMax-f.vMin)*float64(height-1)), height)
+}
+
+func clampIndex(i, n int) int {
+	return max(0, min(i, n-1))
+}
+
+// blankRows returns height rows of plotWidth spaces.
+func blankRows(height int) [][]rune {
+	rows := make([][]rune, height)
+	for i := range rows {
+		rows[i] = []rune(strings.Repeat(" ", plotWidth))
+	}
+	return rows
+}
+
+// draw plots every point of s into rows with glyph.
+func (f frame) draw(rows [][]rune, s *timeseries.Series, glyph rune) {
+	for _, p := range s.Points() {
+		rows[f.row(p.Value, len(rows))][f.col(p.At)] = glyph
+	}
+}
+
+// writeTrack writes rows behind a y axis labelled top, mid and bottom at
+// its first, middle and last row, closed by the x-axis rule.
+func writeTrack(b *strings.Builder, rows [][]rune, top, mid, bottom string) {
+	for i, line := range rows {
+		label := ""
+		switch i {
+		case 0:
+			label = top
+		case len(rows) / 2:
+			label = mid
+		case len(rows) - 1:
+			label = bottom
+		}
+		fmt.Fprintf(b, "%7s |%s\n", label, string(line))
+	}
+	b.WriteString(strings.Repeat(" ", 7) + " +" + strings.Repeat("-", plotWidth) + "\n")
+}
+
+func (f frame) valueLabels() (top, mid, bottom string) {
+	return fmt.Sprintf("%.1f", f.vMax), fmt.Sprintf("%.1f", (f.vMax+f.vMin)/2), fmt.Sprintf("%.1f", f.vMin)
+}
+
+// markLine writes each in-range marker's label from its column; placed
+// reports whether any marker fell inside the frame.
+func (f frame) markLine(markers []Marker) (line string, placed bool) {
+	marks := []rune(strings.Repeat(" ", plotWidth))
+	for _, m := range markers {
+		if m.At.Before(f.tMin) || m.At.After(f.tMax) || len(m.Label) == 0 {
+			continue
+		}
+		c := f.col(m.At)
+		for j, r := range m.Label {
+			if c+j < plotWidth {
+				marks[c+j] = r
+			}
+		}
+		placed = true
+	}
+	return axisPad + string(marks), placed
+}
+
+// timeAxis is the start and end stamps under the frame.
+func (f frame) timeAxis() string {
+	return axisPad + fmt.Sprintf("%-*s%s", plotWidth-len(stamp)+2, f.tMin.Format(stamp), f.tMax.Format(stamp)) + "\n"
+}
+
+// legend joins the series entries and appends the unit when there is one.
+func legend(entries []string, unit string) string {
+	s := "  " + strings.Join(entries, "   ")
+	if unit != "" {
+		s += "   [" + unit + "]"
+	}
+	return s + "\n"
 }
 
 // Plot renders one or more series on a shared time/value grid. Each series
 // draws with its own rune; a legend line maps runes to series names. Gaps
 // (like the missing early Lascar data) simply have no glyphs.
 func Plot(cfg PlotConfig, series ...*timeseries.Series) (string, error) {
-	if cfg.Width < 20 || cfg.Height < 5 {
-		return "", fmt.Errorf("report: plot too small (%dx%d)", cfg.Width, cfg.Height)
-	}
 	if len(series) == 0 {
 		return "", fmt.Errorf("report: no series to plot")
 	}
-	glyphs := []rune{'*', 'o', '+', 'x', '#', '@'}
-	// Establish shared ranges.
-	var tMin, tMax time.Time
-	vMin, vMax := math.Inf(1), math.Inf(-1)
-	any := false
-	for _, s := range series {
-		if s.Len() == 0 {
-			continue
-		}
-		first, _ := s.First()
-		last, _ := s.Last()
-		if !any || first.At.Before(tMin) {
-			tMin = first.At
-		}
-		if !any || last.At.After(tMax) {
-			tMax = last.At
-		}
-		sum, err := s.Summarize()
-		if err != nil {
-			return "", err
-		}
-		vMin = math.Min(vMin, sum.Min)
-		vMax = math.Max(vMax, sum.Max)
-		any = true
-	}
-	if !any {
+	f, ok := newFrame(series, series)
+	if !ok {
 		return "", fmt.Errorf("report: all series empty")
 	}
-	if vMax == vMin {
-		vMax = vMin + 1
-	}
-	span := tMax.Sub(tMin)
-	if span <= 0 {
-		span = time.Second
-	}
-
-	grid := make([][]rune, cfg.Height)
-	for i := range grid {
-		grid[i] = []rune(strings.Repeat(" ", cfg.Width))
-	}
-	col := func(at time.Time) int {
-		c := int(float64(at.Sub(tMin)) / float64(span) * float64(cfg.Width-1))
-		if c < 0 {
-			c = 0
-		}
-		if c >= cfg.Width {
-			c = cfg.Width - 1
-		}
-		return c
-	}
-	row := func(v float64) int {
-		r := int((vMax - v) / (vMax - vMin) * float64(cfg.Height-1))
-		if r < 0 {
-			r = 0
-		}
-		if r >= cfg.Height {
-			r = cfg.Height - 1
-		}
-		return r
-	}
+	glyphs := []rune{'*', 'o', '+', 'x', '#', '@'}
+	rows := blankRows(plotHeight)
+	entries := make([]string, len(series))
 	for si, s := range series {
 		g := glyphs[si%len(glyphs)]
-		for _, p := range s.Points() {
-			grid[row(p.Value)][col(p.At)] = g
-		}
+		f.draw(rows, s, g)
+		entries[si] = fmt.Sprintf("%c %s", g, s.Name())
 	}
 
 	var b strings.Builder
-	// Y axis with three tick labels.
-	label := func(v float64) string { return fmt.Sprintf("%7.1f", v) }
-	for i, line := range grid {
-		switch i {
-		case 0:
-			b.WriteString(label(vMax))
-		case cfg.Height / 2:
-			b.WriteString(label((vMax + vMin) / 2))
-		case cfg.Height - 1:
-			b.WriteString(label(vMin))
-		default:
-			b.WriteString(strings.Repeat(" ", 7))
-		}
-		b.WriteString(" |")
-		b.WriteString(string(line))
-		b.WriteByte('\n')
-	}
-	b.WriteString(strings.Repeat(" ", 7) + " +" + strings.Repeat("-", cfg.Width) + "\n")
-
-	// Marker line.
+	top, mid, bottom := f.valueLabels()
+	writeTrack(&b, rows, top, mid, bottom)
 	if len(cfg.Markers) > 0 {
-		marks := []rune(strings.Repeat(" ", cfg.Width))
-		for _, m := range cfg.Markers {
-			if m.At.Before(tMin) || m.At.After(tMax) || len(m.Label) == 0 {
-				continue
-			}
-			c := col(m.At)
-			for j, r := range m.Label {
-				if c+j < cfg.Width {
-					marks[c+j] = r
-				}
-			}
-		}
-		b.WriteString(strings.Repeat(" ", 9) + string(marks) + "\n")
+		line, _ := f.markLine(cfg.Markers)
+		b.WriteString(line + "\n")
 	}
-
-	// Time axis labels: start, middle, end.
-	const stamp = "Jan 02 15:04"
-	axis := fmt.Sprintf("%-*s%s", cfg.Width-len(stamp)+2, tMin.Format(stamp), tMax.Format(stamp))
-	mid := tMin.Add(span / 2).Format(stamp)
-	midPos := cfg.Width/2 - len(mid)/2 + 9
-	b.WriteString(strings.Repeat(" ", 9) + axis + "\n")
-	b.WriteString(strings.Repeat(" ", midPos) + mid + "\n")
-
-	// Legend.
-	var legend []string
-	for si, s := range series {
-		legend = append(legend, fmt.Sprintf("%c %s", glyphs[si%len(glyphs)], s.Name()))
-	}
-	b.WriteString("  " + strings.Join(legend, "   "))
-	if cfg.YLabel != "" {
-		b.WriteString("   [" + cfg.YLabel + "]")
-	}
-	b.WriteByte('\n')
+	b.WriteString(f.timeAxis())
+	midStamp := f.tMin.Add(f.span / 2).Format(stamp)
+	b.WriteString(strings.Repeat(" ", plotWidth/2-len(midStamp)/2+9) + midStamp + "\n")
+	b.WriteString(legend(entries, cfg.YLabel))
 	return b.String(), nil
 }
 
@@ -210,10 +244,8 @@ func Table(header []string, rows [][]string) string {
 
 // Gantt renders a Fig. 2-style installation timeline: one row per subject,
 // a bar from its start to the horizon, and date ticks.
-func Gantt(start, end time.Time, rows []GanttRow, width int) (string, error) {
-	if width < 30 {
-		return "", fmt.Errorf("report: gantt too narrow (%d)", width)
-	}
+func Gantt(start, end time.Time, rows []GanttRow) (string, error) {
+	const width = ganttWidth
 	if !end.After(start) {
 		return "", fmt.Errorf("report: gantt window inverted")
 	}
@@ -226,14 +258,7 @@ func Gantt(start, end time.Time, rows []GanttRow, width int) (string, error) {
 	})
 	span := float64(end.Sub(start))
 	col := func(at time.Time) int {
-		c := int(float64(at.Sub(start)) / span * float64(width-1))
-		if c < 0 {
-			c = 0
-		}
-		if c >= width {
-			c = width - 1
-		}
-		return c
+		return clampIndex(int(float64(at.Sub(start))/span*float64(width-1)), width)
 	}
 	var b strings.Builder
 	for _, r := range sorted {

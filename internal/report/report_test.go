@@ -28,8 +28,7 @@ func makeSeries(t *testing.T, name string, vals []float64) *timeseries.Series {
 func TestPlotBasics(t *testing.T) {
 	out := makeSeries(t, "outside", []float64{-10, -12, -9, -15, -8, -5, -7})
 	in := makeSeries(t, "inside", []float64{2, 1, 3, -2, 4, 6, 5})
-	cfg := DefaultPlotConfig("°C")
-	cfg.Markers = []Marker{{At: t0.Add(3 * time.Hour), Label: "R"}}
+	cfg := PlotConfig{YLabel: "°C", Markers: []Marker{{At: t0.Add(3 * time.Hour), Label: "R"}}}
 	p, err := Plot(cfg, out, in)
 	if err != nil {
 		t.Fatal(err)
@@ -40,14 +39,14 @@ func TestPlotBasics(t *testing.T) {
 		}
 	}
 	lines := strings.Split(p, "\n")
-	if len(lines) < cfg.Height+3 {
+	if len(lines) < plotHeight+3 {
 		t.Errorf("plot too short: %d lines", len(lines))
 	}
 }
 
 func TestPlotValueScaling(t *testing.T) {
 	s := makeSeries(t, "x", []float64{-20, 0, 20})
-	p, err := Plot(DefaultPlotConfig(""), s)
+	p, err := Plot(PlotConfig{}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +56,11 @@ func TestPlotValueScaling(t *testing.T) {
 }
 
 func TestPlotErrors(t *testing.T) {
-	if _, err := Plot(PlotConfig{Width: 5, Height: 2}); err == nil {
-		t.Error("tiny plot accepted")
-	}
-	if _, err := Plot(DefaultPlotConfig("")); err == nil {
+	if _, err := Plot(PlotConfig{}); err == nil {
 		t.Error("no series accepted")
 	}
 	empty := timeseries.New("e", "")
-	if _, err := Plot(DefaultPlotConfig(""), empty); err == nil {
+	if _, err := Plot(PlotConfig{}, empty); err == nil {
 		t.Error("all-empty series accepted")
 	}
 }
@@ -82,7 +78,7 @@ func TestPlotGapVisible(t *testing.T) {
 	if err := s.Append(t0.Add(100*time.Hour), 0); err != nil {
 		t.Fatal(err)
 	}
-	p, err := Plot(DefaultPlotConfig(""), s)
+	p, err := Plot(PlotConfig{}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +118,7 @@ func TestGantt(t *testing.T) {
 		{Label: "01", From: t0},
 		{Label: "15", From: t0.AddDate(0, 0, 14), To: t0.AddDate(0, 0, 26)},
 	}
-	g, err := Gantt(t0, t0.AddDate(0, 0, 35), rows, 70)
+	g, err := Gantt(t0, t0.AddDate(0, 0, 35), rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +131,8 @@ func TestGantt(t *testing.T) {
 	if strings.Count(l01, "=") <= strings.Count(l15, "=") {
 		t.Errorf("host 01 should have a longer bar:\n%s", g)
 	}
-	if _, err := Gantt(t0, t0, rows, 70); err == nil {
+	if _, err := Gantt(t0, t0, rows); err == nil {
 		t.Error("inverted window accepted")
-	}
-	if _, err := Gantt(t0, t0.Add(time.Hour), rows, 5); err == nil {
-		t.Error("too-narrow gantt accepted")
 	}
 }
 
@@ -285,7 +278,7 @@ func BenchmarkPlot(b *testing.B) {
 	for i := 0; i < 5000; i++ {
 		_ = s.Append(t0.Add(time.Duration(i)*time.Minute), float64(i%37))
 	}
-	cfg := DefaultPlotConfig("°C")
+	cfg := PlotConfig{YLabel: "°C"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Plot(cfg, s); err != nil {

@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -10,32 +8,6 @@ import (
 
 	"frostlab/internal/simkernel"
 )
-
-func TestSummarize(t *testing.T) {
-	d, err := summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.N != 8 || d.Min != 2 || d.Max != 9 {
-		t.Errorf("basic fields: %+v", d)
-	}
-	if d.Mean != 5 {
-		t.Errorf("mean %v", d.Mean)
-	}
-	// Sample stddev of this classic set is ~2.138.
-	if math.Abs(d.Stddev-2.138) > 0.01 {
-		t.Errorf("stddev %v", d.Stddev)
-	}
-	if math.Abs(d.Median-4.5) > 1e-9 {
-		t.Errorf("median %v", d.Median)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if _, err := summarize(nil); err == nil {
-		t.Error("empty accepted")
-	}
-}
 
 func TestQuantile(t *testing.T) {
 	s := []float64{1, 2, 3, 4, 5}
@@ -168,30 +140,6 @@ func TestTentVsIntelComparable(t *testing.T) {
 	}
 }
 
-func TestTwoProportionZ(t *testing.T) {
-	z, err := twoProportionZ(Rate{Events: 1, Trials: 9}, Rate{Events: 0, Trials: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(z) >= 1.96 {
-		t.Errorf("z = %v; small-sample difference must not reach significance", z)
-	}
-	z, err = twoProportionZ(Rate{Events: 80, Trials: 100}, Rate{Events: 20, Trials: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(z) < 1.96 {
-		t.Errorf("z = %v for 80%% vs 20%%; want significant", z)
-	}
-	if _, err := twoProportionZ(Rate{}, Rate{Events: 1, Trials: 2}); err == nil {
-		t.Error("empty rate accepted")
-	}
-	z, err = twoProportionZ(Rate{Events: 0, Trials: 5}, Rate{Events: 0, Trials: 7})
-	if err != nil || z != 0 {
-		t.Errorf("degenerate pooled p: z=%v err=%v", z, err)
-	}
-}
-
 func TestFisherExactKnownValues(t *testing.T) {
 	// The experiment's own table: 1 failed / 8 fine (tent) vs 0 / 9
 	// (control). Fisher's exact two-sided p = 1.0: no evidence at all.
@@ -252,71 +200,6 @@ func TestFisherExactValidation(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := newHistogram([]float64{-25, -10, -5, -5, 0, 5, 100}, -20, 20, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Under != 1 || h.Over != 1 {
-		t.Errorf("under/over %d/%d", h.Under, h.Over)
-	}
-	if h.total() != 5 {
-		t.Errorf("total %d", h.total())
-	}
-	want := []int{0, 3, 2, 0} // [-20,-10), [-10,0), [0,10), [10,20)
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Errorf("bucket %d = %d, want %d (%v)", i, h.Counts[i], w, h.Counts)
-		}
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := newHistogram(nil, 0, 0, 4); err == nil {
-		t.Error("empty range accepted")
-	}
-	if _, err := newHistogram(nil, 0, 1, 0); err == nil {
-		t.Error("zero buckets accepted")
-	}
-}
-
-func TestFitLinearExact(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4}
-	ys := []float64{1, 3, 5, 7, 9} // y = 2x + 1
-	l, err := FitLinear(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(l.Slope-2) > 1e-9 || math.Abs(l.Intercept-1) > 1e-9 {
-		t.Errorf("fit %+v", l)
-	}
-	if math.Abs(l.R2-1) > 1e-9 {
-		t.Errorf("R2 %v", l.R2)
-	}
-}
-
-func TestFitLinearValidation(t *testing.T) {
-	if _, err := FitLinear([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-	if _, err := FitLinear([]float64{1}, []float64{1}); err == nil {
-		t.Error("single point accepted")
-	}
-	if _, err := FitLinear([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
-		t.Error("zero x-variance accepted")
-	}
-}
-
-func TestPearsonSign(t *testing.T) {
-	r, err := pearson([]float64{1, 2, 3, 4}, []float64{8, 6, 4, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r+1) > 1e-9 {
-		t.Errorf("perfect negative correlation r = %v", r)
-	}
-}
-
 func TestBootstrapMeanCI(t *testing.T) {
 	rng := simkernel.NewRNG("bootstrap")
 	xs := make([]float64, 200)
@@ -345,162 +228,4 @@ func BenchmarkWilson(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, _, _ = Rate{Events: i % 20, Trials: 100}.WilsonInterval()
 	}
-}
-
-func BenchmarkSummarize(b *testing.B) {
-	xs := make([]float64, 10000)
-	for i := range xs {
-		xs[i] = float64(i % 97)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = summarize(xs)
-	}
-}
-
-// The helpers below have no caller in the program; they stay beside the
-// tests that pin them and go when those tests do.
-
-// describe holds descriptive statistics of a sample.
-type describe struct {
-	N                  int
-	Mean, Stddev       float64
-	Min, Max           float64
-	Median             float64
-	P05, P25, P75, P95 float64
-}
-
-// summarize computes descriptive statistics.
-func summarize(xs []float64) (describe, error) {
-	if len(xs) == 0 {
-		return describe{}, ErrEmpty
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	d := describe{N: len(s), Min: s[0], Max: s[len(s)-1]}
-	var sum float64
-	for _, x := range s {
-		sum += x
-	}
-	d.Mean = sum / float64(d.N)
-	var sq float64
-	for _, x := range s {
-		sq += (x - d.Mean) * (x - d.Mean)
-	}
-	if d.N > 1 {
-		d.Stddev = math.Sqrt(sq / float64(d.N-1))
-	}
-	d.Median = Quantile(s, 0.5)
-	d.P05 = Quantile(s, 0.05)
-	d.P25 = Quantile(s, 0.25)
-	d.P75 = Quantile(s, 0.75)
-	d.P95 = Quantile(s, 0.95)
-	return d, nil
-}
-
-// twoProportionZ returns the z statistic of the standard two-proportion
-// test (pooled). Callers compare |z| against 1.96 for 5 % significance.
-func twoProportionZ(a, b Rate) (float64, error) {
-	if a.Trials == 0 || b.Trials == 0 {
-		return 0, ErrEmpty
-	}
-	p := float64(a.Events+b.Events) / float64(a.Trials+b.Trials)
-	if p == 0 || p == 1 {
-		return 0, nil
-	}
-	se := math.Sqrt(p * (1 - p) * (1/float64(a.Trials) + 1/float64(b.Trials)))
-	return (a.Value() - b.Value()) / se, nil
-}
-
-// histogram bins data into equal-width buckets over [min, max].
-type histogram struct {
-	Min, Max float64
-	Counts   []int
-	// Under and Over count out-of-range samples.
-	Under, Over int
-}
-
-// newHistogram bins xs into n buckets.
-func newHistogram(xs []float64, min, max float64, n int) (*histogram, error) {
-	if n <= 0 || max <= min {
-		return nil, fmt.Errorf("stats: bad histogram shape [%v,%v) x%d", min, max, n)
-	}
-	h := &histogram{Min: min, Max: max, Counts: make([]int, n)}
-	width := (max - min) / float64(n)
-	for _, x := range xs {
-		switch {
-		case x < min:
-			h.Under++
-		case x >= max:
-			h.Over++
-		default:
-			h.Counts[int((x-min)/width)]++
-		}
-	}
-	return h, nil
-}
-
-// total returns the in-range sample count.
-func (h *histogram) total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// pearson returns the linear correlation of xs and ys.
-func pearson(xs, ys []float64) (float64, error) {
-	l, err := FitLinear(xs, ys)
-	if err != nil {
-		return 0, err
-	}
-	r := math.Sqrt(l.R2)
-	if l.Slope < 0 {
-		r = -r
-	}
-	return r, nil
-}
-
-// Linear holds a least-squares fit y = Slope*x + Intercept.
-type Linear struct {
-	Slope, Intercept float64
-	// R2 is the coefficient of determination.
-	R2 float64
-}
-
-// FitLinear computes the least-squares line through (xs, ys).
-func FitLinear(xs, ys []float64) (Linear, error) {
-	if len(xs) != len(ys) {
-		return Linear{}, fmt.Errorf("stats: mismatched lengths %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return Linear{}, ErrEmpty
-	}
-	n := float64(len(xs))
-	var sx, sy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, sxy, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return Linear{}, errors.New("stats: x has zero variance")
-	}
-	l := Linear{Slope: sxy / sxx}
-	l.Intercept = my - l.Slope*mx
-	if syy > 0 {
-		l.R2 = (sxy * sxy) / (sxx * syy)
-	} else {
-		l.R2 = 1
-	}
-	return l, nil
 }
