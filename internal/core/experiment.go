@@ -62,6 +62,9 @@ type hostState struct {
 	store  *monitor.FileStore
 	agent  *monitor.Agent
 	psk    []byte
+	// sess is the host's monitoring session: dialled at its first
+	// collection after coming online, retired when it goes offline.
+	sess *monitor.InProcessSession
 
 	installed bool
 	online    bool
@@ -161,6 +164,8 @@ type Experiment struct {
 	prevOutside units.Celsius
 	havePrev    bool
 
+	// nonceCount numbers the monitoring sessions dialled so far; each
+	// dial's handshake nonces derive from the seed and its number.
 	nonceCount uint64
 
 	// packs shares generated trees and pristine archives between twin
@@ -358,6 +363,9 @@ func (e *Experiment) RunContext(ctx context.Context) (*Results, error) {
 	}
 	stopPacking := e.packs.PackAhead(seeds, cfg.WorkloadFiles, cfg.WorkloadBytes, cfg.WorkloadBlockSize)
 	defer stopPacking()
+	// Monitoring sessions span rounds but never the run: a completed run
+	// retires them at its horizon, and one that stops early closes them.
+	defer e.closeSessions()
 
 	var runErr error
 	fail := func(err error) {
@@ -476,6 +484,9 @@ func (e *Experiment) RunContext(ctx context.Context) (*Results, error) {
 	// Advance the clock to the horizon itself so periodic models observe a
 	// definite end time (any remaining events are due after it).
 	e.sched.RunUntil(cfg.End)
+	for _, hs := range e.hosts {
+		fail(e.retireSession(hs))
+	}
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -658,7 +669,9 @@ func (e *Experiment) failureTick(now time.Time) error {
 			}
 			if ev != nil {
 				d.Fail()
-				e.handleDiskFailure(now, hs, i)
+				if err := e.handleDiskFailure(now, hs, i); err != nil {
+					return err
+				}
 			}
 		}
 		if hs.storageLost {
@@ -677,7 +690,9 @@ func (e *Experiment) failureTick(now time.Time) error {
 			return err
 		}
 		if ev != nil {
-			e.handleTransient(now, hs)
+			if err := e.handleTransient(now, hs); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -739,28 +754,47 @@ func (e *Experiment) watchChip(now time.Time, hs *hostState, trueCPU units.Celsi
 // handleDiskFailure cascades a drive death through the host's storage
 // layout: a surviving array degrades; a lost array takes the host down for
 // good (no §3.4 layout can be rebuilt on the terrace).
-func (e *Experiment) handleDiskFailure(now time.Time, hs *hostState, index int) {
+func (e *Experiment) handleDiskFailure(now time.Time, hs *hostState, index int) error {
 	hs.failedDisks = append(hs.failedDisks, index)
 	layout := hs.host.Spec.Layout
 	if layout.SurvivesDiskFailures(hs.failedDisks) {
 		e.logEvent(now, EventDiskFailure, hs.host.ID,
 			fmt.Sprintf("disk %d failed; %s array degraded but serving", index, layout))
-		return
+		return nil
 	}
 	hs.storageLost = true
-	hs.online = false
-	e.recomputeTentPower()
 	e.logEvent(now, EventStorageLost, hs.host.ID,
 		fmt.Sprintf("disk %d failed; %s array lost, host down", index, layout))
+	return e.takeOffline(hs)
+}
+
+// takeOffline marks a host down and retires its monitoring session, so its
+// first collection after coming back dials and authenticates afresh.
+func (e *Experiment) takeOffline(hs *hostState) error {
+	hs.online = false
+	e.recomputeTentPower()
+	return e.retireSession(hs)
+}
+
+// retireSession ends the host's monitoring session, if it has one, with a
+// bye.
+func (e *Experiment) retireSession(hs *hostState) error {
+	if hs.sess == nil {
+		return nil
+	}
+	err := hs.sess.Retire()
+	hs.sess = nil
+	return err
 }
 
 // handleTransient implements the paper's operational policy: first failure
 // gets an inspection and reset after the repair delay; a second failure
 // takes the host indoors for good (§4.2.1, host 15).
-func (e *Experiment) handleTransient(now time.Time, hs *hostState) {
+func (e *Experiment) handleTransient(now time.Time, hs *hostState) error {
 	hs.transients = append(hs.transients, now)
-	hs.online = false
-	e.recomputeTentPower()
+	if err := e.takeOffline(hs); err != nil {
+		return err
+	}
 	nth := len(hs.transients)
 	e.logEvent(now, EventTransient, hs.host.ID,
 		fmt.Sprintf("system failure #%d in %s", nth, hs.envName()))
@@ -776,7 +810,7 @@ func (e *Experiment) handleTransient(now time.Time, hs *hostState) {
 			e.recomputeTentPower()
 			e.logEvent(at, EventRepair, hs.host.ID, "inspection and reset; no cause found; marked transient")
 		})
-		return
+		return nil
 	}
 	_, _ = e.sched.At(now.Add(after), func(at time.Time) {
 		hs.relocated = true
@@ -785,6 +819,7 @@ func (e *Experiment) handleTransient(now time.Time, hs *hostState) {
 		e.logEvent(at, EventRelocation, hs.host.ID,
 			"could not resume outside; taken indoors, stable since")
 	})
+	return nil
 }
 
 // scheduleSwitches samples and logs the tent switches' lifetimes. The spare
@@ -884,8 +919,33 @@ func (e *Experiment) monitorRound(now time.Time) error {
 	return nil
 }
 
+// collectHost runs one round on the host's monitoring session, dialling
+// the session first at the host's first collection and at its first after
+// coming back online. A failed round has torn its session down.
 func (e *Experiment) collectHost(now time.Time, hs *hostState) (monitor.RoundStats, error) {
-	e.nonceCount++
-	label := e.cfg.Seed + "/" + strconv.FormatUint(e.nonceCount, 10)
-	return monitor.CollectInProcess(hs.agent, e.coll, hs.host.ID, hs.psk, label, now)
+	if hs.sess == nil {
+		e.nonceCount++
+		label := e.cfg.Seed + "/" + strconv.FormatUint(e.nonceCount, 10)
+		sess, err := monitor.DialInProcess(hs.agent, hs.host.ID, hs.psk, label)
+		if err != nil {
+			return monitor.RoundStats{}, err
+		}
+		hs.sess = sess
+	}
+	stats, err := hs.sess.Collect(e.coll, now)
+	if err != nil {
+		hs.sess = nil
+	}
+	return stats, err
+}
+
+// closeSessions closes, without a bye, the monitoring sessions of a run
+// that stops before its horizon.
+func (e *Experiment) closeSessions() {
+	for _, hs := range e.hosts {
+		if hs.sess != nil {
+			hs.sess.Close()
+			hs.sess = nil
+		}
+	}
 }

@@ -25,29 +25,31 @@ func (c *pollCancelled) Err() error {
 	return nil
 }
 
+// checkGoroutines fails the test unless the goroutine count is back to
+// base. A joined goroutine stays counted from closing its exit channel
+// until it returns, which an OS thread switch can stretch to milliseconds;
+// one that was not joined stays far longer (the cancelled run below leaves
+// trees queued that take over a second to pack, and an unjoined agent
+// blocks on its pipe forever).
+func checkGoroutines(t *testing.T, base int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(100 * time.Millisecond)
+	got := runtime.NumGoroutine()
+	for got > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		got = runtime.NumGoroutine()
+	}
+	if got > base {
+		t.Errorf("%s: %d goroutines, baseline %d", what, got, base)
+	}
+}
+
 // TestPackAheadGoroutineJoined checks that no goroutine outlives a run:
 // the goroutine count returns to its baseline after a completed run, a run
 // cancelled after its first installs, and an experiment built but never
 // run.
 func TestPackAheadGoroutineJoined(t *testing.T) {
 	base := runtime.NumGoroutine()
-	check := func(what string) {
-		t.Helper()
-		// A joined goroutine stays counted from closing its exit channel
-		// until it returns, which an OS thread switch can stretch to
-		// milliseconds. A packer that was not joined stays far longer: the
-		// cancelled run leaves trees queued that take over a second to
-		// pack.
-		deadline := time.Now().Add(100 * time.Millisecond)
-		got := runtime.NumGoroutine()
-		for got > base && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-			got = runtime.NumGoroutine()
-		}
-		if got > base {
-			t.Errorf("%s: %d goroutines, baseline %d", what, got, base)
-		}
-	}
 	cfg := shortConfig("pack-ahead")
 	cfg.MonitorEvery = 0
 
@@ -58,7 +60,7 @@ func TestPackAheadGoroutineJoined(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	check("completed run")
+	checkGoroutines(t, base, "completed run")
 
 	// The full horizon queues every host's tree, and 1 MiB trees keep the
 	// packer busy long after the run stops unless RunContext joins it.
@@ -75,12 +77,12 @@ func TestPackAheadGoroutineJoined(t *testing.T) {
 	if ctx.polls < 2 {
 		t.Fatalf("context polled %d times; the run never reached its first installs", ctx.polls)
 	}
-	check("cancelled run")
+	checkGoroutines(t, base, "cancelled run")
 
 	if _, err := New(cfg); err != nil {
 		t.Fatal(err)
 	}
-	check("New without Run")
+	checkGoroutines(t, base, "New without Run")
 }
 
 // TestInitialPackErrorNamesHost pins the error a pack failure surfaces: a

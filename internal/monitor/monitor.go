@@ -9,7 +9,10 @@
 // per collection round. Agent and Collector speak a small framed protocol
 // over a wire.Session and therefore run identically over an in-memory pipe
 // (inside the simulation) or real TCP sockets (cmd/collectord and
-// cmd/nodeagent).
+// cmd/nodeagent). Sessions span rounds in both: the simulation keeps one
+// InProcessSession per host from its first collection until it goes
+// offline, and a FleetCollector with a PoolConfig parks its TCP sessions
+// between rounds.
 package monitor
 
 import (

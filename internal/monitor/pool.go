@@ -11,10 +11,15 @@ import (
 // PoolConfig enables cross-round connection reuse in a FleetCollector.
 // With a pool configured, a successful collection parks its authenticated
 // session instead of tearing it down; the next round pings the parked
-// session and, if it answers, skips the dial and handshake entirely. At
-// the paper's 20-minute cadence the handshake is noise, but under load —
-// a 1k-host fleet collected every few seconds — dial-per-attempt is the
-// dominant per-round cost and a keepalive pool removes it.
+// session and, if it answers, skips the dial and handshake entirely. Even
+// at the paper's 20-minute cadence the handshake is not noise when a round
+// moves only the bytes appended since the last one: in the simulation,
+// dialling every host every round (a pipe, two goroutines and a
+// four-message handshake) took about a third of a 7-day monitored run
+// until core kept one InProcessSession per host across rounds (0.267 s to
+// 0.180 s per run on 2 CPUs). Under load — a 1k-host fleet collected every
+// few seconds — dial-per-attempt is the dominant per-round cost, and a
+// keepalive pool removes it.
 type PoolConfig struct {
 	// Fault, when non-nil, is consulted once per pooled pickup with the
 	// host and round being collected. Returning true severs the parked

@@ -353,7 +353,7 @@ func TableCoverage(r *core.Results) string {
 	for _, hg := range r.MonitorGaps {
 		missed := "—"
 		if len(hg.MissedRounds) > 0 {
-			missed = fmt.Sprintf("%v", hg.MissedRounds)
+			missed = roundRanges(hg.MissedRounds)
 			if hg.Missed > len(hg.MissedRounds) {
 				missed += " …"
 			}
@@ -370,6 +370,28 @@ func TableCoverage(r *core.Results) string {
 	return fmt.Sprintf("Collection coverage (fleet %.4f over %d rounds)\n\n",
 		r.MonitorCoverage, fleetRounds(r)) +
 		Table([]string{"host", "collected", "coverage", "skipped", "longest outage", "missed rounds"}, rows)
+}
+
+// roundRanges renders ascending round numbers as runs of consecutive
+// rounds: "3, 1683–1826, 2008–2119".
+func roundRanges(rounds []int) string {
+	var b strings.Builder
+	for i := 0; i < len(rounds); {
+		j := i
+		for j+1 < len(rounds) && rounds[j+1] == rounds[j]+1 {
+			j++
+		}
+		if b.Len() > 0 {
+			b.WriteString(", ")
+		}
+		if j == i {
+			fmt.Fprintf(&b, "%d", rounds[i])
+		} else {
+			fmt.Fprintf(&b, "%d–%d", rounds[i], rounds[j])
+		}
+		i = j + 1
+	}
+	return b.String()
 }
 
 // EventLog renders the full experiment event log.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"frostlab/internal/core"
+	"frostlab/internal/monitor"
 	"frostlab/internal/power"
 	"frostlab/internal/timeseries"
 	"frostlab/internal/weather"
@@ -283,6 +284,38 @@ func BenchmarkPlot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Plot(cfg, s); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestTableCoverageRanges renders a gapped ledger: missed rounds print as
+// runs, a truncated list keeps its marker, and one long outage no longer
+// widens every row of the table.
+func TestTableCoverageRanges(t *testing.T) {
+	outage := make([]int, 0, 256)
+	for r := 1683; r <= 1826; r++ {
+		outage = append(outage, r)
+	}
+	for r := 2008; len(outage) < cap(outage); r++ {
+		outage = append(outage, r)
+	}
+	r := &core.Results{
+		MonitorCoverage: 0.9,
+		MonitorGaps: []monitor.HostGap{
+			{HostID: "01", Collected: 2516},
+			{HostID: "07", Collected: 2513, Missed: 3, LongestOutage: 2, MissedRounds: []int{3, 40, 41}},
+			{HostID: "15", Collected: 2228, Missed: 288, LongestOutage: 144, MissedRounds: outage},
+		},
+	}
+	cov := TableCoverage(r)
+	for _, want := range []string{"3, 40–41", "1683–1826, 2008–2119 …", "—"} {
+		if !strings.Contains(cov, want) {
+			t.Errorf("coverage table lacks %q:\n%s", want, cov)
+		}
+	}
+	for _, line := range strings.Split(cov, "\n") {
+		if n := len([]rune(line)); n > 100 {
+			t.Errorf("coverage line of %d characters:\n%s", n, line)
 		}
 	}
 }

@@ -33,14 +33,14 @@ func FuzzSession(f *testing.F) {
 			payload = payload[:1<<16]
 		}
 		var buf bytes.Buffer
-		sender := &Session{rw: &buf, key: fuzzKey}
+		sender := newSession(&buf, fuzzKey, "")
 		if err := sender.Send(frameType, payload); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
 		clean := append([]byte(nil), buf.Bytes()...)
 
 		// Sanity: the untouched frame is accepted.
-		recv := &Session{rw: readOnly{bytes.NewReader(clean)}, key: fuzzKey}
+		recv := newSession(readOnly{bytes.NewReader(clean)}, fuzzKey, "")
 		ft, pl, err := recv.Recv()
 		if err != nil || ft != frameType || !bytes.Equal(pl, payload) {
 			t.Fatalf("clean frame rejected: type %d payload %d bytes, err %v", ft, len(pl), err)
@@ -49,7 +49,7 @@ func FuzzSession(f *testing.F) {
 		// Flip one bit anywhere in the frame: length, type, payload, or MAC.
 		mutated := append([]byte(nil), clean...)
 		mutated[int(pos)%len(mutated)] ^= 1 << (bit % 8)
-		recv = &Session{rw: readOnly{bytes.NewReader(mutated)}, key: fuzzKey}
+		recv = newSession(readOnly{bytes.NewReader(mutated)}, fuzzKey, "")
 		if ft, pl, err := recv.Recv(); err == nil {
 			t.Fatalf("tampered frame accepted: type %d, payload %q", ft, pl)
 		} else if !errors.Is(err, ErrTampered) && !errors.Is(err, ErrTooLarge) &&
@@ -74,14 +74,14 @@ func FuzzRecvArbitrary(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		r := bytes.NewReader(raw)
-		recv := &Session{rw: readOnly{r}, key: fuzzKey}
+		recv := newSession(readOnly{r}, fuzzKey, "")
 		ft, pl, err := recv.Recv()
 		if err != nil {
 			return
 		}
 		consumed := raw[:len(raw)-r.Len()]
 		var buf bytes.Buffer
-		sender := &Session{rw: &buf, key: fuzzKey}
+		sender := newSession(&buf, fuzzKey, "")
 		if err := sender.Send(ft, pl); err != nil {
 			t.Fatalf("re-encoding accepted frame: %v", err)
 		}
@@ -94,7 +94,7 @@ func FuzzRecvArbitrary(f *testing.F) {
 func TestRecvOversizedHeaderRejected(t *testing.T) {
 	var hdr [5]byte
 	binary.BigEndian.PutUint32(hdr[:4], MaxFrame+1)
-	recv := &Session{rw: readOnly{bytes.NewReader(hdr[:])}, key: fuzzKey}
+	recv := newSession(readOnly{bytes.NewReader(hdr[:])}, fuzzKey, "")
 	if _, _, err := recv.Recv(); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized header error = %v, want ErrTooLarge", err)
 	}
@@ -102,13 +102,13 @@ func TestRecvOversizedHeaderRejected(t *testing.T) {
 
 func TestRecvTruncatedFrame(t *testing.T) {
 	var buf bytes.Buffer
-	sender := &Session{rw: &buf, key: fuzzKey}
+	sender := newSession(&buf, fuzzKey, "")
 	if err := sender.Send(1, []byte("abcdef")); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
 	for cut := 0; cut < len(whole); cut++ {
-		recv := &Session{rw: readOnly{bytes.NewReader(whole[:cut])}, key: fuzzKey}
+		recv := newSession(readOnly{bytes.NewReader(whole[:cut])}, fuzzKey, "")
 		if _, _, err := recv.Recv(); err == nil {
 			t.Fatalf("frame truncated at %d/%d accepted", cut, len(whole))
 		}

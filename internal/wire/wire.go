@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 )
 
@@ -67,12 +68,49 @@ func DerivePSK(keyseed, hostID string) []byte {
 
 // Session is an authenticated, integrity-protected frame stream. Create
 // one with Dial (client side) or Accept (server side).
+//
+// A Session keeps per-direction MAC state and a reused send buffer, so one
+// goroutine may Send while another Recvs, but two goroutines must never
+// Send at once, nor Recv at once, on the same Session.
 type Session struct {
 	rw      io.ReadWriter
 	key     []byte // session key
 	peer    string
 	sendSeq uint64
 	recvSeq uint64
+
+	// Each direction keeps one HMAC keyed with the session key and resets
+	// it per frame, so a frame costs no MAC setup. The scratch arrays are
+	// the MAC's (sequence, type) prefix and the received header and tag;
+	// living in the Session, they cost no allocation per frame.
+	sendMAC, recvMAC hash.Hash
+	sendPre, recvPre [9]byte
+	recvHdr          [5]byte
+	recvSum          [macSize]byte
+	// sendBuf holds the last frame sent (header | payload | tag), so each
+	// frame goes out in one Write.
+	sendBuf []byte
+}
+
+func newSession(rw io.ReadWriter, key []byte, peer string) *Session {
+	return &Session{
+		rw:      rw,
+		key:     key,
+		peer:    peer,
+		sendMAC: hmac.New(sha256.New, key),
+		recvMAC: hmac.New(sha256.New, key),
+	}
+}
+
+// frameMAC resets m and appends to dst the tag over (seq, frameType,
+// payload), using pre as scratch for the first two.
+func frameMAC(dst []byte, m hash.Hash, pre *[9]byte, seq uint64, frameType byte, payload []byte) []byte {
+	binary.BigEndian.PutUint64(pre[:8], seq)
+	pre[8] = frameType
+	m.Reset()
+	m.Write(pre[:])
+	m.Write(payload)
+	return m.Sum(dst)
 }
 
 func mac(key []byte, parts ...[]byte) []byte {
@@ -127,7 +165,7 @@ func Dial(rw io.ReadWriter, hostID string, psk []byte, nonce Nonce) (*Session, e
 	if err := writeBlob(rw, mac(psk, []byte("cli"), sn, cn)); err != nil {
 		return nil, err
 	}
-	return &Session{rw: rw, key: sessionKey(psk, cn, sn), peer: "server"}, nil
+	return newSession(rw, sessionKey(psk, cn, sn), "server"), nil
 }
 
 // Accept performs the server side of the handshake, authenticating the
@@ -165,27 +203,25 @@ func Accept(rw io.ReadWriter, keys Keystore, nonce Nonce) (*Session, error) {
 	if !hmac.Equal(cliProof, mac(psk, []byte("cli"), sn, cn)) {
 		return nil, fmt.Errorf("%w: client proof invalid for %q", ErrAuth, hostID)
 	}
-	return &Session{rw: rw, key: sessionKey(psk, cn, sn), peer: string(hostID)}, nil
+	return newSession(rw, sessionKey(psk, cn, sn), string(hostID)), nil
 }
 
-// Send transmits one frame of the given application type.
+// Send transmits one frame of the given application type: header
+// (length, type), payload and tag, in one Write.
 func (s *Session) Send(frameType byte, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
 	}
-	var seq [8]byte
-	binary.BigEndian.PutUint64(seq[:], s.sendSeq)
-	tag := mac(s.key, seq[:], []byte{frameType}, payload)
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = frameType
-	if _, err := s.rw.Write(hdr[:]); err != nil {
-		return err
+	n := len(payload)
+	if cap(s.sendBuf) < 5+n+macSize {
+		s.sendBuf = make([]byte, 0, 5+n+macSize)
 	}
-	if _, err := s.rw.Write(payload); err != nil {
-		return err
-	}
-	if _, err := s.rw.Write(tag); err != nil {
+	frame := s.sendBuf[:5+n]
+	binary.BigEndian.PutUint32(frame[:4], uint32(n))
+	frame[4] = frameType
+	copy(frame[5:], payload)
+	frame = frameMAC(frame, s.sendMAC, &s.sendPre, s.sendSeq, frameType, payload)
+	if _, err := s.rw.Write(frame); err != nil {
 		return err
 	}
 	s.sendSeq++
@@ -194,26 +230,22 @@ func (s *Session) Send(frameType byte, payload []byte) error {
 
 // Recv reads and verifies one frame, returning its type and payload.
 func (s *Session) Recv() (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(s.rw, hdr[:]); err != nil {
+	if _, err := io.ReadFull(s.rw, s.recvHdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	n := binary.BigEndian.Uint32(s.recvHdr[:4])
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("%w: header claims %d bytes", ErrTooLarge, n)
 	}
-	frameType := hdr[4]
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(s.rw, payload); err != nil {
+	frameType := s.recvHdr[4]
+	// Payload and tag arrive in one allocation; the payload returned is
+	// capped so a caller's append cannot overwrite the tag.
+	body := make([]byte, int(n)+macSize)
+	if _, err := io.ReadFull(s.rw, body); err != nil {
 		return 0, nil, err
 	}
-	tag := make([]byte, macSize)
-	if _, err := io.ReadFull(s.rw, tag); err != nil {
-		return 0, nil, err
-	}
-	var seq [8]byte
-	binary.BigEndian.PutUint64(seq[:], s.recvSeq)
-	if !hmac.Equal(tag, mac(s.key, seq[:], []byte{frameType}, payload)) {
+	payload, tag := body[:n:n], body[n:]
+	if !hmac.Equal(tag, frameMAC(s.recvSum[:0], s.recvMAC, &s.recvPre, s.recvSeq, frameType, payload)) {
 		return 0, nil, ErrTampered
 	}
 	s.recvSeq++

@@ -189,10 +189,12 @@ func TestTamperedFrameDetected(t *testing.T) {
 	if cli.err != nil || srv.err != nil {
 		t.Fatalf("handshake: %v / %v", cli.err, srv.err)
 	}
-	// Re-wrap the client side so the *payload* write (the 2nd write of the
-	// first Send: header, payload, tag) is corrupted.
-	cli.sess.rw = &tamperConn{Conn: c, target: 2}
-	go func() { _ = cli.sess.Send(1, []byte("sensor data payload")) }()
+	// Re-wrap the client side so the first Send's only write (header,
+	// payload and tag in one frame) is corrupted. The payload is longer
+	// than header and tag together, so the flipped middle byte lies
+	// inside it.
+	cli.sess.rw = &tamperConn{Conn: c, target: 1}
+	go func() { _ = cli.sess.Send(1, []byte("2010-02-19T12:10:00Z cpu0 -4.0 sda 12")) }()
 	_, _, err := srv.sess.Recv()
 	if !errors.Is(err, ErrTampered) {
 		t.Errorf("tampered frame error %v, want ErrTampered", err)
@@ -248,14 +250,14 @@ func TestOversizeFrameRejected(t *testing.T) {
 }
 
 func TestOversizeHeaderRejected(t *testing.T) {
-	s := &Session{rw: rwShim{bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 1})}, key: []byte("k")}
+	s := newSession(rwShim{bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 1})}, []byte("k"), "")
 	if _, _, err := s.Recv(); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversize header error %v", err)
 	}
 }
 
 func TestTruncatedStream(t *testing.T) {
-	s := &Session{rw: rwShim{bytes.NewReader([]byte{0, 0, 0, 5, 1, 'a', 'b'})}, key: []byte("k")}
+	s := newSession(rwShim{bytes.NewReader([]byte{0, 0, 0, 5, 1, 'a', 'b'})}, []byte("k"), "")
 	if _, _, err := s.Recv(); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("truncated stream error %v", err)
 	}
@@ -379,4 +381,78 @@ func BenchmarkSendRecv(b *testing.B) {
 // caller in the program; it stays beside the test that pins it.
 func verifyKeyEquality(a, b []byte) bool {
 	return len(a) == len(b) && bytes.Equal(mac(a, []byte("eq")), mac(b, []byte("eq")))
+}
+
+// TestFrameAllocs pins the framing cost on an in-memory stream: a warm
+// Send reuses its MAC and frame buffer and allocates nothing, and a Recv
+// makes one allocation, for payload and tag together.
+func TestFrameAllocs(t *testing.T) {
+	const runs = 100
+	key := []byte("alloc-session-key")
+	payload := bytes.Repeat([]byte("x"), 4096)
+
+	sender := newSession(rwShim{}, key, "")
+	if got := testing.AllocsPerRun(runs, func() { _ = sender.Send(1, payload) }); got != 0 {
+		t.Errorf("Send: %v allocs per frame, want 0", got)
+	}
+
+	// AllocsPerRun calls its function once more than runs to warm up.
+	var stream bytes.Buffer
+	rec := newSession(&stream, key, "")
+	for i := 0; i <= runs; i++ {
+		if err := rec.Send(1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv := newSession(rwShim{bytes.NewReader(stream.Bytes())}, key, "")
+	var err error
+	if got := testing.AllocsPerRun(runs, func() {
+		if _, _, e := recv.Recv(); e != nil {
+			err = e
+		}
+	}); got != 1 {
+		t.Errorf("Recv: %v allocs per frame, want 1", got)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFullDuplex sends frames both ways at once: each side has one
+// goroutine sending while another receives, so the two directions' MAC
+// state and the send buffer are in use concurrently on one Session.
+func TestFullDuplex(t *testing.T) {
+	cli, srv, cerr, serr := connect(t, "01", testKeys["01"], testKeys)
+	if cerr != nil || serr != nil {
+		t.Fatalf("handshake: %v / %v", cerr, serr)
+	}
+	const frames = 50
+	var wg sync.WaitGroup
+	for _, s := range []*Session{cli, srv} {
+		s := s
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < frames; i++ {
+				if err := s.Send(byte(i), bytes.Repeat([]byte{byte(i)}, i*97)); err != nil {
+					t.Errorf("send %d: %v", i, err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < frames; i++ {
+				ft, p, err := s.Recv()
+				if err != nil {
+					t.Errorf("recv %d: %v", i, err)
+					return
+				}
+				if ft != byte(i) || !bytes.Equal(p, bytes.Repeat([]byte{byte(i)}, i*97)) {
+					t.Errorf("frame %d: type %d len %d", i, ft, len(p))
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
