@@ -468,7 +468,9 @@ func (e *Experiment) RunContext(ctx context.Context) (*Results, error) {
 		}
 	}
 
-	// Dispatch up to the horizon, polling the context between events.
+	// Dispatch up to the horizon, polling the context between events. The
+	// first error an event records stops the run at once: the deferred
+	// closeSessions drops the open sessions.
 	for steps := 0; ; steps++ {
 		if steps%ctxCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -480,6 +482,9 @@ func (e *Experiment) RunContext(ctx context.Context) (*Results, error) {
 			break
 		}
 		e.sched.Step()
+		if runErr != nil {
+			return nil, runErr
+		}
 	}
 	// Advance the clock to the horizon itself so periodic models observe a
 	// definite end time (any remaining events are due after it).

@@ -24,10 +24,11 @@ func monitoredConfig(days int) Config {
 	return cfg
 }
 
-// TestMonitorSessionsJoined checks that no agent goroutine outlives a
-// monitored run, whether it completes, is cancelled between rounds, or
-// fails mid-collection, and that keeping sessions across rounds leaves
-// the 2-day monitored results byte-identical to dialling every round.
+// TestMonitorSessionsJoined checks that no goroutine outlives a monitored
+// run, whether it completes, is cancelled between rounds, or fails
+// mid-collection, that a failed run stops at its failure, and that keeping
+// sessions across rounds leaves the 2-day monitored results byte-identical
+// to dialling every round.
 func TestMonitorSessionsJoined(t *testing.T) {
 	base := runtime.NumGoroutine()
 
@@ -67,20 +68,30 @@ func TestMonitorSessionsJoined(t *testing.T) {
 
 	// Host 01's log outgrows a frame a few hours in: its agent cannot send
 	// the delta, Serve fails and the run fails with it, with every other
-	// host's session open.
+	// host's session open. The run stops at the failing round: it neither
+	// simulates on to its horizon nor dials another session.
 	cfg := monitoredConfig(1)
 	cfg.End = cfg.Start.Add(12 * time.Hour)
 	e, err = New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.sched.At(cfg.Start.Add(6*time.Hour), func(time.Time) {
+	oversizedAt := cfg.Start.Add(6 * time.Hour)
+	var dialled uint64
+	if _, err := e.sched.At(oversizedAt, func(time.Time) {
 		e.hosts[e.byID["01"]].store.Append("oversized.log", make([]byte, wire.MaxFrame+1))
+		dialled = e.nonceCount
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Run(); !errors.Is(err, wire.ErrTooLarge) {
 		t.Fatalf("run with an oversized agent log: err %v, want wire.ErrTooLarge", err)
+	}
+	if now, limit := e.sched.Now(), oversizedAt.Add(cfg.MonitorEvery); now.After(limit) {
+		t.Errorf("failed run stopped at %v, want by %v", now.Sub(cfg.Start), limit.Sub(cfg.Start))
+	}
+	if e.nonceCount != dialled {
+		t.Errorf("failed run dialled %d sessions, %d when the log outgrew a frame", e.nonceCount, dialled)
 	}
 	checkGoroutines(t, base, "failed run")
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -92,11 +94,11 @@ func (e *ShardedExperiment) assemble() (*Results, error) {
 	for _, sh := range e.shards {
 		run = append(run, sh.events...)
 	}
-	sort.SliceStable(run, func(i, j int) bool {
-		if run[i].tick != run[j].tick {
-			return run[i].tick < run[j].tick
+	slices.SortStableFunc(run, func(a, b shardEvent) int {
+		if c := cmp.Compare(a.tick, b.tick); c != 0 {
+			return c
 		}
-		return run[i].tent < run[j].tent
+		return cmp.Compare(a.tent, b.tent)
 	})
 	for _, sev := range run {
 		r.Events = append(r.Events, e.renderEvent(sev))
@@ -178,7 +180,7 @@ func (e *ShardedExperiment) assemble() (*Results, error) {
 		}
 		r.Hosts[id] = rep
 	}
-	sort.SliceStable(r.Events, func(i, j int) bool { return r.Events[i].At.Before(r.Events[j].At) })
+	slices.SortStableFunc(r.Events, func(a, b Event) int { return a.At.Compare(b.At) })
 
 	r.TentHostFailureRate = stats.Rate{Events: tentFailed, Trials: len(e.ids)}
 	r.ControlHostFailureRate = stats.Rate{}

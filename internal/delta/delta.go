@@ -18,7 +18,6 @@
 package delta
 
 import (
-	"bytes"
 	"crypto/md5"
 	"encoding/binary"
 	"errors"
@@ -137,6 +136,8 @@ func (d *Delta) LiteralBytes() int {
 }
 
 // Compute builds the delta that transforms the signed old file into new.
+// Its literal ops alias new rather than copy it: the delta holds new's
+// bytes, and is valid only while the caller leaves them unchanged.
 func Compute(sig *Signature, new []byte) (*Delta, error) {
 	if sig == nil || sig.BlockSize <= 0 {
 		return nil, errors.New("delta: nil or invalid signature")
@@ -155,7 +156,7 @@ func Compute(sig *Signature, new []byte) (*Delta, error) {
 	var litStart int
 	emitLiteral := func(upTo int) {
 		if upTo > litStart {
-			d.Ops = append(d.Ops, Op{Kind: OpLiteral, Data: append([]byte(nil), new[litStart:upTo]...)})
+			d.Ops = append(d.Ops, Op{Kind: OpLiteral, Data: new[litStart:upTo:upTo]})
 		}
 	}
 	emitCopy := func(block int) {
@@ -234,40 +235,58 @@ func Apply(old []byte, d *Delta) ([]byte, error) {
 }
 
 // Marshal serialises a delta for the wire.
-func (d *Delta) Marshal() []byte {
-	var buf bytes.Buffer
-	var scratch [8]byte
-	putUint := func(v uint64) {
-		binary.BigEndian.PutUint64(scratch[:], v)
-		buf.Write(scratch[:])
-	}
-	putUint(uint64(d.BlockSize))
-	putUint(uint64(d.NewLen))
-	buf.Write(d.NewMD5[:])
-	putUint(uint64(len(d.Ops)))
+func (d *Delta) Marshal() []byte { return d.AppendMarshal(nil) }
+
+// AppendMarshal appends the bytes Marshal returns to dst and returns the
+// extended slice. When dst lacks the room, it is copied once into a new
+// buffer of exactly the size needed, so a caller can put its own header
+// before the delta without a second copy of the literals. The result
+// shares no memory with d.
+func (d *Delta) AppendMarshal(dst []byte) []byte {
+	n := 8 + 8 + md5.Size + 8
 	for _, op := range d.Ops {
-		buf.WriteByte(byte(op.Kind))
 		switch op.Kind {
 		case OpCopy:
-			putUint(uint64(op.Block))
-			putUint(uint64(op.NumBlocks))
+			n += 1 + 8 + 8
 		case OpLiteral:
-			putUint(uint64(len(op.Data)))
-			buf.Write(op.Data)
+			n += 1 + 8 + len(op.Data)
+		default:
+			n++
 		}
 	}
-	return buf.Bytes()
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	dst = binary.BigEndian.AppendUint64(dst, uint64(d.BlockSize))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(d.NewLen))
+	dst = append(dst, d.NewMD5[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(d.Ops)))
+	for _, op := range d.Ops {
+		dst = append(dst, byte(op.Kind))
+		switch op.Kind {
+		case OpCopy:
+			dst = binary.BigEndian.AppendUint64(dst, uint64(op.Block))
+			dst = binary.BigEndian.AppendUint64(dst, uint64(op.NumBlocks))
+		case OpLiteral:
+			dst = binary.BigEndian.AppendUint64(dst, uint64(len(op.Data)))
+			dst = append(dst, op.Data...)
+		}
+	}
+	return dst
 }
 
-// UnmarshalDelta parses a serialised delta.
+// UnmarshalDelta parses a serialised delta. Its literal ops alias p rather
+// than copy it: the delta holds p's bytes, and is valid only while the
+// caller leaves them unchanged.
 func UnmarshalDelta(p []byte) (*Delta, error) {
-	r := bytes.NewReader(p)
-	var scratch [8]byte
+	rest := p
 	getUint := func() (uint64, error) {
-		if _, err := io.ReadFull(r, scratch[:]); err != nil {
-			return 0, err
+		if len(rest) < 8 {
+			return 0, io.ErrUnexpectedEOF
 		}
-		return binary.BigEndian.Uint64(scratch[:]), nil
+		v := binary.BigEndian.Uint64(rest)
+		rest = rest[8:]
+		return v, nil
 	}
 	bs, err := getUint()
 	if err != nil {
@@ -278,9 +297,10 @@ func UnmarshalDelta(p []byte) (*Delta, error) {
 		return nil, fmt.Errorf("delta: unmarshal new length: %w", err)
 	}
 	d := &Delta{BlockSize: int(bs), NewLen: int(nl)}
-	if _, err := io.ReadFull(r, d.NewMD5[:]); err != nil {
-		return nil, fmt.Errorf("delta: unmarshal digest: %w", err)
+	if len(rest) < md5.Size {
+		return nil, fmt.Errorf("delta: unmarshal digest: %w", io.ErrUnexpectedEOF)
 	}
+	rest = rest[copy(d.NewMD5[:], rest):]
 	nOps, err := getUint()
 	if err != nil {
 		return nil, fmt.Errorf("delta: unmarshal op count: %w", err)
@@ -289,10 +309,11 @@ func UnmarshalDelta(p []byte) (*Delta, error) {
 		return nil, fmt.Errorf("delta: implausible op count %d", nOps)
 	}
 	for i := uint64(0); i < nOps; i++ {
-		kind, err := r.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("delta: unmarshal op %d kind: %w", i, err)
+		if len(rest) == 0 {
+			return nil, fmt.Errorf("delta: unmarshal op %d kind: %w", i, io.EOF)
 		}
+		kind := rest[0]
+		rest = rest[1:]
 		switch OpKind(kind) {
 		case OpCopy:
 			blk, err := getUint()
@@ -309,20 +330,17 @@ func UnmarshalDelta(p []byte) (*Delta, error) {
 			if err != nil {
 				return nil, err
 			}
-			if n > uint64(r.Len()) {
-				return nil, fmt.Errorf("delta: literal of %d bytes exceeds remaining %d", n, r.Len())
+			if n > uint64(len(rest)) {
+				return nil, fmt.Errorf("delta: literal of %d bytes exceeds remaining %d", n, len(rest))
 			}
-			data := make([]byte, n)
-			if _, err := io.ReadFull(r, data); err != nil {
-				return nil, err
-			}
-			d.Ops = append(d.Ops, Op{Kind: OpLiteral, Data: data})
+			d.Ops = append(d.Ops, Op{Kind: OpLiteral, Data: rest[:n:n]})
+			rest = rest[n:]
 		default:
 			return nil, fmt.Errorf("delta: unknown op kind %d", kind)
 		}
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("delta: %d trailing bytes", r.Len())
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("delta: %d trailing bytes", len(rest))
 	}
 	return d, nil
 }

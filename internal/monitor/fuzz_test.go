@@ -101,3 +101,58 @@ func FuzzAgentAppendFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzInProcessPump writes arbitrary bytes to the agent's end of an
+// established in-process session and has the collector read. Nothing else
+// will ever write to the agent, so every input must draw a reply or an
+// error, and Retire must then end the session: never a panic or a hang.
+func FuzzInProcessPump(f *testing.F) {
+	store := NewFileStore()
+	store.Append(SensorLog, []byte("2010-02-19T12:10:00Z cpu=-4.1\n"))
+	agent := NewAgent("01", store)
+	dial := func(t testing.TB) *InProcessSession {
+		s, err := DialInProcess(agent, "01", []byte("key"), "pump")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// Every dial derives the same session key, so a frame recorded on
+	// one session is valid as the first frame of the next.
+	for _, fr := range []struct {
+		ft      byte
+		payload []byte
+	}{{ftList, nil}, {ftPing, nil}, {ftBye, nil}, {99, []byte("x")}, {ftAppend, encodeNamed(SensorLog, nil)}} {
+		s := dial(f)
+		if err := s.sess.Send(fr.ft, fr.payload); err != nil {
+			f.Fatal(err)
+		}
+		q := s.lb.q[toAgent]
+		frame := append([]byte(nil), q.buf[q.off:]...)
+		f.Add(frame)
+		f.Add(frame[:len(frame)-1])
+		f.Add(append(frame, frame...))
+		s.Close()
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, ftList})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := dial(t)
+		if _, err := (loopEnd{s.lb, toCollector}).Write(data); err != nil {
+			t.Fatal(err)
+		}
+		ft, _, err := s.sess.Recv()
+		switch {
+		case err != nil:
+			if !s.lb.isClosed() {
+				t.Fatalf("collector read failed (%v) on a live session", err)
+			}
+		case ft != ftListResp && ft != ftPong && ft != ftError && ft != ftStale && ft != ftDelta:
+			t.Fatalf("reply frame %d", ft)
+		}
+		_ = s.Retire()
+		if !s.lb.isClosed() {
+			t.Fatal("retired session still open")
+		}
+	})
+}

@@ -7,12 +7,14 @@
 // Each monitored host runs an Agent exporting a FileStore of append-only
 // logs; the Collector mirrors every agent's store and synchronises it once
 // per collection round. Agent and Collector speak a small framed protocol
-// over a wire.Session and therefore run identically over an in-memory pipe
-// (inside the simulation) or real TCP sockets (cmd/collectord and
-// cmd/nodeagent). Sessions span rounds in both: the simulation keeps one
-// InProcessSession per host from its first collection until it goes
-// offline, and a FleetCollector with a PoolConfig parks its TCP sessions
-// between rounds.
+// over a wire.Session and therefore run the same frames over an in-memory
+// loopback (inside the simulation), a net.Pipe (InProcessDialer) or real
+// TCP sockets (cmd/collectord and cmd/nodeagent). Sessions span rounds:
+// the simulation keeps one InProcessSession per host from its first
+// collection until it goes offline, and a FleetCollector with a
+// PoolConfig parks its sessions between rounds. An InProcessSession keeps
+// no goroutine: its agent serves each frame on the collector's goroutine
+// when the collector reads.
 package monitor
 
 import (
@@ -228,46 +230,48 @@ func (a *Agent) Store() *FileStore { return a.store }
 // transport error. It returns nil on a clean bye.
 func (a *Agent) Serve(sess *wire.Session) error {
 	for {
-		ft, payload, err := sess.Recv()
-		if err != nil {
-			return fmt.Errorf("monitor: agent %s receiving: %w", a.hostID, err)
+		if bye, err := a.serveFrame(sess); bye || err != nil {
+			return err
 		}
-		switch ft {
-		case ftList:
-			joined := strings.Join(a.store.Names(), "\n")
-			if err := sess.Send(ftListResp, []byte(joined)); err != nil {
-				return err
-			}
-		case ftAppend:
-			name, d, err := a.appendDelta(payload)
-			switch {
-			case err != nil:
-				err = sess.Send(ftError, []byte(err.Error()))
-			case d == nil:
-				err = sess.Send(ftStale, encodeNamed(name, nil))
-			default:
-				err = sess.Send(ftDelta, encodeNamed(name, d.Marshal()))
-			}
-			if err != nil {
-				return err
-			}
-		case ftPing:
-			if err := sess.Send(ftPong, nil); err != nil {
-				return err
-			}
-		case ftBye:
-			return nil
+	}
+}
+
+// serveFrame receives one collector request and sends its reply: Serve's
+// loop body, which an InProcessSession also runs one frame at a time. bye
+// reports a clean bye; after a bye or an error the session carries no
+// more frames.
+func (a *Agent) serveFrame(sess *wire.Session) (bye bool, err error) {
+	ft, payload, err := sess.Recv()
+	if err != nil {
+		return false, fmt.Errorf("monitor: agent %s receiving: %w", a.hostID, err)
+	}
+	switch ft {
+	case ftList:
+		return false, sess.Send(ftListResp, []byte(strings.Join(a.store.Names(), "\n")))
+	case ftAppend:
+		name, d, err := a.appendDelta(payload)
+		switch {
+		case err != nil:
+			return false, sess.Send(ftError, []byte(err.Error()))
+		case d == nil:
+			return false, sess.Send(ftStale, encodeNamed(name, nil))
 		default:
-			if err := sess.Send(ftError, []byte(fmt.Sprintf("unknown frame type %d", ft))); err != nil {
-				return err
-			}
+			// The name prefix grows once into the whole frame payload.
+			return false, sess.Send(ftDelta, d.AppendMarshal(encodeNamed(name, nil)))
 		}
+	case ftPing:
+		return false, sess.Send(ftPong, nil)
+	case ftBye:
+		return true, nil
+	default:
+		return false, sess.Send(ftError, []byte(fmt.Sprintf("unknown frame type %d", ft)))
 	}
 }
 
 // appendDelta answers one append request: the delta of the file's content
 // past the requested offset against the collector's tail signature, or a
 // nil delta when the file's prefix does not match the collector's digest.
+// The delta's literals alias the store's copy of that content.
 func (a *Agent) appendDelta(payload []byte) (string, *delta.Delta, error) {
 	name, p, err := decodeNamed(payload)
 	if err != nil {
@@ -625,7 +629,8 @@ func (c *Collector) syncFile(sess *wire.Session, hostID, name string, mirror *Fi
 
 // requestAppend sends one append request for the mirror's tail from off
 // on and returns the agent's delta, or nil if the agent reports the
-// prefix stale.
+// prefix stale. The delta's literals alias the reply frame, which Recv
+// allocated for this reply alone.
 func (c *Collector) requestAppend(sess *wire.Session, name string, off int, prefix hash.Hash, tail []byte) (*delta.Delta, error) {
 	sig, err := delta.NewSignature(tail, c.blockSize)
 	if err != nil {

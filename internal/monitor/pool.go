@@ -17,8 +17,11 @@ import (
 // dialling every host every round (a pipe, two goroutines and a
 // four-message handshake) took about a third of a 7-day monitored run
 // until core kept one InProcessSession per host across rounds (0.267 s to
-// 0.180 s per run on 2 CPUs). Under load — a 1k-host fleet collected every
-// few seconds — dial-per-attempt is the dominant per-round cost, and a
+// 0.180 s per run on 2 CPUs). Past that, the goroutine handoffs of each
+// frame crossing a synchronous pipe cost another third, until the
+// in-process agent came to serve its frames on the collector's goroutine
+// (0.180 s to 0.119 s). Under load — a 1k-host fleet collected every few
+// seconds — dial-per-attempt is the dominant per-round cost, and a
 // keepalive pool removes it.
 type PoolConfig struct {
 	// Fault, when non-nil, is consulted once per pooled pickup with the
