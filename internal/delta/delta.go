@@ -11,13 +11,16 @@
 //     window, matching blocks the receiver already has and emitting
 //     literal data only for what changed;
 //   - Patch: the receiver reconstructs the new file from its old file and
-//     the delta.
+//     the delta;
+//   - Running: either side's summary of a growing run of bytes, so a
+//     file that only grows is hashed one appended byte at a time.
 //
 // The weak checksum is the classic two-part Adler-style sum that can be
 // rolled forward one byte in O(1).
 package delta
 
 import (
+	"bytes"
 	"crypto/md5"
 	"encoding/binary"
 	"errors"
@@ -135,10 +138,12 @@ func (d *Delta) LiteralBytes() int {
 	return n
 }
 
-// Compute builds the delta that transforms the signed old file into new.
-// Its literal ops alias new rather than copy it: the delta holds new's
-// bytes, and is valid only while the caller leaves them unchanged.
-func Compute(sig *Signature, new []byte) (*Delta, error) {
+// Compute builds the delta that transforms the signed old file into new,
+// whose md5 the caller passes as newMD5 (a Running summary of new keeps it
+// without rehashing bytes already seen). Its literal ops alias new rather
+// than copy it: the delta holds new's bytes, and is valid only while the
+// caller leaves them unchanged.
+func Compute(sig *Signature, new []byte, newMD5 [md5.Size]byte) (*Delta, error) {
 	if sig == nil || sig.BlockSize <= 0 {
 		return nil, errors.New("delta: nil or invalid signature")
 	}
@@ -152,7 +157,7 @@ func Compute(sig *Signature, new []byte) (*Delta, error) {
 			byWeak[b.Weak] = append(byWeak[b.Weak], b)
 		}
 	}
-	d := &Delta{BlockSize: bs, NewLen: len(new), NewMD5: md5.Sum(new)}
+	d := &Delta{BlockSize: bs, NewLen: len(new), NewMD5: newMD5}
 	var litStart int
 	emitLiteral := func(upTo int) {
 		if upTo > litStart {
@@ -204,8 +209,15 @@ func Compute(sig *Signature, new []byte) (*Delta, error) {
 	return d, nil
 }
 
-// Apply reconstructs the new file from the old file and a delta.
-func Apply(old []byte, d *Delta) ([]byte, error) {
+// Apply reconstructs the new file from the old file and a delta, and
+// checks the reconstruction's md5 against the delta's NewMD5. sum must be
+// a running summary of old. When the reconstruction extends old, Apply
+// adds only the bytes past old to sum; otherwise, or when sum's length is
+// not old's, it rebuilds sum from the reconstruction. The check is only
+// as good as sum: a sum of other bytes of old's length would check those
+// bytes followed by the appended ones, not the reconstruction. On success
+// sum summarises the returned file; after an error it must be Reset.
+func Apply(old []byte, d *Delta, sum *Running) ([]byte, error) {
 	if d == nil {
 		return nil, errors.New("delta: nil delta")
 	}
@@ -228,7 +240,13 @@ func Apply(old []byte, d *Delta) ([]byte, error) {
 	if len(out) != d.NewLen {
 		return nil, fmt.Errorf("delta: reconstructed %d bytes, want %d", len(out), d.NewLen)
 	}
-	if md5.Sum(out) != d.NewMD5 {
+	if sum.Len() == len(old) && bytes.HasPrefix(out, old) {
+		sum.Write(out[len(old):])
+	} else {
+		sum.Reset()
+		sum.Write(out)
+	}
+	if sum.Sum() != d.NewMD5 {
 		return nil, errors.New("delta: reconstruction digest mismatch")
 	}
 	return out, nil
@@ -354,11 +372,13 @@ func Sync(old, new []byte, blockSize int) ([]byte, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	d, err := Compute(sig, new)
+	d, err := Compute(sig, new, md5.Sum(new))
 	if err != nil {
 		return nil, 0, err
 	}
-	got, err := Apply(old, d)
+	var sum Running
+	sum.Write(old)
+	got, err := Apply(old, d, &sum)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -2,6 +2,7 @@ package delta
 
 import (
 	"bytes"
+	"crypto/md5"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -172,7 +173,7 @@ func TestCopyRunCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Compute(sig, old)
+	d, err := Compute(sig, old, md5.Sum(old))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,29 +185,29 @@ func TestCopyRunCoalescing(t *testing.T) {
 func TestApplyRejectsCorruptDelta(t *testing.T) {
 	old := randBytes(8 << 10)
 	sig, _ := NewSignature(old, 1024)
-	d, err := Compute(sig, old)
+	d, err := Compute(sig, old, md5.Sum(old))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Out-of-range copy.
 	bad := *d
 	bad.Ops = []Op{{Kind: OpCopy, Block: 100, NumBlocks: 1}}
-	if _, err := Apply(old, &bad); err == nil {
+	if _, err := Apply(old, &bad, runningOf(old)); err == nil {
 		t.Error("out-of-range copy accepted")
 	}
 	// Wrong digest.
 	bad = *d
 	bad.NewMD5[0] ^= 0xff
-	if _, err := Apply(old, &bad); err == nil {
+	if _, err := Apply(old, &bad, runningOf(old)); err == nil {
 		t.Error("digest mismatch accepted")
 	}
 	// Wrong length.
 	bad = *d
 	bad.NewLen++
-	if _, err := Apply(old, &bad); err == nil {
+	if _, err := Apply(old, &bad, runningOf(old)); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := Apply(old, nil); err == nil {
+	if _, err := Apply(old, nil, runningOf(old)); err == nil {
 		t.Error("nil delta accepted")
 	}
 }
@@ -220,7 +221,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Compute(sig, new)
+	d, err := Compute(sig, new, md5.Sum(new))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Apply(old, back)
+	got, err := Apply(old, back, runningOf(old))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +253,18 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	// Trailing bytes after a valid delta.
 	old := randBytes(2048)
 	sig, _ := NewSignature(old, 1024)
-	d, _ := Compute(sig, old)
+	d, _ := Compute(sig, old, md5.Sum(old))
 	wire := append(d.Marshal(), 0xAA)
 	if _, err := UnmarshalDelta(wire); err == nil {
 		t.Error("trailing bytes accepted")
 	}
+}
+
+// runningOf returns a running summary of p, as Apply takes of its old file.
+func runningOf(p []byte) *Running {
+	var r Running
+	r.Write(p)
+	return &r
 }
 
 func randBytes(n int) []byte {
@@ -284,10 +292,11 @@ func BenchmarkComputeAppend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sum := md5.Sum(new)
 	b.SetBytes(int64(len(new)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compute(sig, new); err != nil {
+		if _, err := Compute(sig, new, sum); err != nil {
 			b.Fatal(err)
 		}
 	}

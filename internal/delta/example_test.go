@@ -2,6 +2,7 @@ package delta_test
 
 import (
 	"bytes"
+	"crypto/md5"
 	"fmt"
 
 	"frostlab/internal/delta"
@@ -33,8 +34,10 @@ func ExampleCompute() {
 	senderFile := []byte("the quick brown fox jumps over the lazy dog, twice")
 
 	sig, _ := delta.NewSignature(receiverCopy, 16)
-	d, _ := delta.Compute(sig, senderFile)
-	patched, _ := delta.Apply(receiverCopy, d)
+	d, _ := delta.Compute(sig, senderFile, md5.Sum(senderFile))
+	var old delta.Running // the receiver's summary of its own copy
+	old.Write(receiverCopy)
+	patched, _ := delta.Apply(receiverCopy, d, &old)
 	fmt.Println(string(patched))
 	// Output:
 	// the quick brown fox jumps over the lazy dog, twice

@@ -2,6 +2,7 @@ package delta
 
 import (
 	"bytes"
+	"crypto/md5"
 	"testing"
 )
 
@@ -14,7 +15,7 @@ func FuzzUnmarshalDelta(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	d, err := Compute(sig, new)
+	d, err := Compute(sig, new, md5.Sum(new))
 	if err != nil {
 		f.Fatal(err)
 	}

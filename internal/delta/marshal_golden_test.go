@@ -84,7 +84,7 @@ func TestMarshalGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := Compute(sig, c.new)
+		d, err := Compute(sig, c.new, md5.Sum(c.new))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestAppendMarshal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := Compute(sig, c.new)
+		d, err := Compute(sig, c.new, md5.Sum(c.new))
 		if err != nil {
 			t.Fatal(err)
 		}

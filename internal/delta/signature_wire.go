@@ -2,6 +2,7 @@ package delta
 
 import (
 	"bytes"
+	"crypto/md5"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -9,23 +10,29 @@ import (
 
 // Marshal serialises a signature for the wire: the receiver sends it to
 // the sender so the sender can compute a delta.
-func (s *Signature) Marshal() []byte {
-	var buf bytes.Buffer
-	var scratch [8]byte
-	putUint := func(v uint64) {
-		binary.BigEndian.PutUint64(scratch[:], v)
-		buf.Write(scratch[:])
+func (s *Signature) Marshal() []byte { return s.AppendMarshal(nil) }
+
+// MarshalSize returns the length of Marshal's output.
+func (s *Signature) MarshalSize() int { return 8 + 8 + 8 + len(s.Blocks)*(8+4+md5.Size) }
+
+// AppendMarshal appends the bytes Marshal returns to dst and returns the
+// extended slice. When dst lacks the room, it is copied once into a new
+// buffer of exactly the size needed; a caller that gives dst a capacity
+// of len(dst)+MarshalSize() puts its own header before the signature in
+// one allocation.
+func (s *Signature) AppendMarshal(dst []byte) []byte {
+	if n := s.MarshalSize(); cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
 	}
-	putUint(uint64(s.BlockSize))
-	putUint(uint64(s.FileLen))
-	putUint(uint64(len(s.Blocks)))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(s.BlockSize))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(s.FileLen))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(s.Blocks)))
 	for _, b := range s.Blocks {
-		putUint(uint64(b.Index))
-		binary.BigEndian.PutUint32(scratch[:4], b.Weak)
-		buf.Write(scratch[:4])
-		buf.Write(b.Strong[:])
+		dst = binary.BigEndian.AppendUint64(dst, uint64(b.Index))
+		dst = binary.BigEndian.AppendUint32(dst, b.Weak)
+		dst = append(dst, b.Strong[:]...)
 	}
-	return buf.Bytes()
+	return dst
 }
 
 // UnmarshalSignature parses a serialised signature.

@@ -2,6 +2,9 @@ package delta
 
 import (
 	"bytes"
+	"crypto/md5"
+	"encoding/hex"
+	"math/rand"
 	"testing"
 )
 
@@ -25,11 +28,11 @@ func TestSignatureMarshalRoundTrip(t *testing.T) {
 	}
 	// The round-tripped signature must drive a working delta.
 	new := append(append([]byte(nil), data...), []byte("tail")...)
-	d, err := Compute(back, new)
+	d, err := Compute(back, new, md5.Sum(new))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Apply(data, d)
+	got, err := Apply(data, d, runningOf(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,5 +70,39 @@ func TestUnmarshalSignatureRejectsGarbage(t *testing.T) {
 	sig, _ := NewSignature(randBytes(2048), 1024)
 	if _, err := UnmarshalSignature(append(sig.Marshal(), 0x00)); err == nil {
 		t.Error("trailing byte accepted")
+	}
+}
+
+// TestSignatureMarshalGolden pins the wire bytes of Signature.Marshal, so
+// a change to how signatures are built or serialised cannot move a byte
+// of an append request.
+func TestSignatureMarshalGolden(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	bytesOf := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	cases := []struct {
+		name string
+		data []byte
+		bs   int
+		want string // md5 of Marshal's output
+	}{
+		{"empty", nil, 2048, "5a73458d8ef227cb1dfdafe4d3db5cf1"},
+		{"short-tail", bytesOf(1006), 2048, "974ab388d8f1827d09c530403ee6b196"},
+		{"one-byte", bytesOf(1), 512, "7b9ca9fe09c22e0e47c20bb6586552ed"},
+		{"whole-blocks", bytesOf(4 << 10), 1024, "0fb28e31a92347b7e5679ce00e4fd00e"},
+		{"multi-block", bytesOf(10<<10 + 300), 2048, "d86bd25fc2ed7d791b411d31db315c87"},
+	}
+	for _, c := range cases {
+		sig, err := NewSignature(c.data, c.bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := md5.Sum(sig.Marshal())
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s: Marshal md5 %s, want %s", c.name, got, c.want)
+		}
 	}
 }

@@ -58,12 +58,12 @@ func FuzzAgentAppendFrame(f *testing.F) {
 	aSess, cSess := connectPair(f, "01")
 	go func() { _ = agent.Serve(aSess) }()
 
-	sig := func(old []byte) []byte {
+	sig := func(old []byte) *delta.Signature {
 		s, err := delta.NewSignature(old, 16)
 		if err != nil {
 			f.Fatal(err)
 		}
-		return s.Marshal()
+		return s
 	}
 	f.Add(encodeAppend(SensorLog, 0, md5.Sum(nil), sig(nil)))
 	f.Add(encodeAppend(SensorLog, 32, md5.Sum(content[:32]), sig(content[32:40])))

@@ -190,12 +190,15 @@ func decodeNamed(p []byte) (string, []byte, error) {
 	return string(p[2 : 2+n]), p[2+n:], nil
 }
 
-// encodeAppend builds an append request's payload.
-func encodeAppend(name string, off int, prefix [md5.Size]byte, sig []byte) []byte {
-	p := make([]byte, appendHeader, appendHeader+len(sig))
-	binary.BigEndian.PutUint64(p, uint64(off))
-	copy(p[8:], prefix[:])
-	return encodeNamed(name, append(p, sig...))
+// encodeAppend builds an append request's payload in one allocation.
+func encodeAppend(name string, off int, prefix [md5.Size]byte, sig *delta.Signature) []byte {
+	n := 2 + len(name) + appendHeader
+	p := make([]byte, n, n+sig.MarshalSize())
+	binary.BigEndian.PutUint16(p, uint16(len(name)))
+	copy(p[2:], name)
+	binary.BigEndian.PutUint64(p[2+len(name):], uint64(off))
+	copy(p[2+len(name)+8:], prefix[:])
+	return sig.AppendMarshal(p)
 }
 
 // Agent exports a host's FileStore to the collector.
@@ -211,11 +214,20 @@ type Agent struct {
 }
 
 // prefixHash is the md5 of a file's first n bytes, valid while the
-// store's generation is still gen.
+// store's generation is still gen, and the running summary of the file's
+// bytes from tailOff on, valid while the store's generation is still
+// tailGen: appends alone leave both unchanged.
 type prefixHash struct {
 	h   hash.Hash
 	n   int
 	gen uint64
+	// sum is h's digest buffer, kept here so that verifying a prefix
+	// does not cost a heap allocation.
+	sum [md5.Size]byte
+
+	tail    delta.Running
+	tailOff int
+	tailGen uint64
 }
 
 // NewAgent returns an agent serving the given store.
@@ -287,20 +299,22 @@ func (a *Agent) appendDelta(payload []byte) (string, *delta.Delta, error) {
 	if err != nil {
 		return name, nil, err
 	}
-	suffix, ok := a.verifiedSuffix(name, off, want)
+	suffix, sum, ok := a.verifiedSuffix(name, off, want)
 	if !ok {
 		return name, nil, nil
 	}
-	d, err := delta.Compute(sig, suffix)
+	d, err := delta.Compute(sig, suffix, sum)
 	return name, d, err
 }
 
-// verifiedSuffix returns the file's content from off on if md5 of its
-// first off bytes is want. The running prefix hash resumes where the
-// previous request left it, unless the store has seen a non-append write
-// since (which could have changed bytes already hashed) or off lies
-// behind it; then it restarts from byte 0.
-func (a *Agent) verifiedSuffix(name string, off uint64, want [md5.Size]byte) ([]byte, bool) {
+// verifiedSuffix returns the file's content from off on, and its md5, if
+// md5 of the file's first off bytes is want. The running prefix hash
+// resumes where the previous request left it, unless the store has seen a
+// non-append write since (which could have changed bytes already hashed)
+// or off lies behind it; then it restarts from byte 0. The running tail
+// summary likewise adds only the bytes appended since the previous
+// request, and restarts when off or the store's generation moved.
+func (a *Agent) verifiedSuffix(name string, off uint64, want [md5.Size]byte) (suffix []byte, sum [md5.Size]byte, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	ph := a.prefixes[name]
@@ -322,16 +336,21 @@ func (a *Agent) verifiedSuffix(name string, off uint64, want [md5.Size]byte) ([]
 		ph.n, ph.gen = 0, gen
 	}
 	if off-uint64(from) > uint64(len(data)) {
-		return nil, false // the file is shorter than the verified prefix
+		return nil, sum, false // the file is shorter than the verified prefix
 	}
 	k := int(off) - from
 	ph.h.Write(data[:k])
 	ph.n += k
-	var got [md5.Size]byte
-	if ph.h.Sum(got[:0]); got != want {
-		return nil, false
+	if ph.h.Sum(ph.sum[:0]); ph.sum != want {
+		return nil, sum, false
 	}
-	return data[k:], true
+	suffix = data[k:]
+	if ph.tailOff != int(off) || ph.tailGen != gen || ph.tail.Len() > len(suffix) {
+		ph.tail.Reset()
+		ph.tailOff, ph.tailGen = int(off), gen
+	}
+	ph.tail.Write(suffix[ph.tail.Len():])
+	return suffix, ph.tail.Sum(), true
 }
 
 // RoundStats summarises one collection round against one host.
@@ -383,6 +402,33 @@ type fileKey struct{ host, name string }
 type mirrorState struct {
 	off, trim int
 	prefix    hash.Hash
+	// sum is prefix's digest buffer, kept here so that a request does
+	// not cost a heap allocation for it.
+	sum [md5.Size]byte
+	// tail summarises the mirror's bytes from off on while tailOK, and
+	// while the mirror's generation is still gen: a round signs the
+	// tail and checks its reconstruction from the summary, and adds only
+	// the bytes it appended.
+	tail   delta.Running
+	gen    uint64
+	tailOK bool
+}
+
+// signTail returns the signature of tail, the mirror's bytes past the
+// offset a round asks from, and leaves st.tail summarising tail, or empty
+// when tail holds a whole block. kept says st.tail already summarises
+// tail; otherwise it is rebuilt. A tail shorter than a block has no block
+// the agent can match, so its delta is all literal.
+func (st *mirrorState) signTail(tail []byte, kept bool, blockSize int) (*delta.Signature, error) {
+	if len(tail) >= blockSize {
+		st.tail.Reset() // Apply rebuilds it from the reconstruction
+		return delta.NewSignature(tail, blockSize)
+	}
+	if !kept {
+		st.tail.Reset()
+		st.tail.Write(tail)
+	}
+	return st.tail.Signature(blockSize)
 }
 
 // NewCollector returns a collector using the given delta block size
@@ -561,14 +607,27 @@ func (c *Collector) syncFile(sess *wire.Session, hostID, name string, mirror *Fi
 		c.files[key] = st
 	}
 	off, trim, prefix := st.off, st.trim, st.prefix
+	// st.tail is this round's to extend or rebuild, and the next round's
+	// again only once this one commits.
+	tailOK, tailGen := st.tailOK, st.gen
+	st.tailOK = false
 	c.mu.Unlock()
 
 	var tail []byte
+	var gen uint64
 	var d *delta.Delta
 	for {
 		var ok bool
-		if tail, _, ok = mirror.From(name, off-trim); ok {
-			if d, err = c.requestAppend(sess, name, off, prefix, tail); err != nil {
+		tail, gen, ok = mirror.From(name, off-trim)
+		kept := ok && tailOK && gen == tailGen && st.tail.Len() == len(tail)
+		tailOK = false // a full resync signs other bytes
+		if ok {
+			sig, err := st.signTail(tail, kept, c.blockSize)
+			if err != nil {
+				return 0, 0, err
+			}
+			prefix.Sum(st.sum[:0])
+			if d, err = c.requestAppend(sess, name, off, st.sum, sig); err != nil {
 				return 0, 0, err
 			}
 			if d != nil {
@@ -582,16 +641,21 @@ func (c *Collector) syncFile(sess *wire.Session, hostID, name string, mirror *Fi
 		// signature, and the reply rebuilds the whole agent file.
 		off, trim, prefix = 0, 0, md5.New()
 	}
-	newTail, err := delta.Apply(tail, d)
+	newTail, err := delta.Apply(tail, d, &st.tail)
 	if err != nil {
 		return 0, 0, fmt.Errorf("monitor: applying delta for %s/%s: %w", hostID, name, err)
 	}
 	base := off - trim // the tail's position in the mirror
-	if err := mirror.Splice(name, base, newTail); err != nil {
+	// An append leaves the mirror's generation, and so st.tail, valid.
+	appended := bytes.HasPrefix(newTail, tail)
+	keepTail := appended
+	if appended {
+		mirror.Append(name, newTail[len(tail):])
+	} else if err := mirror.Splice(name, base, newTail); err != nil {
 		return 0, 0, err
 	}
 	if samples != nil {
-		if base+len(tail) > 0 && bytes.HasPrefix(newTail, tail) {
+		if base+len(tail) > 0 && appended {
 			// Append-only logs grow in place; parse only the new bytes.
 			samples.Ingest(hostID, name, newTail[len(tail):])
 		} else {
@@ -615,30 +679,31 @@ func (c *Collector) syncFile(sess *wire.Session, hostID, name string, mirror *Fi
 		}
 		mirror.Put(name, rest)
 		trim = size - len(rest)
+		keepTail = false // Put moved the mirror's generation
 	}
 	newOff := trim + (size-trim)/c.blockSize*c.blockSize
 	if newOff < off {
 		newOff = off // an eviction shifted the block grid; md5 cannot rewind
 	}
 	prefix.Write(newTail[:newOff-off])
+	if keepTail && newOff > off {
+		st.tail.Reset()
+		st.tail.Write(newTail[newOff-off:])
+	}
 	c.mu.Lock()
 	st.off, st.trim, st.prefix = newOff, trim, prefix
+	st.gen, st.tailOK = gen, keepTail
 	c.mu.Unlock()
 	return d.LiteralBytes(), size, nil
 }
 
-// requestAppend sends one append request for the mirror's tail from off
-// on and returns the agent's delta, or nil if the agent reports the
-// prefix stale. The delta's literals alias the reply frame, which Recv
-// allocated for this reply alone.
-func (c *Collector) requestAppend(sess *wire.Session, name string, off int, prefix hash.Hash, tail []byte) (*delta.Delta, error) {
-	sig, err := delta.NewSignature(tail, c.blockSize)
-	if err != nil {
-		return nil, err
-	}
-	var sum [md5.Size]byte
-	prefix.Sum(sum[:0])
-	if err := sess.Send(ftAppend, encodeAppend(name, off, sum, sig.Marshal())); err != nil {
+// requestAppend sends one append request, with the digest of the agent's
+// first off bytes and the signature of the mirror's tail from off on, and
+// returns the agent's delta, or nil if the agent reports the prefix
+// stale. The delta's literals alias the reply frame, which Recv allocated
+// for this reply alone.
+func (c *Collector) requestAppend(sess *wire.Session, name string, off int, prefix [md5.Size]byte, sig *delta.Signature) (*delta.Delta, error) {
+	if err := sess.Send(ftAppend, encodeAppend(name, off, prefix, sig)); err != nil {
 		return nil, err
 	}
 	ft, payload, err := sess.Recv()

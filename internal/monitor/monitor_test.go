@@ -251,8 +251,11 @@ func TestAgentReportsErrors(t *testing.T) {
 	agent := NewAgent("01", NewFileStore())
 	aSess, cSess := connectPair(t, "01")
 	go func() { _ = agent.Serve(aSess) }()
-	// Send an append request with a malformed signature directly.
-	if err := cSess.Send(ftAppend, encodeAppend("x", 0, md5.Sum(nil), []byte("not a signature"))); err != nil {
+	// Send an append request with a malformed signature directly: offset
+	// 0, the empty file's digest, then no signature.
+	empty := md5.Sum(nil)
+	req := append(append(make([]byte, 8), empty[:]...), "not a signature"...)
+	if err := cSess.Send(ftAppend, encodeNamed("x", req)); err != nil {
 		t.Fatal(err)
 	}
 	ft, payload, err := cSess.Recv()

@@ -13,7 +13,8 @@
 //     tampering, truncation, reordering and replay are all detected.
 //
 // wire runs over any io.ReadWriter — a real net.Conn in cmd/collectord and
-// cmd/nodeagent, a net.Pipe in tests and the in-process experiment.
+// cmd/nodeagent, a net.Pipe in tests, and package monitor's buffered
+// in-memory loopback in the in-process experiment.
 package wire
 
 import (
