@@ -59,9 +59,12 @@ type hostState struct {
 	chip   *sensors.Chip
 	disks  []*sensors.Disk
 	runner *workload.Runner
-	store  *monitor.FileStore
-	agent  *monitor.Agent
-	psk    []byte
+	// store holds the host's md5sums and sensor logs and agent serves them
+	// to the collector. Both are nil when monitoring is off: no collector
+	// would ever read the logs, so the host writes none.
+	store *monitor.FileStore
+	agent *monitor.Agent
+	psk   []byte
 	// sess is the host's monitoring session: dialled at its first
 	// collection after coming online, retired when it goes offline.
 	sess *monitor.InProcessSession
@@ -178,7 +181,8 @@ type Experiment struct {
 	// relocate transition instead of rebuilding a host slice every envStep.
 	tentW units.Watts
 	// tsBuf holds the RFC3339 timestamp of the current failure tick,
-	// formatted once per tick and shared by every host's sensor line.
+	// formatted once per tick and shared by every host's sensor line;
+	// unused when monitoring is off and the hosts keep no logs.
 	tsBuf []byte
 
 	// met is the always-on tick accounting (atomic adds on the hot path,
@@ -256,7 +260,6 @@ func New(cfg Config) (*Experiment, error) {
 		hs := &hostState{
 			host:   h,
 			chip:   sensors.NewChip(rng, h.ID, chipSusceptibility),
-			store:  monitor.NewFileStore(),
 			psk:    []byte(cfg.Seed + "/psk/" + h.ID),
 			cpuMin: units.Celsius(math.Inf(1)),
 			cpuMax: units.Celsius(math.Inf(-1)),
@@ -271,7 +274,10 @@ func New(cfg Config) (*Experiment, error) {
 			hs.disks = append(hs.disks, sensors.NewDisk(rng, h.ID, i))
 			hs.diskIDs = append(hs.diskIDs, fmt.Sprintf("%s/%d", h.ID, i))
 		}
-		hs.agent = monitor.NewAgent(h.ID, hs.store)
+		if cfg.MonitorEvery > 0 {
+			hs.store = monitor.NewFileStore()
+			hs.agent = monitor.NewAgent(h.ID, hs.store)
+		}
 		engine.RegisterHost(h.ID, h.Spec.KnownDefective)
 		// Construction stays in fleet insertion order (the RNG draws above
 		// depend on it); the dense slice is sorted by ID afterwards.
@@ -601,6 +607,9 @@ func (e *Experiment) workloadCycle(now time.Time, hs *hostState) {
 	e.met.workloadCycles.Inc()
 	corrupted := e.engine.CycleCorrupted(hs.host.ID, PaperPagesPerCycle, hs.host.Spec.ECC)
 	if !corrupted {
+		if hs.store == nil {
+			return
+		}
 		// The healthy line is timestamp + a precomputed " OK <md5>\n" tail,
 		// assembled in the host's reusable buffer (FileStore copies).
 		buf := now.UTC().AppendFormat(hs.lineBuf[:0], time.RFC3339)
@@ -612,14 +621,18 @@ func (e *Experiment) workloadCycle(now time.Time, hs *hostState) {
 	res, err := hs.runner.RunCycle(now, true)
 	if err != nil {
 		// A pipeline error here is a programming bug; record loudly.
-		hs.store.Append(monitor.MD5Log, []byte("ERROR "+err.Error()+"\n"))
+		if hs.store != nil {
+			hs.store.Append(monitor.MD5Log, []byte("ERROR "+err.Error()+"\n"))
+		}
 		return
 	}
 	hs.badHashes = append(hs.badHashes, res)
 	e.met.badHashes.Inc()
-	line := fmt.Sprintf("%s BAD %s (bad blocks %v of %d)\n",
-		now.UTC().Format(time.RFC3339), res.MD5, res.BadBlocks, res.Blocks)
-	hs.store.Append(monitor.MD5Log, []byte(line))
+	if hs.store != nil {
+		line := fmt.Sprintf("%s BAD %s (bad blocks %v of %d)\n",
+			now.UTC().Format(time.RFC3339), res.MD5, res.BadBlocks, res.Blocks)
+		hs.store.Append(monitor.MD5Log, []byte(line))
+	}
 	e.engine.LogMemoryCorruption(now, hs.host.ID,
 		fmt.Sprintf("wrong md5sum; %d of %d compression blocks corrupt", len(res.BadBlocks), res.Blocks))
 	e.logEvent(now, EventBadHash, hs.host.ID,
@@ -638,7 +651,9 @@ func (e *Experiment) failureTick(now time.Time) error {
 	e.havePrev = true
 
 	// One timestamp render serves every host's sensor line this tick.
-	e.tsBuf = now.UTC().AppendFormat(e.tsBuf[:0], time.RFC3339)
+	if e.cfg.MonitorEvery > 0 {
+		e.tsBuf = now.UTC().AppendFormat(e.tsBuf[:0], time.RFC3339)
+	}
 
 	for _, hs := range e.hosts {
 		if !hs.installed || !hs.online {
@@ -712,25 +727,28 @@ func tern[T any](c bool, a, b T) T {
 
 // watchChip narrates the §4.2.1 sensor chip story: log the first bogus
 // reading, the failed redetection, and the warm-reboot recovery; also
-// append the sensor log line the monitoring host collects.
+// record the reading and, when monitoring is on, append the sensor log
+// line the monitoring host collects.
 func (e *Experiment) watchChip(now time.Time, hs *hostState, trueCPU units.Celsius) {
 	reading, err := hs.chip.Read(trueCPU)
-	// The line is the tick's shared timestamp (e.tsBuf, rendered once in
-	// failureTick) plus the reading, built in the host's reusable buffer.
-	buf := append(hs.lineBuf[:0], e.tsBuf...)
-	switch {
-	case err != nil:
-		buf = append(buf, " cpu=ERR chip not detected\n"...)
-	default:
-		buf = append(buf, " cpu="...)
-		buf = strconv.AppendFloat(buf, float64(reading), 'f', 1, 64)
-		buf = append(buf, '\n')
-		if hs.cpuSeries != nil {
-			_ = hs.cpuSeries.Append(now, float64(reading))
-		}
+	if err == nil && hs.cpuSeries != nil {
+		_ = hs.cpuSeries.Append(now, float64(reading))
 	}
-	hs.store.Append(monitor.SensorLog, buf)
-	hs.lineBuf = buf[:0]
+	if hs.store != nil {
+		// The line is the tick's shared timestamp (e.tsBuf, rendered once
+		// in failureTick) plus the reading, built in the host's reusable
+		// buffer.
+		buf := append(hs.lineBuf[:0], e.tsBuf...)
+		if err != nil {
+			buf = append(buf, " cpu=ERR chip not detected\n"...)
+		} else {
+			buf = append(buf, " cpu="...)
+			buf = strconv.AppendFloat(buf, float64(reading), 'f', 1, 64)
+			buf = append(buf, '\n')
+		}
+		hs.store.Append(monitor.SensorLog, buf)
+		hs.lineBuf = buf[:0]
+	}
 
 	switch hs.chip.State() {
 	case sensors.ChipGlitching:

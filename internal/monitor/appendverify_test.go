@@ -273,3 +273,65 @@ func TestRetentionKeepsAgentSuffix(t *testing.T) {
 		})
 	}
 }
+
+// TestForeignMirrorWriteRepaired flips the first byte of a mirror behind
+// the collector's back. The prefix digest the collector keeps is of the
+// agent's bytes, so only the mirror's generation shows the write: the next
+// round must resync the whole file and leave the mirror equal to the
+// agent's file again.
+func TestForeignMirrorWriteRepaired(t *testing.T) {
+	const bs = 64
+	rng := rand.New(rand.NewSource(5))
+	store := NewFileStore()
+	agent := NewAgent("01", store)
+	coll := NewCollector(bs)
+	files := []string{MD5Log, SensorLog}
+	for round := 0; round < 3; round++ {
+		for _, name := range files {
+			store.Append(name, randomText(rng, 200))
+		}
+		collectOnce(t, agent, coll, "01", t0)
+	}
+	mirror := coll.Mirror("01")
+	m := mirror.Get(SensorLog)
+	m[0] ^= 1
+	mirror.Put(SensorLog, m)
+	collectOnce(t, agent, coll, "01", t0)
+	for _, name := range files {
+		if !bytes.Equal(mirror.Get(name), store.Get(name)) {
+			t.Fatalf("%s: mirror differs from the agent file after a round", name)
+		}
+	}
+}
+
+// TestRetentionEvictionIsNotForeign checks that the collector's own
+// eviction of one file does not count as a foreign write to it or to a
+// sibling file: no round resyncs, so each moves at most its appended
+// bytes and one block.
+func TestRetentionEvictionIsNotForeign(t *testing.T) {
+	const bs, retain = 64, 300
+	rng := rand.New(rand.NewSource(6))
+	store := NewFileStore()
+	agent := NewAgent("01", store)
+	coll := NewCollector(bs)
+	coll.SetRetention(retain)
+	files := []string{MD5Log, SensorLog}
+	for round := 0; round < 40; round++ {
+		appended := 0
+		for _, name := range files {
+			n := 1 + rng.Intn(2*bs)
+			store.Append(name, randomText(rng, n))
+			appended += n
+		}
+		stats := collectOnce(t, agent, coll, "01", t0)
+		if round > 0 && stats.LiteralBytes > appended+len(files)*bs {
+			t.Fatalf("round %d: %d literal bytes for %d appended bytes", round, stats.LiteralBytes, appended)
+		}
+		for _, name := range files {
+			trim := trimmedBytes(coll, "01", name)
+			if !bytes.Equal(coll.Mirror("01").Get(name), store.Get(name)[trim:]) {
+				t.Fatalf("round %d: mirror of %s is not the agent file from byte %d", round, name, trim)
+			}
+		}
+	}
+}

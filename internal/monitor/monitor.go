@@ -50,16 +50,16 @@ const (
 type FileStore struct {
 	mu    sync.Mutex
 	files map[string][]byte
-	// gen counts the writes that were not appends (Put, truncating
-	// Splice). A reader that summarised a prefix of a file at one
-	// generation knows the summary still holds while the generation is
-	// unchanged: appends never alter bytes already written.
-	gen uint64
+	// gens counts each file's writes that were not appends (Put,
+	// truncating Splice). A reader that summarised a prefix of a file at
+	// one generation knows the summary still holds while the file's
+	// generation is unchanged: appends never alter bytes already written.
+	gens map[string]uint64
 }
 
 // NewFileStore returns an empty store.
 func NewFileStore() *FileStore {
-	return &FileStore{files: make(map[string][]byte)}
+	return &FileStore{files: make(map[string][]byte), gens: make(map[string]uint64)}
 }
 
 // Append adds data to the named file, creating it if needed.
@@ -80,16 +80,23 @@ func (fs *FileStore) Get(name string) []byte {
 }
 
 // From returns a copy of the named file's content from byte off on,
-// together with the store's generation at the time of the read. ok is
+// together with the file's generation at the time of the read. ok is
 // false when the file (empty if absent) is shorter than off.
 func (fs *FileStore) From(name string, off int) (suffix []byte, gen uint64, ok bool) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	data := fs.files[name]
 	if off < 0 || off > len(data) {
-		return nil, fs.gen, false
+		return nil, fs.gens[name], false
 	}
-	return append([]byte(nil), data[off:]...), fs.gen, true
+	return append([]byte(nil), data[off:]...), fs.gens[name], true
+}
+
+// generation returns the named file's generation.
+func (fs *FileStore) generation(name string) uint64 {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.gens[name]
 }
 
 // Put replaces the named file's content.
@@ -97,7 +104,7 @@ func (fs *FileStore) Put(name string, data []byte) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.files[name] = append([]byte(nil), data...)
-	fs.gen++
+	fs.gens[name]++
 }
 
 // Splice truncates the named file to off bytes and appends data in place,
@@ -110,7 +117,7 @@ func (fs *FileStore) Splice(name string, off int, data []byte) error {
 		return fmt.Errorf("monitor: splice at %d outside %s of %d bytes", off, name, len(cur))
 	}
 	if off < len(cur) {
-		fs.gen++
+		fs.gens[name]++
 	}
 	fs.files[name] = append(cur[:off], data...)
 	return nil
@@ -398,7 +405,9 @@ type fileKey struct{ host, name string }
 // being the end of the mirror's last whole block (or a little past it,
 // after an eviction shifted the block grid). A round signs only the
 // mirror's bytes past off, and the agent diffs only its bytes past off
-// once the prefix verifies.
+// once the prefix verifies. gen is the mirror file's generation after the
+// collector's last commit: prefix describes the mirror's bytes only while
+// no one else has rewritten them.
 type mirrorState struct {
 	off, trim int
 	prefix    hash.Hash
@@ -595,9 +604,11 @@ func (c *Collector) collectHost(ctx context.Context, sess *wire.Session, hostID 
 // syncFile brings one mirrored file up to date and returns the literal
 // bytes that travelled and the agent-side file size. It asks for the
 // file's bytes past the verified prefix; if the agent reports that prefix
-// stale, it asks again from offset 0 against the whole mirror. The file's
-// state changes only once the delta has been applied, so a round cut
-// anywhere leaves the next round starting from the same baseline.
+// stale, or the mirror was rewritten by someone other than the collector
+// since its last commit, it asks again from offset 0 against the whole
+// mirror. The file's state changes only once the delta has been applied,
+// so a round cut anywhere leaves the next round starting from the same
+// baseline.
 func (c *Collector) syncFile(sess *wire.Session, hostID, name string, mirror *FileStore, samples *SampleDB, retain int) (literal, size int, err error) {
 	key := fileKey{hostID, name}
 	c.mu.Lock()
@@ -609,7 +620,7 @@ func (c *Collector) syncFile(sess *wire.Session, hostID, name string, mirror *Fi
 	off, trim, prefix := st.off, st.trim, st.prefix
 	// st.tail is this round's to extend or rebuild, and the next round's
 	// again only once this one commits.
-	tailOK, tailGen := st.tailOK, st.gen
+	tailOK, mirrorGen := st.tailOK, st.gen
 	st.tailOK = false
 	c.mu.Unlock()
 
@@ -619,9 +630,11 @@ func (c *Collector) syncFile(sess *wire.Session, hostID, name string, mirror *Fi
 	for {
 		var ok bool
 		tail, gen, ok = mirror.From(name, off-trim)
-		kept := ok && tailOK && gen == tailGen && st.tail.Len() == len(tail)
+		kept := ok && tailOK && gen == mirrorGen && st.tail.Len() == len(tail)
 		tailOK = false // a full resync signs other bytes
-		if ok {
+		// A foreign write may have changed mirror bytes before off, which
+		// the prefix digest of the agent's bytes cannot see.
+		if ok && (off == 0 || gen == mirrorGen) {
 			sig, err := st.signTail(tail, kept, c.blockSize)
 			if err != nil {
 				return 0, 0, err
@@ -679,7 +692,7 @@ func (c *Collector) syncFile(sess *wire.Session, hostID, name string, mirror *Fi
 		}
 		mirror.Put(name, rest)
 		trim = size - len(rest)
-		keepTail = false // Put moved the mirror's generation
+		keepTail = false // the next round signs the evicted mirror afresh
 	}
 	newOff := trim + (size-trim)/c.blockSize*c.blockSize
 	if newOff < off {
@@ -690,6 +703,7 @@ func (c *Collector) syncFile(sess *wire.Session, hostID, name string, mirror *Fi
 		st.tail.Reset()
 		st.tail.Write(newTail[newOff-off:])
 	}
+	gen = mirror.generation(name)
 	c.mu.Lock()
 	st.off, st.trim, st.prefix = newOff, trim, prefix
 	st.gen, st.tailOK = gen, keepTail

@@ -23,6 +23,7 @@ package weather
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"frostlab/internal/simkernel"
@@ -280,16 +281,16 @@ func (s *Synthetic) eval(t time.Time) Conditions {
 	elapsed := t.Sub(s.epoch)
 	sec := elapsed.Seconds()
 	days := elapsed.Hours() / 24
-	elev := SolarElevation(s.latitude, t)
+	hh, mm, ss := t.Clock()
+	elev := solarElevation(s.latitude, t.YearDay(), hh, mm, ss)
 	cloud := s.cloudFraction(sec)
 
 	seasonal := s.meanTemp + s.warming*days
 	temp := seasonal
 	// Diurnal cycle: coldest near 06:00, warmest near 15:00 local; its
 	// amplitude grows as the sun climbs through spring.
-	hour := float64(t.Hour()) + float64(t.Minute())/60
 	diurnalGrowth := 1 + math.Max(0, days)*0.02
-	temp += s.diurnalA * diurnalGrowth * math.Sin(2*math.Pi*(hour-10.5)/24)
+	temp += s.diurnalA * diurnalGrowth * minuteTable()[hh*60+mm].diurnal
 	temp = AddMix(temp, s.synoptic, sec)
 	temp = AddMix(temp, s.tempNoise, sec)
 	for _, c := range s.snaps {
@@ -342,16 +343,77 @@ func (s *Synthetic) cloudFraction(sec float64) float64 {
 // It uses the standard declination approximation; minute-level accuracy is
 // ample for a heat-balance model.
 func SolarElevation(latitudeDeg float64, t time.Time) float64 {
-	doy := float64(t.YearDay())
-	decl := -23.44 * math.Cos(2*math.Pi/365*(doy+10)) // degrees
-	hour := float64(t.Hour()) + float64(t.Minute())/60 + float64(t.Second())/3600
-	hourAngle := (hour - 12) * 15 // degrees
+	hh, mm, ss := t.Clock()
+	return solarElevation(latitudeDeg, t.YearDay(), hh, mm, ss)
+}
+
+// solarElevation is SolarElevation on a clock reading and day of year.
+// Whole minutes, where the simulations sample, take the declination and
+// hour-angle cosine from the calendar tables; other instants compute the
+// same expressions inline.
+func solarElevation(latitudeDeg float64, yday, hh, mm, ss int) float64 {
+	day := dayTable()[yday]
+	var cosH float64
+	if ss == 0 {
+		cosH = minuteTable()[hh*60+mm].cosHourAngle
+	} else {
+		cosH = cosHourAngle(float64(hh) + float64(mm)/60 + float64(ss)/3600)
+	}
 	lat := latitudeDeg * math.Pi / 180
-	d := decl * math.Pi / 180
-	h := hourAngle * math.Pi / 180
-	sinElev := math.Sin(lat)*math.Sin(d) + math.Cos(lat)*math.Cos(d)*math.Cos(h)
+	sinElev := math.Sin(lat)*day.sinDecl + math.Cos(lat)*day.cosDecl*cosH
 	return math.Asin(sinElev) * 180 / math.Pi
 }
+
+// declination returns the sine and cosine of the sun's declination on day
+// of year doy.
+func declination(doy int) (sin, cos float64) {
+	decl := -23.44 * math.Cos(2*math.Pi/365*(float64(doy)+10)) // degrees
+	d := decl * math.Pi / 180
+	return math.Sin(d), math.Cos(d)
+}
+
+// cosHourAngle returns the cosine of the sun's hour angle at hour of day
+// hour.
+func cosHourAngle(hour float64) float64 {
+	hourAngle := (hour - 12) * 15 // degrees
+	return math.Cos(hourAngle * math.Pi / 180)
+}
+
+// dayTrig and minuteTrig hold the calendar trig that depends only on the
+// day of the year or the minute of the day.
+type dayTrig struct{ sinDecl, cosDecl float64 }
+
+type minuteTrig struct {
+	cosHourAngle float64
+	// diurnal is the phase of Synthetic's daily temperature cycle,
+	// sin(2π(hour−10.5)/24).
+	diurnal float64
+}
+
+// dayTable and minuteTable are built once per process, by whichever model
+// first asks, and are read-only afterwards, so every model and clone
+// shares them without a lock. dayTable is indexed by day of year (1..366),
+// minuteTable by minute of day.
+var (
+	dayTable = sync.OnceValue(func() *[367]dayTrig {
+		var tab [367]dayTrig
+		for doy := 1; doy < len(tab); doy++ {
+			tab[doy].sinDecl, tab[doy].cosDecl = declination(doy)
+		}
+		return &tab
+	})
+	minuteTable = sync.OnceValue(func() *[24 * 60]minuteTrig {
+		var tab [24 * 60]minuteTrig
+		for i := range tab {
+			hour := float64(i/60) + float64(i%60)/60
+			tab[i] = minuteTrig{
+				cosHourAngle: cosHourAngle(hour),
+				diurnal:      math.Sin(2 * math.Pi * (hour - 10.5) / 24),
+			}
+		}
+		return &tab
+	})
+)
 
 // ClearSkyIrradiance returns an approximate clear-sky global horizontal
 // irradiance in W/m² for the given solar elevation in degrees, using a
