@@ -128,7 +128,9 @@ type Experiment struct {
 	cfg   Config
 	rng   *simkernel.RNG
 	sched *simkernel.Scheduler
-	wx    weather.Model
+	// wx is a *weather.Ahead over the model when the model is a
+	// weather.Cloner, and the model itself otherwise.
+	wx weather.Model
 
 	tent     *thermal.Tent
 	basement *thermal.Basement
@@ -206,6 +208,9 @@ func New(cfg Config) (*Experiment, error) {
 	wx := cfg.Weather
 	if wx == nil {
 		wx = weather.ReferenceWinter0910(cfg.Seed)
+	}
+	if c, ok := wx.(weather.Cloner); ok {
+		wx = weather.NewAhead(c, cfg.Start, cfg.End, envStep)
 	}
 	tent := thermal.NewTent()
 	engine := failure.NewEngine(rng)
@@ -369,6 +374,13 @@ func (e *Experiment) RunContext(ctx context.Context) (*Results, error) {
 	}
 	stopPacking := e.packs.PackAhead(seeds, cfg.WorkloadFiles, cfg.WorkloadBytes, cfg.WorkloadBlockSize)
 	defer stopPacking()
+	// The outside conditions are a pure function of time too, so a third
+	// goroutine evaluates the coming minutes' weather on a clone of the
+	// model; every At on the grid is served from its ring.
+	if ahead, ok := e.wx.(*weather.Ahead); ok {
+		stopWeather := ahead.Start()
+		defer stopWeather()
+	}
 	// Monitoring sessions span rounds but never the run: a completed run
 	// retires them at its horizon, and one that stops early closes them.
 	defer e.closeSessions()

@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"frostlab/internal/weather"
 )
 
 // pollCancelled is a context that reports cancellation from its second
@@ -44,42 +47,74 @@ func checkGoroutines(t *testing.T, base int, what string) {
 	}
 }
 
+// producerCount wraps the reference weather and counts the At calls of
+// its clones, which in a classic run only the weather producer evaluates.
+type producerCount struct {
+	weather.Cloner
+	calls *atomic.Int64
+	clone bool
+}
+
+func (p producerCount) At(t time.Time) weather.Conditions {
+	if p.clone {
+		p.calls.Add(1)
+	}
+	return p.Cloner.At(t)
+}
+
+func (p producerCount) CloneModel() weather.Model {
+	return producerCount{p.Cloner.CloneModel().(weather.Cloner), p.calls, true}
+}
+
 // TestPackAheadGoroutineJoined checks that no goroutine outlives a run:
-// the goroutine count returns to its baseline after a completed run, a run
-// cancelled after its first installs, and an experiment built but never
-// run.
+// neither the pack-ahead goroutine nor the weather producer. The goroutine
+// count returns to its baseline after a completed run, a run cancelled
+// after its first installs, a run that fails fast at its first install,
+// and an experiment built but never run. Each run must have started the
+// weather producer.
 func TestPackAheadGoroutineJoined(t *testing.T) {
 	base := runtime.NumGoroutine()
+	run := func(cfg Config, ctx context.Context, what string) error {
+		t.Helper()
+		calls := new(atomic.Int64)
+		cfg.Weather = producerCount{Cloner: weather.ReferenceWinter0910(cfg.Seed), calls: calls}
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = e.RunContext(ctx)
+		if calls.Load() == 0 {
+			t.Errorf("%s: the weather producer never ran", what)
+		}
+		checkGoroutines(t, base, what)
+		return err
+	}
 	cfg := shortConfig("pack-ahead")
 	cfg.MonitorEvery = 0
-
-	e, err := New(cfg)
-	if err != nil {
+	if err := run(cfg, context.Background(), "completed run"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	checkGoroutines(t, base, "completed run")
 
 	// The full horizon queues every host's tree, and 1 MiB trees keep the
 	// packer busy long after the run stops unless RunContext joins it.
-	cfg = referenceConfig()
-	cfg.WorkloadBytes = 1 << 20
-	e, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := referenceConfig()
+	full.WorkloadBytes = 1 << 20
 	ctx := &pollCancelled{Context: context.Background()}
-	if _, err := e.RunContext(ctx); err != context.Canceled {
+	if err := run(full, ctx, "cancelled run"); err != context.Canceled {
 		t.Fatalf("cancelled run: err %v, want context.Canceled", err)
 	}
 	if ctx.polls < 2 {
 		t.Fatalf("context polled %d times; the run never reached its first installs", ctx.polls)
 	}
-	checkGoroutines(t, base, "cancelled run")
 
-	if _, err := New(cfg); err != nil {
+	// A block size the FBZ header cannot carry fails the first install.
+	bad := cfg
+	bad.WorkloadBlockSize = 1 << 33
+	if err := run(bad, context.Background(), "failed-fast run"); err == nil {
+		t.Fatal("failed-fast run: no error")
+	}
+
+	if _, err := New(full); err != nil {
 		t.Fatal(err)
 	}
 	checkGoroutines(t, base, "New without Run")

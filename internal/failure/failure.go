@@ -185,6 +185,11 @@ type Engine struct {
 	// diskStreams interns "disk/"+diskID per drive on first step.
 	diskStreams map[string]string
 	log         []Event
+	// corruptPages and corruptProb memoise PageCorruptionProb for the page
+	// count CycleCorrupted last saw: every cycle of a run touches the same
+	// number of pages.
+	corruptPages int64
+	corruptProb  float64
 }
 
 // NewEngine returns an engine drawing from rng.
@@ -286,12 +291,14 @@ func (e *Engine) CycleCorrupted(hostID string, pages int64, ecc bool) bool {
 	if ecc || pages <= 0 {
 		return false
 	}
-	p := PageCorruptionProb(pages)
+	if pages != e.corruptPages {
+		e.corruptPages, e.corruptProb = pages, PageCorruptionProb(pages)
+	}
 	stream, ok := e.memStream(hostID)
 	if !ok {
 		stream = "mem/" + hostID // unregistered host: preserve the old name
 	}
-	return e.rng.Bernoulli(stream, p)
+	return e.rng.Bernoulli(stream, e.corruptProb)
 }
 
 // LogMemoryCorruption records a bad-hash incident.

@@ -2,6 +2,7 @@ package failure
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -266,6 +267,25 @@ func TestCycleCorruptedRate(t *testing.T) {
 	}
 	if bad < 1 || bad > 14 {
 		t.Errorf("%d corrupted cycles in 27627, want ≈ 5.6 (paper: 5)", bad)
+	}
+}
+
+// TestCycleCorruptedMemo holds the memoised corruption probability to
+// PageCorruptionProb bit for bit, across changes of page count, and the
+// draws to the ones the straight-line computation makes.
+func TestCycleCorruptedMemo(t *testing.T) {
+	e, ref := newEngine(t, "memo"), newEngine(t, "memo")
+	pagesPerCycle := int64(3.2e9) / 27627
+	for i, pages := range []int64{pagesPerCycle, 1, pagesPerCycle, 1e9, 1e9, pagesPerCycle} {
+		for j := 0; j < 500; j++ {
+			got := e.CycleCorrupted("01", pages, false)
+			if want := ref.rng.Bernoulli("mem/01", PageCorruptionProb(pages)); got != want {
+				t.Fatalf("step %d draw %d: %v, straight-line draw %v", i, j, got, want)
+			}
+		}
+		if got, want := math.Float64bits(e.corruptProb), math.Float64bits(PageCorruptionProb(pages)); got != want {
+			t.Fatalf("step %d: memoised probability bits %#x, want %#x", i, got, want)
+		}
 	}
 }
 

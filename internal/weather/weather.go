@@ -15,6 +15,11 @@
 //     real station data can be substituted for the synthetic model without
 //     touching any downstream code.
 //
+// A model that implements Cloner promises that each clone's At is a pure
+// function of t, because clones are evaluated ahead of time on other
+// goroutines: the sharded engine steps one per shard, and the classic
+// engine has Ahead fill a ring of upcoming minutes on a second core.
+//
 // The reference model ReferenceWinter0910 is calibrated against the values
 // the paper reports: the prototype weekend (Feb 12–15, 2010) averaging
 // −9.2 °C with a minimum of −10.2 °C, and a season minimum of −22 °C.
@@ -47,10 +52,12 @@ type Model interface {
 }
 
 // Cloner is a Model that can produce independent copies of itself. The
-// sharded core engine clones its weather model once per shard: conditions
-// are a pure function of time, but models may memoize (Synthetic does), so
-// concurrent shards need private copies to stay race-free while observing
-// identical sample paths.
+// sharded core engine clones its weather model once per shard, and the
+// classic engine evaluates a clone ahead of time on another goroutine
+// (see Ahead). A clone's At must therefore be a pure function of t: models
+// may memoize (Synthetic does), so concurrent users need private copies to
+// stay race-free, but every copy must return the same Conditions for the
+// same instant, whenever and in whatever order it is asked.
 type Cloner interface {
 	Model
 	CloneModel() Model
@@ -251,9 +258,11 @@ func ReferenceWinter0910(seed string) *Synthetic {
 // failure step, and station sampler all land on the same minute, so the
 // harmonic mixture is evaluated once per simulated instant instead of once
 // per subsystem. The memo makes At unsafe for concurrent use on a shared
-// model (each replicate constructs its own).
+// model (each replicate constructs its own). The memo matches the
+// Location as well as the instant, since the clock and the day of year
+// that eval reads depend on it.
 func (s *Synthetic) At(t time.Time) Conditions {
-	if s.memoOK && t.Equal(s.memoT) {
+	if s.memoOK && t.Equal(s.memoT) && t.Location() == s.memoT.Location() {
 		return s.memoC
 	}
 	c := s.eval(t)

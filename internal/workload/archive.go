@@ -11,7 +11,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sync"
 	"time"
 )
 
@@ -73,18 +72,37 @@ func WriteTar(w io.Writer, tree *SourceTree) error {
 	return tw.Close()
 }
 
-// fbzWriters pools DEFLATE compressors at BestCompression. A
-// flate.Writer carries about 0.7 MB of hash chains and window, so building
-// one per block dominated packing's allocations. Reset leaves a writer
-// equivalent to a fresh NewWriter at the same level, so pooled output is
-// byte-identical.
-var fbzWriters = sync.Pool{New: func() any {
+// fbzWriters is a free list of up to four idle DEFLATE compressors at
+// BestCompression. A flate.Writer carries about 0.8 MB of hash chains and
+// window, so building one per block dominated packing's allocations. It is
+// a buffered channel rather than a sync.Pool because a GC empties a Pool,
+// and rebuilding the writer made identical runs allocate different
+// amounts. Reset leaves a writer equivalent to a fresh NewWriter at the
+// same level, so reused output is byte-identical.
+var fbzWriters = make(chan *flate.Writer, 4)
+
+// getFBZWriter takes an idle compressor, or builds one when none is idle.
+func getFBZWriter() *flate.Writer {
+	select {
+	case fw := <-fbzWriters:
+		return fw
+	default:
+	}
 	fw, err := flate.NewWriter(nil, flate.BestCompression)
 	if err != nil {
 		panic(err) // unreachable: BestCompression is a valid level
 	}
 	return fw
-}}
+}
+
+// putFBZWriter returns a compressor to the free list, or drops it when
+// the list is full.
+func putFBZWriter(fw *flate.Writer) {
+	select {
+	case fbzWriters <- fw:
+	default:
+	}
+}
 
 // CompressFBZ compresses a stream into the FBZ block format: a file magic
 // followed by independently DEFLATE-compressed blocks of blockSize
@@ -99,8 +117,8 @@ func CompressFBZ(w io.Writer, r io.Reader, blockSize int) (blocks int, err error
 	if _, err := w.Write(fbzFileMagic); err != nil {
 		return 0, err
 	}
-	fw := fbzWriters.Get().(*flate.Writer)
-	defer fbzWriters.Put(fw)
+	fw := getFBZWriter()
+	defer putFBZWriter(fw)
 	var comp bytes.Buffer
 	buf := make([]byte, blockSize)
 	for {

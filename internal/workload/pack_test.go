@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -143,6 +144,28 @@ func avgAllocBytes(n int, f func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestCompressFBZWriterSurvivesGC checks that a GC does not cost the
+// next CompressFBZ its compressor: with the writers in a sync.Pool, two
+// collections emptied it and the call rebuilt an 0.8 MB flate.Writer.
+func TestCompressFBZWriterSurvivesGC(t *testing.T) {
+	data := bytes.Repeat([]byte("frostlab "), 1000)
+	compress := func() {
+		if _, err := CompressFBZ(io.Discard, bytes.NewReader(data), 4<<10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compress()
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	compress()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 100<<10 {
+		t.Errorf("CompressFBZ after two GCs allocates %d bytes, want <= 100 KB", got)
+	}
 }
 
 // TestPackAllocations bounds the garbage of the install-time pack and the
