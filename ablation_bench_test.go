@@ -27,12 +27,13 @@ func BenchmarkAblationECC(b *testing.B) {
 	var withECC, withoutECC int
 	for i := 0; i < b.N; i++ {
 		eng := failure.NewEngine(simkernel.NewRNG("ablation-ecc"))
+		host := eng.RegisterHost("host", false)
 		withECC, withoutECC = 0, 0
 		for c := 0; c < 27627; c++ {
-			if eng.CycleCorrupted("host", 115828, false) {
+			if eng.CycleCorrupted(host, 115828, false) {
 				withoutECC++
 			}
-			if eng.CycleCorrupted("host", 115828, true) {
+			if eng.CycleCorrupted(host, 115828, true) {
 				withECC++
 			}
 		}

@@ -80,18 +80,19 @@ func reportPerHostHour(b *testing.B, hosts int, cfg core.Config) {
 	b.ReportMetric(perRun/(float64(hosts)*hours), "ns/host-hour")
 }
 
-// gateSamples is how many pairs of runs a paired gate times per
-// benchmark iteration, so even a one-iteration run judges a median of
-// five.
-const gateSamples = 5
+// gatePairs is the fewest pairs of runs a paired gate times, however
+// small b.N is. At the default benchtime a gate runs one or two
+// iterations, and a median of five or six ratios let one noisy pair fail
+// a gate with no real shift.
+const gatePairs = 15
 
 // overheadBudgetPct is the most an instrumented run may cost over its
 // bare twin. The instruments are scrape-time views over counters the
 // engines already maintain, so the hot path gains no allocations.
 const overheadBudgetPct = 5.0
 
-// medianRatio times base and arm back to back, gateSamples pairs per
-// iteration, alternating which goes first and starting each from a
+// medianRatio times base and arm back to back, max(gatePairs, b.N)
+// pairs, alternating which goes first and starting each from a
 // freshly collected heap, and returns the median over pairs of arm's
 // wall time divided by base's. Pairing cancels machine drift between
 // samples; the median ignores a sample a noisy neighbour hit.
@@ -103,7 +104,7 @@ func medianRatio(b *testing.B, base, arm func()) float64 {
 		f()
 		return float64(time.Since(t0))
 	}
-	ratios := make([]float64, b.N*gateSamples)
+	ratios := make([]float64, max(gatePairs, b.N))
 	for i := range ratios {
 		var tb, ta float64
 		if i%2 == 0 {

@@ -350,7 +350,7 @@ func TestRepSeedsDistinct(t *testing.T) {
 		seenSeed[seed] = true
 		rng := simkernel.NewRNG(seed)
 		for _, s := range streams {
-			v := rng.Uniform(s, 0, 1)
+			v := rng.Stream(s).Uniform(0, 1)
 			if prev, dup := seenDraw[s][v]; dup {
 				t.Fatalf("stream %q: replicates %d and %d drew identical first value %v", s, prev, i, v)
 			}

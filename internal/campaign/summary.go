@@ -256,7 +256,7 @@ func (s *Spec) aggregate(label string, sums []RunSummary) *PointAggregate {
 	}
 
 	rng := simkernel.NewRNG(s.Seed + "/campaign-bootstrap/" + label)
-	if lo, hi, err := stats.BootstrapRateMeanCI(rng, "tent-rate", agg.TentPerRep, s.BootstrapIters); err == nil {
+	if lo, hi, err := stats.BootstrapRateMeanCI(rng.Stream("tent-rate"), agg.TentPerRep, s.BootstrapIters); err == nil {
 		agg.TentMeanLo, agg.TentMeanHi = lo, hi
 		agg.HaveTentMean = true
 	}

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 
 	"frostlab/internal/simkernel"
 )
@@ -14,7 +13,8 @@ import (
 // loop survives its own actuators. Faults are drawn per control tick from
 // one cached RNG stream per actuator — the control loop is single-threaded
 // and steps actuators in a fixed order, so a sequential stream is exactly
-// reproducible and the draw allocates nothing on the tick path.
+// reproducible and, once seeded, the draw allocates nothing on the tick
+// path.
 
 // ActuatorKind enumerates injectable actuator faults.
 type ActuatorKind int
@@ -89,7 +89,7 @@ func (s ActuatorSpec) Validate() error {
 
 // actState is the persistent fault state of one named actuator.
 type actState struct {
-	stream *rand.Rand
+	stream *simkernel.Stream
 	kind   ActuatorKind
 	left   int
 }
@@ -114,9 +114,10 @@ func NewActuator(spec ActuatorSpec) (*ActuatorInjector, error) {
 	}, nil
 }
 
-// Register creates the actuator's RNG stream up front so the per-tick draw
-// allocates nothing. FaultFor registers lazily, but a controller that must
-// hold a zero-allocation tick budget should Register at setup.
+// Register resolves the actuator's RNG stream handle up front, so a tick
+// allocates nothing once the stream's first draw has seeded it. FaultFor
+// registers lazily, but a controller that must hold a zero-allocation tick
+// budget should Register at setup.
 func (in *ActuatorInjector) Register(name string) {
 	in.state(name)
 }
@@ -150,7 +151,7 @@ func (in *ActuatorInjector) FaultFor(name string, tick int) ActuatorFault {
 	if in.spec.PStick+in.spec.PLag == 0 {
 		return ActuatorFault{}
 	}
-	u := st.stream.Float64()
+	u := st.stream.Uniform(0, 1)
 	switch {
 	case u < in.spec.PStick:
 		st.kind = ActStuck

@@ -189,10 +189,11 @@ func (in *Injector) FaultFor(host string, round, attempt int) Fault {
 	if s.PRefuse+s.PStallRead+s.PCut+s.PCorrupt == 0 {
 		return Fault{}
 	}
-	stream := fmt.Sprintf("fault/%s/r%d/a%d", host, round, attempt)
+	name := fmt.Sprintf("fault/%s/r%d/a%d", host, round, attempt)
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	u := in.rng.Uniform(stream, 0, 1)
+	stream := in.rng.Stream(name)
+	u := stream.Uniform(0, 1)
 	f := Fault{StallDelay: s.StallDelay}
 	switch {
 	case u < s.PRefuse:
@@ -202,14 +203,14 @@ func (in *Injector) FaultFor(host string, round, attempt int) Fault {
 	case u < s.PRefuse+s.PStallRead+s.PCut:
 		f.Kind = Cut
 		// Somewhere inside the handshake or the first frames.
-		f.CutAfter = in.rng.Pick(stream, 512)
+		f.CutAfter = stream.Pick(512)
 	case u < s.PRefuse+s.PStallRead+s.PCut+s.PCorrupt:
 		f.Kind = Corrupt
 		// Offsets below ~68 land in the handshake (rejected as ErrAuth);
 		// later offsets land in frames (rejected as ErrTampered). Both
 		// are detected failures; neither may be silently accepted.
-		f.CorruptOffset = in.rng.Pick(stream, 4096)
-		f.CorruptBit = uint8(in.rng.Pick(stream, 8))
+		f.CorruptOffset = stream.Pick(4096)
+		f.CorruptBit = uint8(stream.Pick(8))
 	default:
 		return Fault{}
 	}
@@ -226,10 +227,10 @@ func (in *Injector) StaleConn(host string, round int) bool {
 	if in.spec.PStaleConn == 0 {
 		return false
 	}
-	stream := fmt.Sprintf("pool/%s/r%d", host, round)
+	name := fmt.Sprintf("pool/%s/r%d", host, round)
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return in.rng.Bernoulli(stream, in.spec.PStaleConn)
+	return in.rng.Stream(name).Bernoulli(in.spec.PStaleConn)
 }
 
 func inRanges(ranges []RoundRange, round int) bool {

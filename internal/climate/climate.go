@@ -248,16 +248,16 @@ func build(f Family, p Params, epoch time.Time, seed string) (weather.Model, err
 	case overlayFog:
 		// Fog index wanders on synoptic-ish scales; banks roll in when it
 		// exceeds the threshold, more often at higher stress.
-		ov.index = weather.Mix(rng, "fog", 5, 1, 0.5, 18*time.Hour, 4*24*time.Hour)
+		ov.index = weather.Mix(rng.Stream("fog"), 5, 1, 0.5, 18*time.Hour, 4*24*time.Hour)
 		ov.threshold = 0.55 - 0.35*p.Stress
 	case overlayMonsoon:
 		// Onset ramps in after two weeks; bursts modulate within the season.
-		ov.index = weather.Mix(rng, "burst", 4, 1, 0.5, 9*time.Hour, 3*24*time.Hour)
+		ov.index = weather.Mix(rng.Stream("burst"), 4, 1, 0.5, 9*time.Hour, 3*24*time.Hour)
 		ov.onset = epoch.AddDate(0, 0, 14)
 		ov.ramp = 5 * 24 * time.Hour
 	case overlayTropical:
 		// Small wandering component on top of the deterministic night cycle.
-		ov.index = weather.Mix(rng, "night", 3, 1, 0.5, 12*time.Hour, 2*24*time.Hour)
+		ov.index = weather.Mix(rng.Stream("night"), 3, 1, 0.5, 12*time.Hour, 2*24*time.Hour)
 	}
 	return ov, nil
 }

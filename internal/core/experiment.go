@@ -91,12 +91,13 @@ type hostState struct {
 
 	// Hot-path caches: the thermal response and draw at the current duty
 	// level (fixed for the run unless the control plane switches levels),
-	// the per-disk failure-engine IDs, and the " OK <reference md5>\n"
-	// tail of the healthy workload log line.
-	profile  thermal.Profile
-	power    units.Watts
-	diskIDs  []string
-	okSuffix []byte
+	// the host's and its disks' failure-engine handles, and the
+	// " OK <reference md5>\n" tail of the healthy workload log line.
+	profile   thermal.Profile
+	power     units.Watts
+	fail      *failure.Host
+	failDisks []*failure.Disk
+	okSuffix  []byte
 	// profiles and powers are the per-duty-level variants of profile and
 	// power, precomputed by setupControl; unused in open-loop runs.
 	profiles [control.NumDutyLevels]thermal.Profile
@@ -277,13 +278,17 @@ func New(cfg Config) (*Experiment, error) {
 		hs.power = h.Spec.Power(dutyCycle)
 		for i := 0; i < h.Spec.Layout.DiskCount(); i++ {
 			hs.disks = append(hs.disks, sensors.NewDisk(rng, h.ID, i))
-			hs.diskIDs = append(hs.diskIDs, fmt.Sprintf("%s/%d", h.ID, i))
+			d, err := engine.RegisterDisk(fmt.Sprintf("%s/%d", h.ID, i), cfg.Disk)
+			if err != nil {
+				return nil, err
+			}
+			hs.failDisks = append(hs.failDisks, d)
 		}
 		if cfg.MonitorEvery > 0 {
 			hs.store = monitor.NewFileStore()
 			hs.agent = monitor.NewAgent(h.ID, hs.store)
 		}
-		engine.RegisterHost(h.ID, h.Spec.KnownDefective)
+		hs.fail = engine.RegisterHost(h.ID, h.Spec.KnownDefective)
 		// Construction stays in fleet insertion order (the RNG draws above
 		// depend on it); the dense slice is sorted by ID afterwards.
 		e.hosts = append(e.hosts, hs)
@@ -617,7 +622,7 @@ func (e *Experiment) workloadCycle(now time.Time, hs *hostState) {
 	}
 	hs.cycles++
 	e.met.workloadCycles.Inc()
-	corrupted := e.engine.CycleCorrupted(hs.host.ID, PaperPagesPerCycle, hs.host.Spec.ECC)
+	corrupted := e.engine.CycleCorrupted(hs.fail, PaperPagesPerCycle, hs.host.Spec.ECC)
 	if !corrupted {
 		if hs.store == nil {
 			return
@@ -694,8 +699,7 @@ func (e *Experiment) failureTick(now time.Time) error {
 				continue
 			}
 			d.Observe(failureStep, temps.Disk)
-			ev, err := e.engine.StepDisk(now, failureStep,
-				hs.diskIDs[i], temps.Disk, e.cfg.Disk)
+			ev, err := e.engine.StepDisk(now, failureStep, hs.failDisks[i], temps.Disk)
 			if err != nil {
 				return err
 			}
@@ -717,7 +721,7 @@ func (e *Experiment) failureTick(now time.Time) error {
 			TempRatePerHour: tern(hs.host.Location == hardware.Tent && !hs.relocated, ratePerHour, 0),
 			Condensing:      units.CondensationRisk(ambient, rh, temps.CaseAir),
 		}
-		ev, err := e.engine.StepHost(now, failureStep, hs.host.ID, stress)
+		ev, err := e.engine.StepHost(now, failureStep, hs.fail, stress)
 		if err != nil {
 			return err
 		}

@@ -283,6 +283,7 @@ func NewSharded(cfg Config, shards int) (*ShardedExperiment, error) {
 	e.diskDead = make([]bool, n*e.nDisks)
 	e.aliveDisks = make([]uint8, n)
 
+	weak := e.master.Stream("scale/weak")
 	for i, h := range hosts {
 		e.ids[i] = h.ID
 		e.installedAt[i] = h.InstalledAt
@@ -292,7 +293,7 @@ func NewSharded(cfg Config, shards int) (*ShardedExperiment, error) {
 		// shard count. (The classic engine's per-host "weak/"+id streams
 		// would each pay math/rand's ~0.1ms seeding; at 100k hosts that is
 		// the whole wall-clock budget.)
-		e.weak[i] = e.master.Bernoulli("scale/weak", failure.WeakFraction(h.Spec.KnownDefective))
+		e.weak[i] = weak.Bernoulli(failure.WeakFraction(h.Spec.KnownDefective))
 		e.online[i] = true
 		e.downTick[i] = -1
 		e.transTick[2*i], e.transTick[2*i+1] = -1, -1

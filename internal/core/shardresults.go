@@ -108,6 +108,10 @@ func (e *ShardedExperiment) assemble() (*Results, error) {
 	// sorted fleet order.
 	horizonTicks := int32(e.numTicks)
 	blocks := int(cfg.WorkloadBytes) / cfg.WorkloadBlockSize
+	// One shared stream, drawn in sorted fleet order by the
+	// single-threaded assembly — same reasoning (and the same per-host
+	// seeding cost being avoided) as the weak lottery.
+	mem := e.master.Stream("scale/mem")
 	var tentFailed int
 	for i, id := range e.ids {
 		ti, si := int(e.tentOf[i]), int(e.specOf[i])
@@ -144,15 +148,11 @@ func (e *ShardedExperiment) assemble() (*Results, error) {
 		r.TotalCycles += cycles
 
 		if !sp.ecc {
-			// One shared stream, drawn in sorted fleet order by the
-			// single-threaded assembly — same reasoning (and the same
-			// per-host seeding cost being avoided) as the weak lottery.
-			const stream = "scale/mem"
 			mean := float64(cycles) * failure.PageCorruptionProb(PaperPagesPerCycle)
-			n := e.master.Poisson(stream, mean)
+			n := mem.Poisson(mean)
 			ats := make([]time.Time, 0, n)
 			for k := 0; k < n; k++ {
-				sec := e.master.Uniform(stream, 0, cfg.End.Sub(cfg.Start).Seconds())
+				sec := mem.Uniform(0, cfg.End.Sub(cfg.Start).Seconds())
 				ats = append(ats, cfg.Start.Add(time.Duration(sec*float64(time.Second))))
 			}
 			sort.Slice(ats, func(a, b int) bool { return ats[a].Before(ats[b]) })
@@ -160,7 +160,7 @@ func (e *ShardedExperiment) assemble() (*Results, error) {
 				cr := workload.CycleResult{
 					HostID:    id,
 					At:        at,
-					BadBlocks: []int{e.master.Pick(stream, blocks)},
+					BadBlocks: []int{mem.Pick(blocks)},
 					Blocks:    blocks,
 				}
 				rep.BadHashes = append(rep.BadHashes, cr)

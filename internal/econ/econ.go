@@ -100,7 +100,7 @@ func NewSynthetic(cfg TariffConfig) (*Synthetic, error) {
 	rng := simkernel.NewRNG(cfg.Seed)
 	return &Synthetic{
 		cfg:    cfg,
-		wander: weather.Mix(rng, "price", 5, cfg.Volatility, 0.4, 7*time.Hour, 6*24*time.Hour),
+		wander: weather.Mix(rng.Stream("price"), 5, cfg.Volatility, 0.4, 7*time.Hour, 6*24*time.Hour),
 	}, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"frostlab/internal/simkernel"
 	"frostlab/internal/units"
 )
 
@@ -63,31 +64,40 @@ func (p DiskParams) HazardPerHour(temp units.Celsius) float64 {
 	return h
 }
 
-// StepDisk advances one drive by dt at the given platter temperature and
-// returns a Hard failure event if the drive died. diskID should be unique
-// per drive (e.g. "01/2").
-func (e *Engine) StepDisk(now time.Time, dt time.Duration, diskID string, temp units.Celsius, p DiskParams) (*Event, error) {
-	if dt <= 0 {
-		return nil, fmt.Errorf("failure: non-positive disk step %v", dt)
-	}
+// Disk is a registered drive's handle: its validated hazard parameters
+// and its failure stream.
+type Disk struct {
+	id     string
+	params DiskParams
+	stream *simkernel.Stream // "disk/<id>"
+}
+
+// RegisterDisk validates a drive's hazard parameters once and returns its
+// handle. diskID should be unique per drive (e.g. "01/2").
+func (e *Engine) RegisterDisk(diskID string, p DiskParams) (*Disk, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	h := p.HazardPerHour(temp)
-	pFail := 1 - expNeg(h*dt.Hours())
-	// Intern the stream name once per drive: StepDisk runs for every disk
-	// on every failure tick, and the name is stable for the drive's life.
-	stream, ok := e.diskStreams[diskID]
-	if !ok {
-		stream = "disk/" + diskID
-		e.diskStreams[diskID] = stream
+	return &Disk{id: diskID, params: p, stream: e.rng.Stream("disk/" + diskID)}, nil
+}
+
+// StepDisk advances one registered drive by dt at the given platter
+// temperature and returns a Hard failure event if the drive died.
+func (e *Engine) StepDisk(now time.Time, dt time.Duration, d *Disk, temp units.Celsius) (*Event, error) {
+	if d == nil {
+		return nil, fmt.Errorf("failure: step of an unregistered disk")
 	}
-	if !e.rng.Bernoulli(stream, pFail) {
+	if dt <= 0 {
+		return nil, fmt.Errorf("failure: non-positive disk step %v", dt)
+	}
+	h := d.params.HazardPerHour(temp)
+	pFail := 1 - expNeg(h*dt.Hours())
+	if !d.stream.Bernoulli(pFail) {
 		return nil, nil
 	}
 	ev := Event{
 		At:        now,
-		SubjectID: diskID,
+		SubjectID: d.id,
 		Component: DiskDrive,
 		Kind:      Hard,
 		Detail:    fmt.Sprintf("drive failure at %v (hazard %.2e/h)", temp, h),

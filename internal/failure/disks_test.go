@@ -21,13 +21,33 @@ func TestDiskParamsValidation(t *testing.T) {
 
 func TestStepDiskValidation(t *testing.T) {
 	e := newEngine(t, "disk-validate")
-	if _, err := e.StepDisk(t0, 0, "01/0", 30, DefaultDiskParams()); err == nil {
+	d, err := e.RegisterDisk("01/0", DefaultDiskParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.StepDisk(t0, 0, d, 30); err == nil {
 		t.Error("zero step accepted")
 	}
-	bad := DefaultDiskParams()
-	bad.HotPerDegree = -1
-	if _, err := e.StepDisk(t0, time.Hour, "01/0", 30, bad); err == nil {
-		t.Error("invalid params accepted")
+	if _, err := e.StepDisk(t0, time.Hour, nil, 30); err == nil {
+		t.Error("unregistered disk accepted")
+	}
+}
+
+// TestRegisterDiskRefusesInvalidParams: the hazard parameters are checked
+// once, when the drive is registered, and every negative field is refused
+// there, so no drive with invalid parameters is ever stepped.
+func TestRegisterDiskRefusesInvalidParams(t *testing.T) {
+	e := newEngine(t, "disk-validate")
+	for _, spoil := range []func(*DiskParams){
+		func(p *DiskParams) { p.BasePerHour = -1 },
+		func(p *DiskParams) { p.HotPerDegree = -1 },
+		func(p *DiskParams) { p.ColdPerDegree = -0.5 },
+	} {
+		bad := DefaultDiskParams()
+		spoil(&bad)
+		if d, err := e.RegisterDisk("01/0", bad); err == nil || d != nil {
+			t.Errorf("invalid params %+v accepted", bad)
+		}
 	}
 }
 
@@ -38,9 +58,12 @@ func TestDisksRarelyDieInThreeMonths(t *testing.T) {
 	deaths := 0
 	p := DefaultDiskParams()
 	for d := 0; d < 42; d++ { // the fleet's ~42 drives
-		id := fmt.Sprintf("h/%d", d)
+		disk, err := e.RegisterDisk(fmt.Sprintf("h/%d", d), p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for at := t0; at.Before(t0.AddDate(0, 3, 0)); at = at.Add(time.Hour) {
-			ev, err := e.StepDisk(at, time.Hour, id, 30, p)
+			ev, err := e.StepDisk(at, time.Hour, disk, 30)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,9 +100,13 @@ func TestStepDiskLogsHardFailure(t *testing.T) {
 	e := newEngine(t, "disk-log")
 	p := DefaultDiskParams()
 	p.BasePerHour = 0.5
+	d, err := e.RegisterDisk("15/0", p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got *Event
 	for at := t0; at.Before(t0.Add(100 * time.Hour)); at = at.Add(time.Hour) {
-		ev, err := e.StepDisk(at, time.Hour, "15/0", 35, p)
+		ev, err := e.StepDisk(at, time.Hour, d, 35)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,9 +131,13 @@ func TestStepDiskDeterministic(t *testing.T) {
 		e := NewEngine(simkernel.NewRNG("disk-det"))
 		p := DefaultDiskParams()
 		p.BasePerHour = 0.05
+		d, err := e.RegisterDisk("x/0", p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		n := 0
 		for at := t0; at.Before(t0.Add(200 * time.Hour)); at = at.Add(time.Hour) {
-			if ev, _ := e.StepDisk(at, time.Hour, "x/0", 30, p); ev != nil {
+			if ev, _ := e.StepDisk(at, time.Hour, d, 30); ev != nil {
 				n++
 			}
 		}

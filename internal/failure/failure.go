@@ -13,7 +13,9 @@
 //     one corrupted page per 570 million page operations (§4.2.2).
 //
 // All sampling draws from named simkernel RNG streams, so experiment runs
-// are reproducible.
+// are reproducible. Registering a host or a disk returns its handle, which
+// holds the subject's streams ("host/<id>", "mem/<id>", "disk/<id>"): the
+// per-step draws take the handle and look nothing up by name.
 package failure
 
 import (
@@ -166,25 +168,23 @@ func PageCorruptionProb(pages int64) float64 {
 	return 1 - powOneMinus(pageFailureRate, pages)
 }
 
-// hostRec is the engine's per-host state: the weak-unit lottery outcome and
-// the host's RNG stream names, interned at registration so the per-step
-// draws (every host, every failure tick and workload cycle) concatenate no
-// strings. The names are identical to the previous ad-hoc concatenations,
-// so the draw sequences are unchanged.
-type hostRec struct {
-	weak      bool
-	sysStream string // "host/"+id
-	memStream string // "mem/"+id
+// Host is a registered host's handle: its weak-unit lottery outcome and
+// its transient-failure and memory-corruption streams.
+type Host struct {
+	id   string
+	weak bool
+	sys  *simkernel.Stream // "host/<id>"
+	mem  *simkernel.Stream // "mem/<id>"
 }
 
 // Engine samples failures. Create with NewEngine; register each subject
-// before stepping it.
+// and step it through the returned handle.
 type Engine struct {
-	rng   *simkernel.RNG
-	hosts map[string]*hostRec
-	// diskStreams interns "disk/"+diskID per drive on first step.
-	diskStreams map[string]string
-	log         []Event
+	rng *simkernel.RNG
+	// hosts makes a repeated RegisterHost return the first handle; no
+	// step consults it.
+	hosts map[string]*Host
+	log   []Event
 	// corruptPages and corruptProb memoise PageCorruptionProb for the page
 	// count CycleCorrupted last saw: every cycle of a run touches the same
 	// number of pages.
@@ -194,25 +194,24 @@ type Engine struct {
 
 // NewEngine returns an engine drawing from rng.
 func NewEngine(rng *simkernel.RNG) *Engine {
-	return &Engine{
-		rng:         rng,
-		hosts:       make(map[string]*hostRec),
-		diskStreams: make(map[string]string),
-	}
+	return &Engine{rng: rng, hosts: make(map[string]*Host)}
 }
 
-// RegisterHost runs the weak-unit lottery for a host. knownDefective marks
-// units from vendor B's bad series. Registering twice is a no-op and keeps
-// the first draw.
-func (e *Engine) RegisterHost(hostID string, knownDefective bool) {
-	if _, done := e.hosts[hostID]; done {
-		return
+// RegisterHost runs the weak-unit lottery for a host and returns its
+// handle. knownDefective marks units from vendor B's bad series.
+// Registering twice returns the first handle and keeps the first draw.
+func (e *Engine) RegisterHost(hostID string, knownDefective bool) *Host {
+	if h, done := e.hosts[hostID]; done {
+		return h
 	}
-	e.hosts[hostID] = &hostRec{
-		weak:      e.rng.Bernoulli("weak/"+hostID, WeakFraction(knownDefective)),
-		sysStream: "host/" + hostID,
-		memStream: "mem/" + hostID,
+	h := &Host{
+		id:   hostID,
+		weak: e.rng.Stream("weak/" + hostID).Bernoulli(WeakFraction(knownDefective)),
+		sys:  e.rng.Stream("host/" + hostID),
+		mem:  e.rng.Stream("mem/" + hostID),
 	}
+	e.hosts[hostID] = h
+	return h
 }
 
 // Weak reports the lottery outcome for a registered host.
@@ -222,9 +221,9 @@ func (e *Engine) Weak(hostID string) bool {
 }
 
 // hazardPerHour computes a host's current transient hazard.
-func (e *Engine) hazardPerHour(rec *hostRec, s Stress) float64 {
+func (e *Engine) hazardPerHour(host *Host, s Stress) float64 {
 	h := BaseTransientPerHour
-	if rec.weak {
+	if host.weak {
 		h = WeakTransientPerHour
 	}
 	return h * StressMultiplier(s)
@@ -234,22 +233,21 @@ func (e *Engine) hazardPerHour(rec *hostRec, s Stress) float64 {
 // transient system failure event, if one occurred. The caller decides what
 // a failure does (crash, reset, relocation); the engine only samples and
 // logs it.
-func (e *Engine) StepHost(now time.Time, dt time.Duration, hostID string, s Stress) (*Event, error) {
-	rec, ok := e.hosts[hostID]
-	if !ok {
-		return nil, fmt.Errorf("failure: host %q not registered", hostID)
+func (e *Engine) StepHost(now time.Time, dt time.Duration, host *Host, s Stress) (*Event, error) {
+	if host == nil {
+		return nil, fmt.Errorf("failure: step of an unregistered host")
 	}
 	if dt <= 0 {
 		return nil, fmt.Errorf("failure: non-positive step %v", dt)
 	}
-	h := e.hazardPerHour(rec, s)
+	h := e.hazardPerHour(host, s)
 	pFail := 1 - expNeg(h*dt.Hours())
-	if !e.rng.Bernoulli(rec.sysStream, pFail) {
+	if !host.sys.Bernoulli(pFail) {
 		return nil, nil
 	}
 	ev := Event{
 		At:        now,
-		SubjectID: hostID,
+		SubjectID: host.id,
 		Component: System,
 		Kind:      Transient,
 		Detail:    fmt.Sprintf("system failure (hazard %.2e/h, ambient %v, case %v)", h, s.Ambient, s.CaseAir),
@@ -271,7 +269,7 @@ func (e *Engine) RegisterSwitch(switchID string, whining bool) time.Duration {
 		// around the MTBF rather than being memoryless.
 		shape = 2.5
 	}
-	hours := e.rng.Weibull("switch/"+switchID, shape, mtbf.Hours())
+	hours := e.rng.Stream("switch/"+switchID).Weibull(shape, mtbf.Hours())
 	return time.Duration(hours * float64(time.Hour))
 }
 
@@ -283,22 +281,19 @@ func (e *Engine) LogSwitchFailure(now time.Time, switchID string) Event {
 	return ev
 }
 
-// CycleCorrupted samples whether one workload cycle that touches the given
-// number of memory pages suffers a silent corruption. ECC machines never
-// corrupt (single-bit errors are corrected); on non-ECC machines each page
-// operation fails independently with pageFailureRate.
-func (e *Engine) CycleCorrupted(hostID string, pages int64, ecc bool) bool {
+// CycleCorrupted samples whether one workload cycle of a registered host
+// that touches the given number of memory pages suffers a silent
+// corruption. ECC machines never corrupt (single-bit errors are
+// corrected); on non-ECC machines each page operation fails independently
+// with pageFailureRate.
+func (e *Engine) CycleCorrupted(host *Host, pages int64, ecc bool) bool {
 	if ecc || pages <= 0 {
 		return false
 	}
 	if pages != e.corruptPages {
 		e.corruptPages, e.corruptProb = pages, PageCorruptionProb(pages)
 	}
-	stream, ok := e.memStream(hostID)
-	if !ok {
-		stream = "mem/" + hostID // unregistered host: preserve the old name
-	}
-	return e.rng.Bernoulli(stream, e.corruptProb)
+	return host.mem.Bernoulli(e.corruptProb)
 }
 
 // LogMemoryCorruption records a bad-hash incident.
@@ -314,15 +309,6 @@ func (e *Engine) Log() []Event {
 	copy(out, e.log)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At.Before(out[j].At) })
 	return out
-}
-
-// memStream returns a registered host's interned memory stream name.
-func (e *Engine) memStream(hostID string) (string, bool) {
-	r, ok := e.hosts[hostID]
-	if !ok {
-		return "", false
-	}
-	return r.memStream, true
 }
 
 // expNeg computes exp(-x); x >= 0.

@@ -50,24 +50,26 @@ func TestParamsValidation(t *testing.T) {
 
 func TestStepRequiresRegistration(t *testing.T) {
 	e := newEngine(t, "reg")
-	if _, err := e.StepHost(t0, time.Hour, "ghost", benign); err == nil {
+	if _, err := e.StepHost(t0, time.Hour, e.hosts["ghost"], benign); err == nil {
 		t.Error("unregistered host accepted")
 	}
-	e.RegisterHost("01", false)
-	if _, err := e.StepHost(t0, time.Hour, "01", benign); err != nil {
+	h := e.RegisterHost("01", false)
+	if _, err := e.StepHost(t0, time.Hour, h, benign); err != nil {
 		t.Errorf("registered host rejected: %v", err)
 	}
-	if _, err := e.StepHost(t0, 0, "01", benign); err == nil {
+	if _, err := e.StepHost(t0, 0, h, benign); err == nil {
 		t.Error("zero step accepted")
 	}
 }
 
 func TestRegisterIdempotent(t *testing.T) {
 	e := newEngine(t, "idem")
-	e.RegisterHost("01", true)
+	first := e.RegisterHost("01", true)
 	was := e.Weak("01")
 	for i := 0; i < 10; i++ {
-		e.RegisterHost("01", true)
+		if e.RegisterHost("01", true) != first {
+			t.Fatal("re-registration returned a new handle")
+		}
 	}
 	if e.Weak("01") != was {
 		t.Error("re-registration re-drew the lottery")
@@ -103,7 +105,7 @@ func monthsOfOperation(t *testing.T, e *Engine, hostID string, d time.Duration, 
 	t.Helper()
 	n := 0
 	for at, step := t0, time.Hour; at.Before(t0.Add(d)); at = at.Add(step) {
-		ev, err := e.StepHost(at, step, hostID, s)
+		ev, err := e.StepHost(at, step, e.hosts[hostID], s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,10 +260,11 @@ func TestCycleCorruptedRate(t *testing.T) {
 	// cycles) at 1/570e6 per page ≈ 2e-4 per cycle; over 27627 cycles
 	// expect ≈ 5.6 corrupted runs.
 	e := newEngine(t, "mem")
+	h := e.RegisterHost("01", false)
 	pagesPerCycle := int64(3.2e9) / 27627
 	bad := 0
 	for i := 0; i < 27627; i++ {
-		if e.CycleCorrupted("01", pagesPerCycle, false) {
+		if e.CycleCorrupted(h, pagesPerCycle, false) {
 			bad++
 		}
 	}
@@ -275,11 +278,12 @@ func TestCycleCorruptedRate(t *testing.T) {
 // draws to the ones the straight-line computation makes.
 func TestCycleCorruptedMemo(t *testing.T) {
 	e, ref := newEngine(t, "memo"), newEngine(t, "memo")
+	h := e.RegisterHost("01", false)
 	pagesPerCycle := int64(3.2e9) / 27627
 	for i, pages := range []int64{pagesPerCycle, 1, pagesPerCycle, 1e9, 1e9, pagesPerCycle} {
 		for j := 0; j < 500; j++ {
-			got := e.CycleCorrupted("01", pages, false)
-			if want := ref.rng.Bernoulli("mem/01", PageCorruptionProb(pages)); got != want {
+			got := e.CycleCorrupted(h, pages, false)
+			if want := ref.rng.Stream("mem/01").Bernoulli(PageCorruptionProb(pages)); got != want {
 				t.Fatalf("step %d draw %d: %v, straight-line draw %v", i, j, got, want)
 			}
 		}
@@ -291,8 +295,9 @@ func TestCycleCorruptedMemo(t *testing.T) {
 
 func TestECCNeverCorrupts(t *testing.T) {
 	e := newEngine(t, "ecc")
+	h := e.RegisterHost("c11", false)
 	for i := 0; i < 100000; i++ {
-		if e.CycleCorrupted("c11", 1e9, true) {
+		if e.CycleCorrupted(h, 1e9, true) {
 			t.Fatal("ECC host corrupted a cycle")
 		}
 	}
@@ -300,7 +305,8 @@ func TestECCNeverCorrupts(t *testing.T) {
 
 func TestCycleCorruptedEdgeCases(t *testing.T) {
 	e := newEngine(t, "edge")
-	if e.CycleCorrupted("01", 0, false) || e.CycleCorrupted("01", -5, false) {
+	h := e.RegisterHost("01", false)
+	if e.CycleCorrupted(h, 0, false) || e.CycleCorrupted(h, -5, false) {
 		t.Error("non-positive page count corrupted")
 	}
 }
@@ -353,10 +359,10 @@ func TestPowOneMinus(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() []Event {
 		e := newEngine(t, "det")
-		e.RegisterHost("15", true)
-		e.hosts["15"].weak = true
+		h := e.RegisterHost("15", true)
+		h.weak = true
 		for at := t0; at.Before(t0.AddDate(0, 1, 0)); at = at.Add(time.Hour) {
-			_, _ = e.StepHost(at, time.Hour, "15", benign)
+			_, _ = e.StepHost(at, time.Hour, h, benign)
 		}
 		return e.Log()
 	}
@@ -373,15 +379,16 @@ func TestDeterminism(t *testing.T) {
 
 func BenchmarkStepHost(b *testing.B) {
 	e := NewEngine(simkernel.NewRNG("bench"))
-	e.RegisterHost("01", false)
+	h := e.RegisterHost("01", false)
 	for i := 0; i < b.N; i++ {
-		_, _ = e.StepHost(t0.Add(time.Duration(i)*time.Minute), time.Minute, "01", benign)
+		_, _ = e.StepHost(t0.Add(time.Duration(i)*time.Minute), time.Minute, h, benign)
 	}
 }
 
 func BenchmarkCycleCorrupted(b *testing.B) {
 	e := NewEngine(simkernel.NewRNG("bench"))
+	h := e.RegisterHost("01", false)
 	for i := 0; i < b.N; i++ {
-		_ = e.CycleCorrupted("01", 116000, false)
+		_ = e.CycleCorrupted(h, 116000, false)
 	}
 }

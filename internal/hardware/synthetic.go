@@ -30,7 +30,7 @@ func SyntheticFleet(tents, hostsPerTent int, seed string) (*Fleet, error) {
 	if tents <= 0 || hostsPerTent <= 0 {
 		return nil, fmt.Errorf("hardware: synthetic fleet needs positive tents (%d) and hosts per tent (%d)", tents, hostsPerTent)
 	}
-	rng := simkernel.NewRNG(seed)
+	fleet := simkernel.NewRNG(seed).Stream("fleet")
 	f := NewFleet()
 	tw, hw := digits(tents), digits(hostsPerTent)
 	if tw < 4 {
@@ -51,7 +51,7 @@ func SyntheticFleet(tents, hostsPerTent int, seed string) (*Fleet, error) {
 		// would pay math/rand's seeding cost a thousand times over on a
 		// 100k-host fleet.
 		for i := len(vendors) - 1; i > 0; i-- {
-			j := rng.Pick("fleet", i+1)
+			j := fleet.Pick(i + 1)
 			vendors[i], vendors[j] = vendors[j], vendors[i]
 		}
 		for hi := 0; hi < hostsPerTent; hi++ {

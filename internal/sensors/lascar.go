@@ -32,8 +32,10 @@ type Environment interface {
 // samples (the outliers the paper removed from its graphs), and is brought
 // back.
 type Lascar struct {
-	rng *simkernel.RNG
-	env Environment
+	// noiseT and noiseRH are the read-noise streams "lascar/noise_t" and
+	// "lascar/noise_rh".
+	noiseT, noiseRH *simkernel.Stream
+	env             Environment
 
 	// ArrivesAt models the unit's delayed delivery: samples before this
 	// instant are never taken (the missing early data of Fig. 3/4).
@@ -63,11 +65,12 @@ func NewLascar(rng *simkernel.RNG, env Environment, arrivesAt time.Time) (*Lasca
 		return nil, fmt.Errorf("sensors: lascar needs an environment")
 	}
 	return &Lascar{
-		rng:       rng,
+		noiseT:    rng.Stream("lascar/noise_t"),
+		noiseRH:   rng.Stream("lascar/noise_rh"),
 		env:       env,
 		arrivesAt: arrivesAt,
-		calTemp:   units.Celsius(rng.Uniform("lascar/cal_t", -float64(lascarTempTypical), float64(lascarTempTypical))),
-		calRH:     units.RelHumidity(rng.Uniform("lascar/cal_rh", -float64(lascarRHTypical), float64(lascarRHTypical))),
+		calTemp:   units.Celsius(rng.Stream("lascar/cal_t").Uniform(-float64(lascarTempTypical), float64(lascarTempTypical))),
+		calRH:     units.RelHumidity(rng.Stream("lascar/cal_rh").Uniform(-float64(lascarRHTypical), float64(lascarRHTypical))),
 		Temp:      timeseries.New("tent_inside_temp", "°C"),
 		RH:        timeseries.New("tent_inside_rh", "%RH"),
 	}, nil
@@ -102,8 +105,8 @@ func (l *Lascar) Sample(now time.Time) {
 	}
 	// Read noise: a third of the typical bound as 1-sigma keeps ~99.7% of
 	// reads within datasheet-typical error.
-	temp += l.calTemp + units.Celsius(l.rng.Normal("lascar/noise_t", 0, float64(lascarTempTypical)/3))
-	rh = (rh + l.calRH + units.RelHumidity(l.rng.Normal("lascar/noise_rh", 0, float64(lascarRHTypical)/3))).Clamp()
+	temp += l.calTemp + units.Celsius(l.noiseT.Normal(0, float64(lascarTempTypical)/3))
+	rh = (rh + l.calRH + units.RelHumidity(l.noiseRH.Normal(0, float64(lascarRHTypical)/3))).Clamp()
 	_ = l.Temp.Append(now, float64(temp))
 	_ = l.RH.Append(now, float64(rh))
 }

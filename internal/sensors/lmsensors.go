@@ -10,6 +10,12 @@
 // being detected after a redetection attempt, and recovered only after a
 // warm reboot; and the Lascar logger whose manual USB readout trips insert
 // indoor-temperature outliers into the record.
+//
+// Each instrument takes its random-stream handles from the experiment's
+// RNG when it is built (a chip's "chip/<host>/noise", a drive's
+// "disk/<host>/<index>/realloc", a meter's "meter/<name>", the logger's
+// "lascar/noise_t" and "lascar/noise_rh"), so a reading draws without
+// looking a stream up by name.
 package sensors
 
 import (
@@ -72,13 +78,11 @@ const (
 
 // Chip emulates one motherboard sensor chip as read via lm-sensors.
 type Chip struct {
-	rng    *simkernel.RNG
-	stream string
-	// noiseStream is the precomputed stream+"/noise" name, so the per-read
-	// noise draw on the hot path concatenates nothing.
-	noiseStream string
-	state       ChipState
-	coldTime    time.Duration
+	// noise is the read-noise stream "chip/<host>/noise", held so the
+	// per-read draw looks nothing up.
+	noise    *simkernel.Stream
+	state    ChipState
+	coldTime time.Duration
 	// susceptible chips (a per-individual lottery) are the only ones that
 	// ever glitch; the paper saw exactly one chip fail across 19 hosts.
 	susceptible bool
@@ -89,10 +93,8 @@ type Chip struct {
 func NewChip(rng *simkernel.RNG, hostID string, susceptibility float64) *Chip {
 	stream := "chip/" + hostID
 	return &Chip{
-		rng:         rng,
-		stream:      stream,
-		noiseStream: stream + "/noise",
-		susceptible: rng.Bernoulli(stream+"/lottery", susceptibility),
+		noise:       rng.Stream(stream + "/noise"),
+		susceptible: rng.Stream(stream + "/lottery").Bernoulli(susceptibility),
 	}
 }
 
@@ -124,7 +126,7 @@ func (c *Chip) Read(trueTemp units.Celsius) (units.Celsius, error) {
 	case ChipGlitching:
 		return BogusReading, nil
 	default:
-		noise := c.rng.Normal(c.noiseStream, 0, chipNoiseSigma)
+		noise := c.noise.Normal(0, chipNoiseSigma)
 		return trueTemp + units.Celsius(noise), nil
 	}
 }

@@ -28,11 +28,9 @@ const (
 // drives have passed their S.M.A.R.T. long test runs" — healthy drives
 // pass; drives with reallocations beyond a threshold fail the long test.
 type Disk struct {
-	rng    *simkernel.RNG
-	stream string
-	// reallocStream is the precomputed stream+"/realloc" name; Observe runs
-	// for every drive on every failure tick.
-	reallocStream string
+	// realloc is the sector-reallocation stream "disk/<host>/<index>/realloc";
+	// Observe draws from it for every drive on every failure tick.
+	realloc *simkernel.Stream
 
 	powerOn     time.Duration
 	reallocated int
@@ -43,8 +41,7 @@ type Disk struct {
 
 // NewDisk returns a fresh drive emulation.
 func NewDisk(rng *simkernel.RNG, hostID string, index int) *Disk {
-	stream := fmt.Sprintf("disk/%s/%d", hostID, index)
-	return &Disk{rng: rng, stream: stream, reallocStream: stream + "/realloc"}
+	return &Disk{realloc: rng.Stream(fmt.Sprintf("disk/%s/%d/realloc", hostID, index))}
 }
 
 // Observe advances the drive by dt at the given platter temperature. Sector
@@ -64,7 +61,7 @@ func (d *Disk) Observe(dt time.Duration, temp units.Celsius) {
 	if temp < -5 {
 		perHour *= 1 + float64(-5-temp)/10
 	}
-	n := d.rng.Poisson(d.reallocStream, perHour*dt.Hours())
+	n := d.realloc.Poisson(perHour * dt.Hours())
 	d.reallocated += n
 	if d.reallocated > 50 {
 		d.failed = true
@@ -105,8 +102,7 @@ func (d *Disk) LongTest() bool {
 // tested and "found to perform very admirably given its price" — a few
 // percent of error.
 type PowerMeter struct {
-	rng    *simkernel.RNG
-	stream string
+	noise *simkernel.Stream // "meter/<name>"
 	// RelError is the 1-sigma relative measurement error.
 	RelError float64
 
@@ -116,14 +112,14 @@ type PowerMeter struct {
 
 // NewPowerMeter returns a meter with the tested ~2% relative error.
 func NewPowerMeter(rng *simkernel.RNG, name string) *PowerMeter {
-	return &PowerMeter{rng: rng, stream: "meter/" + name, RelError: 0.02}
+	return &PowerMeter{noise: rng.Stream("meter/" + name), RelError: 0.02}
 }
 
 // Observe integrates the true draw over dt and returns the displayed
 // (noisy) instantaneous reading.
 func (m *PowerMeter) Observe(dt time.Duration, truth units.Watts) units.Watts {
 	m.energy += truth.Energy(dt.Hours())
-	reading := float64(truth) * (1 + m.rng.Normal(m.stream, 0, m.RelError))
+	reading := float64(truth) * (1 + m.noise.Normal(0, m.RelError))
 	if reading < 0 {
 		reading = 0
 	}

@@ -2,6 +2,7 @@ package simkernel
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -88,9 +89,8 @@ func TestOneShotEventReuse(t *testing.T) {
 	}
 }
 
-// TestScheduleRejectsPastAndRecordsFault covers the satellite fix for the
-// silently dropped re-schedule error: scheduling in the past fails with
-// ErrPast, and a task whose re-schedule fails surfaces the fault through
+// TestScheduleRejectsPastAndRecordsFault: scheduling in the past fails
+// with ErrPast, and a task whose re-schedule fails surfaces the fault through
 // Task.Err and Scheduler.Err instead of swallowing it.
 func TestScheduleRejectsPastAndRecordsFault(t *testing.T) {
 	start := time.Date(2010, 2, 19, 0, 0, 0, 0, time.UTC)
@@ -103,25 +103,22 @@ func TestScheduleRejectsPastAndRecordsFault(t *testing.T) {
 		t.Fatalf("fresh task reports err %v / scheduler %v", task.Err(), s.Err())
 	}
 
-	// The task-internal requeue clamps past due times to now, so its error
-	// path is defensive; exercise the underlying validation directly.
-	var ev Event
-	if err := s.schedule(&ev, start.Add(-time.Second), func(now time.Time) {}); !errors.Is(err, ErrPast) {
+	if _, err := s.At(start.Add(-time.Second), func(now time.Time) {}); !errors.Is(err, ErrPast) {
 		t.Fatalf("past schedule error %v, want ErrPast", err)
 	}
 
-	// Force the fault-recording branch the way run() would hit it.
-	task.base = start.Add(-time.Hour)
+	// A base behind the clock is clamped to now, so no fault is expected...
+	task.base, task.baseKey = start.Add(-time.Hour), -int64(time.Hour)
 	task.run(s.Now())
-	// run() clamps, so no fault is expected from a normal cycle...
-	if task.Err() != nil {
-		t.Fatalf("clamped re-schedule faulted: %v", task.Err())
+	if task.Err() != nil || s.Err() != nil {
+		t.Fatalf("clamped re-schedule faulted: %v / %v", task.Err(), s.Err())
 	}
-	// ...but a recorded fault must propagate to both accessors.
-	s.fault = ErrPast
-	task.err = ErrPast
-	if !errors.Is(s.Err(), ErrPast) || !errors.Is(task.Err(), ErrPast) {
-		t.Fatal("recorded fault not surfaced by Err accessors")
+	// ...but a next cycle past the key range is a fault, and it must
+	// propagate to both accessors.
+	task.baseKey = math.MaxInt64 - int64(30*time.Second)
+	task.run(s.Now())
+	if !errors.Is(s.Err(), ErrRange) || !errors.Is(task.Err(), ErrRange) {
+		t.Fatalf("range fault not surfaced by Err accessors: %v / %v", task.Err(), s.Err())
 	}
 }
 

@@ -14,12 +14,20 @@
 // that is re-pushed each cycle, one-shot events fired and released are
 // recycled through a free list, and the queue keeps its earliest event in a
 // dedicated head slot so the common "fire, then re-push as the new
-// earliest" cycle touches no heap levels at all.
+// earliest" cycle touches no heap levels at all. The heap never compares
+// time.Time values: each event carries an integer key, its due time's
+// offset in nanoseconds from the scheduler's start, and a periodic task
+// advances its key by integer addition.
+//
+// Random draws go through Stream handles: RNG.Stream resolves a name once,
+// and a subsystem keeps the handle for the subjects it draws for, so the
+// per-event draws do no map lookups.
 package simkernel
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -31,6 +39,7 @@ import (
 // the pointer past the due time and then calling Cancel is a bug. Canceling
 // a pending event remains O(1) and safe.
 type Event struct {
+	key  int64 // nanoseconds from the scheduler's start to due: the heap order
 	due  time.Time
 	seq  uint64 // tie-breaker: FIFO among equal due times
 	fire func(now time.Time)
@@ -38,8 +47,9 @@ type Event struct {
 	// cancellation O(1).
 	canceled bool
 	// pooled events were allocated by the scheduler and return to its free
-	// list after firing; task-owned events (pooled == false) are embedded
-	// in their Task and are never recycled.
+	// list after firing (a canceled one is dropped instead, so canceling
+	// it again stays a no-op); task-owned events (pooled == false) are
+	// embedded in their Task and are never recycled.
 	pooled bool
 }
 
@@ -55,10 +65,25 @@ func (e *Event) Cancel() {
 // before reports whether a dispatches ahead of b: earlier due time first,
 // FIFO among equal due times.
 func before(a, b *Event) bool {
-	if a.due.Equal(b.due) {
-		return a.seq < b.seq
+	if a.key != b.key {
+		return a.key < b.key
 	}
-	return a.due.Before(b.due)
+	return a.seq < b.seq
+}
+
+// slot is one heap element: the event's order copied beside its pointer,
+// so sifting compares without dereferencing events.
+type slot struct {
+	key int64
+	seq uint64
+	ev  *Event
+}
+
+func (a slot) before(b slot) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.seq < b.seq
 }
 
 // Scheduler is a discrete-event scheduler. It is not safe for concurrent
@@ -66,6 +91,10 @@ func before(a, b *Event) bool {
 // deterministic.
 type Scheduler struct {
 	now time.Time
+	// origin is the start instant without a monotonic clock reading; event
+	// keys and nowKey are nanosecond offsets from it.
+	origin time.Time
+	nowKey int64
 	// head caches the earliest pending event outside the heap. When the
 	// head fires and its task immediately re-pushes the next earliest event
 	// (the overwhelmingly common case for fine-grained periodic physics),
@@ -73,7 +102,7 @@ type Scheduler struct {
 	// Invariant: when head is non-nil it orders before every queue element;
 	// when head is nil the true minimum (if any) is queue[0].
 	head   *Event
-	queue  []*Event // binary min-heap of the remaining events
+	queue  []slot   // binary min-heap of the remaining events
 	free   []*Event // fired pooled events awaiting reuse
 	seq    uint64
 	nFired uint64
@@ -84,9 +113,31 @@ type Scheduler struct {
 // simulated time.
 var ErrPast = errors.New("simkernel: event scheduled in the past")
 
+// ErrRange reports a due time too far from the scheduler's start for its
+// offset to fit an int64 of nanoseconds (about 292 years).
+var ErrRange = errors.New("simkernel: event due out of the scheduler's range")
+
 // NewScheduler returns a scheduler whose clock starts at the given instant.
 func NewScheduler(start time.Time) *Scheduler {
-	return &Scheduler{now: start}
+	return &Scheduler{now: start, origin: start.Round(0)}
+}
+
+// keyOf returns t's offset in nanoseconds from the scheduler's start,
+// ignoring monotonic clock readings. ok is false when the offset does not
+// fit an int64; the key is then saturated, which still orders t correctly
+// against every in-range instant.
+func (s *Scheduler) keyOf(t time.Time) (key int64, ok bool) {
+	// Sub is exact unless it saturates; an extreme result is checked.
+	d := t.Round(0).Sub(s.origin)
+	if d == math.MaxInt64 || d == math.MinInt64 {
+		return int64(d), s.origin.Add(d).Equal(t)
+	}
+	return int64(d), true
+}
+
+// rangeErr describes a due time whose key does not fit.
+func (s *Scheduler) rangeErr(t time.Time) error {
+	return fmt.Errorf("%w: %v is over %v from start %v", ErrRange, t, time.Duration(math.MaxInt64), s.origin)
 }
 
 // Now returns the current simulated time.
@@ -134,7 +185,7 @@ func (s *Scheduler) recycle(e *Event) {
 // push inserts a prepared event, preferring the head slot.
 func (s *Scheduler) push(e *Event) {
 	if s.head == nil {
-		if len(s.queue) == 0 || before(e, s.queue[0]) {
+		if len(s.queue) == 0 || before(e, s.queue[0].ev) {
 			s.head = e
 			return
 		}
@@ -150,69 +201,73 @@ func (s *Scheduler) push(e *Event) {
 }
 
 func (s *Scheduler) heapPush(e *Event) {
-	s.queue = append(s.queue, e)
+	x := slot{key: e.key, seq: e.seq, ev: e}
+	s.queue = append(s.queue, x)
 	i := len(s.queue) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !before(s.queue[i], s.queue[p]) {
+		if !x.before(s.queue[p]) {
 			break
 		}
-		s.queue[i], s.queue[p] = s.queue[p], s.queue[i]
+		s.queue[i] = s.queue[p]
 		i = p
 	}
+	s.queue[i] = x
 }
 
 func (s *Scheduler) heapPop() *Event {
-	n := len(s.queue)
-	e := s.queue[0]
-	last := s.queue[n-1]
-	s.queue[n-1] = nil
-	s.queue = s.queue[:n-1]
-	if n := len(s.queue); n > 0 {
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			min := i
-			s.queue[i] = last
-			if l < n && before(s.queue[l], s.queue[min]) {
-				min = l
-			}
-			if r < n && before(s.queue[r], s.queue[min]) {
-				min = r
-			}
-			if min == i {
-				break
-			}
-			s.queue[i] = s.queue[min]
-			i = min
-		}
-		s.queue[i] = last
+	n := len(s.queue) - 1
+	e := s.queue[0].ev
+	last := s.queue[n]
+	s.queue[n] = slot{}
+	s.queue = s.queue[:n]
+	if n == 0 {
+		return e
 	}
+	// Sift last down from the root, under the smaller child each time.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s.queue[r].before(s.queue[c]) {
+			c = r
+		}
+		if !s.queue[c].before(last) {
+			break
+		}
+		s.queue[i] = s.queue[c]
+		i = c
+	}
+	s.queue[i] = last
 	return e
 }
 
-// schedule prepares and enqueues an event at the absolute instant t.
-func (s *Scheduler) schedule(e *Event, t time.Time, fire func(now time.Time)) error {
-	if t.Before(s.now) {
-		return fmt.Errorf("%w: %v < now %v", ErrPast, t, s.now)
-	}
+// schedule prepares and enqueues an event due at t, whose key the caller
+// has checked.
+func (s *Scheduler) schedule(e *Event, t time.Time, key int64, fire func(now time.Time)) {
+	e.key = key
 	e.due = t
 	e.seq = s.seq
 	s.seq++
 	e.fire = fire
 	e.canceled = false
 	s.push(e)
-	return nil
 }
 
 // At schedules fire to run at the absolute simulated instant t.
 func (s *Scheduler) At(t time.Time, fire func(now time.Time)) (*Event, error) {
-	if t.Before(s.now) {
+	key, ok := s.keyOf(t)
+	if key < s.nowKey {
 		return nil, fmt.Errorf("%w: %v < now %v", ErrPast, t, s.now)
+	}
+	if !ok {
+		return nil, s.rangeErr(t)
 	}
 	e := s.alloc()
 	e.pooled = true
-	_ = s.schedule(e, t, fire) // due already validated
+	s.schedule(e, t, key, fire)
 	return e, nil
 }
 
@@ -232,7 +287,7 @@ func (s *Scheduler) Step() bool {
 		return false
 	}
 	s.head = nil
-	s.now = e.due
+	s.now, s.nowKey = e.due, e.key
 	s.nFired++
 	fire := e.fire
 	s.recycle(e)
@@ -244,15 +299,18 @@ func (s *Scheduler) Step() bool {
 // event is due after the deadline. The clock is finally advanced to the
 // deadline itself, so periodic models observe a definite end time.
 func (s *Scheduler) RunUntil(deadline time.Time) {
+	// A saturated key still bounds every in-range event correctly.
+	key, inRange := s.keyOf(deadline)
 	for {
 		e := s.peek()
-		if e == nil || e.due.After(deadline) {
+		if e == nil || e.key > key {
 			break
 		}
 		s.Step()
 	}
-	if s.now.Before(deadline) {
-		s.now = deadline
+	// Past the range the keys saturate, and only the instants can tell.
+	if key > s.nowKey || !inRange && s.now.Before(deadline) {
+		s.now, s.nowKey = deadline, key
 	}
 }
 
@@ -277,7 +335,6 @@ func (s *Scheduler) peek() *Event {
 				return e
 			}
 			s.head = nil
-			s.recycle(e)
 			continue
 		}
 		if len(s.queue) == 0 {
@@ -285,7 +342,6 @@ func (s *Scheduler) peek() *Event {
 		}
 		e := s.heapPop()
 		if e.canceled {
-			s.recycle(e)
 			continue
 		}
 		s.head = e
@@ -301,9 +357,13 @@ func (s *Scheduler) Periodic(start time.Time, period time.Duration, fuzz func() 
 	if period <= 0 {
 		return nil, fmt.Errorf("simkernel: non-positive period %v", period)
 	}
+	key, ok := s.keyOf(start)
+	if !ok {
+		return nil, s.rangeErr(start)
+	}
 	t := &Task{sched: s, period: period, fuzz: fuzz, fire: fire}
 	t.ev.fire = t.run
-	if err := t.scheduleNext(start); err != nil {
+	if err := t.scheduleNext(start, key); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -320,6 +380,7 @@ type Task struct {
 	fire    func(now time.Time)
 	ev      Event // the task's single reusable event (pooled == false)
 	base    time.Time
+	baseKey int64 // base's key: later bases advance it by integer addition
 	stopped bool
 	cycles  uint64
 	err     error
@@ -351,7 +412,15 @@ func (t *Task) run(now time.Time) {
 	if !t.stopped {
 		// The next cycle is anchored to the un-fuzzed base, so fuzz
 		// does not accumulate drift across cycles.
-		if err := t.scheduleNext(t.base.Add(t.period)); err != nil {
+		base := t.base.Add(t.period)
+		key, ok := addKey(t.baseKey, t.period)
+		var err error
+		if ok {
+			err = t.scheduleNext(base, key)
+		} else {
+			err = t.sched.rangeErr(base)
+		}
+		if err != nil {
 			// Surface the fault instead of silently ending the recurrence:
 			// the driver checks Scheduler.Err at its loop boundary.
 			if t.err == nil {
@@ -364,18 +433,33 @@ func (t *Task) run(now time.Time) {
 	}
 }
 
-func (t *Task) scheduleNext(base time.Time) error {
-	t.base = base
-	due := base
+// addKey returns key+d for d > 0, or false when the sum passes
+// math.MaxInt64.
+func addKey(key int64, d time.Duration) (int64, bool) {
+	if key > math.MaxInt64-int64(d) {
+		return 0, false
+	}
+	return key + int64(d), true
+}
+
+// scheduleNext pushes the task's event for the cycle based at base, whose
+// key is baseKey.
+func (t *Task) scheduleNext(base time.Time, baseKey int64) error {
+	s := t.sched
+	t.base, t.baseKey = base, baseKey
+	due, key := base, baseKey
 	if t.fuzz != nil {
-		f := t.fuzz()
-		if f < 0 {
-			f = 0
+		if f := t.fuzz(); f > 0 {
+			var ok bool
+			if key, ok = addKey(key, f); !ok {
+				return s.rangeErr(base.Add(f))
+			}
+			due = base.Add(f)
 		}
-		due = due.Add(f)
 	}
-	if due.Before(t.sched.Now()) {
-		due = t.sched.Now()
+	if key < s.nowKey {
+		due, key = s.now, s.nowKey
 	}
-	return t.sched.schedule(&t.ev, due, t.ev.fire)
+	s.schedule(&t.ev, due, key, t.ev.fire)
+	return nil
 }

@@ -1,7 +1,9 @@
 package simkernel
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -91,6 +93,33 @@ func TestEventCancel(t *testing.T) {
 	}
 }
 
+// TestCancelTwiceAfterSkip: a canceled event skipped by dispatch is not
+// handed out again, so canceling it a second time, as its doc allows,
+// cannot cancel a later event.
+func TestCancelTwiceAfterSkip(t *testing.T) {
+	s := NewScheduler(t0)
+	nop := func(time.Time) {}
+	e, err := s.After(time.Second, nop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Cancel()
+	if _, ok := s.NextDue(); ok {
+		t.Fatal("canceled event still due")
+	}
+	fired := false
+	if _, err := s.After(time.Second, func(time.Time) { fired = true }); err != nil {
+		t.Fatal(err)
+	}
+	e.Cancel()
+	if err := s.runAll(10); err != nil {
+		t.Fatal(err)
+	}
+	if !fired {
+		t.Error("a second Cancel of a skipped event canceled a later event")
+	}
+}
+
 func TestRunUntilAdvancesToDeadline(t *testing.T) {
 	s := NewScheduler(t0)
 	var fired []time.Duration
@@ -159,7 +188,7 @@ func TestPeriodicFuzzDoesNotDrift(t *testing.T) {
 	s := NewScheduler(t0)
 	rng := NewRNG("fuzztest")
 	fuzz := func() time.Duration {
-		return time.Duration(rng.Pick("fuzz", 120)) * time.Second
+		return time.Duration(rng.Stream("fuzz").Pick(120)) * time.Second
 	}
 	var times []time.Duration
 	if _, err := s.Periodic(t0, 10*time.Minute, fuzz, func(now time.Time) {
@@ -210,7 +239,7 @@ func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG("winter0910")
 	b := NewRNG("winter0910")
 	for i := 0; i < 100; i++ {
-		if x, y := a.Uniform("weather", 0, 1), b.Uniform("weather", 0, 1); x != y {
+		if x, y := a.Stream("weather").Uniform(0, 1), b.Stream("weather").Uniform(0, 1); x != y {
 			t.Fatalf("same seed diverged at draw %d: %v vs %v", i, x, y)
 		}
 	}
@@ -221,10 +250,10 @@ func TestRNGStreamIndependence(t *testing.T) {
 	a := NewRNG("winter0910")
 	b := NewRNG("winter0910")
 	for i := 0; i < 1000; i++ {
-		a.Uniform("weather", 0, 1) // extra draws on a different stream
+		a.Stream("weather").Uniform(0, 1) // extra draws on a different stream
 	}
 	for i := 0; i < 50; i++ {
-		if x, y := a.Uniform("failure", 0, 1), b.Uniform("failure", 0, 1); x != y {
+		if x, y := a.Stream("failure").Uniform(0, 1), b.Stream("failure").Uniform(0, 1); x != y {
 			t.Fatalf("stream 'failure' perturbed by 'weather' draws at %d", i)
 		}
 	}
@@ -235,7 +264,7 @@ func TestRNGDifferentSeedsDiffer(t *testing.T) {
 	b := NewRNG("winter1011")
 	same := 0
 	for i := 0; i < 20; i++ {
-		if a.Uniform("x", 0, 1) == b.Uniform("x", 0, 1) {
+		if a.Stream("x").Uniform(0, 1) == b.Stream("x").Uniform(0, 1) {
 			same++
 		}
 	}
@@ -246,10 +275,10 @@ func TestRNGDifferentSeedsDiffer(t *testing.T) {
 
 func TestRNGBernoulliEdges(t *testing.T) {
 	r := NewRNG("edges")
-	if r.Bernoulli("s", 0) {
+	if r.Stream("s").Bernoulli(0) {
 		t.Error("p=0 returned true")
 	}
-	if !r.Bernoulli("s", 1) {
+	if !r.Stream("s").Bernoulli(1) {
 		t.Error("p=1 returned false")
 	}
 }
@@ -258,7 +287,7 @@ func TestRNGBernoulliRate(t *testing.T) {
 	r := NewRNG("rate")
 	n, hits := 100000, 0
 	for i := 0; i < n; i++ {
-		if r.Bernoulli("s", 0.25) {
+		if r.Stream("s").Bernoulli(0.25) {
 			hits++
 		}
 	}
@@ -274,14 +303,14 @@ func TestRNGPoissonMean(t *testing.T) {
 		sum := 0
 		n := 20000
 		for i := 0; i < n; i++ {
-			sum += r.Poisson("s", mean)
+			sum += r.Stream("s").Poisson(mean)
 		}
 		got := float64(sum) / float64(n)
 		if got < mean*0.95-0.05 || got > mean*1.05+0.05 {
 			t.Errorf("Poisson(%v) empirical mean %v", mean, got)
 		}
 	}
-	if r.Poisson("s", 0) != 0 || r.Poisson("s", -1) != 0 {
+	if r.Stream("s").Poisson(0) != 0 || r.Stream("s").Poisson(-1) != 0 {
 		t.Error("non-positive mean should give 0")
 	}
 }
@@ -292,7 +321,7 @@ func TestRNGWeibullMean(t *testing.T) {
 	sum := 0.0
 	n := 50000
 	for i := 0; i < n; i++ {
-		sum += r.Weibull("s", 1, 100)
+		sum += r.Stream("s").Weibull(1, 100)
 	}
 	got := sum / float64(n)
 	if got < 95 || got > 105 {
@@ -303,7 +332,7 @@ func TestRNGWeibullMean(t *testing.T) {
 func TestRNGWeibullPositive(t *testing.T) {
 	r := NewRNG("wpos")
 	for i := 0; i < 10000; i++ {
-		if v := r.Weibull("s", 0.7, 50); v <= 0 {
+		if v := r.Stream("s").Weibull(0.7, 50); v <= 0 {
 			t.Fatalf("non-positive Weibull draw %v", v)
 		}
 	}
@@ -314,7 +343,7 @@ func TestRNGExponentialMean(t *testing.T) {
 	sum := 0.0
 	n := 50000
 	for i := 0; i < n; i++ {
-		sum += r.exponential("s", 42)
+		sum += r.Stream("s").exponential(42)
 	}
 	if got := sum / float64(n); got < 40 || got > 44 {
 		t.Errorf("exponential(42) empirical mean %v", got)
@@ -324,11 +353,11 @@ func TestRNGExponentialMean(t *testing.T) {
 func TestRNGPickBounds(t *testing.T) {
 	r := NewRNG("pick")
 	for i := 0; i < 1000; i++ {
-		if v := r.Pick("s", 7); v < 0 || v >= 7 {
+		if v := r.Stream("s").Pick(7); v < 0 || v >= 7 {
 			t.Fatalf("Pick(7) = %d out of range", v)
 		}
 	}
-	if r.Pick("s", 0) != 0 {
+	if r.Stream("s").Pick(0) != 0 {
 		t.Error("Pick(0) should return 0")
 	}
 }
@@ -343,10 +372,38 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerReferenceMix dispatches the reference run's event mix
+// in steady state: 19 staggered 10-minute workload tasks with 0–119 s
+// start fuzz drawn from per-host streams, beside 1-, 5-, 15-, 20- and
+// 60-minute periodic tasks. Most dispatches sift the heap both ways.
+func BenchmarkSchedulerReferenceMix(b *testing.B) {
+	s := NewScheduler(t0)
+	rng := NewRNG("mix")
+	for h := 0; h < 19; h++ {
+		st := rng.Stream(fmt.Sprintf("fuzz/%02d", h))
+		fuzz := func() time.Duration { return time.Duration(st.Pick(120)) * time.Second }
+		if _, err := s.Periodic(t0.Add(time.Duration(h)*time.Hour), 10*time.Minute, fuzz, func(time.Time) {}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, p := range []time.Duration{time.Minute, 5 * time.Minute, 15 * time.Minute, 20 * time.Minute, time.Hour} {
+		if _, err := s.Periodic(t0, p, nil, func(time.Time) {}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 100000; i++ { // past the staggered starts
+		s.Step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
 func BenchmarkRNGNormal(b *testing.B) {
 	r := NewRNG("bench")
 	for i := 0; i < b.N; i++ {
-		_ = r.Normal("s", 0, 1)
+		_ = r.Stream("s").Normal(0, 1)
 	}
 }
 
@@ -364,9 +421,47 @@ func (s *Scheduler) runAll(maxEvents uint64) error {
 	return nil
 }
 
-// exponential draws from an exponential distribution with the given mean on
-// the named stream. It has no caller in the program; it stays beside the
-// test that pins it.
-func (r *RNG) exponential(stream string, mean float64) float64 {
-	return r.Stream(stream).ExpFloat64() * mean
+// exponential draws from an exponential distribution with the given mean.
+// It has no caller in the program; it stays beside the test that pins it.
+func (s *Stream) exponential(mean float64) float64 {
+	return s.rand().ExpFloat64() * mean
+}
+
+// TestSchedulerKeyRange: a due time whose offset from the start does not
+// fit an int64 of nanoseconds (about 292 years) is refused by At, After and
+// Periodic with ErrRange, instead of saturating into a misordered key. An
+// instant just inside the range still orders after a nearer one.
+func TestSchedulerKeyRange(t *testing.T) {
+	s := NewScheduler(t0)
+	far := t0.AddDate(300, 0, 0)
+	nop := func(time.Time) {}
+	if _, err := s.At(far, nop); !errors.Is(err, ErrRange) {
+		t.Errorf("At(start+300y) error %v, want ErrRange", err)
+	}
+	s.RunUntil(t0.AddDate(100, 0, 0))
+	if _, err := s.After(200*365*24*time.Hour, nop); !errors.Is(err, ErrRange) {
+		t.Errorf("After(200y) at start+100y error %v, want ErrRange", err)
+	}
+	if _, err := s.Periodic(far, time.Minute, nil, nop); !errors.Is(err, ErrRange) {
+		t.Errorf("Periodic(start+300y) error %v, want ErrRange", err)
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("refused schedules left %d events queued", s.Pending())
+	}
+
+	var order []int
+	edge := t0.Add(time.Duration(math.MaxInt64))
+	if _, err := s.At(edge, func(time.Time) { order = append(order, 2) }); err != nil {
+		t.Fatalf("At(last in-range instant): %v", err)
+	}
+	if _, err := s.At(t0.AddDate(290, 0, 0), func(time.Time) { order = append(order, 1) }); err != nil {
+		t.Fatal(err)
+	}
+	s.RunUntil(far)
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Fatalf("dispatch order %v, want [1 2]", order)
+	}
+	if !s.Now().Equal(far) {
+		t.Fatalf("clock %v after RunUntil(%v)", s.Now(), far)
+	}
 }

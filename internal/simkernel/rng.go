@@ -16,24 +16,25 @@ import (
 // the mapping is stable across runs, platforms, and Go versions.
 type RNG struct {
 	master  string
-	streams map[string]*rand.Rand
+	streams map[string]*Stream
 }
 
 // NewRNG returns an RNG rooted at the given master seed string. The paper's
 // reference experiment uses the seed "winter0910".
 func NewRNG(master string) *RNG {
-	return &RNG{master: master, streams: make(map[string]*rand.Rand)}
+	return &RNG{master: master, streams: make(map[string]*Stream)}
 }
 
-// Stream returns the stream with the given name, creating and seeding it on
-// first use. The same (master, name) pair always yields the same sequence.
-func (r *RNG) Stream(name string) *rand.Rand {
+// Stream returns the handle on the stream with the given name, creating it
+// on first use; every call with the same name returns the same handle, and
+// the same (master, name) pair always yields the same sequence. A caller
+// that draws repeatedly for one subject keeps the handle, so its draws do
+// no name lookups.
+func (r *RNG) Stream(name string) *Stream {
 	if s, ok := r.streams[name]; ok {
 		return s
 	}
-	h := sha256.Sum256([]byte(r.master + "\x00" + name))
-	seed := int64(binary.BigEndian.Uint64(h[:8]) &^ (1 << 63))
-	s := rand.New(rand.NewSource(seed))
+	s := &Stream{rng: r, name: name}
 	r.streams[name] = s
 	return s
 }
@@ -52,36 +53,61 @@ func (r *RNG) PCGStream(name string) *randv2.Rand {
 		binary.BigEndian.Uint64(h[:8]), binary.BigEndian.Uint64(h[8:16])))
 }
 
+// Stream is a handle on one named random stream and carries the draws.
+// Its generator is seeded on the first draw that consumes a value, so a
+// handle taken for a subject that never draws (a zero hazard, an ECC host)
+// costs neither the seed derivation nor generator state.
+type Stream struct {
+	rng  *RNG
+	name string
+	src  *rand.Rand
+}
+
+// rand returns the stream's generator, seeding it on first use. The
+// seeding is out of line so the common path inlines into every draw.
+func (s *Stream) rand() *rand.Rand {
+	if s.src == nil {
+		s.seedSource()
+	}
+	return s.src
+}
+
+func (s *Stream) seedSource() {
+	h := sha256.Sum256([]byte(s.rng.master + "\x00" + s.name))
+	s.src = rand.New(rand.NewSource(int64(binary.BigEndian.Uint64(h[:8]) &^ (1 << 63))))
+}
+
 // Normal draws from a normal distribution with the given mean and standard
-// deviation on the named stream.
-func (r *RNG) Normal(stream string, mean, stddev float64) float64 {
-	return mean + stddev*r.Stream(stream).NormFloat64()
+// deviation.
+func (s *Stream) Normal(mean, stddev float64) float64 {
+	return mean + stddev*s.rand().NormFloat64()
 }
 
-// Uniform draws uniformly from [lo, hi) on the named stream.
-func (r *RNG) Uniform(stream string, lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Stream(stream).Float64()
+// Uniform draws uniformly from [lo, hi).
+func (s *Stream) Uniform(lo, hi float64) float64 {
+	return lo + (hi-lo)*s.rand().Float64()
 }
 
-// Bernoulli returns true with probability p on the named stream.
-func (r *RNG) Bernoulli(stream string, p float64) bool {
+// Bernoulli returns true with probability p. A p outside (0, 1) decides
+// without consuming a value.
+func (s *Stream) Bernoulli(p float64) bool {
 	if p <= 0 {
 		return false
 	}
 	if p >= 1 {
 		return true
 	}
-	return r.Stream(stream).Float64() < p
+	return s.rand().Float64() < p
 }
 
 // Poisson draws a Poisson-distributed count with the given mean, using
 // Knuth's method for small means and a normal approximation above 30.
-func (r *RNG) Poisson(stream string, mean float64) int {
+func (s *Stream) Poisson(mean float64) int {
 	if mean <= 0 {
 		return 0
 	}
 	if mean > 30 {
-		n := int(math.Round(r.Normal(stream, mean, math.Sqrt(mean))))
+		n := int(math.Round(s.Normal(mean, math.Sqrt(mean))))
 		if n < 0 {
 			n = 0
 		}
@@ -90,9 +116,9 @@ func (r *RNG) Poisson(stream string, mean float64) int {
 	l := math.Exp(-mean)
 	k := 0
 	p := 1.0
-	s := r.Stream(stream)
+	src := s.rand()
 	for {
-		p *= s.Float64()
+		p *= src.Float64()
 		if p <= l {
 			return k
 		}
@@ -103,19 +129,21 @@ func (r *RNG) Poisson(stream string, mean float64) int {
 // Weibull draws from a Weibull distribution with the given shape k and
 // scale lambda (inverse-CDF method). Weibull hazards are the standard
 // lifetime model frostlab's failure engine uses for hardware components.
-func (r *RNG) Weibull(stream string, shape, scale float64) float64 {
-	u := r.Stream(stream).Float64()
+func (s *Stream) Weibull(shape, scale float64) float64 {
+	src := s.rand()
+	u := src.Float64()
 	// Guard against u == 0, whose log is -Inf.
 	for u == 0 {
-		u = r.Stream(stream).Float64()
+		u = src.Float64()
 	}
 	return scale * math.Pow(-math.Log(u), 1/shape)
 }
 
-// Pick returns a uniformly random index in [0, n) on the named stream.
-func (r *RNG) Pick(stream string, n int) int {
+// Pick returns a uniformly random index in [0, n); n <= 0 gives 0 without
+// consuming a value.
+func (s *Stream) Pick(n int) int {
 	if n <= 0 {
 		return 0
 	}
-	return r.Stream(stream).Intn(n)
+	return s.rand().Intn(n)
 }

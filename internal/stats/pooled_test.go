@@ -49,25 +49,25 @@ func TestBootstrapRateMeanCIEdgeCases(t *testing.T) {
 	rng := simkernel.NewRNG("pooled-test")
 
 	// No replicates at all.
-	if _, _, err := BootstrapRateMeanCI(rng, "a", nil, 100); err != ErrEmpty {
+	if _, _, err := BootstrapRateMeanCI(rng.Stream("a"), nil, 100); err != ErrEmpty {
 		t.Errorf("no replicates err %v, want ErrEmpty", err)
 	}
 	// Replicates with zero trials carry no information.
-	if _, _, err := BootstrapRateMeanCI(rng, "b", []Rate{{0, 0}, {0, 0}}, 100); err != ErrEmpty {
+	if _, _, err := BootstrapRateMeanCI(rng.Stream("b"), []Rate{{0, 0}, {0, 0}}, 100); err != ErrEmpty {
 		t.Errorf("zero-trial replicates err %v, want ErrEmpty", err)
 	}
 	// A single replicate pins the interval at its point estimate.
-	lo, hi, err := BootstrapRateMeanCI(rng, "c", []Rate{{1, 4}}, 100)
+	lo, hi, err := BootstrapRateMeanCI(rng.Stream("c"), []Rate{{1, 4}}, 100)
 	if err != nil || lo != 0.25 || hi != 0.25 {
 		t.Errorf("single replicate CI [%v, %v] err %v, want [0.25, 0.25]", lo, hi, err)
 	}
 	// All failures: the interval collapses at 1.
-	lo, hi, err = BootstrapRateMeanCI(rng, "d", []Rate{{9, 9}, {9, 9}, {9, 9}}, 100)
+	lo, hi, err = BootstrapRateMeanCI(rng.Stream("d"), []Rate{{9, 9}, {9, 9}, {9, 9}}, 100)
 	if err != nil || lo != 1 || hi != 1 {
 		t.Errorf("all-failure CI [%v, %v] err %v, want [1, 1]", lo, hi, err)
 	}
 	// Mixed replicates bracket the mean.
-	lo, hi, err = BootstrapRateMeanCI(rng, "e", []Rate{{0, 9}, {1, 9}, {2, 9}, {0, 9}}, 500)
+	lo, hi, err = BootstrapRateMeanCI(rng.Stream("e"), []Rate{{0, 9}, {1, 9}, {2, 9}, {0, 9}}, 500)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,7 +180,7 @@ func PoolRates(rs ...Rate) Rate {
 // carry no information and are skipped. A single informative replicate
 // pins the interval to its point estimate (resampling one value cannot
 // spread); zero informative replicates return ErrEmpty.
-func BootstrapRateMeanCI(rng *simkernel.RNG, stream string, rs []Rate, iterations int) (lo, hi float64, err error) {
+func BootstrapRateMeanCI(stream *simkernel.Stream, rs []Rate, iterations int) (lo, hi float64, err error) {
 	var vals []float64
 	for _, r := range rs {
 		if r.Trials > 0 {
@@ -193,7 +193,7 @@ func BootstrapRateMeanCI(rng *simkernel.RNG, stream string, rs []Rate, iteration
 	if len(vals) == 1 {
 		return vals[0], vals[0], nil
 	}
-	return BootstrapMeanCI(rng, stream, vals, iterations)
+	return BootstrapMeanCI(stream, vals, iterations)
 }
 
 // zQuantile returns the standard normal quantile Φ⁻¹(p).
@@ -231,7 +231,7 @@ func RequiredTrialsTwoProportions(p1, p2, alpha, power float64) (int, error) {
 
 // BootstrapMeanCI estimates a 95 % confidence interval for the mean of xs
 // by resampling.
-func BootstrapMeanCI(rng *simkernel.RNG, stream string, xs []float64, iterations int) (lo, hi float64, err error) {
+func BootstrapMeanCI(stream *simkernel.Stream, xs []float64, iterations int) (lo, hi float64, err error) {
 	if len(xs) == 0 {
 		return 0, 0, ErrEmpty
 	}
@@ -242,7 +242,7 @@ func BootstrapMeanCI(rng *simkernel.RNG, stream string, xs []float64, iterations
 	for i := range means {
 		var sum float64
 		for j := 0; j < len(xs); j++ {
-			sum += xs[rng.Pick(stream, len(xs))]
+			sum += xs[stream.Pick(len(xs))]
 		}
 		means[i] = sum / float64(len(xs))
 	}

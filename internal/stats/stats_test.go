@@ -204,9 +204,9 @@ func TestBootstrapMeanCI(t *testing.T) {
 	rng := simkernel.NewRNG("bootstrap")
 	xs := make([]float64, 200)
 	for i := range xs {
-		xs[i] = rng.Normal("data", 10, 2)
+		xs[i] = rng.Stream("data").Normal(10, 2)
 	}
-	lo, hi, err := BootstrapMeanCI(rng, "bs", xs, 500)
+	lo, hi, err := BootstrapMeanCI(rng.Stream("bs"), xs, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestBootstrapMeanCI(t *testing.T) {
 	if hi-lo > 2 {
 		t.Errorf("CI [%v, %v] implausibly wide for n=200", lo, hi)
 	}
-	if _, _, err := BootstrapMeanCI(rng, "bs", nil, 10); err == nil {
+	if _, _, err := BootstrapMeanCI(rng.Stream("bs"), nil, 10); err == nil {
 		t.Error("empty data accepted")
 	}
 }

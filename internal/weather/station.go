@@ -14,8 +14,10 @@ import (
 // values differ from the model truth, like any real sensor.
 type Station struct {
 	model    Model
-	rng      *simkernel.RNG
 	interval time.Duration
+	// tempNoise, rhNoise and windNoise are the instrument-noise streams
+	// "station_temp", "station_rh" and "station_wind".
+	tempNoise, rhNoise, windNoise *simkernel.Stream
 
 	Temp *timeseries.Series
 	RH   *timeseries.Series
@@ -38,14 +40,16 @@ var DefaultStationNoise = StationNoise{TempSigma: 0.1, RHSigma: 1.0, WindSigma: 
 // NewStation returns a station sampling the model every interval.
 func NewStation(model Model, rng *simkernel.RNG, interval time.Duration) *Station {
 	return &Station{
-		model:    model,
-		rng:      rng,
-		interval: interval,
-		Temp:     timeseries.New("outside_temp", "°C"),
-		RH:       timeseries.New("outside_rh", "%RH"),
-		Wind:     timeseries.New("wind", "m/s"),
-		Irr:      timeseries.New("irradiance", "W/m²"),
-		Snow:     timeseries.New("snowfall", "mm/h"),
+		model:     model,
+		interval:  interval,
+		tempNoise: rng.Stream("station_temp"),
+		rhNoise:   rng.Stream("station_rh"),
+		windNoise: rng.Stream("station_wind"),
+		Temp:      timeseries.New("outside_temp", "°C"),
+		RH:        timeseries.New("outside_rh", "%RH"),
+		Wind:      timeseries.New("wind", "m/s"),
+		Irr:       timeseries.New("irradiance", "W/m²"),
+		Snow:      timeseries.New("snowfall", "mm/h"),
 	}
 }
 
@@ -61,9 +65,9 @@ func (st *Station) Install(sched *simkernel.Scheduler, start time.Time) error {
 func (st *Station) Sample(now time.Time) {
 	c := st.model.At(now)
 	noise := DefaultStationNoise
-	temp := float64(c.Temp) + st.rng.Normal("station_temp", 0, noise.TempSigma)
-	rh := units.RelHumidity(float64(c.RH) + st.rng.Normal("station_rh", 0, noise.RHSigma)).Clamp()
-	wind := float64(c.Wind) + st.rng.Normal("station_wind", 0, noise.WindSigma)
+	temp := float64(c.Temp) + st.tempNoise.Normal(0, noise.TempSigma)
+	rh := units.RelHumidity(float64(c.RH) + st.rhNoise.Normal(0, noise.RHSigma)).Clamp()
+	wind := float64(c.Wind) + st.windNoise.Normal(0, noise.WindSigma)
 	if wind < 0 {
 		wind = 0
 	}

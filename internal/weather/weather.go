@@ -82,18 +82,18 @@ func (h Harmonic) At(sec float64) float64 {
 	return h.Amp * math.Sin(2*math.Pi*x+h.Phase)
 }
 
-// Mix draws n harmonics from an RNG stream: harmonic i has period
+// Mix draws n harmonics from stream: harmonic i has period
 // minP + i/n·(maxP−minP), amplitude ampScale·U(ampLo, 1)/n·2 and a
 // uniform phase, drawn in that order.
-func Mix(rng *simkernel.RNG, stream string, n int, ampScale, ampLo float64, minP, maxP time.Duration) []Harmonic {
+func Mix(stream *simkernel.Stream, n int, ampScale, ampLo float64, minP, maxP time.Duration) []Harmonic {
 	hs := make([]Harmonic, n)
 	for i := range hs {
 		frac := float64(i) / float64(n)
 		p := time.Duration(float64(minP) + frac*float64(maxP-minP))
 		hs[i] = Harmonic{
-			Amp:    ampScale * rng.Uniform(stream, ampLo, 1.0) / float64(n) * 2,
+			Amp:    ampScale * stream.Uniform(ampLo, 1.0) / float64(n) * 2,
 			Period: p.Seconds(),
-			Phase:  rng.Uniform(stream, 0, 2*math.Pi),
+			Phase:  stream.Uniform(0, 2*math.Pi),
 		}
 	}
 	return hs
@@ -202,11 +202,11 @@ func NewSynthetic(cfg Config) (*Synthetic, error) {
 		meanTemp:  cfg.MeanTempAtEpoch,
 		warming:   cfg.WarmingPerDay,
 		diurnalA:  cfg.DiurnalAmplitude,
-		synoptic:  Mix(rng, "synoptic", 7, cfg.SynopticAmplitude, 0.4, 40*time.Hour, 15*24*time.Hour),
-		humid:     Mix(rng, "humidity", 5, 9, 0.4, 20*time.Hour, 8*24*time.Hour),
-		windH:     Mix(rng, "wind", 5, 2.2, 0.4, 6*time.Hour, 5*24*time.Hour),
-		cloudH:    Mix(rng, "cloud", 5, 0.5, 0.4, 12*time.Hour, 9*24*time.Hour),
-		tempNoise: Mix(rng, "noise", 4, 0.6, 0.4, 9*time.Minute, 3*time.Hour),
+		synoptic:  Mix(rng.Stream("synoptic"), 7, cfg.SynopticAmplitude, 0.4, 40*time.Hour, 15*24*time.Hour),
+		humid:     Mix(rng.Stream("humidity"), 5, 9, 0.4, 20*time.Hour, 8*24*time.Hour),
+		windH:     Mix(rng.Stream("wind"), 5, 2.2, 0.4, 6*time.Hour, 5*24*time.Hour),
+		cloudH:    Mix(rng.Stream("cloud"), 5, 0.5, 0.4, 12*time.Hour, 9*24*time.Hour),
+		tempNoise: Mix(rng.Stream("noise"), 4, 0.6, 0.4, 9*time.Minute, 3*time.Hour),
 		windMean:  cfg.MeanWind,
 		rhMean:    cfg.MeanRH,
 	}

@@ -38,11 +38,10 @@ type CycleResult struct {
 }
 
 // Runner executes the synthetic load for one host. It holds the host's
-// pristine archive and the reference digest "calculated before
-// installation".
+// pristine archive, the reference digest "calculated before
+// installation" and the handles on the host's corruption streams.
 type Runner struct {
 	hostID string
-	rng    *simkernel.RNG
 
 	reference Digest
 	refBlocks int
@@ -53,10 +52,9 @@ type Runner struct {
 	// produce these exact bytes; re-running the compressor per cycle only
 	// burned time. Corrupting cycles work on a copy.
 	pack *packEntry
-	// blockStream and bitStream are the precomputed corruption RNG stream
-	// names.
-	blockStream string
-	bitStream   string
+	// block and bit are the corruption streams "workload/<host>/block" and
+	// "workload/<host>/bit".
+	block, bit *simkernel.Stream
 
 	results []CycleResult
 	// storedArchives keeps the failing tarballs, as §3.5 prescribes.
@@ -190,13 +188,12 @@ func (c *PackCache) NewRunner(hostID string, treeSeed string, files int, treeByt
 	}
 	return &Runner{
 		hostID:         hostID,
-		rng:            rng,
 		reference:      ent.res.MD5,
 		refBlocks:      ent.res.Blocks,
 		pages:          PagesTouched(ent.res),
 		pack:           ent,
-		blockStream:    "workload/" + hostID + "/block",
-		bitStream:      "workload/" + hostID + "/bit",
+		block:          rng.Stream("workload/" + hostID + "/block"),
+		bit:            rng.Stream("workload/" + hostID + "/bit"),
 		storedArchives: make(map[string][]byte),
 	}, nil
 }
@@ -308,10 +305,8 @@ func (r *Runner) RunCycle(now time.Time, corrupt bool) (CycleResult, error) {
 	archive, res := r.pack.archive, r.pack.res
 	if corrupt {
 		archive = append([]byte(nil), archive...)
-		block := r.rng.Pick(r.blockStream, res.Blocks)
-		if err := CorruptBit(archive, block, func(n int) int {
-			return r.rng.Pick(r.bitStream, n)
-		}); err != nil {
+		block := r.block.Pick(res.Blocks)
+		if err := CorruptBit(archive, block, r.bit.Pick); err != nil {
 			return CycleResult{}, err
 		}
 		res.MD5 = md5.Sum(archive)
@@ -346,10 +341,10 @@ func (r *Runner) Results() []CycleResult {
 }
 
 // StartFuzz returns a scheduler fuzz function drawing the paper's 0–119 s
-// start sleep from the host's RNG stream.
+// start sleep from the host's stream "fuzz/<host>".
 func StartFuzz(rng *simkernel.RNG, hostID string) func() time.Duration {
-	stream := "fuzz/" + hostID
+	stream := rng.Stream("fuzz/" + hostID)
 	return func() time.Duration {
-		return time.Duration(rng.Pick(stream, int(MaxStartFuzz/time.Second)+1)) * time.Second
+		return time.Duration(stream.Pick(int(MaxStartFuzz/time.Second)+1)) * time.Second
 	}
 }
