@@ -19,10 +19,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"syscall"
@@ -34,54 +36,32 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "campaign:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	reps := flag.Int("reps", 16, "replicates per sweep point")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation workers")
-	seed := flag.String("seed", "winter0910", "campaign master seed (replicate i uses <seed>/rep/<i>)")
-	days := flag.Int("days", 0, "override the normal-phase length in days (0 = paper horizon)")
-	climates := flag.String("climates", "", "comma-separated internal/climate families to sweep (\"reference\" or empty = calibrated reference winter)")
-	fleets := flag.String("fleets", "", "comma-separated fleet sizes (tent/basement pairs) to sweep")
-	monitors := flag.String("monitors", "", "comma-separated monitoring cadences to sweep (e.g. 0,20m,2h)")
-	mods := flag.String("mods", "", "sweep the R/I/B/F modification ladder: on,off")
-	checkpoint := flag.String("checkpoint", "campaign-checkpoints", "checkpoint directory (\"\" disables persistence)")
-	grid := flag.Duration("grid", campaign.DefaultEnvelopeGrid, "resampling bucket for cross-run envelopes")
-	boot := flag.Int("bootstrap", 1000, "bootstrap iterations for the mean-rate CI")
-	verbose := flag.Bool("v", false, "print one line per finished replicate")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz, /buildinfo and net/http/pprof on this address while the campaign runs")
-	flag.Parse()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "campaign: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "campaign: memprofile:", err)
-			}
-		}()
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
+	reps := fs.Int("reps", 16, "replicates per sweep point")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation workers")
+	seed := fs.String("seed", "winter0910", "campaign master seed (replicate i uses <seed>/rep/<i>)")
+	days := fs.Int("days", 0, "override the normal-phase length in days (0 = paper horizon)")
+	climates := fs.String("climates", "", "comma-separated internal/climate families to sweep (\"reference\" or empty = calibrated reference winter)")
+	fleets := fs.String("fleets", "", "comma-separated fleet sizes (tent/basement pairs) to sweep")
+	monitors := fs.String("monitors", "", "comma-separated monitoring cadences to sweep (e.g. 0,20m,2h)")
+	mods := fs.String("mods", "", "sweep the R/I/B/F modification ladder: on,off")
+	checkpoint := fs.String("checkpoint", "campaign-checkpoints", "checkpoint directory (\"\" disables persistence)")
+	grid := fs.Duration("grid", campaign.DefaultEnvelopeGrid, "resampling bucket for cross-run envelopes")
+	boot := fs.Int("bootstrap", 1000, "bootstrap iterations for the mean-rate CI")
+	verbose := fs.Bool("v", false, "print one line per finished replicate")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /healthz, /buildinfo and net/http/pprof on this address while the campaign runs")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
 	spec := campaign.Spec{
@@ -100,12 +80,12 @@ func run() error {
 	if *debugAddr != "" {
 		reg := telemetry.NewRegistry()
 		spec.Metrics = campaign.NewMetrics(reg)
-		go func() {
-			if err := telemetry.NewServer(*debugAddr, telemetry.DebugMux(reg, true)).ListenAndServe(); err != nil {
-				fmt.Fprintln(os.Stderr, "campaign: debug listener:", err)
-			}
-		}()
-		fmt.Printf("telemetry + pprof on http://%s/\n", *debugAddr)
+		stopDebug, err := serveDebug(*debugAddr, telemetry.DebugMux(reg, true))
+		if err != nil {
+			return err
+		}
+		defer stopDebug()
+		fmt.Fprintf(stdout, "telemetry + pprof on http://%s/\n", *debugAddr)
 	}
 	if *verbose {
 		spec.Progress = func(done, total int, rs campaign.RunSummary) {
@@ -122,35 +102,54 @@ func run() error {
 		}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	started := time.Now()
-	fmt.Printf("Running campaign: seed %q, %d replicate(s), %d worker(s)", *seed, *reps, spec.Workers)
+	fmt.Fprintf(stdout, "Running campaign: seed %q, %d replicate(s), %d worker(s)", *seed, *reps, spec.Workers)
 	if *checkpoint != "" {
-		fmt.Printf(", checkpoints in %s", *checkpoint)
+		fmt.Fprintf(stdout, ", checkpoints in %s", *checkpoint)
 	}
-	fmt.Println("...")
+	fmt.Fprintln(stdout, "...")
 
 	summary, err := campaign.Run(ctx, spec)
 	if errors.Is(err, context.Canceled) {
-		fmt.Printf("\nInterrupted after %s: %d of %d runs completed",
+		fmt.Fprintf(stdout, "\nInterrupted after %s: %d of %d runs completed",
 			time.Since(started).Round(time.Millisecond), summary.Completed, summary.TotalRuns)
 		if *checkpoint != "" {
-			fmt.Printf(" and checkpointed; re-run the same command to resume")
+			fmt.Fprintf(stdout, " and checkpointed; re-run the same command to resume")
 			if summary.CheckpointFailed > 0 {
-				fmt.Printf(" (%d checkpoint write(s) failed and will re-run)", summary.CheckpointFailed)
+				fmt.Fprintf(stdout, " (%d checkpoint write(s) failed and will re-run)", summary.CheckpointFailed)
 			}
 		}
-		fmt.Println(".")
+		fmt.Fprintln(stdout, ".")
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Campaign finished in %s.\n\n", time.Since(started).Round(time.Millisecond))
-	fmt.Println(report.Campaign(summary))
+	fmt.Fprintf(stdout, "Campaign finished in %s.\n\n", time.Since(started).Round(time.Millisecond))
+	fmt.Fprintln(stdout, report.Campaign(summary))
 	return nil
+}
+
+// serveDebug listens on addr before the campaign starts, so a busy or
+// malformed address fails the run, and serves h until the returned stop
+// shuts the server down and waits for it.
+func serveDebug(addr string, h http.Handler) (stop func(), err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("debug listener: %w", err)
+	}
+	srv := telemetry.NewServer(addr, h)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			fmt.Fprintln(os.Stderr, "campaign: debug listener:", err)
+		}
+	}()
+	return func() {
+		srv.Close()
+		<-done
+	}, nil
 }
 
 func parseSweep(climates, fleets, monitors, mods string) (campaign.Sweep, error) {

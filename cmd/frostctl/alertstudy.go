@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"testing"
 	"time"
@@ -81,7 +82,7 @@ type fleetArm struct {
 	linesPerRound int
 }
 
-func runAlertsStudy(seed, out string) error {
+func runAlertsStudy(stdout io.Writer, seed, out string) error {
 	t0 := time.Date(2010, time.February, 19, 12, 0, 0, 0, time.UTC)
 	cadence := 20 * time.Minute
 
@@ -126,7 +127,7 @@ func runAlertsStudy(seed, out string) error {
 		},
 	}
 
-	fmt.Printf("E16 detection-latency study: %d hosts, seed %q\n\n", alertsHosts, seed)
+	fmt.Fprintf(stdout, "E16 detection-latency study: %d hosts, seed %q\n\n", alertsHosts, seed)
 	var results []armResult
 	for _, arm := range arms {
 		res, err := runFleetArmTwice(seed, alertsHosts, t0, cadence, arm)
@@ -134,7 +135,7 @@ func runAlertsStudy(seed, out string) error {
 			return fmt.Errorf("%s: %w", arm.class, err)
 		}
 		results = append(results, res)
-		printArm(res)
+		printArm(stdout, res)
 	}
 
 	damper, err := runDamperArm(seed, alertsDays, alertsStuckTick)
@@ -142,10 +143,10 @@ func runAlertsStudy(seed, out string) error {
 		return fmt.Errorf("stuck-damper: %w", err)
 	}
 	results = append(results, damper)
-	printArm(damper)
+	printArm(stdout, damper)
 
 	allocs := measureEvalAllocs()
-	fmt.Printf("\nwarm eval path: %.3f allocs/tick over 1000 ticks\n", allocs)
+	fmt.Fprintf(stdout, "\nwarm eval path: %.3f allocs/tick over 1000 ticks\n", allocs)
 
 	bench := alertsBench{Seed: seed, Classes: results, EvalAllocsPerTick: allocs}
 	if out != "" {
@@ -156,7 +157,7 @@ func runAlertsStudy(seed, out string) error {
 		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("report written to %s\n", out)
+		fmt.Fprintf(stdout, "report written to %s\n", out)
 	}
 	return alertsGate(bench)
 }
@@ -191,7 +192,7 @@ func alertsGate(b alertsBench) error {
 	return nil
 }
 
-func printArm(r armResult) {
+func printArm(stdout io.Writer, r armResult) {
 	status := "MISSED"
 	if r.Detected {
 		status = fmt.Sprintf("MTTD %s", time.Duration(r.MTTDSeconds*float64(time.Second)).Round(time.Second))
@@ -200,7 +201,7 @@ func printArm(r armResult) {
 	if !r.ReplayIdentical {
 		replay = "REPLAY DIVERGED"
 	}
-	fmt.Printf("%-14s rule %-14s injected %s  %-12s %s\n",
+	fmt.Fprintf(stdout, "%-14s rule %-14s injected %s  %-12s %s\n",
 		r.Class, r.Rule, r.InjectedAt.Format("15:04"), status, replay)
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"slices"
 	"strconv"
 	"strings"
@@ -38,10 +39,10 @@ type chaosOpts struct {
 	stalled *string
 }
 
-func chaosFlags() chaosOpts {
+func chaosFlags(fs *flag.FlagSet) chaosOpts {
 	return chaosOpts{
-		down:    flag.String("down", "", "crash schedule host=from-to[,host=from-to] (rounds, open end: from-)"),
-		stalled: flag.String("stalled", "", "stall schedule, same syntax as -down"),
+		down:    fs.String("down", "", "crash schedule host=from-to[,host=from-to] (rounds, open end: from-)"),
+		stalled: fs.String("stalled", "", "stall schedule, same syntax as -down"),
 	}
 }
 
@@ -94,7 +95,7 @@ func fleetSchedule(flagName, s string, fleet []string) (map[string][]chaos.Round
 // runChaosStudy drives the E13 study; traceTo, when non-empty, records
 // the collection plane (round and per-host collect spans, wall time) as
 // Chrome trace-event JSON.
-func runChaosStudy(seed string, o chaosOpts, traceTo string) error {
+func runChaosStudy(stdout io.Writer, seed string, o chaosOpts, traceTo string) error {
 	ids := make([]string, chaosHosts)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("%02d", i+1)
@@ -154,8 +155,8 @@ func runChaosStudy(seed string, o chaosOpts, traceTo string) error {
 		return err
 	}
 
-	fmt.Printf("E13 monitoring-outage study: %d hosts, %d rounds, seed %q\n", chaosHosts, chaosRounds, seed)
-	fmt.Printf("faults: refuse %.2f, stall %.2f, cut %.2f, corrupt %.2f; down %q; stalled %q\n\n",
+	fmt.Fprintf(stdout, "E13 monitoring-outage study: %d hosts, %d rounds, seed %q\n", chaosHosts, chaosRounds, seed)
+	fmt.Fprintf(stdout, "faults: refuse %.2f, stall %.2f, cut %.2f, corrupt %.2f; down %q; stalled %q\n\n",
 		chaosPRefuse, chaosPStall, chaosPCut, chaosPCorrupt, *o.down, *o.stalled)
 	at := time.Date(2010, time.February, 19, 12, 0, 0, 0, time.UTC)
 	for round := 1; round <= chaosRounds; round++ {
@@ -174,14 +175,14 @@ func runChaosStudy(seed string, o chaosOpts, traceTo string) error {
 		if len(notes) > 0 {
 			detail = ": " + strings.Join(notes, ", ")
 		}
-		fmt.Printf("round %2d: coverage %.4f%s\n", round, rep.Coverage(), detail)
+		fmt.Fprintf(stdout, "round %2d: coverage %.4f%s\n", round, rep.Coverage(), detail)
 	}
-	fmt.Printf("\n%s", fc.Ledger().String())
+	fmt.Fprintf(stdout, "\n%s", fc.Ledger().String())
 	if tracer != nil {
-		if err := writeTrace(traceTo, tracer); err != nil {
+		if err := writeFile(traceTo, tracer.WriteChromeTrace); err != nil {
 			return err
 		}
-		fmt.Printf("Chrome trace (%d events) written to %s\n", tracer.Len(), traceTo)
+		fmt.Fprintf(stdout, "Chrome trace (%d events) written to %s\n", tracer.Len(), traceTo)
 	}
 	return nil
 }

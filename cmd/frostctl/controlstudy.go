@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"time"
 
 	"frostlab/internal/chaos"
@@ -26,12 +27,12 @@ type controlOpts struct {
 	stuck    *string
 }
 
-func controlFlags() controlOpts {
+func controlFlags(fs *flag.FlagSet) controlOpts {
 	return controlOpts{
-		setpoint: flag.Float64("control-setpoint", float64(control.DefaultConfig().Setpoint),
+		setpoint: fs.Float64("control-setpoint", float64(control.DefaultConfig().Setpoint),
 			"ventilation setpoint in °C for -phase control"),
-		mode: flag.String("control-mode", "pid", "pid | hysteresis controller law for -phase control"),
-		stuck: flag.String("control-stuck", "",
+		mode: fs.String("control-mode", "pid", "pid | hysteresis controller law for -phase control"),
+		stuck: fs.String("control-stuck", "",
 			"scripted stuck-damper window as control-tick range from-to (empty = healthy actuator)"),
 	}
 }
@@ -42,7 +43,7 @@ type controlScenario struct {
 	days int // 0 = the paper horizon
 }
 
-func runControlStudy(seed string, co controlOpts) error {
+func runControlStudy(stdout io.Writer, seed string, co controlOpts) error {
 	cc := control.DefaultConfig()
 	cc.Setpoint = units.Celsius(*co.setpoint)
 	switch *co.mode {
@@ -82,7 +83,7 @@ func runControlStudy(seed string, co controlOpts) error {
 				cfg.Control = &ctlCfg
 				cfg.ActuatorChaos = actuator
 			}
-			fmt.Printf("Running %s %s %s – %s (seed %q)...\n", sc.name, arm,
+			fmt.Fprintf(stdout, "Running %s %s %s – %s (seed %q)...\n", sc.name, arm,
 				cfg.Start.Format("Jan 02"), cfg.End.Format("Jan 02"), seed)
 			start := time.Now()
 			exp, err := core.New(cfg)
@@ -111,14 +112,14 @@ func runControlStudy(seed string, co controlOpts) error {
 				closedFigs = append(closedFigs, fmt.Sprintf("[%s closed-loop]\n\n%s", sc.name, fig))
 			}
 			rows = append(rows, row)
-			fmt.Printf("  done in %.1fs\n", time.Since(start).Seconds())
+			fmt.Fprintf(stdout, "  done in %.1fs\n", time.Since(start).Seconds())
 		}
 	}
-	fmt.Println()
-	fmt.Println(report.TableControlStudy(rows))
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, report.TableControlStudy(rows))
 	for _, fig := range closedFigs {
-		fmt.Println()
-		fmt.Println(fig)
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, fig)
 	}
 	return nil
 }

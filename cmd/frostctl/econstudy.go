@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"testing"
 
@@ -34,10 +35,10 @@ type econOpts struct {
 	out  *string
 }
 
-func econFlags() econOpts {
+func econFlags(fs *flag.FlagSet) econOpts {
 	return econOpts{
-		days: flag.Int("econ-days", 28, "simulated days per sweep cell"),
-		out:  flag.String("econ-out", "BENCH_ECON.json", "write the study report as JSON to this file (\"\" disables)"),
+		days: fs.Int("econ-days", 28, "simulated days per sweep cell"),
+		out:  fs.String("econ-out", "BENCH_ECON.json", "write the study report as JSON to this file (\"\" disables)"),
 	}
 }
 
@@ -70,7 +71,7 @@ type econBench struct {
 	FollowColdWins    int                `json:"follow_cold_wins"`
 }
 
-func runEconStudy(seed string, o econOpts) error {
+func runEconStudy(stdout io.Writer, seed string, o econOpts) error {
 	if *o.days < 1 {
 		return fmt.Errorf("-econ-days must be at least 1, got %d", *o.days)
 	}
@@ -78,7 +79,7 @@ func runEconStudy(seed string, o econOpts) error {
 	spec.Days = *o.days
 	spec.HostsPerSite = econHosts
 
-	fmt.Printf("E17 economics study: %d-day cells, %d hosts/site, seed %q\n\n", spec.Days, spec.HostsPerSite, seed)
+	fmt.Fprintf(stdout, "E17 economics study: %d-day cells, %d hosts/site, seed %q\n\n", spec.Days, spec.HostsPerSite, seed)
 
 	sum, err := campaign.RunEcon(spec)
 	if err != nil {
@@ -103,7 +104,7 @@ func runEconStudy(seed string, o econOpts) error {
 		}
 		if err := econ.CheckConservation(meters, r.Demanded, 1e-6*(1+r.Demanded)); err != nil {
 			conservationOK = false
-			fmt.Printf("conservation violated in %s: %v\n", sum.Cells[i].Label, err)
+			fmt.Fprintf(stdout, "conservation violated in %s: %v\n", sum.Cells[i].Label, err)
 		}
 	}
 
@@ -113,7 +114,7 @@ func runEconStudy(seed string, o econOpts) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(text)
+	fmt.Fprintln(stdout, text)
 
 	keys, savings := sum.Advantage("follow-cold", "static")
 	wins := 0
@@ -127,9 +128,9 @@ func runEconStudy(seed string, o econOpts) error {
 	if !replayOK {
 		replay = "REPLAY DIVERGED"
 	}
-	fmt.Printf("sweep digest %s (%s)\n", sweepDigest, replay)
-	fmt.Printf("warm multi-site tick: %.3f allocs over 100 ticks\n", allocs)
-	fmt.Printf("follow-cold beats static on %d of %d (fleet, tariff) pairs\n", wins, len(keys))
+	fmt.Fprintf(stdout, "sweep digest %s (%s)\n", sweepDigest, replay)
+	fmt.Fprintf(stdout, "warm multi-site tick: %.3f allocs over 100 ticks\n", allocs)
+	fmt.Fprintf(stdout, "follow-cold beats static on %d of %d (fleet, tariff) pairs\n", wins, len(keys))
 
 	bench := econBench{
 		Seed:              seed,
@@ -167,7 +168,7 @@ func runEconStudy(seed string, o econOpts) error {
 		if err := os.WriteFile(*o.out, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("report written to %s\n", *o.out)
+		fmt.Fprintf(stdout, "report written to %s\n", *o.out)
 	}
 	return econGate(bench)
 }
@@ -213,31 +214,31 @@ func measureEconTickAllocs(seed string) float64 {
 
 // listClimates prints the scenario library (-list-climates): every
 // family's catalogue line and parameter defaults.
-func listClimates() {
-	fmt.Println("Scenario library (internal/climate):")
+func listClimates(stdout io.Writer) {
+	fmt.Fprintln(stdout, "Scenario library (internal/climate):")
 	for _, f := range climate.Families() {
-		fmt.Printf("\n%s — %s\n", f.Name, f.Description)
+		fmt.Fprintf(stdout, "\n%s — %s\n", f.Name, f.Description)
 		p := f.Defaults
-		fmt.Printf("  latitude %.1f°N, mean %.1f °C (%+.2f °C/day), diurnal ±%.1f °C, synoptic ±%.1f °C\n",
+		fmt.Fprintf(stdout, "  latitude %.1f°N, mean %.1f °C (%+.2f °C/day), diurnal ±%.1f °C, synoptic ±%.1f °C\n",
 			p.Latitude, p.MeanTemp, p.WarmingPerDay, p.DiurnalAmplitude, p.SynopticAmplitude)
-		fmt.Printf("  RH %.0f%%, wind %.1f m/s, stress %.2f\n", p.MeanRH, p.MeanWind, p.Stress)
+		fmt.Fprintf(stdout, "  RH %.0f%%, wind %.1f m/s, stress %.2f\n", p.MeanRH, p.MeanWind, p.Stress)
 	}
-	fmt.Println("\nTariff presets (internal/econ):")
+	fmt.Fprintln(stdout, "\nTariff presets (internal/econ):")
 	for _, tf := range econ.Tariffs() {
-		fmt.Printf("\n%s — %s\n", tf.Name, tf.Description)
+		fmt.Fprintf(stdout, "\n%s — %s\n", tf.Name, tf.Description)
 		d := tf.Defaults
-		fmt.Printf("  base $%.3f/kWh, diurnal ±$%.3f (peak %02.0f:00), duck -$%.3f, volatility %.2f\n",
+		fmt.Fprintf(stdout, "  base $%.3f/kWh, diurnal ±$%.3f (peak %02.0f:00), duck -$%.3f, volatility %.2f\n",
 			d.BasePrice, d.DiurnalAmp, d.PeakHour, d.DuckAmp, d.Volatility)
-		fmt.Printf("  carbon %.0f ±%.0f gCO₂/kWh\n", d.BaseCarbon, d.CarbonSwing)
+		fmt.Fprintf(stdout, "  carbon %.0f ±%.0f gCO₂/kWh\n", d.BaseCarbon, d.CarbonSwing)
 	}
 }
 
 // listPolicies prints the placement-policy library (-list-policies).
-func listPolicies() {
-	fmt.Println("Site placement policies (internal/control):")
+func listPolicies(stdout io.Writer) {
+	fmt.Fprintln(stdout, "Site placement policies (internal/control):")
 	for _, p := range control.Policies() {
-		fmt.Printf("\n%s — %s\n", p.Name, p.Description)
+		fmt.Fprintf(stdout, "\n%s — %s\n", p.Name, p.Description)
 	}
-	fmt.Printf("\nfollow-* hysteresis: switch margin %.0f%%, hold %d ticks\n",
+	fmt.Fprintf(stdout, "\nfollow-* hysteresis: switch margin %.0f%%, hold %d ticks\n",
 		100*control.FollowSwitchMargin, control.FollowHoldTicks)
 }

@@ -4,12 +4,15 @@
 // sensor tables, the monitoring and coverage tables of a monitored run,
 // the §5 analyses, the event log, the PUE table, the §3.1 prototype
 // weekend (re-run for the run's seed) and the economizer savings.
-// -phase normal leaves out the prototype; -phase prototype prints only it.
+// -id prints one artefact alone, exactly as it appears in the full
+// output, and skips the run when the artefact does not need one.
 // -load renders a saved run the same way, with the saved run's seed.
 //
 // Usage:
 //
-//	frostctl [-seed SEED] [-phase all|prototype|normal|chaos|control|serve|alerts|econ] [-monitor 20m]
+//	frostctl [-seed SEED] [-phase all|chaos|control|serve|alerts|econ] [-monitor 20m]
+//	         [-id all|fig1|fig2|fig3|fig4|cpu|failures|hashes|memory|lmsensors|
+//	              monitoring|coverage|analysis|events|pue|prototype|savings|control]
 //	         [-days N] [-csv DIR] [-trace out.json]
 //	frostctl -tents N [-hosts-per-tent 9] [-shards K] [-days N] [-csv DIR] [-save out.json]
 //
@@ -46,12 +49,15 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"syscall"
 	"time"
 
@@ -63,94 +69,106 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// The normal phase, -tents and -phase serve stop when a signal cancels
+	// ctx. The default handler is back after it, so a second signal ends
+	// the studies that do not watch ctx.
+	context.AfterFunc(ctx, stop)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "frostctl:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	seed := flag.String("seed", core.ReferenceSeed, "master RNG seed")
-	phase := flag.String("phase", "all", "all | prototype | normal | chaos | control | serve | alerts | econ")
-	monitor := flag.Duration("monitor", 20*time.Minute, "monitoring cadence (0 disables the rsync plane)")
-	days := flag.Int("days", 0, "override the normal-phase length in days (0 = paper horizon)")
-	csvDir := flag.String("csv", "", "write temperature/humidity CSVs into this directory")
-	saveTo := flag.String("save", "", "save the run's results as JSON to this file")
-	loadFrom := flag.String("load", "", "skip the simulation; render a previously saved run")
-	mdTo := flag.String("md", "", "write a complete markdown run report to this file")
-	traceTo := flag.String("trace", "", "write the run as Chrome trace-event JSON to this file")
-	tents := flag.Int("tents", 0, "run the sharded scale engine over a synthetic fleet of this many tents (0 = the paper's paired fleet)")
-	hostsPerTent := flag.Int("hosts-per-tent", 9, "hosts per synthetic tent (with -tents)")
-	shards := flag.Int("shards", 0, "shard count for the synthetic fleet; <= 0 selects GOMAXPROCS. Results are byte-identical at any shard count or GOMAXPROCS; more shards than cores adds overhead without speedup")
-	listClim := flag.Bool("list-climates", false, "print the scenario library (climate families and tariff presets) and exit")
-	listPol := flag.Bool("list-policies", false, "print the site placement-policy library and exit")
-	ch := chaosFlags()
-	co := controlFlags()
-	se := serveFlags()
-	alertsOut := flag.String("alerts-out", "BENCH_ALERTS.json", "write the E16 study report as JSON to this file (\"\" disables)")
-	eo := econFlags()
-	flag.Parse()
-
-	switch *phase {
-	case "all", "prototype", "normal", "chaos", "control", "serve", "alerts", "econ":
-	default:
-		return fmt.Errorf("unknown -phase %q (want all | prototype | normal | chaos | control | serve | alerts | econ)", *phase)
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("frostctl", flag.ContinueOnError)
+	seed := fs.String("seed", core.ReferenceSeed, "master RNG seed")
+	phase := fs.String("phase", "all", "all | chaos | control | serve | alerts | econ")
+	id := fs.String("id", "all", "print only this report.Catalogue artefact of the normal phase (all = every one)")
+	monitor := fs.Duration("monitor", 20*time.Minute, "monitoring cadence (0 disables the rsync plane)")
+	days := fs.Int("days", 0, "override the normal-phase length in days (0 = paper horizon)")
+	csvDir := fs.String("csv", "", "write temperature/humidity CSVs into this directory")
+	saveTo := fs.String("save", "", "save the run's results as JSON to this file")
+	loadFrom := fs.String("load", "", "skip the simulation; render a previously saved run")
+	mdTo := fs.String("md", "", "write a complete markdown run report to this file")
+	traceTo := fs.String("trace", "", "write the run as Chrome trace-event JSON to this file")
+	tents := fs.Int("tents", 0, "run the sharded scale engine over a synthetic fleet of this many tents (0 = the paper's paired fleet)")
+	hostsPerTent := fs.Int("hosts-per-tent", 9, "hosts per synthetic tent (with -tents)")
+	shards := fs.Int("shards", 0, "shard count for the synthetic fleet; <= 0 selects GOMAXPROCS. Results are byte-identical at any shard count or GOMAXPROCS; more shards than cores adds overhead without speedup")
+	listClim := fs.Bool("list-climates", false, "print the scenario library (climate families and tariff presets) and exit")
+	listPol := fs.Bool("list-policies", false, "print the site placement-policy library and exit")
+	ch := chaosFlags(fs)
+	co := controlFlags(fs)
+	se := serveFlags(fs)
+	alertsOut := fs.String("alerts-out", "BENCH_ALERTS.json", "write the E16 study report as JSON to this file (\"\" disables)")
+	eo := econFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
+	switch *phase {
+	case "all", "chaos", "control", "serve", "alerts", "econ":
+	default:
+		return fmt.Errorf("unknown -phase %q (want all | chaos | control | serve | alerts | econ)", *phase)
+	}
 	if *days < 0 {
 		return fmt.Errorf("-days must not be negative, got %d", *days)
+	}
+	if *tents < 0 {
+		return fmt.Errorf("-tents must not be negative, got %d", *tents)
+	}
+	arts := report.Catalogue
+	if *id != "all" {
+		if *phase != "all" {
+			return fmt.Errorf("-id only applies to the normal phase, not -phase %s", *phase)
+		}
+		a, ok := report.ArtefactByID(strings.ToLower(*id))
+		if !ok {
+			return fmt.Errorf("unknown artefact id %q", *id)
+		}
+		arts = []report.Artefact{a}
 	}
 
 	if *listClim || *listPol {
 		if *listClim {
-			listClimates()
+			listClimates(stdout)
 		}
 		if *listPol {
 			if *listClim {
-				fmt.Println()
+				fmt.Fprintln(stdout)
 			}
-			listPolicies()
+			listPolicies(stdout)
 		}
 		return nil
 	}
 
 	if *tents > 0 {
-		if *phase != "all" && *phase != "normal" {
-			return fmt.Errorf("-tents only applies to the normal phase, not -phase %s", *phase)
+		if *phase != "all" || *id != "all" {
+			return fmt.Errorf("-tents only applies to the whole normal phase, not -phase %s -id %s", *phase, *id)
 		}
-		return runScaleFleet(*seed, *tents, *hostsPerTent, *shards, *days, *saveTo, *csvDir)
+		return runScaleFleet(ctx, stdout, *seed, *tents, *hostsPerTent, *shards, *days, *saveTo, *csvDir)
 	}
 
-	if *phase == "chaos" {
-		return runChaosStudy(*seed, ch, *traceTo)
-	}
-	if *phase == "control" {
-		return runControlStudy(*seed, co)
-	}
-	if *phase == "alerts" {
-		return runAlertsStudy(*seed, *alertsOut)
-	}
-	if *phase == "econ" {
-		return runEconStudy(*seed, eo)
-	}
-	if *phase == "serve" {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		return runServeStudy(ctx, *seed, se)
+	switch *phase {
+	case "chaos":
+		return runChaosStudy(stdout, *seed, ch, *traceTo)
+	case "control":
+		return runControlStudy(stdout, *seed, co)
+	case "alerts":
+		return runAlertsStudy(stdout, *seed, *alertsOut)
+	case "econ":
+		return runEconStudy(stdout, *seed, eo)
+	case "serve":
+		return runServeStudy(ctx, stdout, *seed, se)
 	}
 
-	if *phase == "prototype" {
-		proto, _ := report.ArtefactByID("prototype")
-		s, err := proto.Render(*seed, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(s)
-		return nil
-	}
-
+	// The headers belong to the full output: -id X prints X's block alone.
+	whole := *id == "all"
 	var r *core.Results
-	if *loadFrom != "" {
+	switch {
+	case *loadFrom != "":
 		f, err := os.Open(*loadFrom)
 		if err != nil {
 			return err
@@ -160,16 +178,22 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Rendering saved run %s (seed %q, %s – %s)\n\n",
-			*loadFrom, r.Seed, r.Start.Format("Jan 02"), r.End.Format("Jan 02"))
-	} else {
+		if whole {
+			fmt.Fprintf(stdout, "Rendering saved run %s (seed %q, %s – %s)\n\n",
+				*loadFrom, r.Seed, r.Start.Format("Jan 02"), r.End.Format("Jan 02"))
+		}
+	// A shorter -days window also moves the savings table's, so only the
+	// paper horizon may skip the run for an artefact that needs none.
+	case whole || arts[0].NeedsRun || *days > 0 || *saveTo != "" || *csvDir != "" || *mdTo != "" || *traceTo != "":
 		cfg := core.DefaultConfig(*seed)
 		cfg.MonitorEvery = *monitor
 		if *days > 0 {
 			cfg.End = cfg.Start.AddDate(0, 0, *days)
 		}
-		fmt.Printf("Running normal phase %s – %s (seed %q, monitoring %v)...\n\n",
-			cfg.Start.Format("Jan 02"), cfg.End.Format("Jan 02"), *seed, *monitor)
+		if whole {
+			fmt.Fprintf(stdout, "Running normal phase %s – %s (seed %q, monitoring %v)...\n\n",
+				cfg.Start.Format("Jan 02"), cfg.End.Format("Jan 02"), *seed, *monitor)
+		}
 		exp, err := core.New(cfg)
 		if err != nil {
 			return err
@@ -179,51 +203,37 @@ func run() error {
 			tracer = telemetry.NewTracer(telemetry.DefaultTraceCapacity)
 			exp.WithTracer(tracer)
 		}
-		r, err = exp.Run()
-		if err != nil {
+		if r, err = exp.RunContext(ctx); err != nil {
 			return err
 		}
 		if tracer != nil {
-			if err := writeTrace(*traceTo, tracer); err != nil {
+			if err := writeFile(*traceTo, tracer.WriteChromeTrace); err != nil {
 				return err
 			}
-			fmt.Printf("Chrome trace (%d events, %d dropped) written to %s\n\n",
+			fmt.Fprintf(stdout, "Chrome trace (%d events, %d dropped) written to %s\n\n",
 				tracer.Len(), tracer.Dropped(), *traceTo)
 		}
 	}
 	if *saveTo != "" {
-		f, err := os.Create(*saveTo)
-		if err != nil {
+		if err := saveResults(stdout, *saveTo, r); err != nil {
 			return err
 		}
-		if err := core.SaveResults(f, r); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("Results saved to %s\n\n", *saveTo)
 	}
 
-	for _, a := range report.Catalogue {
-		if *phase == "normal" && a.ID == "prototype" {
-			continue
-		}
-		s, err := a.Render(r.Seed, r)
+	for _, a := range arts {
+		s, err := a.Render(*seed, r)
 		if err != nil {
 			return err
 		}
 		if s != "" {
-			fmt.Println(s)
+			fmt.Fprintln(stdout, s)
 		}
 	}
 
 	if *csvDir != "" {
-		if err := writeCSVs(*csvDir, r); err != nil {
+		if err := writeCSVs(stdout, *csvDir, r); err != nil {
 			return err
 		}
-		fmt.Printf("CSV series written to %s\n", *csvDir)
 	}
 	if *mdTo != "" {
 		md, err := report.Markdown(r)
@@ -233,7 +243,7 @@ func run() error {
 		if err := os.WriteFile(*mdTo, []byte(md), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("Markdown report written to %s\n", *mdTo)
+		fmt.Fprintf(stdout, "Markdown report written to %s\n", *mdTo)
 	}
 	return nil
 }
@@ -242,7 +252,7 @@ func run() error {
 // fleet-level aggregates: at 10k+ hosts the per-host tables of the paper
 // reproduction stop being readable, so the scale path reports rates,
 // energy, and throughput instead.
-func runScaleFleet(seed string, tents, hostsPerTent, shards, days int, saveTo, csvDir string) error {
+func runScaleFleet(ctx context.Context, stdout io.Writer, seed string, tents, hostsPerTent, shards, days int, saveTo, csvDir string) error {
 	fleet, err := hardware.SyntheticFleet(tents, hostsPerTent, seed)
 	if err != nil {
 		return err
@@ -260,29 +270,20 @@ func runScaleFleet(seed string, tents, hostsPerTent, shards, days int, saveTo, c
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Running synthetic fleet %s – %s: %d tents × %d hosts = %d hosts in %d shards (seed %q)...\n\n",
+	fmt.Fprintf(stdout, "Running synthetic fleet %s – %s: %d tents × %d hosts = %d hosts in %d shards (seed %q)...\n\n",
 		cfg.Start.Format("Jan 02"), cfg.End.Format("Jan 02"),
 		tents, hostsPerTent, exp.Hosts(), exp.Shards(), seed)
 	wallStart := time.Now()
-	r, err := exp.Run()
+	r, err := exp.RunContext(ctx)
 	if err != nil {
 		return err
 	}
 	wall := time.Since(wallStart)
 
 	if saveTo != "" {
-		f, err := os.Create(saveTo)
-		if err != nil {
+		if err := saveResults(stdout, saveTo, r); err != nil {
 			return err
 		}
-		if err := core.SaveResults(f, r); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("Results saved to %s\n\n", saveTo)
 	}
 
 	var relocated, storageLost, transients int
@@ -295,42 +296,50 @@ func runScaleFleet(seed string, tents, hostsPerTent, shards, days int, saveTo, c
 			storageLost++
 		}
 	}
-	fmt.Println(report.TableFailureRates(r))
+	fmt.Fprintln(stdout, report.TableFailureRates(r))
 	if in, err := r.InsideTemp.Summarize(); err == nil {
-		fmt.Printf("Tent air: min %.1f °C, mean %.1f °C, max %.1f °C over %d samples\n",
+		fmt.Fprintf(stdout, "Tent air: min %.1f °C, mean %.1f °C, max %.1f °C over %d samples\n",
 			in.Min, in.Mean, in.Max, in.N)
 	}
-	fmt.Printf("Transient failures: %d (%d hosts relocated indoors)\n", transients, relocated)
-	fmt.Printf("Storage lost: %d hosts\n", storageLost)
-	fmt.Printf("Wrong hashes: %d incidents over %d workload cycles\n", len(r.WrongHashes), r.TotalCycles)
-	fmt.Printf("Tent-feed energy: %.0f kWh\n", float64(r.TentEnergy))
+	fmt.Fprintf(stdout, "Transient failures: %d (%d hosts relocated indoors)\n", transients, relocated)
+	fmt.Fprintf(stdout, "Storage lost: %d hosts\n", storageLost)
+	fmt.Fprintf(stdout, "Wrong hashes: %d incidents over %d workload cycles\n", len(r.WrongHashes), r.TotalCycles)
+	fmt.Fprintf(stdout, "Tent-feed energy: %.0f kWh\n", float64(r.TentEnergy))
 	hours := cfg.End.Sub(cfg.Start).Hours()
-	fmt.Printf("Wall clock: %v (%.1f ns/host-hour)\n",
+	fmt.Fprintf(stdout, "Wall clock: %v (%.1f ns/host-hour)\n",
 		wall.Round(time.Millisecond),
 		float64(wall.Nanoseconds())/(float64(exp.Hosts())*hours))
 
 	if csvDir != "" {
-		if err := writeCSVs(csvDir, r); err != nil {
-			return err
-		}
-		fmt.Printf("CSV series written to %s\n", csvDir)
+		return writeCSVs(stdout, csvDir, r)
 	}
 	return nil
 }
 
-func writeTrace(path string, tr *telemetry.Tracer) error {
+// writeFile creates path, fills it with write and closes it, returning
+// the first error of the three.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	return err
 }
 
-func writeCSVs(dir string, r *core.Results) error {
+// saveResults writes r as a frostctl JSON archive to path.
+func saveResults(stdout io.Writer, path string, r *core.Results) error {
+	if err := writeFile(path, func(w io.Writer) error { return core.SaveResults(w, r) }); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "Results saved to %s\n\n", path)
+	return nil
+}
+
+func writeCSVs(stdout io.Writer, dir string, r *core.Results) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -340,17 +349,10 @@ func writeCSVs(dir string, r *core.Results) error {
 		"inside_temp.csv":  r.InsideTemp,
 		"inside_rh.csv":    r.InsideRH,
 	} {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if err := s.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(filepath.Join(dir, name), s.WriteCSV); err != nil {
 			return err
 		}
 	}
+	fmt.Fprintf(stdout, "CSV series written to %s\n", dir)
 	return nil
 }

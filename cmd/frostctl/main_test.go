@@ -1,0 +1,167 @@
+package main
+
+import (
+	"context"
+	"errors"
+	"io"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"frostlab/internal/report"
+)
+
+// runOut calls run in-process and returns what it printed.
+func runOut(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	var out strings.Builder
+	err := run(context.Background(), args, &out)
+	return out.String(), err
+}
+
+// TestRun drives each toy-scale surface of the binary through run and
+// checks its exit status and the lines that show it did its job.
+func TestRun(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string // substrings of stdout, or of the error when wantErr
+		// wantErr marks a row that must fail; want then matches the error.
+		wantErr bool
+	}{
+		{"normal", []string{"-days", "2", "-monitor", "0"},
+			[]string{"Running normal phase Feb 19 – Feb 21", "monitoring 0s", "Fig. 3"}, false},
+		{"tents", []string{"-tents", "2", "-days", "1"},
+			[]string{"2 tents × 9 hosts = 18 hosts", "Tent-feed energy", "ns/host-hour"}, false},
+		{"chaos", []string{"-phase", "chaos"},
+			[]string{"E13 monitoring-outage study: 9 hosts, 12 rounds", "round 12: coverage"}, false},
+		{"econ", []string{"-phase", "econ", "-econ-days", "2", "-econ-out", filepath.Join(dir, "econ.json")},
+			[]string{"(replay identical)", "report written to " + filepath.Join(dir, "econ.json")}, false},
+		{"list-climates", []string{"-list-climates"},
+			[]string{"Scenario library (internal/climate):", "Tariff presets (internal/econ):"}, false},
+		{"negative days", []string{"-days", "-1"}, []string{"-days must not be negative"}, true},
+		{"negative tents", []string{"-tents", "-3"}, []string{"-tents must not be negative, got -3"}, true},
+		{"tents outside normal", []string{"-tents", "2", "-phase", "control"}, []string{"-phase control"}, true},
+		{"tents with id", []string{"-tents", "2", "-id", "fig3"}, []string{"-id fig3"}, true},
+		{"id outside normal", []string{"-id", "fig3", "-phase", "chaos"},
+			[]string{"-id only applies to the normal phase, not -phase chaos"}, true},
+		{"removed phase", []string{"-phase", "prototype"}, []string{`unknown -phase "prototype"`}, true},
+		{"bad flag", []string{"-no-such-flag"}, []string{"no-such-flag"}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := runOut(t, tc.args...)
+			got := out
+			if tc.wantErr {
+				if err == nil {
+					t.Fatalf("run(%q) succeeded", tc.args)
+				}
+				got = err.Error()
+			} else if err != nil {
+				t.Fatalf("run(%q): %v", tc.args, err)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(got, w) {
+					t.Errorf("run(%q): %q not in\n%s", tc.args, w, got)
+				}
+			}
+		})
+	}
+}
+
+// TestSaveLoadRendersIdentically: a -save/-load round trip renders the
+// catalogue the run printed.
+func TestSaveLoadRendersIdentically(t *testing.T) {
+	saved := filepath.Join(t.TempDir(), "run.json")
+	ran, err := runOut(t, "-days", "2", "-monitor", "0", "-save", saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := runOut(t, "-load", saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ranCat, ok := strings.Cut(ran, "Results saved to "+saved+"\n\n")
+	if !ok {
+		t.Fatalf("-save did not report the archive:\n%s", ran)
+	}
+	header, loadedCat, _ := strings.Cut(loaded, "\n\n")
+	if want := "Rendering saved run " + saved + ` (seed "winter0910-r115", Feb 19 – Feb 21)`; header != want {
+		t.Errorf("-load header %q, want %q", header, want)
+	}
+	// The CPU figure comes from the live run only (report.Artefact.Render).
+	cpu, err := runOut(t, "-days", "2", "-monitor", "0", "-id", "cpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Replace(ranCat, cpu, "", 1); loadedCat != want {
+		t.Errorf("-load rendered\n%s\nwant\n%s", loadedCat, want)
+	}
+}
+
+// TestIDMatchesFullOutput: for every catalogue artefact, -id X prints
+// exactly X's block of the full output at the same seed and -monitor, and
+// the blocks in catalogue order make up the whole of it.
+func TestIDMatchesFullOutput(t *testing.T) {
+	args := []string{"-days", "3", "-monitor", "20m"}
+	full, err := runOut(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, rest, ok := strings.Cut(full, "\n\n")
+	if !ok || !strings.HasPrefix(header, "Running normal phase") {
+		t.Fatalf("full output starts %q", header)
+	}
+	for _, a := range report.Catalogue {
+		block, err := runOut(t, append(args, "-id", a.ID)...)
+		if err != nil {
+			t.Fatalf("-id %s: %v", a.ID, err)
+		}
+		if !strings.HasPrefix(rest, block) {
+			t.Fatalf("-id %s printed\n%s\nwhich is not the next block of the full output:\n%s", a.ID, block, rest)
+		}
+		rest = rest[len(block):]
+	}
+	if rest != "" {
+		t.Errorf("full output has %q after the last artefact", rest)
+	}
+}
+
+func TestUnknownIDRejected(t *testing.T) {
+	out, err := runOut(t, "-id", "fig9")
+	if err == nil || !strings.Contains(err.Error(), `unknown artefact id "fig9"`) {
+		t.Fatalf("run(-id fig9) = %v", err)
+	}
+	if out != "" {
+		t.Errorf("unknown id printed %q", out)
+	}
+}
+
+// TestRunlessIDsRender: artefacts that need no run render without one,
+// and ids are case-insensitive.
+func TestRunlessIDsRender(t *testing.T) {
+	for _, id := range []string{"fig1", "PUE"} {
+		out, err := runOut(t, "-id", id)
+		if err != nil {
+			t.Fatalf("-id %s: %v", id, err)
+		}
+		if out == "" || strings.Contains(out, "Running normal phase") {
+			t.Errorf("-id %s printed %q", id, out)
+		}
+	}
+}
+
+// TestRunStopsOnCancel: a cancelled context (main's signal context)
+// stops the normal phase and the scale fleet with its error.
+func TestRunStopsOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range [][]string{
+		{"-days", "2", "-monitor", "0"},
+		{"-tents", "2", "-days", "1"},
+	} {
+		if err := run(ctx, args, io.Discard); !errors.Is(err, context.Canceled) {
+			t.Errorf("run(%q) with a cancelled context = %v", args, err)
+		}
+	}
+}

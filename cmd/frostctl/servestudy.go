@@ -4,7 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"frostlab/internal/loadgen"
@@ -35,27 +35,27 @@ type serveOpts struct {
 	out        *string
 }
 
-func serveFlags() serveOpts {
+func serveFlags(fs *flag.FlagSet) serveOpts {
 	return serveOpts{
-		agents:     flag.Int("serve-agents", 64, "simulated nodeagent fleet size for -phase serve"),
-		scrapers:   flag.Int("serve-scrapers", 16, "concurrent scraper clients for -phase serve"),
-		rate:       flag.Float64("serve-rate", 400, "sustain-phase offered load in requests/second"),
-		spikeX:     flag.Float64("serve-spike-x", 5, "spike-phase load as a multiple of -serve-rate"),
-		warmup:     flag.Duration("serve-warmup", 500*time.Millisecond, "warmup phase duration (quarter rate)"),
-		ramp:       flag.Duration("serve-ramp", 500*time.Millisecond, "ramp phase duration (linear to full rate)"),
-		sustain:    flag.Duration("serve-sustain", 3*time.Second, "sustain phase duration (full rate)"),
-		spike:      flag.Duration("serve-spike", time.Second, "spike phase duration (rate × -serve-spike-x)"),
-		roundEvery: flag.Duration("serve-round-every", 250*time.Millisecond, "collection-round cadence during the run"),
-		queue:      flag.Int("serve-queue", 4, "ingest queue capacity (rounds; oldest shed when full)"),
-		inflight:   flag.Int("serve-inflight", 64, "dash admission watermark (concurrent requests before 503)"),
-		pStale:     flag.Float64("serve-stale", 0.05, "per-(host,round) probability a pooled keepalive went stale"),
-		out:        flag.String("serve-out", "BENCH_SERVE.json", "write the full report as JSON to this file (\"\" disables)"),
+		agents:     fs.Int("serve-agents", 64, "simulated nodeagent fleet size for -phase serve"),
+		scrapers:   fs.Int("serve-scrapers", 16, "concurrent scraper clients for -phase serve"),
+		rate:       fs.Float64("serve-rate", 400, "sustain-phase offered load in requests/second"),
+		spikeX:     fs.Float64("serve-spike-x", 5, "spike-phase load as a multiple of -serve-rate"),
+		warmup:     fs.Duration("serve-warmup", 500*time.Millisecond, "warmup phase duration (quarter rate)"),
+		ramp:       fs.Duration("serve-ramp", 500*time.Millisecond, "ramp phase duration (linear to full rate)"),
+		sustain:    fs.Duration("serve-sustain", 3*time.Second, "sustain phase duration (full rate)"),
+		spike:      fs.Duration("serve-spike", time.Second, "spike phase duration (rate × -serve-spike-x)"),
+		roundEvery: fs.Duration("serve-round-every", 250*time.Millisecond, "collection-round cadence during the run"),
+		queue:      fs.Int("serve-queue", 4, "ingest queue capacity (rounds; oldest shed when full)"),
+		inflight:   fs.Int("serve-inflight", 64, "dash admission watermark (concurrent requests before 503)"),
+		pStale:     fs.Float64("serve-stale", 0.05, "per-(host,round) probability a pooled keepalive went stale"),
+		out:        fs.String("serve-out", "BENCH_SERVE.json", "write the full report as JSON to this file (\"\" disables)"),
 	}
 }
 
 // runServeStudy drives E15 and exits non-zero when serveGate rejects the
 // report, so CI can assert graceful degradation by exit status alone.
-func runServeStudy(ctx context.Context, seed string, o serveOpts) error {
+func runServeStudy(ctx context.Context, stdout io.Writer, seed string, o serveOpts) error {
 	cfg := loadgen.Config{
 		Seed:        seed + "/serve",
 		Agents:      *o.agents,
@@ -67,9 +67,9 @@ func runServeStudy(ctx context.Context, seed string, o serveOpts) error {
 		MaxInflight:   *o.inflight,
 		PStaleConn:    *o.pStale,
 	}
-	fmt.Printf("E15 serving-load study: %d agents, %d scrapers, %.0f rps sustain (spike ×%.1f), seed %q\n",
+	fmt.Fprintf(stdout, "E15 serving-load study: %d agents, %d scrapers, %.0f rps sustain (spike ×%.1f), seed %q\n",
 		*o.agents, *o.scrapers, *o.rate, *o.spikeX, seed)
-	fmt.Printf("profile: warmup %v, ramp %v, sustain %v, spike %v; rounds every %v; watermark %d; queue %d; p(stale) %.2f\n\n",
+	fmt.Fprintf(stdout, "profile: warmup %v, ramp %v, sustain %v, spike %v; rounds every %v; watermark %d; queue %d; p(stale) %.2f\n\n",
 		*o.warmup, *o.ramp, *o.sustain, *o.spike, *o.roundEvery, *o.inflight, *o.queue, *o.pStale)
 
 	started := time.Now()
@@ -78,39 +78,31 @@ func runServeStudy(ctx context.Context, seed string, o serveOpts) error {
 		return err
 	}
 
-	fmt.Printf("%-8s %9s %9s %9s %7s %8s %9s  %8s %8s %8s %8s\n",
+	fmt.Fprintf(stdout, "%-8s %9s %9s %9s %7s %8s %9s  %8s %8s %8s %8s\n",
 		"phase", "arrivals", "ok", "rejected", "errors", "dropped", "cachehit",
 		"p50ms", "p99ms", "p999ms", "maxms")
 	for _, p := range rep.Phases {
-		fmt.Printf("%-8s %9d %9d %9d %7d %8d %9d  %8.2f %8.2f %8.2f %8.2f\n",
+		fmt.Fprintf(stdout, "%-8s %9d %9d %9d %7d %8d %9d  %8.2f %8.2f %8.2f %8.2f\n",
 			p.Phase, p.Arrivals, p.OK, p.Rejected, p.Errors, p.Dropped, p.CacheHits,
 			p.P50Ms, p.P99Ms, p.P999Ms, p.MaxMs)
 	}
-	fmt.Println()
-	fmt.Printf("collection: %d rounds, %d/%d host-rounds ok (%d failed, %d skipped), coverage %.4f, p99 %.1fms\n",
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "collection: %d rounds, %d/%d host-rounds ok (%d failed, %d skipped), coverage %.4f, p99 %.1fms\n",
 		rep.RoundsPlane.Rounds, rep.RoundsPlane.OK, rep.RoundsPlane.HostRounds,
 		rep.RoundsPlane.Failed, rep.RoundsPlane.Skipped, rep.RoundsPlane.Coverage, rep.RoundsPlane.P99Ms)
-	fmt.Printf("pool:       %.0f dials, %.0f hits, %.0f stale, %.0f retired, %d idle at close\n",
+	fmt.Fprintf(stdout, "pool:       %.0f dials, %.0f hits, %.0f stale, %.0f retired, %d idle at close\n",
 		rep.Pool.Dials, rep.Pool.Hits, rep.Pool.Stale, rep.Pool.Retired, rep.Pool.Idle)
-	fmt.Printf("ingest:     %d offered = %d done + %d shed + %d failed (max depth %d)\n",
+	fmt.Fprintf(stdout, "ingest:     %d offered = %d done + %d shed + %d failed (max depth %d)\n",
 		rep.Ingest.Offered, rep.Ingest.Done, rep.Ingest.Shed, rep.Ingest.Failed, rep.Ingest.MaxDepth)
-	fmt.Printf("liveness:   %d healthz probes, %d failures; goroutines %d -> %d; mirrors %d bytes\n",
+	fmt.Fprintf(stdout, "liveness:   %d healthz probes, %d failures; goroutines %d -> %d; mirrors %d bytes\n",
 		rep.Healthz.Probes, rep.Healthz.Failures, rep.Goroutines.Before, rep.Goroutines.After, rep.MirrorBytes)
-	fmt.Printf("wall time:  %v\n", time.Since(started).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "wall time:  %v\n", time.Since(started).Round(time.Millisecond))
 
 	if *o.out != "" {
-		f, err := os.Create(*o.out)
-		if err != nil {
+		if err := writeFile(*o.out, rep.WriteJSON); err != nil {
 			return err
 		}
-		werr := rep.WriteJSON(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Printf("report written to %s\n", *o.out)
+		fmt.Fprintf(stdout, "report written to %s\n", *o.out)
 	}
 	return serveGate(rep)
 }

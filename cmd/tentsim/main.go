@@ -12,11 +12,13 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -26,49 +28,24 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "tentsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	powerW := flag.Float64("power", 1400, "equipment heat load in watts")
-	mods := flag.String("mods", "", "modifications to apply, letters from RIBF")
-	days := flag.Int("days", 7, "simulated days")
-	seed := flag.String("seed", "winter0910", "weather seed")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	flag.Parse()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tentsim: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "tentsim: memprofile:", err)
-			}
-		}()
+func run(_ context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("tentsim", flag.ContinueOnError)
+	powerW := fs.Float64("power", 1400, "equipment heat load in watts")
+	mods := fs.String("mods", "", "modifications to apply, letters from RIBF")
+	days := fs.Int("days", 7, "simulated days")
+	seed := fs.String("seed", "winter0910", "weather seed")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
-	if *powerW < 0 {
-		return fmt.Errorf("-power must be non-negative")
+	if p := *powerW; math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
+		return fmt.Errorf("-power must be a finite, non-negative number of watts, got %v", p)
 	}
 	if *days <= 0 {
 		return fmt.Errorf("-days must be positive")
@@ -90,7 +67,7 @@ func run() error {
 	}
 	wx := weather.ReferenceWinter0910(*seed)
 	start := weather.ExperimentEpoch
-	fmt.Printf("%-8s %10s %10s %8s %8s\n", "day", "out °C", "in °C", "ΔT", "RH in")
+	fmt.Fprintf(stdout, "%-8s %10s %10s %8s %8s\n", "day", "out °C", "in °C", "ΔT", "RH in")
 	var sumDT float64
 	var n int
 	for at := start; at.Before(start.AddDate(0, 0, *days)); at = at.Add(time.Minute) {
@@ -99,14 +76,17 @@ func run() error {
 			return err
 		}
 		sumDT += float64(tent.DeltaT())
+		if math.IsInf(sumDT, 0) || math.IsNaN(sumDT) {
+			return fmt.Errorf("the tent model overflows at %v W", *powerW)
+		}
 		n++
 		if at.Hour() == 12 && at.Minute() == 0 {
 			in, rh := tent.Air()
-			fmt.Printf("%-8s %10.1f %10.1f %8.1f %7.0f%%\n",
+			fmt.Fprintf(stdout, "%-8s %10.1f %10.1f %8.1f %7.0f%%\n",
 				at.Format("Jan 02"), float64(out.Temp), float64(in), float64(tent.DeltaT()), float64(rh))
 		}
 	}
-	fmt.Printf("\nmean ΔT over %d days at %.0f W with mods %q: %.1f °C\n",
+	fmt.Fprintf(stdout, "\nmean ΔT over %d days at %.0f W with mods %q: %.1f °C\n",
 		*days, *powerW, strings.ToUpper(*mods), sumDT/float64(n))
 	return nil
 }

@@ -8,8 +8,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -18,20 +21,23 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "weathergen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	seed := flag.String("seed", "winter0910", "weather RNG seed")
-	family := flag.String("climate", "", fmt.Sprintf("climate family %v instead of the calibrated reference winter", climate.Names()))
-	fromStr := flag.String("from", "2010-02-12", "trace start date (YYYY-MM-DD)")
-	days := flag.Int("days", 42, "trace length in days")
-	step := flag.Duration("step", 10*time.Minute, "sample interval")
-	out := flag.String("o", "", "output file (default stdout)")
-	flag.Parse()
+func run(_ context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("weathergen", flag.ContinueOnError)
+	seed := fs.String("seed", "winter0910", "weather RNG seed")
+	family := fs.String("climate", "", fmt.Sprintf("climate family %v instead of the calibrated reference winter", climate.Names()))
+	fromStr := fs.String("from", "2010-02-12", "trace start date (YYYY-MM-DD)")
+	days := fs.Int("days", 42, "trace length in days")
+	step := fs.Duration("step", 10*time.Minute, "sample interval")
+	out := fs.String("o", "", "output file (default stdout)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	from, err := time.Parse("2006-01-02", *fromStr)
 	if err != nil {
@@ -50,14 +56,19 @@ func run() error {
 			return err
 		}
 	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	write := func(w io.Writer) error {
+		return weather.WriteTraceCSV(w, m, from.UTC(), from.UTC().AddDate(0, 0, *days), *step)
 	}
-	return weather.WriteTraceCSV(w, m, from.UTC(), from.UTC().AddDate(0, 0, *days), *step)
+	if *out == "" {
+		return write(stdout)
+	}
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

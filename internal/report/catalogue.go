@@ -32,8 +32,8 @@ func (a Artefact) Render(seed string, r *core.Results) (string, error) {
 }
 
 // Catalogue is the one list of the paper's artefacts, in print order.
-// cmd/figures renders any of them by id, frostctl renders all of them
-// after its run, and Markdown fences each under its title.
+// frostctl renders all of them after its run, or one by -id, and
+// Markdown fences each under its title.
 var Catalogue = []Artefact{
 	{ID: "fig1", Title: "Fig. 1 — tent schematic", render: func(string, *core.Results) (string, error) {
 		return Fig1Schematic(), nil

@@ -30,7 +30,7 @@ var shortRun = sync.OnceValues(func() (*core.Results, error) {
 })
 
 // renderCatalogue prints every artefact that applies to r in catalogue
-// order, each followed by a newline, exactly as `figures -id all` does.
+// order, each followed by a newline, exactly as frostctl does after its run.
 func renderCatalogue(r *core.Results) (string, error) {
 	var b strings.Builder
 	for _, a := range Catalogue {

@@ -17,7 +17,7 @@ import (
 // Fig1Schematic renders an ASCII rendition of the paper's Fig. 1 tent
 // schematic, annotated with the heat-balance terms the thermal model
 // implements. There is nothing quantitative to reproduce in Fig. 1; this
-// exists so `figures -id fig1` has an answer.
+// exists so `frostctl -id fig1` has an answer.
 func Fig1Schematic() string {
 	return strings.Join([]string{
 		"Fig. 1 — Tent shielding the computer hardware from rain and snow",
