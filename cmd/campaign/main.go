@@ -39,11 +39,25 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	err := run(ctx, os.Args[1:], os.Stdout)
 	stop()
-	if err != nil && !errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
-		os.Exit(1)
-	}
+	os.Exit(exitCode(err))
 }
+
+// exitCode prints err on stderr, unless the FlagSet has already printed
+// it with the usage, and returns the exit status: 0 after success or -h.
+func exitCode(err error) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if !errors.As(err, new(flagError)) {
+		fmt.Fprintln(os.Stderr, "campaign:", err)
+	}
+	return 1
+}
+
+// flagError is a parse error the FlagSet has already reported.
+type flagError struct{ error }
+
+func (e flagError) Unwrap() error { return e.error }
 
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
@@ -61,7 +75,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	verbose := fs.Bool("v", false, "print one line per finished replicate")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics, /healthz, /buildinfo and net/http/pprof on this address while the campaign runs")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return flagError{err}
 	}
 
 	spec := campaign.Spec{

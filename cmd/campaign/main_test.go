@@ -2,7 +2,9 @@ package main
 
 import (
 	"context"
+	"io"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -103,4 +105,48 @@ func TestDebugListenerStops(t *testing.T) {
 		buf := make([]byte, 1<<16)
 		t.Errorf("%d goroutines after run, %d before:\n%s", n, before, buf[:runtime.Stack(buf, true)])
 	}
+}
+
+// TestErrorsReportedOnce: a bad flag reaches stderr once, from the FlagSet
+// with its usage, and not again from main; a run error reaches it once,
+// from main; -h prints the usage and exits 0.
+func TestErrorsReportedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string // in stderr exactly once
+	}{
+		{[]string{"-bogus"}, 1, "flag provided but not defined: -bogus"},
+		{[]string{"-bogus"}, 1, "Usage of campaign:"},
+		{[]string{"-fleets", "0"}, 1, "campaign: bad fleet size \"0\""},
+		{[]string{"-h"}, 0, "Usage of campaign:"},
+	} {
+		stderr := captureStderr(t, func() {
+			if code := exitCode(run(context.Background(), tc.args, io.Discard)); code != tc.code {
+				t.Errorf("%q: exit status %d, want %d", tc.args, code, tc.code)
+			}
+		})
+		if n := strings.Count(stderr, tc.want); n != 1 {
+			t.Errorf("%q: %q on stderr %d times, want once:\n%s", tc.args, tc.want, n, stderr)
+		}
+	}
+}
+
+// captureStderr returns what f writes to os.Stderr.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	file, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	saved := os.Stderr
+	os.Stderr = file
+	defer func() { os.Stderr = saved }()
+	f()
+	data, err := os.ReadFile(file.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }

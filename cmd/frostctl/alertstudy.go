@@ -82,7 +82,7 @@ type fleetArm struct {
 	linesPerRound int
 }
 
-func runAlertsStudy(stdout io.Writer, seed, out string) error {
+func runAlertsStudy(ctx context.Context, stdout io.Writer, seed, out string) error {
 	t0 := time.Date(2010, time.February, 19, 12, 0, 0, 0, time.UTC)
 	cadence := 20 * time.Minute
 
@@ -130,7 +130,7 @@ func runAlertsStudy(stdout io.Writer, seed, out string) error {
 	fmt.Fprintf(stdout, "E16 detection-latency study: %d hosts, seed %q\n\n", alertsHosts, seed)
 	var results []armResult
 	for _, arm := range arms {
-		res, err := runFleetArmTwice(seed, alertsHosts, t0, cadence, arm)
+		res, err := runFleetArmTwice(ctx, seed, alertsHosts, t0, cadence, arm)
 		if err != nil {
 			return fmt.Errorf("%s: %w", arm.class, err)
 		}
@@ -138,7 +138,7 @@ func runAlertsStudy(stdout io.Writer, seed, out string) error {
 		printArm(stdout, res)
 	}
 
-	damper, err := runDamperArm(seed, alertsDays, alertsStuckTick)
+	damper, err := runDamperArm(ctx, seed, alertsDays, alertsStuckTick)
 	if err != nil {
 		return fmt.Errorf("stuck-damper: %w", err)
 	}
@@ -208,12 +208,12 @@ func printArm(stdout io.Writer, r armResult) {
 // runFleetArmTwice runs one collection-plane arm twice with the same
 // seed and folds the two runs into a result: detection comes from the
 // first run, replay identity from comparing timeline digests.
-func runFleetArmTwice(seed string, hosts int, t0 time.Time, cadence time.Duration, arm fleetArm) (armResult, error) {
-	fired1, digest1, err := runFleetArmOnce(seed, hosts, t0, cadence, arm)
+func runFleetArmTwice(ctx context.Context, seed string, hosts int, t0 time.Time, cadence time.Duration, arm fleetArm) (armResult, error) {
+	fired1, digest1, err := runFleetArmOnce(ctx, seed, hosts, t0, cadence, arm)
 	if err != nil {
 		return armResult{}, err
 	}
-	fired2, digest2, err := runFleetArmOnce(seed, hosts, t0, cadence, arm)
+	fired2, digest2, err := runFleetArmOnce(ctx, seed, hosts, t0, cadence, arm)
 	if err != nil {
 		return armResult{}, err
 	}
@@ -236,8 +236,8 @@ func runFleetArmTwice(seed string, hosts int, t0 time.Time, cadence time.Duratio
 // runFleetArmOnce drives an in-process fleet under the arm's chaos spec
 // for the configured rounds, evaluating the rules engine at each round's
 // sim-time, and reports the watched rule's first firing plus the
-// timeline digest.
-func runFleetArmOnce(seed string, hosts int, t0 time.Time, cadence time.Duration, arm fleetArm) (time.Time, string, error) {
+// timeline digest. A cancelled ctx stops it after the round in hand.
+func runFleetArmOnce(ctx context.Context, seed string, hosts int, t0 time.Time, cadence time.Duration, arm fleetArm) (time.Time, string, error) {
 	inj, err := chaos.New(arm.spec)
 	if err != nil {
 		return time.Time{}, "", err
@@ -314,7 +314,10 @@ func runFleetArmOnce(seed string, hosts int, t0 time.Time, cadence time.Duration
 				stores[id].Append(monitor.SensorLog, []byte(line))
 			}
 		}
-		fc.Round(context.Background(), at)
+		fc.Round(ctx, at)
+		if err := ctx.Err(); err != nil {
+			return time.Time{}, "", err
+		}
 		eng.Eval(at)
 		at = at.Add(cadence)
 	}
@@ -338,7 +341,7 @@ func firstFiring(tl []rules.Event, rule string) time.Time {
 // supervisor's fallback. Detection latency here stacks three cadences:
 // the 5-minute control tick, the supervisor's stuck window, and the
 // 20-minute monitoring round the engine evaluates on.
-func runDamperArm(seed string, days, stuckTick int) (armResult, error) {
+func runDamperArm(ctx context.Context, seed string, days, stuckTick int) (armResult, error) {
 	run := func() (*core.Results, error) {
 		cfg := core.DefaultConfig(seed)
 		cfg.End = cfg.Start.AddDate(0, 0, days)
@@ -365,7 +368,7 @@ func runDamperArm(seed string, days, stuckTick int) (armResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return exp.Run()
+		return exp.RunContext(ctx)
 	}
 	r1, err := run()
 	if err != nil {

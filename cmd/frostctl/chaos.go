@@ -94,8 +94,9 @@ func fleetSchedule(flagName, s string, fleet []string) (map[string][]chaos.Round
 
 // runChaosStudy drives the E13 study; traceTo, when non-empty, records
 // the collection plane (round and per-host collect spans, wall time) as
-// Chrome trace-event JSON.
-func runChaosStudy(stdout io.Writer, seed string, o chaosOpts, traceTo string) error {
+// Chrome trace-event JSON. A cancelled ctx stops it after the round in
+// hand.
+func runChaosStudy(ctx context.Context, stdout io.Writer, seed string, o chaosOpts, traceTo string) error {
 	ids := make([]string, chaosHosts)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("%02d", i+1)
@@ -160,7 +161,10 @@ func runChaosStudy(stdout io.Writer, seed string, o chaosOpts, traceTo string) e
 		chaosPRefuse, chaosPStall, chaosPCut, chaosPCorrupt, *o.down, *o.stalled)
 	at := time.Date(2010, time.February, 19, 12, 0, 0, 0, time.UTC)
 	for round := 1; round <= chaosRounds; round++ {
-		rep := fc.Round(context.Background(), at)
+		rep := fc.Round(ctx, at)
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		at = at.Add(20 * time.Minute)
 		var notes []string
 		for _, h := range rep.Hosts {

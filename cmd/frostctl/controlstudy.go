@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -43,7 +44,7 @@ type controlScenario struct {
 	days int // 0 = the paper horizon
 }
 
-func runControlStudy(stdout io.Writer, seed string, co controlOpts) error {
+func runControlStudy(ctx context.Context, stdout io.Writer, seed string, co controlOpts) error {
 	cc := control.DefaultConfig()
 	cc.Setpoint = units.Celsius(*co.setpoint)
 	switch *co.mode {
@@ -90,7 +91,7 @@ func runControlStudy(stdout io.Writer, seed string, co controlOpts) error {
 			if err != nil {
 				return err
 			}
-			r, err := exp.Run()
+			r, err := exp.RunContext(ctx)
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -167,7 +168,7 @@ func TestChaosScheduleHostsInFleet(t *testing.T) {
 		{"", "10=1", `"10"`},
 		{"01=2-4,x=3", "", `"x"`},
 	} {
-		err := runChaosStudy(io.Discard, "winter0910", chaosOpts{down: &tc.down, stalled: &tc.stalled}, "")
+		err := runChaosStudy(context.Background(), io.Discard, "winter0910", chaosOpts{down: &tc.down, stalled: &tc.stalled}, "")
 		if err == nil || !strings.Contains(err.Error(), tc.host) {
 			t.Errorf("-down %q -stalled %q: error %v, want one naming host %s",
 				tc.down, tc.stalled, err, tc.host)

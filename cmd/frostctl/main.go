@@ -70,17 +70,31 @@ import (
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	// The normal phase, -tents and -phase serve stop when a signal cancels
-	// ctx. The default handler is back after it, so a second signal ends
-	// the studies that do not watch ctx.
+	// Every phase but econ stops when a signal cancels ctx: campaign.RunEcon
+	// takes no context. The default handler is back after it, so a second
+	// signal ends econ.
 	context.AfterFunc(ctx, stop)
 	err := run(ctx, os.Args[1:], os.Stdout)
 	stop()
-	if err != nil && !errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintln(os.Stderr, "frostctl:", err)
-		os.Exit(1)
-	}
+	os.Exit(exitCode(err))
 }
+
+// exitCode prints err on stderr, unless the FlagSet has already printed
+// it with the usage, and returns the exit status: 0 after success or -h.
+func exitCode(err error) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if !errors.As(err, new(flagError)) {
+		fmt.Fprintln(os.Stderr, "frostctl:", err)
+	}
+	return 1
+}
+
+// flagError is a parse error the FlagSet has already reported.
+type flagError struct{ error }
+
+func (e flagError) Unwrap() error { return e.error }
 
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("frostctl", flag.ContinueOnError)
@@ -105,7 +119,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	alertsOut := fs.String("alerts-out", "BENCH_ALERTS.json", "write the E16 study report as JSON to this file (\"\" disables)")
 	eo := econFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return flagError{err}
 	}
 
 	switch *phase {
@@ -153,11 +167,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	switch *phase {
 	case "chaos":
-		return runChaosStudy(stdout, *seed, ch, *traceTo)
+		return runChaosStudy(ctx, stdout, *seed, ch, *traceTo)
 	case "control":
-		return runControlStudy(stdout, *seed, co)
+		return runControlStudy(ctx, stdout, *seed, co)
 	case "alerts":
-		return runAlertsStudy(stdout, *seed, *alertsOut)
+		return runAlertsStudy(ctx, stdout, *seed, *alertsOut)
 	case "econ":
 		return runEconStudy(stdout, *seed, eo)
 	case "serve":

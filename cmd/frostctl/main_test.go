@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -152,16 +153,64 @@ func TestRunlessIDsRender(t *testing.T) {
 }
 
 // TestRunStopsOnCancel: a cancelled context (main's signal context)
-// stops the normal phase and the scale fleet with its error.
+// stops the normal phase, the scale fleet and the control, alerts and
+// chaos studies with its error.
 func TestRunStopsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, args := range [][]string{
 		{"-days", "2", "-monitor", "0"},
 		{"-tents", "2", "-days", "1"},
+		{"-phase", "control"},
+		{"-phase", "alerts", "-alerts-out", ""},
+		{"-phase", "chaos"},
 	} {
 		if err := run(ctx, args, io.Discard); !errors.Is(err, context.Canceled) {
 			t.Errorf("run(%q) with a cancelled context = %v", args, err)
 		}
 	}
+}
+
+// TestErrorsReportedOnce: a bad flag reaches stderr once, from the FlagSet
+// with its usage, and not again from main; a run error reaches it once,
+// from main; -h prints the usage and exits 0.
+func TestErrorsReportedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string // in stderr exactly once
+	}{
+		{[]string{"-bogus"}, 1, "flag provided but not defined: -bogus"},
+		{[]string{"-bogus"}, 1, "Usage of frostctl:"},
+		{[]string{"-days", "-1"}, 1, "frostctl: -days must not be negative, got -1\n"},
+		{[]string{"-h"}, 0, "Usage of frostctl:"},
+	} {
+		stderr := captureStderr(t, func() {
+			if code := exitCode(run(context.Background(), tc.args, io.Discard)); code != tc.code {
+				t.Errorf("%q: exit status %d, want %d", tc.args, code, tc.code)
+			}
+		})
+		if n := strings.Count(stderr, tc.want); n != 1 {
+			t.Errorf("%q: %q on stderr %d times, want once:\n%s", tc.args, tc.want, n, stderr)
+		}
+	}
+}
+
+// captureStderr returns what f writes to os.Stderr.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	file, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	saved := os.Stderr
+	os.Stderr = file
+	defer func() { os.Stderr = saved }()
+	f()
+	data, err := os.ReadFile(file.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }

@@ -28,11 +28,25 @@ import (
 )
 
 func main() {
-	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintln(os.Stderr, "tentsim:", err)
-		os.Exit(1)
-	}
+	os.Exit(exitCode(run(context.Background(), os.Args[1:], os.Stdout)))
 }
+
+// exitCode prints err on stderr, unless the FlagSet has already printed
+// it with the usage, and returns the exit status: 0 after success or -h.
+func exitCode(err error) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if !errors.As(err, new(flagError)) {
+		fmt.Fprintln(os.Stderr, "tentsim:", err)
+	}
+	return 1
+}
+
+// flagError is a parse error the FlagSet has already reported.
+type flagError struct{ error }
+
+func (e flagError) Unwrap() error { return e.error }
 
 func run(_ context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tentsim", flag.ContinueOnError)
@@ -41,7 +55,7 @@ func run(_ context.Context, args []string, stdout io.Writer) error {
 	days := fs.Int("days", 7, "simulated days")
 	seed := fs.String("seed", "winter0910", "weather seed")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return flagError{err}
 	}
 
 	if p := *powerW; math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {

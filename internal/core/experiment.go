@@ -370,7 +370,7 @@ func (e *Experiment) RunContext(ctx context.Context) (*Results, error) {
 	cfg := e.cfg
 	// Every tree this run installs is a pure function of its seed and the
 	// workload geometry, so a second goroutine packs them ahead of their
-	// installs, in install order; installHost waits only for a tree not
+	// installs, in install order; installHost helps compress a tree not
 	// yet ready. The packer never outlives the run.
 	installs := e.installsByHorizon()
 	seeds := make([]string, len(installs))

@@ -79,6 +79,9 @@ func (e *Experiment) InstrumentTelemetry(reg *telemetry.Registry) {
 		"Synthetic tar+compress+md5 workload cycles run fleet-wide (§3.5).", &e.met.workloadCycles)
 	counter("frostlab_workload_bad_hash_total",
 		"Workload cycles whose md5sum did not match the reference (§4.2.2).", &e.met.badHashes)
+	reg.CounterFunc("frostlab_workload_install_wait_seconds_total",
+		"Wall time host installs spent in NewRunner on source trees another goroutine claimed.",
+		func() float64 { return e.packs.InstallWait().Seconds() })
 	counter("frostlab_monitor_rounds_total",
 		"In-process monitoring rounds completed.", &e.met.monitorRounds)
 	counter("frostlab_monitor_host_collections_total",

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -211,6 +212,10 @@ func (s *Series) Resample(width time.Duration) (*Series, error) {
 // that a *cluster* of outliers (several consecutive indoor samples from a
 // Lascar readout trip) cannot inflate the spread and mask itself. It
 // returns the cleaned series and the removed points.
+//
+// The window is kept as a sorted window, updated by one delete and one
+// insert per sample, and both medians are read from it by rank; a window
+// whose median is NaN or infinite takes the sorting path instead.
 func (s *Series) RemoveOutliers(window int, zmax float64) (*Series, []Point) {
 	if window < 1 || len(s.points) < 2*window+1 {
 		out := New(s.name, s.unit)
@@ -219,29 +224,38 @@ func (s *Series) RemoveOutliers(window int, zmax float64) (*Series, []Point) {
 	}
 	out := New(s.name, s.unit)
 	var removed []Point
-	buf := make([]float64, 0, 2*window+1)
-	for i, p := range s.points {
-		lo, hi := i-window, i+window
-		if lo < 0 {
-			lo = 0
+	pts := s.points
+	out.points = make([]Point, 0, len(pts))
+	win := sortedWindow{vals: make([]float64, 0, 2*window+1), nb: make([]float64, 0, 2*window)}
+	for _, p := range pts[:window] {
+		win.insert(p.Value)
+	}
+	var buf []float64
+	for i, p := range pts {
+		lo, hi := max(i-window, 0), min(i+window, len(pts)-1)
+		if lo > 0 {
+			win.remove(pts[lo-1].Value)
 		}
-		if hi >= len(s.points) {
-			hi = len(s.points) - 1
+		if hi == i+window {
+			win.insert(pts[hi].Value)
 		}
-		buf = buf[:0]
-		for j := lo; j <= hi; j++ {
-			if j == i {
-				continue
+		med, mad, ok := win.medianMAD(p.Value)
+		if !ok {
+			buf = buf[:0]
+			for j := lo; j <= hi; j++ {
+				if j != i {
+					buf = append(buf, pts[j].Value)
+				}
 			}
-			buf = append(buf, s.points[j].Value)
-		}
-		med := median(buf)
-		for k, v := range buf {
-			buf[k] = math.Abs(v - med)
+			med = median(buf)
+			for k, v := range buf {
+				buf[k] = math.Abs(v - med)
+			}
+			mad = median(buf)
 		}
 		// 1.4826 scales MAD to the stddev of a normal distribution; the
 		// floor keeps near-constant windows from dividing by ~zero.
-		sd := 1.4826 * median(buf)
+		sd := 1.4826 * mad
 		if sd < 1e-9 {
 			sd = 1e-9
 		}
@@ -252,6 +266,91 @@ func (s *Series) RemoveOutliers(window int, zmax float64) (*Series, []Point) {
 		out.points = append(out.points, p)
 	}
 	return out, removed
+}
+
+// sortedWindow is a multiset of values kept in sort.Float64s order, NaN
+// first, which slices.BinarySearch follows, and a reused slice for the
+// neighbours of one centre.
+type sortedWindow struct {
+	vals []float64
+	nans int
+	nb   []float64
+}
+
+func (w *sortedWindow) insert(v float64) {
+	k, _ := slices.BinarySearch(w.vals, v)
+	w.vals = slices.Insert(w.vals, k, v)
+	if v != v {
+		w.nans++
+	}
+}
+
+// find returns the index of a value with v's exact bits; v must be held.
+func (w *sortedWindow) find(v float64) int {
+	k, _ := slices.BinarySearch(w.vals, v)
+	for math.Float64bits(w.vals[k]) != math.Float64bits(v) {
+		k++
+	}
+	return k
+}
+
+func (w *sortedWindow) remove(v float64) {
+	k := w.find(v)
+	w.vals = slices.Delete(w.vals, k, k+1)
+	if v != v {
+		w.nans--
+	}
+}
+
+// medianMAD returns the median of the window's values with one copy of
+// centre left out, and their median absolute deviation from it: what
+// sorting those values, and then their distances from the median, gives.
+// Both are read by rank. Rounding is monotone, so |v−med| grows as v moves
+// away from the median on either side, and merging the two sides outward
+// from the median yields the distances in sorted order. It reports false
+// when the window holds a NaN or the median is infinite, where that order
+// breaks down.
+func (w *sortedWindow) medianMAD(centre float64) (med, mad float64, ok bool) {
+	if w.nans > 0 {
+		return 0, 0, false
+	}
+	c := w.find(centre)
+	nb := append(append(w.nb[:0], w.vals[:c]...), w.vals[c+1:]...)
+	w.nb = nb
+	m := len(nb)
+	if m%2 == 1 {
+		med = nb[m/2]
+	} else {
+		med = (nb[m/2-1] + nb[m/2]) / 2
+	}
+	if math.IsInf(med, 0) || med != med {
+		return 0, 0, false
+	}
+	// Neighbours below r lie under the median, the rest at or above it.
+	r := m / 2
+	for r > 0 && nb[r-1] >= med {
+		r--
+	}
+	left, right := r-1, r
+	var d0, d1 float64 // distances at ranks (m-1)/2 and m/2
+	for k := 0; k <= m/2; k++ {
+		var d float64
+		if right >= m || (left >= 0 && math.Abs(nb[left]-med) <= math.Abs(nb[right]-med)) {
+			d = math.Abs(nb[left] - med)
+			left--
+		} else {
+			d = math.Abs(nb[right] - med)
+			right++
+		}
+		if k == (m-1)/2 {
+			d0 = d
+		}
+		d1 = d
+	}
+	if m%2 == 1 {
+		return med, d1, true
+	}
+	return med, (d0 + d1) / 2, true
 }
 
 // median returns the median of xs, reordering the slice in the process.

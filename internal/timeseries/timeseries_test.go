@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -217,6 +218,87 @@ func TestRemoveOutliersKeepsShortSeries(t *testing.T) {
 	clean, removed := s.RemoveOutliers(5, 3)
 	if clean.Len() != 2 || removed != nil {
 		t.Error("short series should pass through untouched")
+	}
+}
+
+// removeOutliersSorting is RemoveOutliers as it was before the sorted
+// window: each sample copies its neighbours and sorts them twice, once for
+// the median and once for the MAD.
+func removeOutliersSorting(pts []Point, window int, zmax float64) (kept, removed []Point) {
+	if window < 1 || len(pts) < 2*window+1 {
+		return append([]Point(nil), pts...), nil
+	}
+	buf := make([]float64, 0, 2*window+1)
+	for i, p := range pts {
+		buf = buf[:0]
+		for j := max(i-window, 0); j <= min(i+window, len(pts)-1); j++ {
+			if j != i {
+				buf = append(buf, pts[j].Value)
+			}
+		}
+		med := median(buf)
+		for k, v := range buf {
+			buf[k] = math.Abs(v - med)
+		}
+		sd := 1.4826 * median(buf)
+		if sd < 1e-9 {
+			sd = 1e-9
+		}
+		if math.Abs(p.Value-med)/sd > zmax {
+			removed = append(removed, p)
+			continue
+		}
+		kept = append(kept, p)
+	}
+	return kept, removed
+}
+
+// samePoints reports whether a and b hold the same points, values bit for
+// bit.
+func samePoints(a, b []Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].At.Equal(b[i].At) || math.Float64bits(a[i].Value) != math.Float64bits(b[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRemoveOutliersMatchesSorting holds the sorted-window cleaning to the
+// sorting version on random series: windows 1–7, lengths from below the
+// 2w+1 minimum to well past it (so the edge windows and the full ones
+// both occur), values on a 0.5 grid so ties are common, and ±0, ±Inf and
+// NaN mixed in. Every kept and removed point must match bit for bit.
+func TestRemoveOutliersMatchesSorting(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	trials := 20000
+	if testing.Short() {
+		trials = 2000
+	}
+	for trial := 0; trial < trials; trial++ {
+		window := 1 + rng.Intn(7)
+		n := rng.Intn(2*window + 30)
+		special := rng.Float64() * 0.3 // share of special values
+		spread := 1 + rng.Intn(12)     // grid steps, few for many ties
+		s := New("prop", "")
+		for i := 0; i < n; i++ {
+			v := 0.5 * float64(rng.Intn(2*spread+1)-spread)
+			if rng.Float64() < special {
+				v = specials[rng.Intn(len(specials))]
+			}
+			mustAppend(t, s, t0.Add(time.Duration(i)*5*time.Minute), v)
+		}
+		zmax := []float64{0, 1, 3, 4}[rng.Intn(4)]
+		clean, removed := s.RemoveOutliers(window, zmax)
+		wantKept, wantRemoved := removeOutliersSorting(s.points, window, zmax)
+		if !samePoints(clean.points, wantKept) || !samePoints(removed, wantRemoved) {
+			t.Fatalf("trial %d (window %d, zmax %g, values %v): kept %v removed %v, sorting version kept %v removed %v",
+				trial, window, zmax, s.points, clean.points, removed, wantKept, wantRemoved)
+		}
 	}
 }
 

@@ -65,11 +65,16 @@ type Runner struct {
 // runners with the same tree seed and geometry. Basement twins run their
 // tent partner's disk image, so within one experiment the same tree would
 // otherwise be generated and compressed twice. PackAhead packs queued
-// trees on a background goroutine; otherwise the cache is not
-// concurrent-safe: each experiment (campaign replicate) owns its own and
-// calls it from one goroutine.
+// trees on a background goroutine, and the two share the packing of a
+// tree both need; otherwise the cache is not concurrent-safe: each
+// experiment (campaign replicate) owns its own and calls it from one
+// goroutine.
 type PackCache struct {
 	entries map[packKey]*packEntry
+	// installWait is the wall time, in nanoseconds, NewRunner spent on
+	// trees another goroutine claimed: waiting for their tree stage,
+	// helping compress their blocks and waiting for the last block.
+	installWait atomic.Int64
 }
 
 type packKey struct {
@@ -79,18 +84,28 @@ type packKey struct {
 	blockSize int
 }
 
-// packEntry is one tree's pristine archive. Whichever goroutine claims it
-// first — the pack-ahead goroutine or the first NewRunner to need it —
-// packs it and closes done; everyone else waits on done.
+// packEntry is one tree's pristine archive, packed in two stages.
+// Whichever goroutine claims it first — the pack-ahead goroutine or the
+// first NewRunner to need it — runs the tree stage: it generates the tree
+// and its tar stream, sets up the block stage and closes ready. Then every
+// goroutine that needs the tree helps compress its blocks, and the one
+// that stores the last block joins the archive and closes done. A failed
+// tree stage closes both.
 type packEntry struct {
 	key     packKey
 	claimed atomic.Bool
+	ready   chan struct{}
 	done    chan struct{}
 
+	blocks  *fbzBlocks // set before ready; nil when the tree stage failed
 	archive []byte
 	res     ArchiveResult
 	treeErr error // from GenerateTree
-	packErr error // from Pack
+	packErr error // from the block size or the tar stream
+
+	// checker serves every forensic scan of this tree's archives; like
+	// the memo below it is used only from the experiment's goroutine.
+	checker blockChecker
 
 	// frames and verdicts memoise the forensic scan of the pristine
 	// archive (see badBlocks): frames[i] and frames[i+1] bound block i's
@@ -120,35 +135,64 @@ func NewPackCache() *PackCache {
 func (c *PackCache) entry(key packKey) *packEntry {
 	ent, ok := c.entries[key]
 	if !ok {
-		ent = &packEntry{key: key, done: make(chan struct{})}
+		ent = &packEntry{key: key, ready: make(chan struct{}), done: make(chan struct{})}
 		c.entries[key] = ent
 	}
 	return ent
 }
 
-// pack builds the entry's tree and archive if no one has claimed it yet.
-// It reports whether this call did the work.
+// pack runs the entry's tree stage if no one has claimed it yet, or
+// waits for the claimer's, and then compresses blocks until none is left
+// to take. It reports whether this call claimed the entry. The archive is
+// complete once done is closed, which a caller whose blocks were not the
+// last must wait for.
 func (ent *packEntry) pack() bool {
-	if !ent.claimed.CompareAndSwap(false, true) {
-		return false
+	claimed := ent.claimed.CompareAndSwap(false, true)
+	if claimed {
+		ent.treeStage()
+	} else {
+		<-ent.ready
 	}
-	defer close(ent.done)
+	// A tar stream is never empty, so some compress stores a last block.
+	if ent.blocks != nil && ent.blocks.compress() {
+		ent.archive, ent.res = ent.blocks.finish()
+		close(ent.done)
+	}
+	return claimed
+}
+
+// treeStage generates the entry's tree and tar stream and publishes its
+// block stage by closing ready. On failure it records the error and
+// closes done as well.
+func (ent *packEntry) treeStage() {
+	defer close(ent.ready)
 	tree, err := GenerateTree(ent.key.seed, ent.key.files, ent.key.bytes)
 	if err != nil {
 		ent.treeErr = err
-		return true
+		close(ent.done)
+		return
 	}
-	ent.archive, ent.res, ent.packErr = Pack(tree, ent.key.blockSize)
-	return true
+	tarBuf, err := tarStream(tree)
+	if err == nil {
+		err = checkBlockSize(ent.key.blockSize)
+	}
+	if err != nil {
+		ent.packErr = err
+		close(ent.done)
+		return
+	}
+	ent.blocks = newFBZBlocks(tarBuf.Bytes(), ent.key.blockSize)
 }
 
 // PackAhead starts one goroutine that packs the trees of seeds at the
-// given geometry, in order, so that NewRunner finds them
-// ready. A tree NewRunner needs before the goroutine reaches it is packed
-// by NewRunner itself. stop halts the goroutine after the tree in hand and
-// waits for it to exit; it must be called exactly once.
+// given geometry, in order, so that NewRunner finds them ready. A tree
+// NewRunner needs before the goroutine is done with it, NewRunner helps
+// compress, or packs itself if the goroutine has not reached it yet; the
+// goroutine then helps with the blocks left. stop halts the goroutine
+// after the tree in hand and waits for it to exit; it must be called
+// exactly once.
 func (c *PackCache) PackAhead(seeds []string, files int, treeBytes int64, blockSize int) (stop func()) {
-	// Twins share an entry; the goroutine skips one already claimed.
+	// Twins share an entry; the goroutine finds no block left of the second.
 	queue := make([]*packEntry, len(seeds))
 	for i, seed := range seeds {
 		queue[i] = c.entry(packKey{seed: seed, files: files, bytes: treeBytes, blockSize: blockSize})
@@ -177,8 +221,11 @@ func (c *PackCache) PackAhead(seeds []string, files int, treeBytes int64, blockS
 // bytes (corrupting cycles copy first).
 func (c *PackCache) NewRunner(hostID string, treeSeed string, files int, treeBytes int64, blockSize int, rng *simkernel.RNG) (*Runner, error) {
 	ent := c.entry(packKey{seed: treeSeed, files: files, bytes: treeBytes, blockSize: blockSize})
-	if !ent.pack() {
-		<-ent.done
+	start := time.Now()
+	claimed := ent.pack()
+	<-ent.done
+	if !claimed {
+		c.installWait.Add(int64(time.Since(start)))
 	}
 	if ent.treeErr != nil {
 		return nil, ent.treeErr
@@ -197,6 +244,10 @@ func (c *PackCache) NewRunner(hostID string, treeSeed string, files int, treeByt
 		storedArchives: make(map[string][]byte),
 	}, nil
 }
+
+// InstallWait returns the wall time NewRunner has spent on trees another
+// goroutine claimed, from the call until their archive was complete.
+func (c *PackCache) InstallWait() time.Duration { return time.Duration(c.installWait.Load()) }
 
 // NewRunner builds a standalone runner with a private cache.
 func NewRunner(hostID string, treeSeed string, files int, treeBytes int64, blockSize int, rng *simkernel.RNG) (*Runner, error) {
@@ -224,23 +275,20 @@ func (ent *packEntry) badBlocks(archive []byte) ([]int, error) {
 		}
 		return bad, nil
 	}
-	var (
-		bad []int
-		bc  blockChecker
-	)
+	var bad []int
 	for i := range ent.verdicts {
 		lo, hi := ent.frames[i], ent.frames[i+1]
 		var ok bool
 		if pristine := ent.archive[lo:hi]; bytes.Equal(archive[lo:hi], pristine) {
 			if ent.verdicts[i] == unscanned {
 				ent.verdicts[i] = blockBad
-				if bc.ok(pristine) {
+				if ent.checker.ok(pristine) {
 					ent.verdicts[i] = blockOK
 				}
 			}
 			ok = ent.verdicts[i] == blockOK
 		} else {
-			ok = bc.ok(archive[lo:hi])
+			ok = ent.checker.ok(archive[lo:hi])
 		}
 		if !ok {
 			bad = append(bad, i)

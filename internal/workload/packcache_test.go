@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"frostlab/internal/simkernel"
 )
@@ -166,6 +168,109 @@ func TestPackAheadMatchesInline(t *testing.T) {
 		}
 		if len(c.entries) != 3 {
 			t.Errorf("stopEarly=%v: %d cache entries for 3 distinct trees", stopEarly, len(c.entries))
+		}
+	}
+}
+
+// TestSharedPackMatchesSerial runs the block stage the way a run does at
+// its start, with the pack-ahead goroutine and several NewRunner callers
+// on the same entries at once, and checks every archive, ArchiveResult and
+// reference digest against serial Pack. The packer creates every entry
+// before it starts, so the callers only read the cache's map. Block sizes
+// of 2, 4 and 8 KB leave a short tail block; run it under -race.
+func TestSharedPackMatchesSerial(t *testing.T) {
+	seeds := []string{"shared/01", "shared/02", "shared/01", "shared/03", "shared/04"}
+	const files, treeBytes = 9, 40 << 10
+	tails := 0
+	for _, blockSize := range []int{2 << 10, 4 << 10, 8 << 10} {
+		want := map[string]ArchiveResult{}
+		wantArchive := map[string][]byte{}
+		for _, seed := range seeds {
+			tree, err := GenerateTree(seed, files, treeBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			archive, res, err := Pack(tree, blockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.TarBytes%int64(blockSize) != 0 {
+				tails++
+			}
+			want[seed], wantArchive[seed] = res, archive
+		}
+		c := NewPackCache()
+		stop := c.PackAhead(seeds, files, treeBytes, blockSize)
+		var wg sync.WaitGroup
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := simkernel.NewRNG("shared")
+				// Each caller walks the seeds from its own offset, so the
+				// callers and the packer meet on different entries.
+				for i := range seeds {
+					seed := seeds[(i+g)%len(seeds)]
+					r, err := c.NewRunner(fmt.Sprintf("h%d", g), seed, files, treeBytes, blockSize, rng)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if r.Reference() != want[seed].MD5 || r.pack.res != want[seed] || !bytes.Equal(r.pack.archive, wantArchive[seed]) {
+						t.Errorf("block size %d, seed %s: shared pack differs from serial Pack", blockSize, seed)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		stop()
+	}
+	if tails == 0 {
+		t.Error("no tar stream ended in a short tail block")
+	}
+}
+
+// TestPackStageFailureReleasesHelpers checks that a failed tree stage, a
+// tree GenerateTree rejects or a block size outside the header's range,
+// closes ready and done, so the packer and every NewRunner waiting on the
+// entry return its error instead of hanging.
+func TestPackStageFailureReleasesHelpers(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		files     int
+		blockSize int
+		want      string
+	}{
+		{"tree", 0, 4 << 10, "workload: tree needs positive file count and size (got 0 files, 24576 bytes)"},
+		{"block size", 6, 1 << 33, "workload: initial pack for h: workload: block size 8589934592 outside 1..4294967295"},
+	} {
+		c := NewPackCache()
+		stop := c.PackAhead([]string{"fail/01", "fail/01"}, tc.files, 24<<10, tc.blockSize)
+		errs := make(chan error, 3)
+		for g := 0; g < 3; g++ {
+			go func() {
+				_, err := c.NewRunner("h", "fail/01", tc.files, 24<<10, tc.blockSize, simkernel.NewRNG("fail"))
+				errs <- err
+			}()
+		}
+		for g := 0; g < 3; g++ {
+			select {
+			case err := <-errs:
+				if err == nil || err.Error() != tc.want {
+					t.Errorf("%s: err %v, want %q", tc.name, err, tc.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: NewRunner still waiting on a failed entry", tc.name)
+			}
+		}
+		stop()
+		ent := c.entry(packKey{seed: "fail/01", files: tc.files, bytes: 24 << 10, blockSize: tc.blockSize})
+		for name, ch := range map[string]chan struct{}{"ready": ent.ready, "done": ent.done} {
+			select {
+			case <-ch:
+			default:
+				t.Errorf("%s: %s still open after a failed tree stage", tc.name, name)
+			}
 		}
 	}
 }

@@ -72,7 +72,7 @@ func BenchmarkShardedFleet10k(b *testing.B) {
 func BenchmarkShardedFleet10kVsReference(b *testing.B) {
 	cfg := shardedConfig(b, 112, 90)
 	ratio := medianRatio(b,
-		func() { referenceRun(b, false, false) },
+		func() { referenceRun(b, false, false, nil) },
 		func() { shardedRun(b, cfg, false) })
 	b.ReportMetric(1/ratio, "x_vs_reference")
 	if ratio >= 1 {
