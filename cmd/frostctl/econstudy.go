@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -71,7 +72,7 @@ type econBench struct {
 	FollowColdWins    int                `json:"follow_cold_wins"`
 }
 
-func runEconStudy(stdout io.Writer, seed string, o econOpts) error {
+func runEconStudy(ctx context.Context, stdout io.Writer, seed string, o econOpts) error {
 	if *o.days < 1 {
 		return fmt.Errorf("-econ-days must be at least 1, got %d", *o.days)
 	}
@@ -81,12 +82,12 @@ func runEconStudy(stdout io.Writer, seed string, o econOpts) error {
 
 	fmt.Fprintf(stdout, "E17 economics study: %d-day cells, %d hosts/site, seed %q\n\n", spec.Days, spec.HostsPerSite, seed)
 
-	sum, err := campaign.RunEcon(spec)
+	sum, err := campaign.RunEconContext(ctx, spec)
 	if err != nil {
 		return err
 	}
 	// Replay gate: the entire sweep again, digest-compared.
-	again, err := campaign.RunEcon(spec)
+	again, err := campaign.RunEconContext(ctx, spec)
 	if err != nil {
 		return fmt.Errorf("replay run: %w", err)
 	}

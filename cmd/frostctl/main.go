@@ -70,9 +70,8 @@ import (
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	// Every phase but econ stops when a signal cancels ctx: campaign.RunEcon
-	// takes no context. The default handler is back after it, so a second
-	// signal ends econ.
+	// Every phase stops when a signal cancels ctx. The default handler is
+	// back after it, so a second signal ends the process at once.
 	context.AfterFunc(ctx, stop)
 	err := run(ctx, os.Args[1:], os.Stdout)
 	stop()
@@ -173,7 +172,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	case "alerts":
 		return runAlertsStudy(ctx, stdout, *seed, *alertsOut)
 	case "econ":
-		return runEconStudy(stdout, *seed, eo)
+		return runEconStudy(ctx, stdout, *seed, eo)
 	case "serve":
 		return runServeStudy(ctx, stdout, *seed, se)
 	}

@@ -153,8 +153,8 @@ func TestRunlessIDsRender(t *testing.T) {
 }
 
 // TestRunStopsOnCancel: a cancelled context (main's signal context)
-// stops the normal phase, the scale fleet and the control, alerts and
-// chaos studies with its error.
+// stops the normal phase, the scale fleet and the control, alerts, chaos
+// and econ studies with its error.
 func TestRunStopsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -164,6 +164,7 @@ func TestRunStopsOnCancel(t *testing.T) {
 		{"-phase", "control"},
 		{"-phase", "alerts", "-alerts-out", ""},
 		{"-phase", "chaos"},
+		{"-phase", "econ"},
 	} {
 		if err := run(ctx, args, io.Discard); !errors.Is(err, context.Canceled) {
 			t.Errorf("run(%q) with a cancelled context = %v", args, err)

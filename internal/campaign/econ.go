@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"crypto/md5"
 	"fmt"
 	"io"
@@ -250,10 +251,15 @@ func (s *EconSpec) econConfig(set SiteSet, tariff, policy string) core.MultiSite
 	return cfg
 }
 
-// RunEcon executes the sweep. Cells run sequentially in cross-product
-// order (policy outermost, then set, then tariff) — each cell is itself
-// deterministic at any GOMAXPROCS, so the sweep digest is too.
-func RunEcon(spec EconSpec) (*EconSummary, error) {
+// RunEcon executes the sweep: RunEconContext without cancellation.
+func RunEcon(spec EconSpec) (*EconSummary, error) { return RunEconContext(context.Background(), spec) }
+
+// RunEconContext executes the sweep. Cells run sequentially in
+// cross-product order (policy outermost, then set, then tariff) — each
+// cell is itself deterministic at any GOMAXPROCS, so the sweep digest is
+// too. ctx is checked before each cell; once it is done, the sweep stops
+// with ctx.Err().
+func RunEconContext(ctx context.Context, spec EconSpec) (*EconSummary, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -263,6 +269,9 @@ func RunEcon(spec EconSpec) (*EconSummary, error) {
 	for _, policy := range d.Policies {
 		for _, set := range d.Sets {
 			for _, tariff := range d.Tariffs {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
 				cfg := d.econConfig(set, tariff, policy)
 				eng, err := core.NewMultiSite(cfg)
 				if err != nil {

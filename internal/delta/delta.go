@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // DefaultBlockSize is the signature block size. rsync's own default is
@@ -209,19 +210,25 @@ func Compute(sig *Signature, new []byte, newMD5 [md5.Size]byte) (*Delta, error) 
 	return d, nil
 }
 
-// Apply reconstructs the new file from the old file and a delta, and
+// Apply reconstructs the new file from the old file and a delta, appends
+// it to dst and returns the extended slice, so a caller that passes the
+// same buffer each time reconstructs without allocating once the buffer
+// has grown. dst must not overlap old or the delta's literals. Apply
 // checks the reconstruction's md5 against the delta's NewMD5. sum must be
 // a running summary of old. When the reconstruction extends old, Apply
 // adds only the bytes past old to sum; otherwise, or when sum's length is
 // not old's, it rebuilds sum from the reconstruction. The check is only
 // as good as sum: a sum of other bytes of old's length would check those
 // bytes followed by the appended ones, not the reconstruction. On success
-// sum summarises the returned file; after an error it must be Reset.
-func Apply(old []byte, d *Delta, sum *Running) ([]byte, error) {
+// sum summarises the reconstruction; after an error it must be Reset.
+func Apply(dst, old []byte, d *Delta, sum *Running) ([]byte, error) {
 	if d == nil {
 		return nil, errors.New("delta: nil delta")
 	}
-	out := make([]byte, 0, d.NewLen)
+	head, out := len(dst), dst
+	if d.NewLen > 0 {
+		out = slices.Grow(out, d.NewLen)
+	}
 	for _, op := range d.Ops {
 		switch op.Kind {
 		case OpLiteral:
@@ -237,14 +244,13 @@ func Apply(old []byte, d *Delta, sum *Running) ([]byte, error) {
 			return nil, fmt.Errorf("delta: unknown op kind %d", op.Kind)
 		}
 	}
-	if len(out) != d.NewLen {
-		return nil, fmt.Errorf("delta: reconstructed %d bytes, want %d", len(out), d.NewLen)
-	}
-	if sum.Len() == len(old) && bytes.HasPrefix(out, old) {
-		sum.Write(out[len(old):])
+	if got := out[head:]; len(got) != d.NewLen {
+		return nil, fmt.Errorf("delta: reconstructed %d bytes, want %d", len(got), d.NewLen)
+	} else if sum.Len() == len(old) && bytes.HasPrefix(got, old) {
+		sum.Write(got[len(old):])
 	} else {
 		sum.Reset()
-		sum.Write(out)
+		sum.Write(got)
 	}
 	if sum.Sum() != d.NewMD5 {
 		return nil, errors.New("delta: reconstruction digest mismatch")
@@ -378,7 +384,7 @@ func Sync(old, new []byte, blockSize int) ([]byte, int, error) {
 	}
 	var sum Running
 	sum.Write(old)
-	got, err := Apply(old, d, &sum)
+	got, err := Apply(nil, old, d, &sum)
 	if err != nil {
 		return nil, 0, err
 	}

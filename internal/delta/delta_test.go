@@ -192,22 +192,22 @@ func TestApplyRejectsCorruptDelta(t *testing.T) {
 	// Out-of-range copy.
 	bad := *d
 	bad.Ops = []Op{{Kind: OpCopy, Block: 100, NumBlocks: 1}}
-	if _, err := Apply(old, &bad, runningOf(old)); err == nil {
+	if _, err := Apply(nil, old, &bad, runningOf(old)); err == nil {
 		t.Error("out-of-range copy accepted")
 	}
 	// Wrong digest.
 	bad = *d
 	bad.NewMD5[0] ^= 0xff
-	if _, err := Apply(old, &bad, runningOf(old)); err == nil {
+	if _, err := Apply(nil, old, &bad, runningOf(old)); err == nil {
 		t.Error("digest mismatch accepted")
 	}
 	// Wrong length.
 	bad = *d
 	bad.NewLen++
-	if _, err := Apply(old, &bad, runningOf(old)); err == nil {
+	if _, err := Apply(nil, old, &bad, runningOf(old)); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := Apply(old, nil, runningOf(old)); err == nil {
+	if _, err := Apply(nil, old, nil, runningOf(old)); err == nil {
 		t.Error("nil delta accepted")
 	}
 }
@@ -230,12 +230,41 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Apply(old, back, runningOf(old))
+	got, err := Apply(nil, old, back, runningOf(old))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, new) {
 		t.Error("marshalled delta reconstruction differs")
+	}
+}
+
+// TestApplyAppendsToDst: Apply appends the reconstruction after dst's
+// bytes, and a destination with room for it is filled without an
+// allocation.
+func TestApplyAppendsToDst(t *testing.T) {
+	old := randBytes(8 << 10)
+	new := append(append([]byte(nil), old...), "appended tail"...)
+	sig, _ := NewSignature(old, 1024)
+	d, err := Compute(sig, new, md5.Sum(new))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Apply([]byte("head:"), old, d, runningOf(old))
+	if err != nil || string(got[:5]) != "head:" || !bytes.Equal(got[5:], new) {
+		t.Fatalf("Apply after a 5-byte head: %d bytes, err %v", len(got), err)
+	}
+	buf := make([]byte, 0, len(new))
+	var sum Running
+	allocs := testing.AllocsPerRun(20, func() {
+		sum.Reset()
+		sum.Write(old)
+		if buf, err = Apply(buf[:0], old, d, &sum); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || !bytes.Equal(buf, new) {
+		t.Errorf("Apply into a reused buffer: %v allocs, equal %v", allocs, bytes.Equal(buf, new))
 	}
 }
 

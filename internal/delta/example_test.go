@@ -37,7 +37,7 @@ func ExampleCompute() {
 	d, _ := delta.Compute(sig, senderFile, md5.Sum(senderFile))
 	var old delta.Running // the receiver's summary of its own copy
 	old.Write(receiverCopy)
-	patched, _ := delta.Apply(receiverCopy, d, &old)
+	patched, _ := delta.Apply(nil, receiverCopy, d, &old)
 	fmt.Println(string(patched))
 	// Output:
 	// the quick brown fox jumps over the lazy dog, twice

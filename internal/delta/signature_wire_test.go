@@ -32,7 +32,7 @@ func TestSignatureMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Apply(data, d, runningOf(data))
+	got, err := Apply(nil, data, d, runningOf(data))
 	if err != nil {
 		t.Fatal(err)
 	}

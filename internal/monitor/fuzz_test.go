@@ -32,7 +32,7 @@ func FuzzParseLedger(f *testing.F) {
 
 // FuzzDecodeNamed hardens the protocol's name framing.
 func FuzzDecodeNamed(f *testing.F) {
-	f.Add(encodeNamed("md5sums.log", []byte("payload")))
+	f.Add(append(appendNamed(nil, "md5sums.log"), "payload"...))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -65,12 +65,12 @@ func FuzzAgentAppendFrame(f *testing.F) {
 		}
 		return s
 	}
-	f.Add(encodeAppend(SensorLog, 0, md5.Sum(nil), sig(nil)))
-	f.Add(encodeAppend(SensorLog, 32, md5.Sum(content[:32]), sig(content[32:40])))
-	f.Add(encodeAppend(SensorLog, 32, md5.Sum(content[:31]), sig(nil)))
-	f.Add(encodeAppend(SensorLog, len(content)+1, md5.Sum(content), sig(nil)))
-	f.Add(encodeAppend(MD5Log, 0, md5.Sum(nil), sig([]byte("x"))))
-	f.Add(encodeNamed(SensorLog, []byte("short")))
+	f.Add(appendRequest(nil, SensorLog, 0, md5.Sum(nil), sig(nil)))
+	f.Add(appendRequest(nil, SensorLog, 32, md5.Sum(content[:32]), sig(content[32:40])))
+	f.Add(appendRequest(nil, SensorLog, 32, md5.Sum(content[:31]), sig(nil)))
+	f.Add(appendRequest(nil, SensorLog, len(content)+1, md5.Sum(content), sig(nil)))
+	f.Add(appendRequest(nil, MD5Log, 0, md5.Sum(nil), sig([]byte("x"))))
+	f.Add(append(appendNamed(nil, SensorLog), "short"...))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if err := cSess.Send(ftAppend, payload); err != nil {
@@ -122,7 +122,7 @@ func FuzzInProcessPump(f *testing.F) {
 	for _, fr := range []struct {
 		ft      byte
 		payload []byte
-	}{{ftList, nil}, {ftPing, nil}, {ftBye, nil}, {99, []byte("x")}, {ftAppend, encodeNamed(SensorLog, nil)}} {
+	}{{ftList, nil}, {ftPing, nil}, {ftBye, nil}, {99, []byte("x")}, {ftAppend, appendNamed(nil, SensorLog)}} {
 		s := dial(f)
 		if err := s.sess.Send(fr.ft, fr.payload); err != nil {
 			f.Fatal(err)

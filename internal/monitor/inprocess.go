@@ -29,6 +29,8 @@ type InProcessSession struct {
 	lb        *loopback
 	sess      *wire.Session // the collector's end
 	agentSess *wire.Session
+	// reply is the agent's reply buffer for this session (see serveFrame).
+	reply []byte
 	// serveErr is why the agent's side ended: nil after a clean bye, or
 	// while it has not ended.
 	serveErr error
@@ -103,7 +105,7 @@ func (s *InProcessSession) Close() error {
 // side, as it would return Serve, and closes the loopback, so a collector
 // still sending or receiving fails at once.
 func (s *InProcessSession) step() {
-	bye, err := s.agent.serveFrame(s.agentSess)
+	bye, err := s.agent.serveFrame(s.agentSess, &s.reply)
 	if bye || err != nil {
 		s.serveErr = err
 		s.lb.close()

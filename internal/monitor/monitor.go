@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -47,6 +48,9 @@ const (
 
 // FileStore is a set of named append-only files. It is safe for concurrent
 // use, since a TCP agent serves collections while the host keeps logging.
+// The views From returns never change: an append writes only past every
+// view's capacity, and a write that is not an append writes to a new
+// backing array.
 type FileStore struct {
 	mu    sync.Mutex
 	files map[string][]byte
@@ -79,9 +83,11 @@ func (fs *FileStore) Get(name string) []byte {
 	return nil
 }
 
-// From returns a copy of the named file's content from byte off on,
-// together with the file's generation at the time of the read. ok is
-// false when the file (empty if absent) is shorter than off.
+// From returns a read-only view of the named file's content from byte off
+// on, together with the file's generation at the time of the read. ok is
+// false when the file (empty if absent) is shorter than off. The view is
+// not a copy, but no later write changes it; its capacity ends at its
+// length, so an append to it copies. A caller must not write to it.
 func (fs *FileStore) From(name string, off int) (suffix []byte, gen uint64, ok bool) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -89,7 +95,7 @@ func (fs *FileStore) From(name string, off int) (suffix []byte, gen uint64, ok b
 	if off < 0 || off > len(data) {
 		return nil, fs.gens[name], false
 	}
-	return append([]byte(nil), data[off:]...), fs.gens[name], true
+	return data[off:len(data):len(data)], fs.gens[name], true
 }
 
 // generation returns the named file's generation.
@@ -107,8 +113,11 @@ func (fs *FileStore) Put(name string, data []byte) {
 	fs.gens[name]++
 }
 
-// Splice truncates the named file to off bytes and appends data in place,
-// creating the file if needed. off beyond the file's end is an error.
+// Splice truncates the named file to off bytes and appends data, creating
+// the file if needed. off beyond the file's end is an error. At the file's
+// end it is an Append; a Splice that truncates keeps the bytes before off
+// where they are but writes data to a new backing array, since a view
+// From returned may still hold the bytes it replaces.
 func (fs *FileStore) Splice(name string, off int, data []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -118,8 +127,9 @@ func (fs *FileStore) Splice(name string, off int, data []byte) error {
 	}
 	if off < len(cur) {
 		fs.gens[name]++
+		cur = cur[:off:off] // the next append copies
 	}
-	fs.files[name] = append(cur[:off], data...)
+	fs.files[name] = append(cur, data...)
 	return nil
 }
 
@@ -175,14 +185,11 @@ const appendHeader = 8 + md5.Size
 // ErrRemote carries an agent-reported error.
 var ErrRemote = errors.New("monitor: remote error")
 
-// encodeNamed prefixes a payload with a length-prefixed name. The output
-// size is known exactly, so the frame is assembled in a single allocation.
-func encodeNamed(name string, payload []byte) []byte {
-	out := make([]byte, 2+len(name)+len(payload))
-	binary.BigEndian.PutUint16(out, uint16(len(name)))
-	copy(out[2:], name)
-	copy(out[2+len(name):], payload)
-	return out
+// appendNamed appends a length-prefixed name to dst; the named payload
+// follows it.
+func appendNamed(dst []byte, name string) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(name)))
+	return append(dst, name...)
 }
 
 // decodeNamed splits a named payload.
@@ -197,15 +204,14 @@ func decodeNamed(p []byte) (string, []byte, error) {
 	return string(p[2 : 2+n]), p[2+n:], nil
 }
 
-// encodeAppend builds an append request's payload in one allocation.
-func encodeAppend(name string, off int, prefix [md5.Size]byte, sig *delta.Signature) []byte {
-	n := 2 + len(name) + appendHeader
-	p := make([]byte, n, n+sig.MarshalSize())
-	binary.BigEndian.PutUint16(p, uint16(len(name)))
-	copy(p[2:], name)
-	binary.BigEndian.PutUint64(p[2+len(name):], uint64(off))
-	copy(p[2+len(name)+8:], prefix[:])
-	return sig.AppendMarshal(p)
+// appendRequest appends an append request's payload to dst, growing dst
+// at most once.
+func appendRequest(dst []byte, name string, off int, prefix [md5.Size]byte, sig *delta.Signature) []byte {
+	dst = slices.Grow(dst, 2+len(name)+appendHeader+sig.MarshalSize())
+	dst = appendNamed(dst, name)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(off))
+	dst = append(dst, prefix[:]...)
+	return sig.AppendMarshal(dst)
 }
 
 // Agent exports a host's FileStore to the collector.
@@ -248,18 +254,21 @@ func (a *Agent) Store() *FileStore { return a.store }
 // Serve answers collector requests on the session until a bye frame or a
 // transport error. It returns nil on a clean bye.
 func (a *Agent) Serve(sess *wire.Session) error {
+	var reply []byte
 	for {
-		if bye, err := a.serveFrame(sess); bye || err != nil {
+		if bye, err := a.serveFrame(sess, &reply); bye || err != nil {
 			return err
 		}
 	}
 }
 
 // serveFrame receives one collector request and sends its reply: Serve's
-// loop body, which an InProcessSession also runs one frame at a time. bye
-// reports a clean bye; after a bye or an error the session carries no
-// more frames.
-func (a *Agent) serveFrame(sess *wire.Session) (bye bool, err error) {
+// loop body, which an InProcessSession also runs one frame at a time. A
+// delta or stale reply is built in *reply, which grows to the largest
+// reply and is kept for the session's next frame: one agent may serve
+// several sessions at once. bye reports a clean bye; after a bye or an
+// error the session carries no more frames.
+func (a *Agent) serveFrame(sess *wire.Session, reply *[]byte) (bye bool, err error) {
 	ft, payload, err := sess.Recv()
 	if err != nil {
 		return false, fmt.Errorf("monitor: agent %s receiving: %w", a.hostID, err)
@@ -269,15 +278,15 @@ func (a *Agent) serveFrame(sess *wire.Session) (bye bool, err error) {
 		return false, sess.Send(ftListResp, []byte(strings.Join(a.store.Names(), "\n")))
 	case ftAppend:
 		name, d, err := a.appendDelta(payload)
-		switch {
-		case err != nil:
+		if err != nil {
 			return false, sess.Send(ftError, []byte(err.Error()))
-		case d == nil:
-			return false, sess.Send(ftStale, encodeNamed(name, nil))
-		default:
-			// The name prefix grows once into the whole frame payload.
-			return false, sess.Send(ftDelta, d.AppendMarshal(encodeNamed(name, nil)))
 		}
+		*reply = appendNamed((*reply)[:0], name)
+		if d == nil {
+			return false, sess.Send(ftStale, *reply)
+		}
+		*reply = d.AppendMarshal(*reply)
+		return false, sess.Send(ftDelta, *reply)
 	case ftPing:
 		return false, sess.Send(ftPong, nil)
 	case ftBye:
@@ -290,7 +299,7 @@ func (a *Agent) serveFrame(sess *wire.Session) (bye bool, err error) {
 // appendDelta answers one append request: the delta of the file's content
 // past the requested offset against the collector's tail signature, or a
 // nil delta when the file's prefix does not match the collector's digest.
-// The delta's literals alias the store's copy of that content.
+// The delta's literals alias a view of that content in the store.
 func (a *Agent) appendDelta(payload []byte) (string, *delta.Delta, error) {
 	name, p, err := decodeNamed(payload)
 	if err != nil {
@@ -421,7 +430,17 @@ type mirrorState struct {
 	tail   delta.Running
 	gen    uint64
 	tailOK bool
+	// req holds the round's append request while it is sent, and out the
+	// reconstructed tail until the mirror has its bytes: buffers a file
+	// keeps from round to round, so a warm round allocates neither.
+	req, out []byte
 }
+
+// keptOut caps the reconstruction buffer a mirrored file keeps between
+// rounds. An append round rebuilds at most a block plus the bytes
+// appended since the last round; a full resync rebuilds the whole file,
+// and keeping that buffer would hold a second copy of the mirror.
+const keptOut = 64 << 10
 
 // signTail returns the signature of tail, the mirror's bytes past the
 // offset a round asks from, and leaves st.tail summarising tail, or empty
@@ -640,7 +659,8 @@ func (c *Collector) syncFile(sess *wire.Session, hostID, name string, mirror *Fi
 				return 0, 0, err
 			}
 			prefix.Sum(st.sum[:0])
-			if d, err = c.requestAppend(sess, name, off, st.sum, sig); err != nil {
+			st.req = appendRequest(st.req[:0], name, off, st.sum, sig)
+			if d, err = c.requestAppend(sess, name, st.req); err != nil {
 				return 0, 0, err
 			}
 			if d != nil {
@@ -654,9 +674,17 @@ func (c *Collector) syncFile(sess *wire.Session, hostID, name string, mirror *Fi
 		// signature, and the reply rebuilds the whole agent file.
 		off, trim, prefix = 0, 0, md5.New()
 	}
-	newTail, err := delta.Apply(tail, d, &st.tail)
+	// d's literals alias the session's receive buffer; Apply consumes them
+	// before the next Recv.
+	newTail, err := delta.Apply(st.out[:0], tail, d, &st.tail)
 	if err != nil {
 		return 0, 0, fmt.Errorf("monitor: applying delta for %s/%s: %w", hostID, name, err)
+	}
+	st.out = nil
+	if cap(newTail) <= keptOut {
+		// The mirror, Ingest and Replay copy what they keep of newTail, so
+		// the next round may reuse its buffer.
+		st.out = newTail
 	}
 	base := off - trim // the tail's position in the mirror
 	// An append leaves the mirror's generation, and so st.tail, valid.
@@ -711,13 +739,14 @@ func (c *Collector) syncFile(sess *wire.Session, hostID, name string, mirror *Fi
 	return d.LiteralBytes(), size, nil
 }
 
-// requestAppend sends one append request, with the digest of the agent's
-// first off bytes and the signature of the mirror's tail from off on, and
-// returns the agent's delta, or nil if the agent reports the prefix
-// stale. The delta's literals alias the reply frame, which Recv allocated
-// for this reply alone.
-func (c *Collector) requestAppend(sess *wire.Session, name string, off int, prefix [md5.Size]byte, sig *delta.Signature) (*delta.Delta, error) {
-	if err := sess.Send(ftAppend, encodeAppend(name, off, prefix, sig)); err != nil {
+// requestAppend sends one append request for the named file, built by
+// appendRequest with the digest of the agent's first off bytes and the
+// signature of the mirror's tail from off on, and returns the agent's
+// delta, or nil if the agent reports the prefix stale. The delta's
+// literals alias the reply frame, which is valid only until the session's
+// next Recv.
+func (c *Collector) requestAppend(sess *wire.Session, name string, req []byte) (*delta.Delta, error) {
+	if err := sess.Send(ftAppend, req); err != nil {
 		return nil, err
 	}
 	ft, payload, err := sess.Recv()

@@ -255,7 +255,7 @@ func TestAgentReportsErrors(t *testing.T) {
 	// 0, the empty file's digest, then no signature.
 	empty := md5.Sum(nil)
 	req := append(append(make([]byte, 8), empty[:]...), "not a signature"...)
-	if err := cSess.Send(ftAppend, encodeNamed("x", req)); err != nil {
+	if err := cSess.Send(ftAppend, append(appendNamed(nil, "x"), req...)); err != nil {
 		t.Fatal(err)
 	}
 	ft, payload, err := cSess.Recv()
@@ -323,7 +323,7 @@ func TestDecodeNamedValidation(t *testing.T) {
 	if _, _, err := decodeNamed([]byte{0, 9, 'a'}); err == nil {
 		t.Error("overlong name accepted")
 	}
-	name, rest, err := decodeNamed(encodeNamed("file.log", []byte("payload")))
+	name, rest, err := decodeNamed(append(appendNamed(nil, "file.log"), "payload"...))
 	if err != nil || name != "file.log" || string(rest) != "payload" {
 		t.Errorf("round trip: %q %q %v", name, rest, err)
 	}

@@ -152,12 +152,12 @@ func TestRunningTailInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := delta.Apply(tail, d, summary(tail)); err != nil || !bytes.Equal(got, suffix) {
+	if got, err := delta.Apply(nil, tail, d, summary(tail)); err != nil || !bytes.Equal(got, suffix) {
 		t.Fatalf("Apply on the running path: %v", err)
 	}
 	flipped := *d
 	flipped.NewMD5[0] ^= 1
-	if _, err := delta.Apply(tail, &flipped, summary(tail)); err == nil {
+	if _, err := delta.Apply(nil, tail, &flipped, summary(tail)); err == nil {
 		t.Error("Apply accepted a delta whose NewMD5 has a bit flipped")
 	}
 	// An old tail other than the one the summary holds, and the delta
@@ -172,7 +172,7 @@ func TestRunningTailInvalidation(t *testing.T) {
 	if d, err = delta.Compute(otherSig, otherNew, md5.Sum(otherNew)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := delta.Apply(other, d, summary(tail)); err == nil {
+	if _, err := delta.Apply(nil, other, d, summary(tail)); err == nil {
 		t.Error("Apply accepted a reconstruction from an old file the running summary does not hold")
 	}
 }

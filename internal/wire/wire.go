@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"slices"
 )
 
 // Protocol limits.
@@ -70,9 +71,10 @@ func DerivePSK(keyseed, hostID string) []byte {
 // Session is an authenticated, integrity-protected frame stream. Create
 // one with Dial (client side) or Accept (server side).
 //
-// A Session keeps per-direction MAC state and a reused send buffer, so one
-// goroutine may Send while another Recvs, but two goroutines must never
-// Send at once, nor Recv at once, on the same Session.
+// A Session keeps per-direction MAC state and reused send and receive
+// buffers, so one goroutine may Send while another Recvs, but two
+// goroutines must never Send at once, nor Recv at once, on the same
+// Session.
 type Session struct {
 	rw      io.ReadWriter
 	key     []byte // session key
@@ -91,6 +93,9 @@ type Session struct {
 	// sendBuf holds the last frame sent (header | payload | tag), so each
 	// frame goes out in one Write.
 	sendBuf []byte
+	// recvBuf holds the last frame received (payload | tag); Recv's
+	// payload is a view of it.
+	recvBuf []byte
 }
 
 func newSession(rw io.ReadWriter, key []byte, peer string) *Session {
@@ -229,7 +234,11 @@ func (s *Session) Send(frameType byte, payload []byte) error {
 	return nil
 }
 
-// Recv reads and verifies one frame, returning its type and payload.
+// Recv reads and verifies one frame, returning its type and payload. The
+// payload is a view of a buffer the Session reuses: it is valid until the
+// next Recv on the Session, and a caller that keeps it longer must copy
+// it. Its capacity ends at its length, so an append to it copies rather
+// than overwrite the tag.
 func (s *Session) Recv() (byte, []byte, error) {
 	if _, err := io.ReadFull(s.rw, s.recvHdr[:]); err != nil {
 		return 0, nil, err
@@ -239,9 +248,9 @@ func (s *Session) Recv() (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: header claims %d bytes", ErrTooLarge, n)
 	}
 	frameType := s.recvHdr[4]
-	// Payload and tag arrive in one allocation; the payload returned is
-	// capped so a caller's append cannot overwrite the tag.
-	body := make([]byte, int(n)+macSize)
+	need := int(n) + macSize
+	s.recvBuf = slices.Grow(s.recvBuf[:0], need)
+	body := s.recvBuf[:need]
 	if _, err := io.ReadFull(s.rw, body); err != nil {
 		return 0, nil, err
 	}
