@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"slices"
@@ -33,18 +32,6 @@ const (
 	chaosPCut     = 0.05
 	chaosPCorrupt = 0.1
 )
-
-type chaosOpts struct {
-	down    *string
-	stalled *string
-}
-
-func chaosFlags(fs *flag.FlagSet) chaosOpts {
-	return chaosOpts{
-		down:    fs.String("down", "", "crash schedule host=from-to[,host=from-to] (rounds, open end: from-)"),
-		stalled: fs.String("stalled", "", "stall schedule, same syntax as -down"),
-	}
-}
 
 // parseSchedule parses "03=1-4,07=2-" into round ranges.
 func parseSchedule(s string) (map[string][]chaos.RoundRange, error) {
@@ -92,25 +79,49 @@ func fleetSchedule(flagName, s string, fleet []string) (map[string][]chaos.Round
 	return sched, nil
 }
 
-// runChaosStudy drives the E13 study; traceTo, when non-empty, records
-// the collection plane (round and per-host collect spans, wall time) as
+// inProcessFleet is the fleet E13 and E16 collect: an agent per host
+// over stores, each keyed by seed+"/psk/"+id, dialled in-process through
+// inj's faults, with nonces and backoff jitter drawn from seed. Backoffs
+// are drawn but never slept: the studies measure coverage and detection
+// latency in sim-time, not wall-clock. The caller adds the retry,
+// breaker and phase-timeout policy.
+func inProcessFleet(seed string, ids []string, stores map[string]*monitor.FileStore, inj *chaos.Injector) monitor.FleetConfig {
+	agents := make(map[string]*monitor.Agent, len(ids))
+	keys := make(wire.Keystore, len(ids))
+	for _, id := range ids {
+		agents[id] = monitor.NewAgent(id, stores[id])
+		keys[id] = []byte(seed + "/psk/" + id)
+	}
+	return monitor.FleetConfig{
+		Hosts:        ids,
+		Dial:         inj.WrapDialer(monitor.InProcessDialer(agents, keys, seed)),
+		KeyFor:       keys.Lookup,
+		NonceFor:     monitor.InProcessNonces(seed),
+		RoundTimeout: 30 * time.Second,
+		Jitter:       monitor.DeterministicJitter(seed),
+		Sleep:        func(ctx context.Context, d time.Duration) error { return ctx.Err() },
+	}
+}
+
+// runChaosStudy drives the E13 study; -trace, when set, records the
+// collection plane (round and per-host collect spans, wall time) as
 // Chrome trace-event JSON. A cancelled ctx stops it after the round in
 // hand.
-func runChaosStudy(ctx context.Context, stdout io.Writer, seed string, o chaosOpts, traceTo string) error {
+func runChaosStudy(ctx context.Context, stdout io.Writer, o *options) (any, error) {
 	ids := make([]string, chaosHosts)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("%02d", i+1)
 	}
-	down, err := fleetSchedule("-down", *o.down, ids)
+	down, err := fleetSchedule("-down", o.down, ids)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	stalled, err := fleetSchedule("-stalled", *o.stalled, ids)
+	stalled, err := fleetSchedule("-stalled", o.stalled, ids)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	inj, err := chaos.New(chaos.Spec{
-		Seed:       seed + "/chaos",
+		Seed:       o.seed + "/chaos",
 		PRefuse:    chaosPRefuse,
 		PStallRead: chaosPStall,
 		PCut:       chaosPCut,
@@ -119,51 +130,37 @@ func runChaosStudy(ctx context.Context, stdout io.Writer, seed string, o chaosOp
 		Stalled:    stalled,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	agents := make(map[string]*monitor.Agent, chaosHosts)
-	keys := make(wire.Keystore, chaosHosts)
+	stores := make(map[string]*monitor.FileStore, chaosHosts)
 	for _, id := range ids {
 		store := monitor.NewFileStore()
 		store.Append(monitor.MD5Log,
 			[]byte("2010-02-19T12:10:00Z OK d41d8cd98f00b204e9800998ecf8427e\n"))
 		store.Append(monitor.SensorLog, []byte("2010-02-19T12:10:00Z cpu=-4.1\n"))
-		agents[id] = monitor.NewAgent(id, store)
-		keys[id] = []byte(seed + "/psk/" + id)
+		stores[id] = store
 	}
-
-	var tracer *telemetry.Tracer
-	if traceTo != "" {
-		tracer = telemetry.NewTracer(telemetry.DefaultTraceCapacity)
+	cfg := inProcessFleet(o.seed, ids, stores, inj)
+	cfg.Retry = monitor.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Second, Multiplier: 2}
+	cfg.Breaker = monitor.BreakerConfig{Trip: 2, Cooldown: 2}
+	cfg.PhaseTimeout = 2 * time.Second
+	if o.trace != "" {
+		cfg.Tracer = telemetry.NewTracer(telemetry.DefaultTraceCapacity)
 	}
-	fc, err := monitor.NewFleetCollector(monitor.NewCollector(0), monitor.FleetConfig{
-		Hosts:        ids,
-		Tracer:       tracer,
-		Dial:         inj.WrapDialer(monitor.InProcessDialer(agents, keys, seed)),
-		KeyFor:       keys.Lookup,
-		NonceFor:     monitor.InProcessNonces(seed),
-		Retry:        monitor.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Second, Multiplier: 2},
-		Breaker:      monitor.BreakerConfig{Trip: 2, Cooldown: 2},
-		PhaseTimeout: 2 * time.Second,
-		RoundTimeout: 30 * time.Second,
-		Jitter:       monitor.DeterministicJitter(seed),
-		// Backoffs are drawn (and therefore deterministic) but not slept:
-		// the study measures coverage, not wall-clock.
-		Sleep: func(ctx context.Context, d time.Duration) error { return ctx.Err() },
-	})
+	fc, err := monitor.NewFleetCollector(monitor.NewCollector(0), cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	fmt.Fprintf(stdout, "E13 monitoring-outage study: %d hosts, %d rounds, seed %q\n", chaosHosts, chaosRounds, seed)
+	fmt.Fprintf(stdout, "E13 monitoring-outage study: %d hosts, %d rounds, seed %q\n", chaosHosts, chaosRounds, o.seed)
 	fmt.Fprintf(stdout, "faults: refuse %.2f, stall %.2f, cut %.2f, corrupt %.2f; down %q; stalled %q\n\n",
-		chaosPRefuse, chaosPStall, chaosPCut, chaosPCorrupt, *o.down, *o.stalled)
+		chaosPRefuse, chaosPStall, chaosPCut, chaosPCorrupt, o.down, o.stalled)
 	at := time.Date(2010, time.February, 19, 12, 0, 0, 0, time.UTC)
 	for round := 1; round <= chaosRounds; round++ {
 		rep := fc.Round(ctx, at)
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		at = at.Add(20 * time.Minute)
 		var notes []string
@@ -182,11 +179,11 @@ func runChaosStudy(ctx context.Context, stdout io.Writer, seed string, o chaosOp
 		fmt.Fprintf(stdout, "round %2d: coverage %.4f%s\n", round, rep.Coverage(), detail)
 	}
 	fmt.Fprintf(stdout, "\n%s", fc.Ledger().String())
-	if tracer != nil {
-		if err := writeFile(traceTo, tracer.WriteChromeTrace); err != nil {
-			return err
+	if cfg.Tracer != nil {
+		if err := writeFile(o.trace, cfg.Tracer.WriteChromeTrace); err != nil {
+			return nil, err
 		}
-		fmt.Fprintf(stdout, "Chrome trace (%d events) written to %s\n", tracer.Len(), traceTo)
+		fmt.Fprintf(stdout, "Chrome trace (%d events) written to %s\n", cfg.Tracer.Len(), o.trace)
 	}
-	return nil
+	return nil, nil
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"time"
@@ -22,44 +21,39 @@ import (
 // the logger series. The closed arms also render the setpoint/PV dual
 // track and the controller's accounting.
 
-type controlOpts struct {
-	setpoint *float64
-	mode     *string
-	stuck    *string
-}
-
-func controlFlags(fs *flag.FlagSet) controlOpts {
-	return controlOpts{
-		setpoint: fs.Float64("control-setpoint", float64(control.DefaultConfig().Setpoint),
-			"ventilation setpoint in °C for -phase control"),
-		mode: fs.String("control-mode", "pid", "pid | hysteresis controller law for -phase control"),
-		stuck: fs.String("control-stuck", "",
-			"scripted stuck-damper window as control-tick range from-to (empty = healthy actuator)"),
-	}
-}
-
 // controlScenario is one row pair of the study.
 type controlScenario struct {
 	name string
 	days int // 0 = the paper horizon
 }
 
-func runControlStudy(ctx context.Context, stdout io.Writer, seed string, co controlOpts) error {
+// controlRunConfig is the run E14's arms and E16's damper arm share: the
+// reference winter with the Lascar logger recording from day one and no
+// readouts, under ctl (nil: the paper's open-loop calendar).
+func controlRunConfig(seed string, ctl *control.Config) core.Config {
+	cfg := core.DefaultConfig(seed)
+	cfg.LascarArrival = cfg.Start
+	cfg.ReadoutEvery = 0
+	cfg.Control = ctl
+	return cfg
+}
+
+func runControlStudy(ctx context.Context, stdout io.Writer, o *options) (any, error) {
 	cc := control.DefaultConfig()
-	cc.Setpoint = units.Celsius(*co.setpoint)
-	switch *co.mode {
+	cc.Setpoint = units.Celsius(o.setpoint)
+	switch o.mode {
 	case "pid":
 		cc.Mode = control.ModePID
 	case "hysteresis":
 		cc.Mode = control.ModeHysteresis
 	default:
-		return fmt.Errorf("unknown control mode %q (want pid or hysteresis)", *co.mode)
+		return nil, fmt.Errorf("unknown control mode %q (want pid or hysteresis)", o.mode)
 	}
 	var actuator *chaos.ActuatorSpec
-	if *co.stuck != "" {
-		ranges, err := parseSchedule("damper=" + *co.stuck)
+	if o.stuck != "" {
+		ranges, err := parseSchedule("damper=" + o.stuck)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		actuator = &chaos.ActuatorSpec{Stuck: ranges}
 	}
@@ -72,28 +66,29 @@ func runControlStudy(ctx context.Context, stdout io.Writer, seed string, co cont
 	var closedFigs []string
 	for _, sc := range scenarios {
 		for _, arm := range []string{"open-loop", "closed-loop"} {
-			cfg := core.DefaultConfig(seed)
+			var ctl *control.Config
+			if arm == "closed-loop" {
+				ctlCfg := cc
+				ctl = &ctlCfg
+			}
+			cfg := controlRunConfig(o.seed, ctl)
 			cfg.MonitorEvery = 0 // the rsync plane contributes nothing here
-			cfg.LascarArrival = cfg.Start
-			cfg.ReadoutEvery = 0
+			if ctl != nil {
+				cfg.ActuatorChaos = actuator
+			}
 			if sc.days > 0 {
 				cfg.End = cfg.Start.AddDate(0, 0, sc.days)
 			}
-			if arm == "closed-loop" {
-				ctlCfg := cc
-				cfg.Control = &ctlCfg
-				cfg.ActuatorChaos = actuator
-			}
 			fmt.Fprintf(stdout, "Running %s %s %s – %s (seed %q)...\n", sc.name, arm,
-				cfg.Start.Format("Jan 02"), cfg.End.Format("Jan 02"), seed)
+				cfg.Start.Format("Jan 02"), cfg.End.Format("Jan 02"), o.seed)
 			start := time.Now()
 			exp, err := core.New(cfg)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			r, err := exp.RunContext(ctx)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			frac, n := report.EnvelopeResidency(r, units.FrostAllowable)
 			row := report.ControlRow{
@@ -108,7 +103,7 @@ func runControlStudy(ctx context.Context, stdout io.Writer, seed string, co cont
 				row.FallbackTicks = r.Control.Stats.FallbackTicks
 				fig, err := report.FigControl(r)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				closedFigs = append(closedFigs, fmt.Sprintf("[%s closed-loop]\n\n%s", sc.name, fig))
 			}
@@ -122,5 +117,5 @@ func runControlStudy(ctx context.Context, stdout io.Writer, seed string, co cont
 		fmt.Fprintln(stdout)
 		fmt.Fprintln(stdout, fig)
 	}
-	return nil
+	return nil, nil
 }

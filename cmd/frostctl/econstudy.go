@@ -2,17 +2,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"testing"
 
 	"frostlab/internal/campaign"
 	"frostlab/internal/climate"
 	"frostlab/internal/control"
-	"frostlab/internal/core"
 	"frostlab/internal/econ"
 	"frostlab/internal/report"
 )
@@ -21,27 +16,15 @@ import (
 // per climate family, each on its geographic tariff — swept over
 // placement policy x fleet composition x price regime. The study reports
 // $/kWh-derived cost and gCO₂ per completed work-cycle for every cell,
-// and gates five invariants by exit status: the whole sweep replays
-// byte-identically (digest-compared double run), the warm multi-site
-// tick is allocation-free, every cell conserves work-cycles exactly,
-// follow-the-cold beats static placement on at least one (fleet, tariff)
-// pair, and every cell completes a share of its demand in (0, 1]. The
-// full result lands in BENCH_ECON.json.
+// and gates four invariants by exit status: the whole sweep replays
+// byte-identically (digest-compared double run), every cell conserves
+// work-cycles exactly, follow-the-cold beats static placement on at
+// least one (fleet, tariff) pair, and every cell completes a share of
+// its demand in (0, 1]. -save writes the report, committed as
+// BENCH_ECON.json.
 
 // econHosts is the E17 fleet's hosts per site.
 const econHosts = 9
-
-type econOpts struct {
-	days *int
-	out  *string
-}
-
-func econFlags(fs *flag.FlagSet) econOpts {
-	return econOpts{
-		days: fs.Int("econ-days", 28, "simulated days per sweep cell"),
-		out:  fs.String("econ-out", "BENCH_ECON.json", "write the study report as JSON to this file (\"\" disables)"),
-	}
-}
 
 // econCellBench is one sweep cell's row in BENCH_ECON.json.
 type econCellBench struct {
@@ -66,30 +49,26 @@ type econBench struct {
 	Cells             []econCellBench    `json:"cells"`
 	SweepDigest       string             `json:"sweep_digest"`
 	ReplayIdentical   bool               `json:"replay_identical"`
-	WarmTickAllocs    float64            `json:"warm_tick_allocs"`
 	ConservationOK    bool               `json:"conservation_ok"`
 	FollowColdSavings map[string]float64 `json:"follow_cold_savings_usd_per_cycle"`
 	FollowColdWins    int                `json:"follow_cold_wins"`
 }
 
-func runEconStudy(ctx context.Context, stdout io.Writer, seed string, o econOpts) error {
-	if *o.days < 1 {
-		return fmt.Errorf("-econ-days must be at least 1, got %d", *o.days)
-	}
-	spec := campaign.DefaultEconSpec(seed)
-	spec.Days = *o.days
+// runEconStudy runs the E17 sweep with -days per cell (0: the sweep's
+// own 28) and returns its report for econGate.
+func runEconStudy(ctx context.Context, stdout io.Writer, o *options) (any, error) {
+	spec := campaign.DefaultEconSpec(o.seed)
+	spec.Days = o.days
 	spec.HostsPerSite = econHosts
-
-	fmt.Fprintf(stdout, "E17 economics study: %d-day cells, %d hosts/site, seed %q\n\n", spec.Days, spec.HostsPerSite, seed)
 
 	sum, err := campaign.RunEconContext(ctx, spec)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Replay gate: the entire sweep again, digest-compared.
 	again, err := campaign.RunEconContext(ctx, spec)
 	if err != nil {
-		return fmt.Errorf("replay run: %w", err)
+		return nil, fmt.Errorf("replay run: %w", err)
 	}
 	sweepDigest, cellDigests := sum.Digests()
 	replayOK := sweepDigest == again.Digest()
@@ -109,11 +88,9 @@ func runEconStudy(ctx context.Context, stdout io.Writer, seed string, o econOpts
 		}
 	}
 
-	allocs := measureEconTickAllocs(seed)
-
 	text, err := report.Econ(sum)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintln(stdout, text)
 
@@ -130,16 +107,14 @@ func runEconStudy(ctx context.Context, stdout io.Writer, seed string, o econOpts
 		replay = "REPLAY DIVERGED"
 	}
 	fmt.Fprintf(stdout, "sweep digest %s (%s)\n", sweepDigest, replay)
-	fmt.Fprintf(stdout, "warm multi-site tick: %.3f allocs over 100 ticks\n", allocs)
 	fmt.Fprintf(stdout, "follow-cold beats static on %d of %d (fleet, tariff) pairs\n", wins, len(keys))
 
 	bench := econBench{
-		Seed:              seed,
-		Days:              spec.Days,
+		Seed:              o.seed,
+		Days:              sum.Days,
 		HostsPerSite:      spec.HostsPerSite,
 		SweepDigest:       sweepDigest,
 		ReplayIdentical:   replayOK,
-		WarmTickAllocs:    allocs,
 		ConservationOK:    conservationOK,
 		FollowColdSavings: savings,
 		FollowColdWins:    wins,
@@ -161,29 +136,16 @@ func runEconStudy(ctx context.Context, stdout io.Writer, seed string, o econOpts
 			Digest:         cellDigests[i],
 		})
 	}
-	if *o.out != "" {
-		data, err := json.MarshalIndent(bench, "", " ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*o.out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "report written to %s\n", *o.out)
-	}
-	return econGate(bench)
+	return bench, nil
 }
 
 // econGate is the study's pass/fail decision: the sweep replays
-// identically, the warm tick is allocation-free, every cell conserves
-// work-cycles and completes a share of its demand in (0, 1], and
-// follow-cold beats static on at least one pair.
+// identically, every cell conserves work-cycles and completes a share of
+// its demand in (0, 1], and follow-cold beats static on at least one
+// pair.
 func econGate(b econBench) error {
 	if !b.ReplayIdentical {
 		return fmt.Errorf("E17: sweep replay produced a different digest")
-	}
-	if b.WarmTickAllocs != 0 {
-		return fmt.Errorf("E17: warm multi-site tick allocates (%.3f allocs/tick)", b.WarmTickAllocs)
 	}
 	if !b.ConservationOK {
 		return fmt.Errorf("E17: work-cycle conservation violated")
@@ -197,20 +159,6 @@ func econGate(b econBench) error {
 		return fmt.Errorf("E17: follow-cold never beat static placement")
 	}
 	return nil
-}
-
-// measureEconTickAllocs warms a default multi-site engine past its cold
-// caches, then measures mallocs across 100 dispatch ticks. The tentpole
-// claim is zero.
-func measureEconTickAllocs(seed string) float64 {
-	eng, err := core.NewMultiSite(core.DefaultMultiSiteConfig(seed + "/allocs"))
-	if err != nil {
-		panic(err)
-	}
-	for i := 0; i < 8; i++ {
-		eng.Step()
-	}
-	return testing.AllocsPerRun(100, func() { eng.Step() })
 }
 
 // listClimates prints the scenario library (-list-climates): every

@@ -85,7 +85,6 @@ func TestAlertsGate(t *testing.T) {
 		"undetected":      func(b *alertsBench) { b.Classes[0].Detected = false },
 		"replay diverged": func(b *alertsBench) { b.Classes[1].ReplayIdentical = false },
 		"unknown class":   func(b *alertsBench) { b.Classes[2].Class = "meteor" },
-		"eval allocates":  func(b *alertsBench) { b.EvalAllocsPerTick = 0.001 },
 	} {
 		b := load()
 		mutate(&b)
@@ -106,7 +105,6 @@ func TestEconGate(t *testing.T) {
 	}
 	for name, mutate := range map[string]func(*econBench){
 		"replay diverged":   func(b *econBench) { b.ReplayIdentical = false },
-		"tick allocates":    func(b *econBench) { b.WarmTickAllocs = 1 },
 		"not conserved":     func(b *econBench) { b.ConservationOK = false },
 		"follow-cold loses": func(b *econBench) { b.FollowColdWins = 0 },
 		"zero completion":   func(b *econBench) { b.Cells[3].Completion = 0 },
@@ -168,7 +166,7 @@ func TestChaosScheduleHostsInFleet(t *testing.T) {
 		{"", "10=1", `"10"`},
 		{"01=2-4,x=3", "", `"x"`},
 	} {
-		err := runChaosStudy(context.Background(), io.Discard, "winter0910", chaosOpts{down: &tc.down, stalled: &tc.stalled}, "")
+		_, err := runChaosStudy(context.Background(), io.Discard, &options{seed: "winter0910", down: tc.down, stalled: tc.stalled})
 		if err == nil || !strings.Contains(err.Error(), tc.host) {
 			t.Errorf("-down %q -stalled %q: error %v, want one naming host %s",
 				tc.down, tc.stalled, err, tc.host)

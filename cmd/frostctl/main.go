@@ -10,12 +10,18 @@
 //
 // Usage:
 //
-//	frostctl [-seed SEED] [-phase all|chaos|control|serve|alerts|econ] [-monitor 20m]
+//	frostctl [-seed SEED] [-monitor 20m] [-days N] [-csv DIR] [-save out.json | -load in.json]
 //	         [-id all|fig1|fig2|fig3|fig4|cpu|failures|hashes|memory|lmsensors|
 //	              monitoring|coverage|analysis|events|pue|prototype|savings|control]
-//	         [-days N] [-csv DIR] [-trace out.json]
-//	frostctl -tents N [-hosts-per-tent 9] [-shards K] [-days N] [-csv DIR] [-save out.json]
+//	         [-md out.md] [-trace out.json]
+//	frostctl -tents N [-hosts-per-tent 9] [-shards K] [-seed SEED] [-days N] [-csv DIR] [-save out.json]
+//	frostctl -phase chaos [-seed SEED] [-down SCHEDULE] [-stalled SCHEDULE] [-trace out.json]
+//	frostctl -phase control [-seed SEED] [-control-setpoint C] [-control-mode pid|hysteresis] [-control-stuck from-to]
+//	frostctl -phase serve|alerts [-seed SEED] [-save report.json]
+//	frostctl -phase econ [-seed SEED] [-days N] [-save report.json]
+//	frostctl -list-climates | -list-policies
 //
+// Each form reads only the flags it lists; any other flag is an error.
 // With no flags it reproduces the reference run (seed winter0910-r115).
 // With -tents set it instead runs the sharded scale engine over a synthetic
 // fleet of N tents (core.NewSharded): the same winter, physics, and failure
@@ -29,16 +35,19 @@
 // measured identically for every arm (see -control-* flags).
 // -phase serve runs the E15 serving-load study: the loadgen driver's
 // warmup/ramp/sustain/spike profile against the production serving plane
-// (keepalive pool, bounded ingest, admission control), writing the full
-// report to BENCH_SERVE.json (see -serve-* flags).
+// (keepalive pool, bounded ingest, admission control), sized by loadgen's
+// default configuration.
 // -phase alerts runs the E16 detection-latency study: every injectable
-// fault class against the rules engine, measuring MTTD per class,
-// checking replay byte-identity and the zero-alloc eval path, writing
-// BENCH_ALERTS.json (see -alerts-out).
+// fault class against the rules engine, measuring MTTD per class and
+// checking replay byte-identity.
 // -phase econ runs the E17 economics study: the multi-site fleet (one
 // site per climate family, each on its geographic tariff) swept over
 // placement policy x fleet x price regime, reporting $ and gCO2 per
-// completed work-cycle and writing BENCH_ECON.json (see -econ-* flags).
+// completed work-cycle.
+// -save writes what the run produced: the run's results archive for the
+// normal phase and -tents, the study's report as JSON for serve, alerts
+// and econ. Serve, alerts and econ exit non-zero when their gate rejects
+// the report.
 // -list-climates and -list-policies print the scenario and policy
 // libraries with their parameter defaults and exit.
 // -trace records the run as Chrome trace-event JSON — open it in
@@ -49,6 +58,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -57,12 +67,15 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
 
+	"frostlab/internal/control"
 	"frostlab/internal/core"
 	"frostlab/internal/hardware"
+	"frostlab/internal/loadgen"
 	"frostlab/internal/report"
 	"frostlab/internal/telemetry"
 	"frostlab/internal/timeseries"
@@ -95,209 +108,292 @@ type flagError struct{ error }
 
 func (e flagError) Unwrap() error { return e.error }
 
+// options holds every flag's value. A study reads only the flags its
+// row of studies names.
+type options struct {
+	seed, phase, id             string
+	monitor                     time.Duration
+	days                        int
+	csv, save, load, md, trace  string
+	tents, hostsPerTent, shards int
+	listClimates, listPolicies  bool
+	down, stalled               string
+	setpoint                    float64
+	mode, stuck                 string
+}
+
+// A study is one row of frostctl's dispatch table.
+type study struct {
+	// phase is the -phase value that selects the row; "" marks a row
+	// that a flag of its own selects within the normal phase.
+	phase string
+	// label names the row in errors.
+	label string
+	// reads lists the flags the study reads besides -phase. Any other
+	// flag set with it is an error.
+	reads []string
+	// run runs the study and returns what -save writes: a *core.Results
+	// archive, a study report, or nil.
+	run func(ctx context.Context, stdout io.Writer, o *options) (any, error)
+	// gate, when set, judges the result; its error is the exit status.
+	gate func(result any) error
+}
+
+var studies = []study{
+	{"all", "the normal phase", []string{"seed", "id", "monitor", "days", "csv", "save", "load", "md", "trace"}, runNormalPhase, nil},
+	{"", "-tents", []string{"seed", "tents", "hosts-per-tent", "shards", "days", "csv", "save"}, runScaleFleet, nil},
+	{"", "-list-climates/-list-policies", []string{"list-climates", "list-policies"}, runLists, nil},
+	{"chaos", "-phase chaos", []string{"seed", "down", "stalled", "trace"}, runChaosStudy, nil},
+	{"control", "-phase control", []string{"seed", "control-setpoint", "control-mode", "control-stuck"}, runControlStudy, nil},
+	{"serve", "-phase serve", []string{"seed", "save"}, func(ctx context.Context, stdout io.Writer, o *options) (any, error) {
+		return runServeStudy(ctx, stdout, loadgen.Config{Seed: o.seed + "/serve"})
+	}, judge(serveGate)},
+	{"alerts", "-phase alerts", []string{"seed", "save"}, runAlertsStudy, judge(alertsGate)},
+	{"econ", "-phase econ", []string{"seed", "save", "days"}, runEconStudy, judge(econGate)},
+}
+
+// judge adapts a study's typed gate to the table.
+func judge[R any](gate func(R) error) func(any) error {
+	return func(result any) error { return gate(result.(R)) }
+}
+
 func run(ctx context.Context, args []string, stdout io.Writer) error {
+	var o options
 	fs := flag.NewFlagSet("frostctl", flag.ContinueOnError)
-	seed := fs.String("seed", core.ReferenceSeed, "master RNG seed")
-	phase := fs.String("phase", "all", "all | chaos | control | serve | alerts | econ")
-	id := fs.String("id", "all", "print only this report.Catalogue artefact of the normal phase (all = every one)")
-	monitor := fs.Duration("monitor", 20*time.Minute, "monitoring cadence (0 disables the rsync plane)")
-	days := fs.Int("days", 0, "override the normal-phase length in days (0 = paper horizon)")
-	csvDir := fs.String("csv", "", "write temperature/humidity CSVs into this directory")
-	saveTo := fs.String("save", "", "save the run's results as JSON to this file")
-	loadFrom := fs.String("load", "", "skip the simulation; render a previously saved run")
-	mdTo := fs.String("md", "", "write a complete markdown run report to this file")
-	traceTo := fs.String("trace", "", "write the run as Chrome trace-event JSON to this file")
-	tents := fs.Int("tents", 0, "run the sharded scale engine over a synthetic fleet of this many tents (0 = the paper's paired fleet)")
-	hostsPerTent := fs.Int("hosts-per-tent", 9, "hosts per synthetic tent (with -tents)")
-	shards := fs.Int("shards", 0, "shard count for the synthetic fleet; <= 0 selects GOMAXPROCS. Results are byte-identical at any shard count or GOMAXPROCS; more shards than cores adds overhead without speedup")
-	listClim := fs.Bool("list-climates", false, "print the scenario library (climate families and tariff presets) and exit")
-	listPol := fs.Bool("list-policies", false, "print the site placement-policy library and exit")
-	ch := chaosFlags(fs)
-	co := controlFlags(fs)
-	se := serveFlags(fs)
-	alertsOut := fs.String("alerts-out", "BENCH_ALERTS.json", "write the E16 study report as JSON to this file (\"\" disables)")
-	eo := econFlags(fs)
+	fs.StringVar(&o.seed, "seed", core.ReferenceSeed, "master RNG seed")
+	fs.StringVar(&o.phase, "phase", "all", "all | chaos | control | serve | alerts | econ")
+	fs.StringVar(&o.id, "id", "all", "print only this report.Catalogue artefact of the normal phase (all = every one)")
+	fs.DurationVar(&o.monitor, "monitor", 20*time.Minute, "monitoring cadence (0 disables the rsync plane)")
+	fs.IntVar(&o.days, "days", 0, "days to simulate: the normal phase's or -tents' length, or each -phase econ cell's (0 = the paper horizon, or econ's 28 days)")
+	fs.StringVar(&o.csv, "csv", "", "write temperature/humidity CSVs into this directory")
+	fs.StringVar(&o.save, "save", "", "write the run's results (normal phase, -tents) or the study's report (-phase serve, alerts, econ) as JSON to this file")
+	fs.StringVar(&o.load, "load", "", "skip the simulation; render a previously saved run")
+	fs.StringVar(&o.md, "md", "", "write a complete markdown run report to this file")
+	fs.StringVar(&o.trace, "trace", "", "write the run (normal phase, -phase chaos) as Chrome trace-event JSON to this file")
+	fs.IntVar(&o.tents, "tents", 0, "run the sharded scale engine over a synthetic fleet of this many tents (0 = the paper's paired fleet)")
+	fs.IntVar(&o.hostsPerTent, "hosts-per-tent", 9, "hosts per synthetic tent (with -tents)")
+	fs.IntVar(&o.shards, "shards", 0, "shard count for the synthetic fleet; <= 0 selects GOMAXPROCS. Results are byte-identical at any shard count or GOMAXPROCS; more shards than cores adds overhead without speedup")
+	fs.BoolVar(&o.listClimates, "list-climates", false, "print the scenario library (climate families and tariff presets) and exit")
+	fs.BoolVar(&o.listPolicies, "list-policies", false, "print the site placement-policy library and exit")
+	fs.StringVar(&o.down, "down", "", "crash schedule host=from-to[,host=from-to] for -phase chaos (rounds, open end: from-)")
+	fs.StringVar(&o.stalled, "stalled", "", "stall schedule for -phase chaos, same syntax as -down")
+	fs.Float64Var(&o.setpoint, "control-setpoint", float64(control.DefaultConfig().Setpoint), "ventilation setpoint in °C for -phase control")
+	fs.StringVar(&o.mode, "control-mode", "pid", "pid | hysteresis controller law for -phase control")
+	fs.StringVar(&o.stuck, "control-stuck", "", "scripted stuck-damper window as control-tick range from-to for -phase control (empty = healthy actuator)")
 	if err := fs.Parse(args); err != nil {
 		return flagError{err}
 	}
+	if o.days < 0 {
+		return fmt.Errorf("-days must not be negative, got %d", o.days)
+	}
+	if o.tents < 0 {
+		return fmt.Errorf("-tents must not be negative, got %d", o.tents)
+	}
 
-	switch *phase {
-	case "all", "chaos", "control", "serve", "alerts", "econ":
-	default:
-		return fmt.Errorf("unknown -phase %q (want all | chaos | control | serve | alerts | econ)", *phase)
+	s, err := pick(&o)
+	if err != nil {
+		return err
 	}
-	if *days < 0 {
-		return fmt.Errorf("-days must not be negative, got %d", *days)
-	}
-	if *tents < 0 {
-		return fmt.Errorf("-tents must not be negative, got %d", *tents)
-	}
-	arts := report.Catalogue
-	if *id != "all" {
-		if *phase != "all" {
-			return fmt.Errorf("-id only applies to the normal phase, not -phase %s", *phase)
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && f.Name != "phase" && !slices.Contains(s.reads, f.Name) {
+			err = fmt.Errorf("-%s only applies to %s, not %s", f.Name, readers(f.Name), s.label)
 		}
-		a, ok := report.ArtefactByID(strings.ToLower(*id))
+	})
+	if err != nil {
+		return err
+	}
+
+	result, err := s.run(ctx, stdout, &o)
+	if err != nil {
+		return err
+	}
+	if o.save != "" {
+		if err := save(stdout, o.save, result); err != nil {
+			return err
+		}
+	}
+	if s.gate == nil {
+		return nil
+	}
+	return s.gate(result)
+}
+
+// pick returns the study the flags select: -tents and the -list flags
+// select rows of their own within the normal phase, -phase the others.
+func pick(o *options) (study, error) {
+	label := ""
+	switch {
+	case o.tents > 0:
+		label = "-tents"
+	case o.listClimates || o.listPolicies:
+		label = "-list-climates/-list-policies"
+	}
+	if label != "" && o.phase != "all" {
+		return study{}, fmt.Errorf("%s only applies to the normal phase, not -phase %s", label, o.phase)
+	}
+	var phases []string
+	for _, s := range studies {
+		if label != "" && s.label == label || label == "" && s.phase != "" && s.phase == o.phase {
+			return s, nil
+		}
+		if s.phase != "" {
+			phases = append(phases, s.phase)
+		}
+	}
+	return study{}, fmt.Errorf("unknown -phase %q (want %s)", o.phase, strings.Join(phases, " | "))
+}
+
+// readers names the studies that read flag name, for an error message.
+func readers(name string) string {
+	var labels []string
+	for _, s := range studies {
+		if slices.Contains(s.reads, name) {
+			labels = append(labels, s.label)
+		}
+	}
+	if n := len(labels); n > 1 {
+		return strings.Join(labels[:n-1], ", ") + " and " + labels[n-1]
+	}
+	return labels[0]
+}
+
+// runNormalPhase runs the paper's normal phase, or with -load renders a
+// saved one, and prints -id's artefacts of report.Catalogue.
+func runNormalPhase(ctx context.Context, stdout io.Writer, o *options) (any, error) {
+	arts := report.Catalogue
+	if o.id != "all" {
+		a, ok := report.ArtefactByID(strings.ToLower(o.id))
 		if !ok {
-			return fmt.Errorf("unknown artefact id %q", *id)
+			return nil, fmt.Errorf("unknown artefact id %q", o.id)
 		}
 		arts = []report.Artefact{a}
 	}
 
-	if *listClim || *listPol {
-		if *listClim {
-			listClimates(stdout)
-		}
-		if *listPol {
-			if *listClim {
-				fmt.Fprintln(stdout)
-			}
-			listPolicies(stdout)
-		}
-		return nil
-	}
-
-	if *tents > 0 {
-		if *phase != "all" || *id != "all" {
-			return fmt.Errorf("-tents only applies to the whole normal phase, not -phase %s -id %s", *phase, *id)
-		}
-		return runScaleFleet(ctx, stdout, *seed, *tents, *hostsPerTent, *shards, *days, *saveTo, *csvDir)
-	}
-
-	switch *phase {
-	case "chaos":
-		return runChaosStudy(ctx, stdout, *seed, ch, *traceTo)
-	case "control":
-		return runControlStudy(ctx, stdout, *seed, co)
-	case "alerts":
-		return runAlertsStudy(ctx, stdout, *seed, *alertsOut)
-	case "econ":
-		return runEconStudy(ctx, stdout, *seed, eo)
-	case "serve":
-		return runServeStudy(ctx, stdout, *seed, se)
-	}
-
 	// The headers belong to the full output: -id X prints X's block alone.
-	whole := *id == "all"
+	whole := o.id == "all"
 	var r *core.Results
 	switch {
-	case *loadFrom != "":
-		f, err := os.Open(*loadFrom)
+	case o.load != "":
+		f, err := os.Open(o.load)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		r, err = core.LoadResults(f)
 		f.Close()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if whole {
 			fmt.Fprintf(stdout, "Rendering saved run %s (seed %q, %s – %s)\n\n",
-				*loadFrom, r.Seed, r.Start.Format("Jan 02"), r.End.Format("Jan 02"))
+				o.load, r.Seed, r.Start.Format("Jan 02"), r.End.Format("Jan 02"))
 		}
 	// A shorter -days window also moves the savings table's, so only the
 	// paper horizon may skip the run for an artefact that needs none.
-	case whole || arts[0].NeedsRun || *days > 0 || *saveTo != "" || *csvDir != "" || *mdTo != "" || *traceTo != "":
-		cfg := core.DefaultConfig(*seed)
-		cfg.MonitorEvery = *monitor
-		if *days > 0 {
-			cfg.End = cfg.Start.AddDate(0, 0, *days)
+	case whole || arts[0].NeedsRun || o.days > 0 || o.save != "" || o.csv != "" || o.md != "" || o.trace != "":
+		cfg := core.DefaultConfig(o.seed)
+		cfg.MonitorEvery = o.monitor
+		if o.days > 0 {
+			cfg.End = cfg.Start.AddDate(0, 0, o.days)
 		}
 		if whole {
 			fmt.Fprintf(stdout, "Running normal phase %s – %s (seed %q, monitoring %v)...\n\n",
-				cfg.Start.Format("Jan 02"), cfg.End.Format("Jan 02"), *seed, *monitor)
+				cfg.Start.Format("Jan 02"), cfg.End.Format("Jan 02"), o.seed, o.monitor)
 		}
 		exp, err := core.New(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		var tracer *telemetry.Tracer
-		if *traceTo != "" {
+		if o.trace != "" {
 			tracer = telemetry.NewTracer(telemetry.DefaultTraceCapacity)
 			exp.WithTracer(tracer)
 		}
 		if r, err = exp.RunContext(ctx); err != nil {
-			return err
+			return nil, err
 		}
 		if tracer != nil {
-			if err := writeFile(*traceTo, tracer.WriteChromeTrace); err != nil {
-				return err
+			if err := writeFile(o.trace, tracer.WriteChromeTrace); err != nil {
+				return nil, err
 			}
 			fmt.Fprintf(stdout, "Chrome trace (%d events, %d dropped) written to %s\n\n",
-				tracer.Len(), tracer.Dropped(), *traceTo)
-		}
-	}
-	if *saveTo != "" {
-		if err := saveResults(stdout, *saveTo, r); err != nil {
-			return err
+				tracer.Len(), tracer.Dropped(), o.trace)
 		}
 	}
 
 	for _, a := range arts {
-		s, err := a.Render(*seed, r)
+		s, err := a.Render(o.seed, r)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if s != "" {
 			fmt.Fprintln(stdout, s)
 		}
 	}
 
-	if *csvDir != "" {
-		if err := writeCSVs(stdout, *csvDir, r); err != nil {
-			return err
+	if o.csv != "" {
+		if err := writeCSVs(stdout, o.csv, r); err != nil {
+			return nil, err
 		}
 	}
-	if *mdTo != "" {
+	if o.md != "" {
 		md, err := report.Markdown(r)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := os.WriteFile(*mdTo, []byte(md), 0o644); err != nil {
-			return err
+		if err := os.WriteFile(o.md, []byte(md), 0o644); err != nil {
+			return nil, err
 		}
-		fmt.Fprintf(stdout, "Markdown report written to %s\n", *mdTo)
+		fmt.Fprintf(stdout, "Markdown report written to %s\n", o.md)
 	}
-	return nil
+	return r, nil
+}
+
+// runLists prints the scenario and placement-policy libraries.
+func runLists(_ context.Context, stdout io.Writer, o *options) (any, error) {
+	if o.listClimates {
+		listClimates(stdout)
+	}
+	if o.listPolicies {
+		if o.listClimates {
+			fmt.Fprintln(stdout)
+		}
+		listPolicies(stdout)
+	}
+	return nil, nil
 }
 
 // runScaleFleet runs the sharded scale engine (-tents) and prints
 // fleet-level aggregates: at 10k+ hosts the per-host tables of the paper
 // reproduction stop being readable, so the scale path reports rates,
 // energy, and throughput instead.
-func runScaleFleet(ctx context.Context, stdout io.Writer, seed string, tents, hostsPerTent, shards, days int, saveTo, csvDir string) error {
-	fleet, err := hardware.SyntheticFleet(tents, hostsPerTent, seed)
+func runScaleFleet(ctx context.Context, stdout io.Writer, o *options) (any, error) {
+	fleet, err := hardware.SyntheticFleet(o.tents, o.hostsPerTent, o.seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	cfg := core.DefaultConfig(seed)
+	cfg := core.DefaultConfig(o.seed)
 	cfg.Fleet = fleet
 	cfg.MonitorEvery = 0
-	if days > 0 {
-		cfg.End = cfg.Start.AddDate(0, 0, days)
+	if o.days > 0 {
+		cfg.End = cfg.Start.AddDate(0, 0, o.days)
 	}
+	shards := o.shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
 	exp, err := core.NewSharded(cfg, shards)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(stdout, "Running synthetic fleet %s – %s: %d tents × %d hosts = %d hosts in %d shards (seed %q)...\n\n",
 		cfg.Start.Format("Jan 02"), cfg.End.Format("Jan 02"),
-		tents, hostsPerTent, exp.Hosts(), exp.Shards(), seed)
+		o.tents, o.hostsPerTent, exp.Hosts(), exp.Shards(), o.seed)
 	wallStart := time.Now()
 	r, err := exp.RunContext(ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	wall := time.Since(wallStart)
-
-	if saveTo != "" {
-		if err := saveResults(stdout, saveTo, r); err != nil {
-			return err
-		}
-	}
 
 	var relocated, storageLost, transients int
 	for _, h := range r.Hosts {
@@ -323,10 +419,12 @@ func runScaleFleet(ctx context.Context, stdout io.Writer, seed string, tents, ho
 		wall.Round(time.Millisecond),
 		float64(wall.Nanoseconds())/(float64(exp.Hosts())*hours))
 
-	if csvDir != "" {
-		return writeCSVs(stdout, csvDir, r)
+	if o.csv != "" {
+		if err := writeCSVs(stdout, o.csv, r); err != nil {
+			return nil, err
+		}
 	}
-	return nil
+	return r, nil
 }
 
 // writeFile creates path, fills it with write and closes it, returning
@@ -343,12 +441,21 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return err
 }
 
-// saveResults writes r as a frostctl JSON archive to path.
-func saveResults(stdout io.Writer, path string, r *core.Results) error {
-	if err := writeFile(path, func(w io.Writer) error { return core.SaveResults(w, r) }); err != nil {
+// save writes a study's result to path, for -save: a run as a
+// core.SaveResults archive, a study report as indented JSON.
+func save(stdout io.Writer, path string, result any) error {
+	err := writeFile(path, func(w io.Writer) error {
+		if r, ok := result.(*core.Results); ok {
+			return core.SaveResults(w, r)
+		}
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", " ")
+		return enc.Encode(result)
+	})
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "Results saved to %s\n\n", path)
+	fmt.Fprintf(stdout, "Results saved to %s\n", path)
 	return nil
 }
 

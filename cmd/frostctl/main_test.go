@@ -2,13 +2,18 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"frostlab/internal/loadgen"
 	"frostlab/internal/report"
 )
 
@@ -30,28 +35,76 @@ func TestRun(t *testing.T) {
 		want []string // substrings of stdout, or of the error when wantErr
 		// wantErr marks a row that must fail; want then matches the error.
 		wantErr bool
+		// call, when set, runs in place of run(args): a row that hands its
+		// study a configuration no flag sets.
+		call func(ctx context.Context, stdout io.Writer) error
 	}{
 		{"normal", []string{"-days", "2", "-monitor", "0"},
-			[]string{"Running normal phase Feb 19 – Feb 21", "monitoring 0s", "Fig. 3"}, false},
+			[]string{"Running normal phase Feb 19 – Feb 21", "monitoring 0s", "Fig. 3"}, false, nil},
 		{"tents", []string{"-tents", "2", "-days", "1"},
-			[]string{"2 tents × 9 hosts = 18 hosts", "Tent-feed energy", "ns/host-hour"}, false},
+			[]string{"2 tents × 9 hosts = 18 hosts", "Tent-feed energy", "ns/host-hour"}, false, nil},
 		{"chaos", []string{"-phase", "chaos"},
-			[]string{"E13 monitoring-outage study: 9 hosts, 12 rounds", "round 12: coverage"}, false},
-		{"econ", []string{"-phase", "econ", "-econ-days", "2", "-econ-out", filepath.Join(dir, "econ.json")},
-			[]string{"(replay identical)", "report written to " + filepath.Join(dir, "econ.json")}, false},
+			[]string{"E13 monitoring-outage study: 9 hosts, 12 rounds", "round 12: coverage"}, false, nil},
+		{"control", []string{"-phase", "control"},
+			[]string{"Running springmelt closed-loop Feb 19 – May 14", "E14 — intake residency", "[winter0910 closed-loop]"}, false, nil},
+		{"serve", nil, []string{"4 agents, 2 scrapers, 50 rps sustain, 250 rps spike", "collection:",
+			"Results saved to " + filepath.Join(dir, "serve.json")}, false, func(ctx context.Context, stdout io.Writer) error {
+			rep, err := runServeStudy(ctx, stdout, loadgen.Config{
+				Seed: "toy/serve", Agents: 4, Scrapers: 2, SustainRate: 50,
+				Warmup: 50 * time.Millisecond, Ramp: 50 * time.Millisecond,
+				Sustain: 100 * time.Millisecond, Spike: 50 * time.Millisecond,
+				RoundEvery: 20 * time.Millisecond,
+			})
+			if err != nil {
+				return err
+			}
+			if err := save(stdout, filepath.Join(dir, "serve.json"), rep); err != nil {
+				return err
+			}
+			data, err := os.ReadFile(filepath.Join(dir, "serve.json"))
+			if err != nil {
+				return err
+			}
+			var back loadgen.Report
+			if err := json.Unmarshal(data, &back); err != nil {
+				return err
+			}
+			if !reflect.DeepEqual(&back, rep) {
+				return fmt.Errorf("saved report decodes to %+v, want %+v", back, *rep)
+			}
+			return serveGate(rep)
+		}},
+		{"alerts", []string{"-phase", "alerts", "-save", filepath.Join(dir, "alerts.json")},
+			[]string{"stuck-damper   rule damper_stuck", "Results saved to " + filepath.Join(dir, "alerts.json")}, false, nil},
+		{"econ", []string{"-phase", "econ", "-days", "2", "-save", filepath.Join(dir, "econ.json")},
+			[]string{"12 cells, 2-day horizon", "(replay identical)", "Results saved to " + filepath.Join(dir, "econ.json")}, false, nil},
 		{"list-climates", []string{"-list-climates"},
-			[]string{"Scenario library (internal/climate):", "Tariff presets (internal/econ):"}, false},
-		{"negative days", []string{"-days", "-1"}, []string{"-days must not be negative"}, true},
-		{"negative tents", []string{"-tents", "-3"}, []string{"-tents must not be negative, got -3"}, true},
-		{"tents outside normal", []string{"-tents", "2", "-phase", "control"}, []string{"-phase control"}, true},
-		{"tents with id", []string{"-tents", "2", "-id", "fig3"}, []string{"-id fig3"}, true},
+			[]string{"Scenario library (internal/climate):", "Tariff presets (internal/econ):"}, false, nil},
+		{"negative days", []string{"-days", "-1"}, []string{"-days must not be negative"}, true, nil},
+		{"negative tents", []string{"-tents", "-3"}, []string{"-tents must not be negative, got -3"}, true, nil},
+		{"tents outside normal", []string{"-tents", "2", "-phase", "control"}, []string{"-phase control"}, true, nil},
+		{"tents with id", []string{"-tents", "2", "-id", "fig3"}, []string{"-id only applies to the normal phase, not -tents"}, true, nil},
+		{"save with chaos", []string{"-phase", "chaos", "-save", filepath.Join(dir, "chaos.json")},
+			[]string{"-save only applies to the normal phase, -tents, -phase serve, -phase alerts and -phase econ, not -phase chaos"}, true, nil},
+		{"save with control", []string{"-phase", "control", "-save", filepath.Join(dir, "control.json")},
+			[]string{"-save only applies to", "not -phase control"}, true, nil},
+		{"days with alerts", []string{"-phase", "alerts", "-days", "3"},
+			[]string{"-days only applies to the normal phase, -tents and -phase econ, not -phase alerts"}, true, nil},
 		{"id outside normal", []string{"-id", "fig3", "-phase", "chaos"},
-			[]string{"-id only applies to the normal phase, not -phase chaos"}, true},
-		{"removed phase", []string{"-phase", "prototype"}, []string{`unknown -phase "prototype"`}, true},
-		{"bad flag", []string{"-no-such-flag"}, []string{"no-such-flag"}, true},
+			[]string{"-id only applies to the normal phase, not -phase chaos"}, true, nil},
+		{"removed phase", []string{"-phase", "prototype"}, []string{`unknown -phase "prototype"`}, true, nil},
+		{"bad flag", []string{"-no-such-flag"}, []string{"no-such-flag"}, true, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			out, err := runOut(t, tc.args...)
+			var out string
+			var err error
+			if tc.call != nil {
+				var b strings.Builder
+				err = tc.call(context.Background(), &b)
+				out = b.String()
+			} else {
+				out, err = runOut(t, tc.args...)
+			}
 			got := out
 			if tc.wantErr {
 				if err == nil {
@@ -82,7 +135,8 @@ func TestSaveLoadRendersIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ranCat, ok := strings.Cut(ran, "Results saved to "+saved+"\n\n")
+	_, ranCat, _ := strings.Cut(ran, "\n\n")
+	ranCat, ok := strings.CutSuffix(ranCat, "Results saved to "+saved+"\n")
 	if !ok {
 		t.Fatalf("-save did not report the archive:\n%s", ran)
 	}
@@ -153,8 +207,8 @@ func TestRunlessIDsRender(t *testing.T) {
 }
 
 // TestRunStopsOnCancel: a cancelled context (main's signal context)
-// stops the normal phase, the scale fleet and the control, alerts, chaos
-// and econ studies with its error.
+// stops the normal phase, the scale fleet and every study with its
+// error.
 func TestRunStopsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -162,9 +216,10 @@ func TestRunStopsOnCancel(t *testing.T) {
 		{"-days", "2", "-monitor", "0"},
 		{"-tents", "2", "-days", "1"},
 		{"-phase", "control"},
-		{"-phase", "alerts", "-alerts-out", ""},
+		{"-phase", "alerts"},
 		{"-phase", "chaos"},
 		{"-phase", "econ"},
+		{"-phase", "serve"},
 	} {
 		if err := run(ctx, args, io.Discard); !errors.Is(err, context.Canceled) {
 			t.Errorf("run(%q) with a cancelled context = %v", args, err)

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"time"
@@ -16,74 +15,29 @@ import (
 // wiring — keepalive-pooled collection, bounded ingest queue, dash with
 // admission control and scrape caching — and reports HDR latency
 // quantiles, shed counts, pool/ingest accounting, and liveness. The
-// arrival schedule is a pure function of the seed, so the same seed and
-// flags replay the same offered load.
+// arrival schedule is a pure function of the seed and configuration, so
+// the same seed replays the same offered load.
 
-type serveOpts struct {
-	agents     *int
-	scrapers   *int
-	rate       *float64
-	spikeX     *float64
-	warmup     *time.Duration
-	ramp       *time.Duration
-	sustain    *time.Duration
-	spike      *time.Duration
-	roundEvery *time.Duration
-	queue      *int
-	inflight   *int
-	pStale     *float64
-	out        *string
-}
-
-func serveFlags(fs *flag.FlagSet) serveOpts {
-	return serveOpts{
-		agents:     fs.Int("serve-agents", 64, "simulated nodeagent fleet size for -phase serve"),
-		scrapers:   fs.Int("serve-scrapers", 16, "concurrent scraper clients for -phase serve"),
-		rate:       fs.Float64("serve-rate", 400, "sustain-phase offered load in requests/second"),
-		spikeX:     fs.Float64("serve-spike-x", 5, "spike-phase load as a multiple of -serve-rate"),
-		warmup:     fs.Duration("serve-warmup", 500*time.Millisecond, "warmup phase duration (quarter rate)"),
-		ramp:       fs.Duration("serve-ramp", 500*time.Millisecond, "ramp phase duration (linear to full rate)"),
-		sustain:    fs.Duration("serve-sustain", 3*time.Second, "sustain phase duration (full rate)"),
-		spike:      fs.Duration("serve-spike", time.Second, "spike phase duration (rate × -serve-spike-x)"),
-		roundEvery: fs.Duration("serve-round-every", 250*time.Millisecond, "collection-round cadence during the run"),
-		queue:      fs.Int("serve-queue", 4, "ingest queue capacity (rounds; oldest shed when full)"),
-		inflight:   fs.Int("serve-inflight", 64, "dash admission watermark (concurrent requests before 503)"),
-		pStale:     fs.Float64("serve-stale", 0.05, "per-(host,round) probability a pooled keepalive went stale"),
-		out:        fs.String("serve-out", "BENCH_SERVE.json", "write the full report as JSON to this file (\"\" disables)"),
-	}
-}
-
-// runServeStudy drives E15 and exits non-zero when serveGate rejects the
-// report, so CI can assert graceful degradation by exit status alone.
-func runServeStudy(ctx context.Context, stdout io.Writer, seed string, o serveOpts) error {
-	cfg := loadgen.Config{
-		Seed:        seed + "/serve",
-		Agents:      *o.agents,
-		Scrapers:    *o.scrapers,
-		SustainRate: *o.rate, SpikeMultiplier: *o.spikeX,
-		Warmup: *o.warmup, Ramp: *o.ramp, Sustain: *o.sustain, Spike: *o.spike,
-		RoundEvery:    *o.roundEvery,
-		QueueCapacity: *o.queue,
-		MaxInflight:   *o.inflight,
-		PStaleConn:    *o.pStale,
-	}
-	fmt.Fprintf(stdout, "E15 serving-load study: %d agents, %d scrapers, %.0f rps sustain (spike ×%.1f), seed %q\n",
-		*o.agents, *o.scrapers, *o.rate, *o.spikeX, seed)
-	fmt.Fprintf(stdout, "profile: warmup %v, ramp %v, sustain %v, spike %v; rounds every %v; watermark %d; queue %d; p(stale) %.2f\n\n",
-		*o.warmup, *o.ramp, *o.sustain, *o.spike, *o.roundEvery, *o.inflight, *o.queue, *o.pStale)
-
+// runServeStudy drives E15 under cfg; the table passes loadgen's
+// default configuration, the committed reference run, with only the
+// seed set. serveGate judges the report, so CI can assert graceful
+// degradation by exit status alone.
+func runServeStudy(ctx context.Context, stdout io.Writer, cfg loadgen.Config) (*loadgen.Report, error) {
+	fmt.Fprintf(stdout, "E15 serving-load study, seed %q...\n", cfg.Seed)
 	started := time.Now()
 	rep, err := loadgen.Run(ctx, cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	fmt.Fprintf(stdout, "%-8s %9s %9s %9s %7s %8s %9s  %8s %8s %8s %8s\n",
-		"phase", "arrivals", "ok", "rejected", "errors", "dropped", "cachehit",
+	fmt.Fprintf(stdout, "%d agents, %d scrapers, %.0f rps sustain, %.0f rps spike\n\n",
+		rep.Agents, rep.Scrapers, rep.SustainRate, rep.SpikeRate)
+	fmt.Fprintf(stdout, "%-8s %7s %9s %9s %9s %7s %8s %9s  %8s %8s %8s %8s\n",
+		"phase", "rps", "arrivals", "ok", "rejected", "errors", "dropped", "cachehit",
 		"p50ms", "p99ms", "p999ms", "maxms")
 	for _, p := range rep.Phases {
-		fmt.Fprintf(stdout, "%-8s %9d %9d %9d %7d %8d %9d  %8.2f %8.2f %8.2f %8.2f\n",
-			p.Phase, p.Arrivals, p.OK, p.Rejected, p.Errors, p.Dropped, p.CacheHits,
+		fmt.Fprintf(stdout, "%-8s %7.0f %9d %9d %9d %7d %8d %9d  %8.2f %8.2f %8.2f %8.2f\n",
+			p.Phase, p.OfferedRate, p.Arrivals, p.OK, p.Rejected, p.Errors, p.Dropped, p.CacheHits,
 			p.P50Ms, p.P99Ms, p.P999Ms, p.MaxMs)
 	}
 	fmt.Fprintln(stdout)
@@ -97,14 +51,7 @@ func runServeStudy(ctx context.Context, stdout io.Writer, seed string, o serveOp
 	fmt.Fprintf(stdout, "liveness:   %d healthz probes, %d failures; goroutines %d -> %d; mirrors %d bytes\n",
 		rep.Healthz.Probes, rep.Healthz.Failures, rep.Goroutines.Before, rep.Goroutines.After, rep.MirrorBytes)
 	fmt.Fprintf(stdout, "wall time:  %v\n", time.Since(started).Round(time.Millisecond))
-
-	if *o.out != "" {
-		if err := writeFile(*o.out, rep.WriteJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "report written to %s\n", *o.out)
-	}
-	return serveGate(rep)
+	return rep, nil
 }
 
 // serveGate is the study's pass/fail decision. A study that sheds load

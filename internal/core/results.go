@@ -225,11 +225,7 @@ func (e *Experiment) assembleResults() (*Results, error) {
 		}
 	}
 
-	for _, round := range e.coll.History() {
-		r.MonitorRounds++
-		r.MonitorLiteralBytes += round.LiteralBytes
-		r.MonitorTotalBytes += round.TotalBytes
-	}
+	r.MonitorRounds, r.MonitorLiteralBytes, r.MonitorTotalBytes = e.coll.Totals()
 	r.MonitorCoverage = e.gaps.Coverage()
 	r.MonitorGaps = e.gaps.Hosts()
 

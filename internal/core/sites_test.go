@@ -50,22 +50,25 @@ func TestMultiSiteDeterminism(t *testing.T) {
 // TestMultiSiteWarmTickAllocFree: after the first tick (cold caches, trace
 // arrays already preallocated), Step must not allocate.
 func TestMultiSiteWarmTickAllocFree(t *testing.T) {
-	e, err := NewMultiSite(shortMultiSiteConfig("follow-cold"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ { // warm up: prime policy and memos
-		if !e.Step() {
-			t.Fatal("horizon too short for warmup")
+	// The short follow-cold run, and the default three-site, 28-day one.
+	for _, cfg := range []MultiSiteConfig{shortMultiSiteConfig("follow-cold"), DefaultMultiSiteConfig(ReferenceSeed + "/allocs")} {
+		e, err := NewMultiSite(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		if !e.Step() {
-			t.Fatal("horizon exhausted during alloc measurement")
+		for i := 0; i < 8; i++ { // warm up: prime policy and memos
+			if !e.Step() {
+				t.Fatal("horizon too short for warmup")
+			}
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("warm multi-site tick allocates %v/op, budget is 0", avg)
+		avg := testing.AllocsPerRun(100, func() {
+			if !e.Step() {
+				t.Fatal("horizon exhausted during alloc measurement")
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("%s: warm multi-site tick allocates %v/op, budget is 0", cfg.Seed, avg)
+		}
 	}
 }
 

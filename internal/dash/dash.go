@@ -12,7 +12,7 @@
 //	GET /buildinfo           JSON build/version information
 //	GET /metrics             Prometheus text exposition (with a registry)
 //	GET /api/hosts           JSON host list
-//	GET /api/rounds          JSON collection-round history
+//	GET /api/rounds          JSON of the latest collection rounds
 //	GET /api/gaps            JSON per-host gap accounting (with a ledger)
 //	GET /api/ledger/{host}   JSON parsed md5sum ledger for one host
 //	GET /api/series          JSON sample-series catalogue (with a SampleDB)
@@ -178,13 +178,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "frostlab monitoring host — up since %s\n\n", s.start.Format(time.RFC3339))
-	hist := s.coll.History()
-	fmt.Fprintf(w, "collection rounds: %d\n", len(hist))
-	var literal, total int
-	for _, rs := range hist {
-		literal += rs.LiteralBytes
-		total += rs.TotalBytes
-	}
+	rounds, literal, total := s.coll.Totals()
+	fmt.Fprintf(w, "collection rounds: %d\n", rounds)
 	if total > 0 {
 		fmt.Fprintf(w, "delta transfer: %d literal bytes of %d corpus (%.1f%% saved)\n",
 			literal, total, (1-float64(literal)/float64(total))*100)

@@ -221,32 +221,42 @@ func Compute(sig *Signature, new []byte, newMD5 [md5.Size]byte) (*Delta, error) 
 // as good as sum: a sum of other bytes of old's length would check those
 // bytes followed by the appended ones, not the reconstruction. On success
 // sum summarises the reconstruction; after an error it must be Reset.
+// Apply checks every copy run against old, and the length the ops
+// reconstruct against NewLen, before it allocates: a delta from the wire
+// gets an error, not an allocation of the size it claims.
 func Apply(dst, old []byte, d *Delta, sum *Running) ([]byte, error) {
 	if d == nil {
 		return nil, errors.New("delta: nil delta")
 	}
-	head, out := len(dst), dst
-	if d.NewLen > 0 {
-		out = slices.Grow(out, d.NewLen)
-	}
+	n := 0
 	for _, op := range d.Ops {
 		switch op.Kind {
 		case OpLiteral:
-			out = append(out, op.Data...)
+			n += len(op.Data)
 		case OpCopy:
-			start := op.Block * d.BlockSize
-			end := start + op.NumBlocks*d.BlockSize
-			if start < 0 || end > len(old) {
-				return nil, fmt.Errorf("delta: copy run [%d,%d) outside old file of %d bytes", start, end, len(old))
+			start, end, ok := copyRun(op, d.BlockSize, len(old))
+			if !ok {
+				return nil, fmt.Errorf("delta: copy of %d blocks from block %d (block size %d) outside old file of %d bytes",
+					op.NumBlocks, op.Block, d.BlockSize, len(old))
 			}
-			out = append(out, old[start:end]...)
+			n += end - start
 		default:
 			return nil, fmt.Errorf("delta: unknown op kind %d", op.Kind)
 		}
 	}
-	if got := out[head:]; len(got) != d.NewLen {
-		return nil, fmt.Errorf("delta: reconstructed %d bytes, want %d", len(got), d.NewLen)
-	} else if sum.Len() == len(old) && bytes.HasPrefix(got, old) {
+	if n != d.NewLen {
+		return nil, fmt.Errorf("delta: reconstructed %d bytes, want %d", n, d.NewLen)
+	}
+	head, out := len(dst), slices.Grow(dst, n)
+	for _, op := range d.Ops {
+		if op.Kind == OpLiteral {
+			out = append(out, op.Data...)
+			continue
+		}
+		start, end, _ := copyRun(op, d.BlockSize, len(old))
+		out = append(out, old[start:end]...)
+	}
+	if got := out[head:]; sum.Len() == len(old) && bytes.HasPrefix(got, old) {
 		sum.Write(got[len(old):])
 	} else {
 		sum.Reset()
@@ -256,6 +266,20 @@ func Apply(dst, old []byte, d *Delta, sum *Running) ([]byte, error) {
 		return nil, errors.New("delta: reconstruction digest mismatch")
 	}
 	return out, nil
+}
+
+// copyRun returns the byte range of old, oldLen bytes long, that a copy
+// op reads, and false when the run does not lie within old. It divides
+// rather than multiplies, so no block number or count overflows.
+func copyRun(op Op, blockSize, oldLen int) (start, end int, ok bool) {
+	if blockSize <= 0 || op.Block < 0 || op.NumBlocks < 0 || op.Block > oldLen/blockSize {
+		return 0, 0, false
+	}
+	start = op.Block * blockSize
+	if op.NumBlocks > (oldLen-start)/blockSize {
+		return 0, 0, false
+	}
+	return start, start + op.NumBlocks*blockSize, true
 }
 
 // Marshal serialises a delta for the wire.

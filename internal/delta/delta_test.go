@@ -212,6 +212,40 @@ func TestApplyRejectsCorruptDelta(t *testing.T) {
 	}
 }
 
+// TestApplyRejectsHostileLengths: a decoded delta whose NewLen or copy
+// runs are far past what the ops can reconstruct from old is an error,
+// neither a panic nor an allocation of the claimed size.
+func TestApplyRejectsHostileLengths(t *testing.T) {
+	old := randBytes(8 << 10)
+	sig, _ := NewSignature(old, 1024)
+	d, err := Compute(sig, old, md5.Sum(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := 1 << 50
+	for name, mutate := range map[string]func(*Delta){
+		"NewLen 2^50":          func(d *Delta) { d.NewLen = huge },
+		"NewLen 2^50, literal": func(d *Delta) { d.NewLen = huge; d.Ops = []Op{{Kind: OpLiteral, Data: []byte("x")}} },
+		"block past old":       func(d *Delta) { d.Ops = []Op{{Kind: OpCopy, Block: huge, NumBlocks: 1}} },
+		"count past old":       func(d *Delta) { d.Ops = []Op{{Kind: OpCopy, Block: 1, NumBlocks: huge}} },
+		"product overflows":    func(d *Delta) { d.Ops = []Op{{Kind: OpCopy, Block: 1 << 62, NumBlocks: 1 << 62}} },
+		"negative block":       func(d *Delta) { d.Ops = []Op{{Kind: OpCopy, Block: -1, NumBlocks: 1}} },
+		"block size 2^62":      func(d *Delta) { d.BlockSize = 1 << 62 },
+		"zero block size":      func(d *Delta) { d.BlockSize = 0 },
+	} {
+		bad := *d
+		mutate(&bad)
+		// Through the wire: lengths and block numbers arrive as uint64s.
+		wire, err := UnmarshalDelta(bad.Marshal())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := Apply(nil, old, wire, runningOf(old)); err == nil {
+			t.Errorf("%s: applied", name)
+		}
+	}
+}
+
 func TestMarshalRoundTrip(t *testing.T) {
 	old := randBytes(32 << 10)
 	new := append([]byte(nil), old...)

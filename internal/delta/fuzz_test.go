@@ -6,8 +6,10 @@ import (
 	"testing"
 )
 
-// FuzzUnmarshalDelta hardens the wire decoder: arbitrary bytes must never
-// panic, and any delta that does decode must round-trip through Marshal.
+// FuzzUnmarshalDelta hardens the wire decoder and Apply behind it:
+// arbitrary bytes must never panic, any delta that does decode must
+// round-trip through Marshal, and applying it to a fixed old file must
+// end in a reconstruction of NewLen bytes or an error.
 func FuzzUnmarshalDelta(f *testing.F) {
 	old := randBytes(8 << 10)
 	new := append(append([]byte(nil), old...), []byte("tail data")...)
@@ -20,6 +22,9 @@ func FuzzUnmarshalDelta(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(d.Marshal())
+	hostile := *d
+	hostile.NewLen = 1 << 50
+	f.Add(hostile.Marshal())
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
 	f.Add(bytes.Repeat([]byte{0xff}, 100))
@@ -34,6 +39,10 @@ func FuzzUnmarshalDelta(f *testing.F) {
 		}
 		if re.NewLen != parsed.NewLen || len(re.Ops) != len(parsed.Ops) {
 			t.Fatal("marshal round trip changed the delta")
+		}
+		got, err := Apply(nil, old, parsed, runningOf(old))
+		if err == nil && len(got) != parsed.NewLen {
+			t.Fatalf("applied %d bytes, delta claims %d", len(got), parsed.NewLen)
 		}
 	})
 }

@@ -18,7 +18,9 @@ import (
 )
 
 // Config shapes one load run. Zero values take the defaults noted on
-// each field; Seed is the only field without a usable zero value.
+// each field, which together are E15's reference run (frostctl -phase
+// serve, committed as BENCH_SERVE.json); Seed is the only field without
+// a usable zero value.
 type Config struct {
 	// Seed roots every random draw: the arrival schedule, the endpoint
 	// mix, and the chaos pool faults. Same seed + same config ⇒ same
@@ -30,17 +32,17 @@ type Config struct {
 	// Scrapers is the concurrent HTTP client fleet size (default 16).
 	Scrapers int
 	// SustainRate is the offered load in requests/second during the
-	// sustain phase (default 200). Warmup runs at a quarter of it.
+	// sustain phase (default 400). Warmup runs at a quarter of it.
 	SustainRate float64
 	// SpikeMultiplier scales SustainRate during the spike (default 5 —
 	// the "5× rated load" the degradation tests demand).
 	SpikeMultiplier float64
 
-	// Phase durations (defaults 200ms, 300ms, 1s, 500ms).
+	// Phase durations (defaults 500ms, 500ms, 3s, 1s).
 	Warmup, Ramp, Sustain, Spike time.Duration
 
 	// RoundEvery is the collection-round cadence during the run
-	// (default 100ms).
+	// (default 250ms).
 	RoundEvery time.Duration
 
 	// QueueCapacity bounds the post-round ingestion queue (default 4).
@@ -54,7 +56,7 @@ type Config struct {
 	PendingBuffer int
 
 	// PStaleConn is the per-(host, round) probability that a pooled
-	// keepalive went stale while parked (default 0 = no chaos).
+	// keepalive went stale while parked (default 0.05).
 	PStaleConn float64
 }
 
@@ -81,25 +83,25 @@ func (c Config) withDefaults() Config {
 		c.Scrapers = 16
 	}
 	if c.SustainRate <= 0 {
-		c.SustainRate = 200
+		c.SustainRate = 400
 	}
 	if c.SpikeMultiplier <= 0 {
 		c.SpikeMultiplier = 5
 	}
 	if c.Warmup <= 0 {
-		c.Warmup = 200 * time.Millisecond
+		c.Warmup = 500 * time.Millisecond
 	}
 	if c.Ramp <= 0 {
-		c.Ramp = 300 * time.Millisecond
+		c.Ramp = 500 * time.Millisecond
 	}
 	if c.Sustain <= 0 {
-		c.Sustain = time.Second
+		c.Sustain = 3 * time.Second
 	}
 	if c.Spike <= 0 {
-		c.Spike = 500 * time.Millisecond
+		c.Spike = time.Second
 	}
 	if c.RoundEvery <= 0 {
-		c.RoundEvery = 100 * time.Millisecond
+		c.RoundEvery = 250 * time.Millisecond
 	}
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = 4
@@ -109,6 +111,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PendingBuffer <= 0 {
 		c.PendingBuffer = 4 * c.Scrapers
+	}
+	if c.PStaleConn == 0 {
+		c.PStaleConn = 0.05
 	}
 	return c
 }
@@ -150,13 +155,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		keys[id] = []byte("psk-" + cfg.Seed + "-" + id)
 	}
 
-	var poolFault func(string, int) bool
-	if cfg.PStaleConn != 0 {
-		inj, err := chaos.New(chaos.Spec{Seed: cfg.Seed + "/chaos", PStaleConn: cfg.PStaleConn})
-		if err != nil {
-			return nil, err
-		}
-		poolFault = inj.StaleConn
+	inj, err := chaos.New(chaos.Spec{Seed: cfg.Seed + "/chaos", PStaleConn: cfg.PStaleConn})
+	if err != nil {
+		return nil, err
 	}
 
 	samples := monitor.NewSampleDB()
@@ -173,7 +174,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		RoundTimeout: 30 * time.Second,
 		Jitter:       monitor.DeterministicJitter(cfg.Seed),
 		Concurrency:  roundConcurrency,
-		Pool:         &monitor.PoolConfig{Fault: poolFault},
+		Pool:         &monitor.PoolConfig{Fault: inj.StaleConn},
 	})
 	if err != nil {
 		return nil, err

@@ -1,8 +1,6 @@
 package loadgen
 
 import (
-	"encoding/json"
-	"io"
 	"strconv"
 	"strings"
 	"time"
@@ -111,13 +109,6 @@ func (r *Report) PhaseByName(name string) *PhaseReport {
 		}
 	}
 	return nil
-}
-
-// WriteJSON writes the report, indented, to w.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

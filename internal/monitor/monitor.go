@@ -389,12 +389,21 @@ func (rs RoundStats) Savings() float64 {
 	return 1 - float64(rs.LiteralBytes)/float64(rs.TotalBytes)
 }
 
+// recentRounds is how many of the latest completed rounds History
+// returns.
+const recentRounds = 256
+
 // Collector mirrors the file stores of many hosts.
 type Collector struct {
 	mu        sync.Mutex
 	mirrors   map[string]*FileStore
 	blockSize int
-	history   []RoundStats
+	// recent holds the latest completed rounds, oldest first, in a
+	// buffer of twice recentRounds that drops its older half when full.
+	recent []RoundStats
+	// rounds, literal and total count every completed round and its
+	// bytes since the collector was made.
+	rounds, literal, total int
 
 	// samples, when set, receives every byte appended to a mirror for
 	// numeric-sample extraction (see SampleDB).
@@ -537,13 +546,21 @@ func (c *Collector) Mirror(hostID string) *FileStore {
 	return m
 }
 
-// History returns all completed rounds.
+// History returns the latest completed rounds, oldest first: at most
+// recentRounds of them.
 func (c *Collector) History() []RoundStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]RoundStats, len(c.history))
-	copy(out, c.history)
-	return out
+	return slices.Clone(c.recent[max(0, len(c.recent)-recentRounds):])
+}
+
+// Totals returns how many rounds have completed since the collector was
+// made, and the literal and mirrored-corpus bytes they summed to (the
+// RoundStats fields of every round).
+func (c *Collector) Totals() (rounds, literalBytes, totalBytes int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.rounds, c.literal, c.total
 }
 
 // CollectHost performs one collection round over an established session:
@@ -615,7 +632,16 @@ func (c *Collector) collectHost(ctx context.Context, sess *wire.Session, hostID 
 		}
 	}
 	c.mu.Lock()
-	c.history = append(c.history, stats)
+	switch len(c.recent) {
+	case 0:
+		c.recent = make([]RoundStats, 0, 2*recentRounds)
+	case 2 * recentRounds:
+		c.recent = append(c.recent[:0], c.recent[recentRounds:]...)
+	}
+	c.recent = append(c.recent, stats)
+	c.rounds++
+	c.literal += stats.LiteralBytes
+	c.total += stats.TotalBytes
 	c.mu.Unlock()
 	return stats, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -109,6 +110,42 @@ func connectPair(t testing.TB, hostID string) (agentSess, collSess *wire.Session
 		t.Fatalf("handshake: %v / %v", aerr, cerr)
 	}
 	return agentSess, collSess
+}
+
+// TestCollectorHistoryBounded: over many rounds History keeps only the
+// latest recentRounds, and the collector's memory of rounds stays within
+// twice that, while Totals counts every round and byte exactly.
+func TestCollectorHistoryBounded(t *testing.T) {
+	store := NewFileStore()
+	coll := NewCollector(0)
+	sess, err := DialInProcess(NewAgent("01", store), "01", []byte("psk-01"), "history")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	const n = 3*recentRounds + 7
+	var all []RoundStats
+	var literal, total int
+	for i := 0; i < n; i++ {
+		store.Append(SensorLog, []byte(fmt.Sprintf("round %d cpu=-4.0\n", i)))
+		stats, err := sess.Collect(coll, t0.Add(time.Duration(i)*time.Minute))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, stats)
+		literal += stats.LiteralBytes
+		total += stats.TotalBytes
+		if got := cap(coll.recent); got > 2*recentRounds {
+			t.Fatalf("round %d: collector holds room for %d rounds, want at most %d", i, got, 2*recentRounds)
+		}
+	}
+	if got, want := coll.History(), all[n-recentRounds:]; !slices.Equal(got, want) {
+		t.Errorf("History holds %d rounds from %v, want the last %d from %v", len(got), got[0].At, len(want), want[0].At)
+	}
+	rounds, gotLiteral, gotTotal := coll.Totals()
+	if rounds != n || gotLiteral != literal || gotTotal != total {
+		t.Errorf("Totals = %d rounds, %d literal, %d total bytes; want %d, %d, %d", rounds, gotLiteral, gotTotal, n, literal, total)
+	}
 }
 
 func TestCollectRoundOverPipe(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"frostlab/internal/monitor"
 	"frostlab/internal/tsdb"
 )
 
@@ -269,34 +270,64 @@ func TestTimelineBounded(t *testing.T) {
 	}
 }
 
-// TestEvalWarmPathAllocs is the 0 allocs/eval-tick gate: after the
-// first (cold) tick builds instances and rings, steady-state
-// evaluation of a representative ruleset must not allocate.
+// TestEvalWarmPathAllocs is the 0 allocs/eval-tick gate: once the cold
+// ticks have built instances, rings and record series, steady-state
+// evaluation of a representative ruleset must not allocate. The
+// sampledb case reads a monitor.SampleDB's store, as collectord and
+// frostctl's E16 study do, and warms until its staleness alert has
+// walked pending → firing: each transition appends an incident series,
+// which forces one rebuild on the following tick.
 func TestEvalWarmPathAllocs(t *testing.T) {
-	store := tsdb.NewStore(0)
-	var cov float64 = 1
-	eng := NewEngine(MustParse(`alert stale absent(*/cpu,45m) for 20m
+	for _, tc := range []struct {
+		name string
+		// engine builds the engine over its store.
+		engine func(t *testing.T) *Engine
+		warm   int // cold ticks before the measurement
+		runs   int
+	}{
+		{"tsdb", func(t *testing.T) *Engine {
+			store := tsdb.NewStore(0)
+			for _, h := range []string{"01", "02", "03", "04"} {
+				if err := store.Append(h+"/cpu", t0.UnixNano(), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return NewEngine(MustParse(`alert stale absent(*/cpu,45m) for 20m
 alert cov value($coverage) < 0.9 for 10m
 alert shed rate($shed,30m) > 0
 record cov_copy value($coverage)
 `), store).
-		Live("coverage", func() float64 { return cov }).
-		Live("shed", func() float64 { return 0 })
-	for _, h := range []string{"01", "02", "03", "04"} {
-		if err := store.Append(h+"/cpu", t0.UnixNano(), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	i := 0
-	eng.Eval(tick(i)) // cold: builds instances, rings, record series
-	i++
-	eng.Eval(tick(i)) // second tick re-detects the record series count
-	avg := testing.AllocsPerRun(200, func() {
-		i++
-		eng.Eval(tick(i))
-	})
-	if avg != 0 {
-		t.Fatalf("warm Eval allocates %.1f allocs/tick, want 0", avg)
+				Live("coverage", func() float64 { return 1 }).
+				Live("shed", func() float64 { return 0 })
+		}, 2, 200},
+		{"sampledb", func(t *testing.T) *Engine {
+			db := monitor.NewSampleDB()
+			for _, id := range []string{"01", "02", "03"} {
+				db.Ingest(id, monitor.SensorLog, []byte(t0.Format(time.RFC3339)+" cpu=-4.0 disk0=6.0\n"))
+			}
+			return NewEngine(MustParse(`alert stale absent(*/cpu,45m) for 20m severity page
+alert cold value($temp) < 0 for 20m
+alert churn rate($counter,60m) > 0
+record temp_copy value($temp)
+`), db.Store()).
+				Live("temp", func() float64 { return 3 }).
+				Live("counter", func() float64 { return 42 })
+		}, 9, 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := tc.engine(t)
+			i := 0
+			for ; i < tc.warm; i++ {
+				eng.Eval(tick(i))
+			}
+			avg := testing.AllocsPerRun(tc.runs, func() {
+				eng.Eval(tick(i))
+				i++
+			})
+			if avg != 0 {
+				t.Fatalf("warm Eval allocates %.1f allocs/tick, want 0", avg)
+			}
+		})
 	}
 }
 
