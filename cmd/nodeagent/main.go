@@ -4,19 +4,23 @@
 // authenticated delta-sync collections over TCP.
 //
 // SIGINT/SIGTERM shut it down gracefully: the workload loop stops, the
-// listener closes so no new collections start, in-flight collections are
-// drained (bounded by -drain), and the agent exits 0 — so a collector
-// mid-sync sees a complete round rather than a torn frame.
+// listener closes so no new collections start, a session waiting for its
+// collector's next request ends at once, one that has begun receiving a
+// request answers it and then ends (the wait bounded by drainTimeout),
+// and the agent exits 0 — so a collector mid-request sees its reply
+// rather than a torn frame, and a parked keepalive does not hold the
+// shutdown.
 //
 // Usage:
 //
-//	nodeagent -id 01 [-listen 127.0.0.1:7701] [-keyseed winter0910]
-//	          [-cycle 10m] [-cycles 0] [-drain 30s] [-max-sessions 64]
-//	          [-debug-addr 127.0.0.1:6061]
+//	nodeagent -id 01 [-listen 127.0.0.1:7701] [-keyseed winter0910 |
+//	          -keystore keys.txt] [-cycle 10m] [-debug-addr 127.0.0.1:6061]
 //
 // Keys are derived as SHA-256(keyseed/psk/<id>), matching collectord.
 // -debug-addr opens a telemetry listener serving /metrics (workload and
-// collection counters), /healthz, /buildinfo, and net/http/pprof.
+// collection counters), /healthz, /buildinfo, and net/http/pprof. Both
+// listeners are bound before the first cycle, so a busy or malformed
+// address fails the start.
 package main
 
 import (
@@ -25,7 +29,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"sync"
@@ -37,6 +43,14 @@ import (
 	"frostlab/internal/telemetry"
 	"frostlab/internal/wire"
 	"frostlab/internal/workload"
+)
+
+const (
+	// maxSessions caps concurrent collection sessions; past it an inbound
+	// connection is closed at once.
+	maxSessions = 64
+	// drainTimeout bounds the shutdown's wait for a request in flight.
+	drainTimeout = 30 * time.Second
 )
 
 // agentMetrics is nodeagent's own instrument plane: unlike the
@@ -69,18 +83,35 @@ func newAgentMetrics(reg *telemetry.Registry) *agentMetrics {
 		handshakeErrs: reg.NewCounter("frostlab_agent_handshake_failures_total",
 			"Inbound connections that failed authentication."),
 		rejected: reg.NewCounter("frostlab_agent_sessions_rejected_total",
-			"Inbound connections closed immediately because -max-sessions were already in flight."),
+			"Inbound connections closed immediately because the session cap was already in flight."),
 		inflight: reg.NewGauge("frostlab_agent_inflight_collections",
 			"Collection sessions currently being served."),
 	}
 }
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "nodeagent:", err)
-		os.Exit(1)
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	os.Exit(exitCode(err))
 }
+
+// exitCode prints err on stderr, unless the FlagSet has already printed
+// it with the usage, and returns the exit status: 0 after success or -h.
+func exitCode(err error) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if !errors.As(err, new(flagError)) {
+		fmt.Fprintln(os.Stderr, "nodeagent:", err)
+	}
+	return 1
+}
+
+// flagError is a parse error the FlagSet has already reported.
+type flagError struct{ error }
+
+func (e flagError) Unwrap() error { return e.error }
 
 func randNonce() ([]byte, error) {
 	b := make([]byte, wire.NonceSize)
@@ -88,20 +119,24 @@ func randNonce() ([]byte, error) {
 	return b, err
 }
 
-func run() error {
-	id := flag.String("id", "", "host identifier (e.g. 01)")
-	listen := flag.String("listen", "127.0.0.1:7701", "TCP listen address")
-	keyseed := flag.String("keyseed", "winter0910", "pre-shared key derivation seed")
-	keyfile := flag.String("keystore", "", "keystore file of hostID hexkey lines (overrides -keyseed)")
-	cycle := flag.Duration("cycle", 10*time.Minute, "workload cycle period (§3.5: 10 minutes)")
-	cycles := flag.Int("cycles", 0, "stop the workload after N cycles (0 = forever)")
-	drain := flag.Duration("drain", 30*time.Second, "max wait for in-flight collections on shutdown")
-	maxSessions := flag.Int("max-sessions", 64, "cap concurrent collection sessions; excess connections are closed immediately (0 = unbounded)")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz, /buildinfo and net/http/pprof on this address")
-	flag.Parse()
-
+// run serves collections and runs the workload until ctx is cancelled,
+// then drains and returns.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("nodeagent", flag.ContinueOnError)
+	id := fs.String("id", "", "host identifier (e.g. 01)")
+	listen := fs.String("listen", "127.0.0.1:7701", "TCP listen address")
+	keyseed := fs.String("keyseed", "winter0910", "pre-shared key derivation seed")
+	keyfile := fs.String("keystore", "", "keystore file of hostID hexkey lines (overrides -keyseed)")
+	cycle := fs.Duration("cycle", 10*time.Minute, "workload cycle period (§3.5: 10 minutes)")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /healthz, /buildinfo and net/http/pprof on this address")
+	if err := fs.Parse(args); err != nil {
+		return flagError{err}
+	}
 	if *id == "" {
 		return fmt.Errorf("-id is required")
+	}
+	if *cycle <= 0 {
+		return fmt.Errorf("-cycle must be positive, got %v", *cycle)
 	}
 	store := monitor.NewFileStore()
 	agent := monitor.NewAgent(*id, store)
@@ -128,34 +163,42 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("nodeagent %s: reference md5 %s, %d blocks, listening on %s\n",
-		*id, runner.Reference(), runner.ReferenceBlocks(), *listen)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
 	reg := telemetry.NewRegistry()
 	met := newAgentMetrics(reg)
 	if *debugAddr != "" {
-		go func() {
-			if err := telemetry.NewServer(*debugAddr, telemetry.DebugMux(reg, true)).ListenAndServe(); err != nil {
-				fmt.Fprintf(os.Stderr, "debug listener: %v\n", err)
-			}
-		}()
-		fmt.Printf("telemetry + pprof on http://%s/\n", *debugAddr)
+		bound, stop, err := serve(*debugAddr, telemetry.DebugMux(reg, true))
+		if err != nil {
+			return fmt.Errorf("debug listener: %w", err)
+		}
+		defer stop()
+		fmt.Fprintf(stdout, "telemetry + pprof on http://%s/\n", bound)
 	}
+	fmt.Fprintf(stdout, "nodeagent %s: reference md5 %s, %d blocks, listening on %s\n",
+		*id, runner.Reference(), runner.ReferenceBlocks(), ln.Addr())
+
+	// The workload loop and the acceptor stop together: on a signal, or
+	// when Accept fails.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	stopAccept := context.AfterFunc(ctx, func() { ln.Close() })
+	defer stopAccept()
 
 	// Workload loop: real wall-clock cadence with the paper's 0-119 s
 	// start fuzz, scaled proportionally when a shorter -cycle is chosen.
-	// The loop selects on the signal context so shutdown never waits out
-	// a sleep.
+	// The loop selects on the context so shutdown never waits out a
+	// sleep.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		fuzz := workload.StartFuzz(rng, *id)
 		scale := float64(*cycle) / float64(workload.CyclePeriod)
-		for n := 0; *cycles == 0 || n < *cycles; n++ {
+		for {
 			if monitor.SleepContext(ctx, time.Duration(float64(fuzz())*scale)) != nil {
 				return
 			}
@@ -189,96 +232,121 @@ func run() error {
 		}
 	}()
 
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		return err
-	}
-	// On signal: close the listener so Accept returns and no new
-	// collections start.
-	go func() {
-		<-ctx.Done()
-		ln.Close()
-	}()
-
 	// Session semaphore: a misbehaving (or overloaded) collector cannot
 	// pile unbounded concurrent sessions — and their goroutines — onto
 	// one agent. Excess connections fail fast with an immediate close,
 	// which the collector's retry path handles like any refused dial.
-	// Rejected connections never enter the inflight group, so the
-	// -drain shutdown wait composes: it only waits for real sessions.
-	var sem chan struct{}
-	if *maxSessions > 0 {
-		sem = make(chan struct{}, *maxSessions)
-	}
+	sem := make(chan struct{}, maxSessions)
 	var inflight sync.WaitGroup
+	var acceptErr error
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			if ctx.Err() != nil {
-				break
+			if ctx.Err() == nil && !errors.Is(err, net.ErrClosed) {
+				acceptErr = err
 			}
-			if errors.Is(err, net.ErrClosed) {
-				break
-			}
-			return err
+			break
 		}
-		if sem != nil {
-			select {
-			case sem <- struct{}{}:
-			default:
-				met.rejected.Inc()
-				conn.Close()
-				continue
-			}
+		select {
+		case sem <- struct{}{}:
+		default:
+			met.rejected.Inc()
+			conn.Close()
+			continue
 		}
 		inflight.Add(1)
 		go func() {
-			if sem != nil {
-				defer func() { <-sem }()
-			}
 			defer inflight.Done()
+			defer func() { <-sem }()
 			defer conn.Close()
 			met.inflight.Inc()
 			defer met.inflight.Dec()
-			sess, err := wire.Accept(conn, keys, randNonce)
+			s := &session{Conn: conn}
+			defer context.AfterFunc(ctx, s.shutdown)()
+			// A session that shutdown ends is not an error.
+			sess, err := wire.Accept(s, keys, randNonce)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "handshake: %v\n", err)
-				met.handshakeErrs.Inc()
+				if ctx.Err() == nil {
+					fmt.Fprintf(os.Stderr, "handshake: %v\n", err)
+					met.handshakeErrs.Inc()
+				}
 				return
 			}
-			if err := agent.Serve(sess); err != nil {
+			if err := agent.Serve(sess); err == nil {
+				met.collections.Inc()
+			} else if ctx.Err() == nil {
 				fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 				met.serveErrors.Inc()
-				return
 			}
-			met.collections.Inc()
 		}()
 	}
 
-	// Drain: let in-flight collections finish (bounded), stop the
-	// workload, exit clean.
+	// Drain: stop the workload and end every session, exit clean.
 	fmt.Fprintf(os.Stderr, "nodeagent %s: shutting down, draining collections\n", *id)
-	if !waitTimeout(&inflight, *drain) {
-		fmt.Fprintf(os.Stderr, "nodeagent %s: drain timed out after %v\n", *id, *drain)
-	}
+	cancel()
+	inflight.Wait()
 	wg.Wait()
 	fmt.Fprintf(os.Stderr, "nodeagent %s: stopped\n", *id)
-	return nil
+	return acceptErr
 }
 
-// waitTimeout waits for wg up to d; false on timeout.
-func waitTimeout(wg *sync.WaitGroup, d time.Duration) bool {
+// session is one inbound collection connection. The agent answers each
+// request with one Write and reads nothing in between, so a request is in
+// flight from its first byte read to the next Write. At shutdown a
+// session with no request in flight ends at once, and one with a request
+// in flight answers it, within drainTimeout, and then ends.
+type session struct {
+	net.Conn
+	mu                sync.Mutex
+	inFlight, closing bool
+}
+
+func (s *session) Read(p []byte) (int, error) {
+	n, err := s.Conn.Read(p)
+	s.mu.Lock()
+	s.inFlight = s.inFlight || n > 0
+	s.mu.Unlock()
+	return n, err
+}
+
+func (s *session) Write(p []byte) (int, error) {
+	n, err := s.Conn.Write(p)
+	s.mu.Lock()
+	s.inFlight = false
+	if s.closing {
+		s.Conn.SetReadDeadline(time.Now())
+	}
+	s.mu.Unlock()
+	return n, err
+}
+
+// shutdown ends the session at its next wait for a request, interrupting
+// the one it is in.
+func (s *session) shutdown() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closing = true
+	if s.inFlight {
+		s.Conn.SetDeadline(time.Now().Add(drainTimeout))
+	} else {
+		s.Conn.SetReadDeadline(time.Now())
+	}
+}
+
+// serve binds addr and serves h on it until stop, which shuts the
+// server down and waits for it.
+func serve(addr string, h http.Handler) (bound string, stop func(), err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", nil, err
+	}
+	srv := telemetry.NewServer(addr, h)
 	done := make(chan struct{})
 	go func() {
-		wg.Wait()
-		close(done)
+		defer close(done)
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			fmt.Fprintln(os.Stderr, "nodeagent:", err)
+		}
 	}()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-done:
-		return true
-	case <-t.C:
-		return false
-	}
+	return ln.Addr().String(), func() { srv.Close(); <-done }, nil
 }

@@ -14,7 +14,7 @@ import (
 	"frostlab/internal/chaos"
 	"frostlab/internal/dash"
 	"frostlab/internal/monitor"
-	"frostlab/internal/telemetry"
+	"frostlab/internal/rules"
 )
 
 // Config shapes one load run. Zero values take the defaults noted on
@@ -45,8 +45,6 @@ type Config struct {
 	// (default 250ms).
 	RoundEvery time.Duration
 
-	// QueueCapacity bounds the post-round ingestion queue (default 4).
-	QueueCapacity int
 	// MaxInflight is the dashboard admission watermark (default 64).
 	MaxInflight int
 
@@ -60,19 +58,9 @@ type Config struct {
 	PStaleConn float64
 }
 
-// The serving plane's fixed limits.
-const (
-	// roundConcurrency caps parallel host collections.
-	roundConcurrency = 32
-	// retryAfter is the advisory backoff on 503s.
-	retryAfter = time.Second
-	// cacheTTL bounds scrape-cache staleness; rounds also invalidate the
-	// cache explicitly when they publish.
-	cacheTTL = time.Second
-	// mirrorRetain caps each mirrored file's raw bytes so fleet memory
-	// stays bounded over long runs.
-	mirrorRetain = 64 << 10
-)
+// mirrorRetain caps each mirrored file's raw bytes so fleet memory stays
+// bounded over long runs.
+const mirrorRetain = 64 << 10
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
@@ -103,12 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.RoundEvery <= 0 {
 		c.RoundEvery = 250 * time.Millisecond
 	}
-	if c.QueueCapacity <= 0 {
-		c.QueueCapacity = 4
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 64
-	}
 	if c.PendingBuffer <= 0 {
 		c.PendingBuffer = 4 * c.Scrapers
 	}
@@ -128,11 +110,10 @@ type phaseCounters struct {
 	cacheHits atomic.Uint64
 }
 
-// Run drives the full load profile against an in-process serving plane
-// and returns the report. The plane is the production wiring end to
-// end — wire-protocol collection with a keepalive pool, bounded ingest
-// queue, dash with admission and scrape cache — only the TCP listener is
-// replaced by direct handler dispatch, so a run needs no ports.
+// Run drives the full load profile against collectord's serving plane
+// (dash.Plane) with collectord's default rules, and returns the report.
+// Only the transport differs: agents are in-process and requests are
+// dispatched to the handler directly, so a run needs no ports.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	goroutinesBefore := runtime.NumGoroutine()
@@ -160,37 +141,28 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	samples := monitor.NewSampleDB()
-	coll := monitor.NewCollector(0).WithSamples(samples)
-	coll.SetRetention(mirrorRetain)
-	fc, err := monitor.NewFleetCollector(coll, monitor.FleetConfig{
+	plane, err := dash.NewPlane(dash.PlaneConfig{
 		Hosts:        hosts,
 		Dial:         monitor.InProcessDialer(agents, keys, cfg.Seed),
 		KeyFor:       func(id string) ([]byte, error) { return keys[id], nil },
 		NonceFor:     monitor.InProcessNonces(cfg.Seed),
-		Retry:        monitor.RetryPolicy{MaxAttempts: 2, BaseBackoff: 10 * time.Millisecond, Multiplier: 2, JitterFrac: 0.5},
-		Breaker:      monitor.BreakerConfig{Trip: 3, Cooldown: 3},
-		PhaseTimeout: 2 * time.Second,
-		RoundTimeout: 30 * time.Second,
-		Jitter:       monitor.DeterministicJitter(cfg.Seed),
-		Concurrency:  roundConcurrency,
-		Pool:         &monitor.PoolConfig{Fault: inj.StaleConn},
+		JitterSeed:   cfg.Seed,
+		Start:        t0,
+		MirrorRetain: mirrorRetain,
+		Rules:        rules.Default(),
+		// The checkpoint collectord writes to disk, against a sink: full
+		// serialisation cost, no tempdir.
+		Persist: func(coll *monitor.Collector) error {
+			return coll.Samples().Store().WriteSegment(io.Discard)
+		},
+		StaleConn:   inj.StaleConn,
+		MaxInflight: cfg.MaxInflight,
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	queue := monitor.NewIngestQueue(cfg.QueueCapacity)
-	reg := telemetry.NewRegistry()
-	fc.Instrument(reg)
-	queue.Instrument(reg)
-
-	srv := dash.NewServer(coll, hosts, t0).
-		WithLedger(fc.Ledger()).
-		WithAdmission(cfg.MaxInflight, retryAfter).
-		WithScrapeCache(cacheTTL).
-		WithTelemetry(reg)
-	handler := srv.Handler()
+	reg := plane.Registry()
+	handler := plane.Handler()
 
 	var phases [NumPhases]phaseCounters
 	var hists [NumPhases]Hist
@@ -274,9 +246,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 	}()
 
-	// Collection rounds run concurrently with the scrape load, exactly
-	// as collectord's do: collect, hand ingestion to the bounded queue,
-	// publish, invalidate the scrape cache.
+	// Collection rounds run concurrently with the scrape load, on the
+	// plane collectord runs.
 	roundHist := &Hist{}
 	roundDone := make(chan struct{})
 	var roundWG sync.WaitGroup
@@ -297,14 +268,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 					stores[id].Append(monitor.SensorLog, sensorLine(at, round, i))
 				}
 				start := time.Now()
-				fc.Round(ctx, at)
+				plane.Round(ctx, at)
 				roundHist.Record(time.Since(start))
-				queue.Offer(monitor.IngestJob{Round: round, Run: func() error {
-					// The checkpoint collectord writes to disk, against
-					// a sink: full serialisation cost, no tempdir.
-					return samples.Store().WriteSegment(io.Discard)
-				}})
-				srv.InvalidateScrapeCache()
 			}
 		}
 	}()
@@ -336,8 +301,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	probeWG.Wait()
 	total := time.Since(start)
 
-	fc.Close()
-	queue.Close()
+	plane.Close()
+	fc := plane.Fleet()
 
 	// Leak check: give pooled-agent teardown a moment to settle, then
 	// compare against the pre-run goroutine count.
@@ -350,7 +315,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		SustainRate: cfg.SustainRate,
 		SpikeRate:   cfg.SustainRate * cfg.SpikeMultiplier,
 		TotalMs:     ms(total),
-		MirrorBytes: int(coll.MirrorBytes()),
+		MirrorBytes: int(fc.Collector().MirrorBytes()),
 		Healthz:     HealthzReport{Probes: probes.Load(), Failures: probeFailures.Load()},
 		Goroutines:  GoroutinesReport{Before: goroutinesBefore, After: goroutinesAfter},
 	}
@@ -403,7 +368,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Retired: metricValue(reg, "frostlab_pool_retired_total"),
 		Idle:    fc.PooledSessions(),
 	}
-	st := queue.Stats()
+	st := plane.IngestStats()
 	rep.Ingest = IngestReport{Offered: st.Offered, Shed: st.Shed, Done: st.Done, Failed: st.Failed, MaxDepth: st.MaxDepth}
 	return rep, ctx.Err()
 }

@@ -45,8 +45,7 @@ type IngestQueue struct {
 	closed bool
 	stats  IngestStats
 
-	onShed func(IngestJob) // test/logging hook, called outside mu
-	done   chan struct{}
+	done chan struct{}
 }
 
 // NewIngestQueue starts a queue holding at most capacity pending jobs
@@ -61,14 +60,6 @@ func NewIngestQueue(capacity int) *IngestQueue {
 	return q
 }
 
-// OnShed installs a hook invoked (outside the queue lock) for every job
-// shed under backpressure — collectord logs the round number to stderr.
-func (q *IngestQueue) OnShed(fn func(IngestJob)) {
-	q.mu.Lock()
-	q.onShed = fn
-	q.mu.Unlock()
-}
-
 // Offer enqueues a job, shedding the oldest pending job if the queue is
 // full. It never blocks the caller: the collection round stays on
 // schedule whatever ingestion is doing. Offering to a closed queue
@@ -79,11 +70,7 @@ func (q *IngestQueue) Offer(job IngestJob) []IngestJob {
 	q.stats.Offered++
 	if q.closed {
 		q.stats.Shed++
-		hook := q.onShed
 		q.mu.Unlock()
-		if hook != nil {
-			hook(job)
-		}
 		return []IngestJob{job}
 	}
 	var shed []IngestJob
@@ -96,14 +83,8 @@ func (q *IngestQueue) Offer(job IngestJob) []IngestJob {
 	if d := len(q.buf); d > q.stats.MaxDepth {
 		q.stats.MaxDepth = d
 	}
-	hook := q.onShed
 	q.cond.Signal()
 	q.mu.Unlock()
-	if hook != nil {
-		for _, s := range shed {
-			hook(s)
-		}
-	}
 	return shed
 }
 
